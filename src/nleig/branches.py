@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import GridFunction
 from .period import DEFAULT_TARGET_REL_ERR, first_integral_coeffs, half_period
@@ -79,9 +78,10 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
 
     The arclength maps x(y) on the rising and falling arcs are accumulated in
     the square-root variables y = 1 - u^2 (positive arc) and |y| = m*(1 - v^2)
-    (negative arc), where the integrands are smooth, then inverted by monotone
-    cubic interpolation.  The positive arc is anchored first: the profile
-    rises from x = -1, crosses zero once, and dips to -m before x = 1.
+    (negative arc), where the integrands are smooth, then inverted by
+    piecewise-linear interpolation on the panel edges.  The positive arc is
+    anchored first: the profile rises from x = -1, crosses zero once, and dips
+    to -m before x = 1.
     """
     if not 0.0 < m <= 1.0:
         raise ValueError(f"m must lie in (0, 1], got {m!r}")
@@ -114,11 +114,9 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     # map: arclength from the zero end -> height on the positive arc
     s_pos = (len_pos - pos_cum)[::-1]
     y_pos = (1.0 - u_edges * u_edges)[::-1]
-    rise = PchipInterpolator(s_pos, y_pos)
     # map: arclength from the zero end -> depth on the negative arc
     s_neg = (len_neg - neg_cum)[::-1]
     w_neg = (m * (1.0 - u_edges * u_edges))[::-1]
-    dip = PchipInterpolator(s_neg, w_neg)
 
     zero = -1.0 + 2.0 * len_pos / period
     max_point = -1.0 + len_pos / period
@@ -138,8 +136,9 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
 
     values = np.empty_like(x)
     pos_mask = x <= zero
-    values[pos_mask] = rise(np.clip(s[pos_mask], 0.0, len_pos))
-    values[~pos_mask] = -dip(np.clip(s[~pos_mask], 0.0, len_neg))
+    # np.interp holds the end values outside [0, len], which clamps the arcs
+    values[pos_mask] = np.interp(s[pos_mask], s_pos, y_pos)
+    values[~pos_mask] = -np.interp(s[~pos_mask], s_neg, w_neg)
     return GridFunction(values)
 
 

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify
 from .core import ProblemParams, analyze
-from .critical import alpha_critical
+from .critical import BracketViolation, alpha_critical
 from .period import half_period
 from .quadrature import QuadratureNonconvergence
 from .solver import SolverNonconvergence, SolverOptions, minimize
@@ -32,13 +30,12 @@ _DEFAULT_SEED = 42
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Grid of (alpha, q) points, solver options, output path, parallelism."""
+    """Grid of (alpha, q) points, solver options, output path."""
 
     alpha_range: tuple[float, float, int]
     q_range: tuple[float, float, int]
     options: SolverOptions
     out: str
-    jobs: int = 1
 
     def __post_init__(self):
         for lo, hi, count in (self.alpha_range, self.q_range):
@@ -46,8 +43,6 @@ class ScanSpec:
                 raise ValueError("range counts must be at least 1")
             if count > 1 and not lo < hi:
                 raise ValueError("ranges must be ordered")
-        if self.jobs < 1:
-            raise ValueError("parallelism degree must be at least 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +115,11 @@ def _cmd_hfun(args) -> int:
 
 
 def _cmd_alpha_crit(args) -> int:
-    res = alpha_critical(args.q, args.tol, _solver_options(args))
+    try:
+        res = alpha_critical(args.q, args.tol, _solver_options(args))
+    except (SolverNonconvergence, BracketViolation) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _emit_json(
         {
             "q": _sig12(args.q),
@@ -165,9 +164,7 @@ def _cmd_profile(args) -> int:
     return code
 
 
-def _scan_point(task) -> tuple[str, bool]:
-    alpha, q, n, seed = task
-    opts = SolverOptions(n=n, random_seed=seed)
+def _scan_point(alpha: float, q: float, opts: SolverOptions) -> tuple[str, bool]:
     converged = True
     try:
         result = minimize(ProblemParams(alpha, q), opts)
@@ -195,17 +192,7 @@ def run_scan(spec: ScanSpec) -> bool:
     qlo, qhi, qcount = spec.q_range
     alphas = np.linspace(alo, ahi, acount)
     qs = np.linspace(qlo, qhi, qcount)
-    tasks = [
-        (float(alpha), float(q), spec.options.n, spec.options.random_seed)
-        for q in qs
-        for alpha in alphas
-    ]
-    if spec.jobs > 1:
-        chunk = max(1, math.ceil(len(tasks) / spec.jobs))
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_scan_point, tasks, chunksize=chunk))
-    else:
-        rows = [_scan_point(t) for t in tasks]
+    rows = [_scan_point(float(alpha), float(q), spec.options) for q in qs for alpha in alphas]
     handle = sys.stdout if spec.out == "-" else open(spec.out, "w", encoding="utf-8")
     try:
         handle.write(CSV_HEADER + "\n")
@@ -223,7 +210,6 @@ def _cmd_scan(args) -> int:
         q_range=(args.q_min, args.q_max, args.q_count),
         options=_solver_options(args),
         out=args.out,
-        jobs=args.jobs,
     )
     return 0 if run_scan(spec) else 2
 
@@ -283,7 +269,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q-max", type=float, required=True)
     p.add_argument("--q-count", type=int, required=True)
     p.add_argument("--out", required=True, help="output CSV path, or - for stdout")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     add_solver_args(p)
     p.set_defaults(func=_cmd_scan)
 

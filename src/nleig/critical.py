@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
 
 from .core import GridFunction, ProblemParams
 from .solver import (
     SolverOptions,
     _apply_stiffness,
     _descend,
-    _stiffness_factor,
     minimize,
     saturation_reference,
 )
@@ -115,8 +113,6 @@ def dual_quotient_min(q: float, opts: SolverOptions = SolverOptions()) -> tuple[
     n = opts.n
     h = 2.0 / (n + 1)
     x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-    factor = _stiffness_factor(n, h)
-    solve = lambda r: cho_solve_banded((factor, False), r)
     expo = 2.0 / q
 
     def qpow(v):
@@ -137,7 +133,7 @@ def dual_quotient_min(q: float, opts: SolverOptions = SolverOptions()) -> tuple[
 
     u0 = np.sin(0.5 * np.pi * (x + 1.0))
     w, tau, _, converged = _descend(
-        u0, value, grad, normalize, solve, h, opts.max_iterations, opts.lambda_tol
+        u0, value, grad, normalize, h, opts.max_iterations, opts.lambda_tol
     )
     if not converged:
         raise RuntimeError(f"dual quotient descent did not converge for q = {q}")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .branches import q1_coupling_of_eigenvalue, q1_flat_family, reconstruct_profile
 from .core import EigenResult, ProblemParams, analyze, rayleigh_quotient
@@ -172,12 +171,15 @@ def _c6_q2_linear_branch():
 def _c7_q1_branch_oracle():
     fails = []
     for alpha in (1.0, 2.5, 4.0):
-        root = brentq(
-            lambda lam: q1_coupling_of_eigenvalue(lam) - alpha,
-            _PI2 / 4.0 + 1e-9,
-            _PI2 - 1e-9,
-            xtol=1e-12,
-        )
+        # the coupling map is strictly increasing on (pi^2/4, pi^2): bisect it
+        lo, hi = _PI2 / 4.0 + 1e-9, _PI2 - 1e-9
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if q1_coupling_of_eigenvalue(mid) < alpha:
+                lo = mid
+            else:
+                hi = mid
+        root = 0.5 * (lo + hi)
         lam_solver = _solve(alpha, 1.0).lam
         rel = abs(lam_solver - root) / root
         if rel > 1e-3:

@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nleig
 import nleig.cli as cli
 from nleig.core import EigenResult, GridFunction
+from nleig.critical import BracketViolation
 from nleig.solver import SolverNonconvergence
 
 PI2 = math.pi**2
@@ -107,6 +111,21 @@ def test_alpha_crit(capsys):
     assert rec["bracket"][0] <= rec["alpha_q"] <= rec["bracket"][1]
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [SolverNonconvergence("nonconverged", None), BracketViolation("bracket violation")],
+)
+def test_alpha_crit_failed_search_exits_2(capsys, monkeypatch, exc):
+    def fake_alpha_critical(q, tol, opts):
+        raise exc
+
+    monkeypatch.setattr(cli, "alpha_critical", fake_alpha_critical)
+    code, out, err = run(capsys, ["alpha-crit", "--q", "1.5"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {exc}\n"
+
+
 # --- profile -----------------------------------------------------------------------
 
 def test_profile_writes_csv(capsys, tmp_path):
@@ -163,8 +182,8 @@ def test_scan_csv_shape_and_monotonicity(capsys, tmp_path):
         assert all(b >= a - 1e-6 for a, b in zip(lams, lams[1:]))
 
 
-def test_scan_deterministic_and_parallel_equivalent(capsys, tmp_path):
-    p1, p2, p3 = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+def test_scan_deterministic(capsys, tmp_path):
+    p1, p2 = (tmp_path / name for name in ("a.csv", "b.csv"))
     args = [
         "scan",
         "--alpha-min", "0", "--alpha-max", "4", "--alpha-count", "5",
@@ -173,9 +192,8 @@ def test_scan_deterministic_and_parallel_equivalent(capsys, tmp_path):
     ]
     assert cli.main(args + ["--out", str(p1)]) == 0
     assert cli.main(args + ["--out", str(p2)]) == 0
-    assert cli.main(args + ["--out", str(p3), "--jobs", "2"]) == 0
     capsys.readouterr()
-    assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_scan_rejects_bad_grid(capsys, tmp_path):
@@ -214,3 +232,13 @@ def test_verify_subset(capsys):
     assert "criterion  2" in out
     assert "criterion  3" in out
     assert "2/2 criteria passed" in out
+
+
+# --- import path ----------------------------------------------------------------------
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nleig.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, nleig, nleig.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

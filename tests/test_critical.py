@@ -1,9 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import nleig.critical as critical
 from nleig.core import ProblemParams, analyze
-from nleig.critical import alpha_zero, dual_quotient_min, lower_bound, rescale_lambda
+from nleig.critical import (
+    BracketViolation,
+    alpha_critical,
+    alpha_zero,
+    dual_quotient_min,
+    lower_bound,
+    rescale_lambda,
+)
 from nleig.solver import SolverOptions, minimize, saturation_reference
 
 PI2 = math.pi**2
@@ -61,12 +70,26 @@ def test_branch_coexistence_at_threshold(crit, q):
 
 
 def test_alpha_critical_rejects_loose_inputs():
-    from nleig.critical import alpha_critical
-
     with pytest.raises(ValueError):
         alpha_critical(1.5, 1e-5, OPTS)
     with pytest.raises(ValueError):
         alpha_critical(2.5, 0.04, OPTS)
+
+
+@pytest.mark.parametrize(
+    "lam_of_alpha, message",
+    [
+        (lambda alpha: PI2, "already saturated at alpha"),  # saturated at the lower end
+        (lambda alpha: 0.0, "not saturated at alpha"),  # unsaturated at the upper end
+    ],
+)
+def test_bracket_violation(monkeypatch, lam_of_alpha, message):
+    def fake_minimize(params, opts):
+        return SimpleNamespace(lam=lam_of_alpha(params.alpha))
+
+    monkeypatch.setattr(critical, "minimize", fake_minimize)
+    with pytest.raises(BracketViolation, match=message):
+        alpha_critical(1.5, 0.04, SolverOptions(n=100))
 
 
 # --- alpha_zero and duality -----------------------------------------------------

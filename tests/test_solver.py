@@ -7,6 +7,8 @@ from nleig.core import EigenResult, GridFunction, ProblemParams, analyze
 from nleig.solver import (
     SolverNonconvergence,
     SolverOptions,
+    _apply_stiffness,
+    _dirichlet_solve,
     el_residual,
     minimize,
     saturation_reference,
@@ -144,6 +146,29 @@ def test_saturation_reference_converges_quadratically():
     e1 = abs(saturation_reference(1000, 1.0) - PI2)
     e2 = abs(saturation_reference(2000, 1.0) - PI2)
     assert e2 < e1
+
+
+# --- closed-form Dirichlet solve -------------------------------------------------
+
+@pytest.mark.parametrize("n", [100, 4000])
+def test_dirichlet_solve_inverts_stiffness(n):
+    rng = np.random.default_rng(n)
+    h = 2.0 / (n + 1)
+    u = rng.standard_normal(n)
+    back = _dirichlet_solve(_apply_stiffness(u, h), h)
+    assert np.linalg.norm(back - u) <= 1e-10 * np.linalg.norm(u)
+    r = rng.standard_normal(n)
+    fwd = _apply_stiffness(_dirichlet_solve(r, h), h)
+    assert np.linalg.norm(fwd - r) <= 1e-10 * np.linalg.norm(r)
+
+
+def test_dirichlet_solve_matches_dense_solve():
+    n = 100
+    h = 2.0 / (n + 1)
+    stiffness = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+    r = np.random.default_rng(0).standard_normal(n)
+    ref = np.linalg.solve(stiffness, r)
+    assert np.linalg.norm(_dirichlet_solve(r, h) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # --- structural invariants --------------------------------------------------------
