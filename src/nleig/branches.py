@@ -15,15 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridFunction
-from .period import DEFAULT_TARGET_REL_ERR, first_integral_coeffs, half_period
+from .period import (
+    DEFAULT_TARGET_REL_ERR,
+    arc_densities,
+    arc_variables,
+    first_integral_coeffs,
+    half_period,
+)
 
 _PI2 = math.pi**2
 
-# quadrature mesh of the arclength accumulation: 2048 panels per arc, each
-# integrated by 8-point Gauss-Legendre in the square-root variable that
-# regularizes the vanishing slope at the extremum
+# quadrature mesh of the arclength accumulation: 2048 panels per arc on the
+# square-root variable u in [0, 1], each integrated by 8-point Gauss-Legendre;
+# the geometry is fixed, so it is built once
 _PANELS = 2048
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_U_EDGES = np.linspace(0.0, 1.0, _PANELS + 1)
+_HALF = 0.5 * np.diff(_U_EDGES)
+_PTS = (0.5 * (_U_EDGES[:-1] + _U_EDGES[1:]))[:, None] + _HALF[:, None] * _GL_NODES[None, :]
+_PTS_U2, _PTS_LN_Y = arc_variables(_PTS, 1.0 - _PTS)
+_Y_EDGES = 1.0 - _U_EDGES * _U_EDGES  # y = 1 - u^2 at the panel edges
 
 
 @dataclass(frozen=True)
@@ -55,18 +66,12 @@ def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_
     return BranchPoint(q=q, m_bar=m, lam=lam, gamma_alpha=0.5 * q * lam * co.z, c=0.5 * lam * co.t)
 
 
-def _arc_cumulative(ratio, scale: float) -> np.ndarray:
-    """Cumulative arclength integral of scale/sqrt(ratio(u)) over [0, u_j].
+def _arc_cumulative(density: np.ndarray) -> np.ndarray:
+    """Cumulative integral of an arclength density sampled at ``_PTS``.
 
-    ``ratio(u)`` must return radicand/u^2 (finite and positive near u = 0);
-    the returned array has one entry per panel boundary, starting at 0.
+    The returned array has one entry per panel edge ``_U_EDGES``, starting at 0.
     """
-    edges = np.linspace(0.0, 1.0, _PANELS + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = scale / np.sqrt(ratio(pts))
-    panel = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+    panel = (density * _GL_WEIGHTS[None, :]).sum(axis=1) * _HALF
     out = np.empty(_PANELS + 1)
     out[0] = 0.0
     np.cumsum(panel, out=out[1:])
@@ -78,8 +83,8 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
 
     The arclength maps x(y) on the rising and falling arcs are accumulated in
     the square-root variables y = 1 - u^2 (positive arc) and |y| = m*(1 - v^2)
-    (negative arc), where the integrands are smooth, then inverted by
-    piecewise-linear interpolation on the panel edges.  The positive arc is
+    (negative arc), where the densities (``period.arc_densities``) are
+    smooth, then inverted by piecewise-linear interpolation on the panel edges.  The positive arc is
     anchored first: the profile rises from x = -1, crosses zero once, and dips
     to -m before x = 1.
     """
@@ -87,36 +92,20 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
         raise ValueError(f"m must lie in (0, 1], got {m!r}")
     if n < 100:
         raise ValueError(f"n must be at least 100, got {n}")
-    z = first_integral_coeffs(m, q).z
-
-    # radicand of the positive arc over u^2, evaluated cancellation-free:
-    # r(1-u^2) = u^2*(2-u^2) + z*((1-u^2)^q - 1)
-    def pos_ratio(u):
-        u2 = u * u
-        return (2.0 - u2) + z * np.expm1(q * np.log1p(-u2)) / u2
-
-    # same for the negative arc with |y| = m*(1-v^2):
-    # r = m^2*v^2*(2-v^2) - z*m^q*((1-v^2)^q - 1)
-    mq = m**q
-
-    def neg_ratio(v):
-        v2 = v * v
-        return m * m * (2.0 - v2) - z * mq * np.expm1(q * np.log1p(-v2)) / v2
-
-    pos_cum = _arc_cumulative(pos_ratio, 2.0)  # distance from the max toward y = 0
-    neg_cum = _arc_cumulative(neg_ratio, 2.0 * m)  # distance from the min toward y = 0
+    pos, neg = arc_densities(_PTS_U2, _PTS_LN_Y, m, q)
+    pos_cum = _arc_cumulative(pos)  # distance from the max toward y = 0
+    neg_cum = _arc_cumulative(neg)  # distance from the min toward y = 0
     len_pos = pos_cum[-1]
     len_neg = neg_cum[-1]
     period = len_pos + len_neg  # equals half_period(m, q)
     lam_sqrt = period
 
-    u_edges = np.linspace(0.0, 1.0, _PANELS + 1)
     # map: arclength from the zero end -> height on the positive arc
     s_pos = (len_pos - pos_cum)[::-1]
-    y_pos = (1.0 - u_edges * u_edges)[::-1]
+    y_pos = _Y_EDGES[::-1]
     # map: arclength from the zero end -> depth on the negative arc
     s_neg = (len_neg - neg_cum)[::-1]
-    w_neg = (m * (1.0 - u_edges * u_edges))[::-1]
+    w_neg = m * y_pos
 
     zero = -1.0 + 2.0 * len_pos / period
     max_point = -1.0 + len_pos / period

@@ -12,9 +12,11 @@ eigenvalue equals the square of
                                 + m/sqrt((1-z) - z*m^q*y^q - m^2*y^2) ] dy,
 
 where both integrand terms carry an inverse-square-root singularity at y = 1.
-The value is pi on the whole q = 1 line and at m = 1, and exceeds pi strictly
-for m < 1, q > 1; the auxiliary functions at the bottom certify the strict
-monotonicity of the integrand in q that drives that bound.
+``half_period`` removes it with the square-root variable y = 1 - u^2
+(``arc_densities``, the densities ``branches.reconstruct_profile`` also
+accumulates).  The value is pi on the whole q = 1 line and at m = 1, and
+exceeds pi strictly for m < 1, q > 1; the auxiliary functions at the bottom
+certify the strict monotonicity of the integrand in q that drives that bound.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
+import numpy as np
 
-from .quadrature import QuadResult, integrate_endpoint_singular
+from .quadrature import integrate_endpoint_singular
 
 DEFAULT_TARGET_REL_ERR = 1e-10
 
@@ -107,52 +109,73 @@ def integrand(m: float, q: float, y: float) -> float:
     return first + second
 
 
-def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> PeriodValue:
-    """Evaluate the half-period integral by tanh-sinh quadrature on each term.
+def arc_variables(u, c) -> tuple[np.ndarray, np.ndarray]:
+    """u^2 and ln y, with y = 1 - u^2, at nodes u in (0, 1) with complements c = 1 - u.
 
-    The split form puts every singularity at y = 1.  (m, q) = (0, 2) diverges;
-    for m = 0 with q < 2 the second term is identically zero by its prefactor.
+    ln y comes from log1p(-u^2) for u < 1/2 and from the complement, as
+    log(c*(1+u)), otherwise, which keeps it accurate down to c ~ 1e-300.
+    u^2 is floored at 1e-200: below that y = 1 in float64, and the floor keeps
+    the quotients -expm1(a*ln y)/u^2 of ``arc_densities`` at their limit a
+    where u^2 would underflow.
+    """
+    u2 = np.maximum(u * u, 1e-200)
+    with np.errstate(divide="ignore"):  # log1p(-1) where u rounds to 1; that branch is not taken
+        ln_y = np.where(u < 0.5, np.log1p(-u2), np.log(c * (1.0 + u)))
+    return u2, ln_y
+
+
+def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arclength densities dx/du of the positive and the negative arc, at unit eigenvalue.
+
+    The arcs are parametrized in their square-root variables, y = 1 - u^2 on
+    the positive arc and |y| = m*(1 - u^2) on the negative arc, so that the
+    inverse-square-root singularity at each extremum (u = 0) disappears:
+
+        pos(u) = 2 / sqrt(r(u)),   r(u) = t*(1+y) + z*y^q*(-expm1((2-q)*ln y))/u^2,
+        neg(u) = 2m / sqrt(s(u)),  s(u) = m^2*(1+y) + z*m^q*(-expm1(q*ln y))/u^2.
+
+    ``u2`` and ``ln_y`` come from ``arc_variables``.  Both radicands are sums
+    of non-negative terms, so nothing cancels: t is formed as
+    (m^q + m^2)/(1 + m^q), not as 1 - z, and the expm1 quotients tend to 2 - q
+    and q as u -> 0.  Integrating pos + neg over (0, 1) gives half_period(m, q).
+    At m = 0, neg is 0 and y^q is factored out of r, where it would underflow
+    to a zero radicand as y -> 0.
+    """
+    mq = m**q
+    z = (1.0 - m * m) / (1.0 + mq)
+    pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
+    if m == 0.0:  # t = 0, z = 1
+        pos = 2.0 * np.exp(-0.5 * q * ln_y) / np.sqrt(pos_quot)
+        return pos, np.zeros_like(pos)
+    t = (mq + m * m) / (1.0 + mq)
+    one_y = 2.0 - u2  # 1 + y
+    pos = 2.0 / np.sqrt(t * one_y + z * np.exp(q * ln_y) * pos_quot)
+    neg_quot = -np.expm1(q * ln_y) / u2
+    neg = 2.0 * m / np.sqrt(m * m * one_y + z * mq * neg_quot)
+    return pos, neg
+
+
+def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> PeriodValue:
+    """Evaluate the half-period integral by float64 tanh-sinh quadrature.
+
+    Both arcs are integrated together in their square-root variables (see
+    ``arc_densities``), where the integrand is finite at the extrema u = 0.
+    What remains singular is the positive arc at u = 1 (y = 0) as m -> 0,
+    where the density grows like y^(-q/2); the quadrature resolves it through
+    the complement c = 1 - u.  (m, q) = (0, 2) diverges and raises ValueError;
+    for m = 0 with q close to 2 the tail below y ~ 1e-275 stops being
+    negligible and the quadrature raises QuadratureNonconvergence.
     """
     _check_mq(m, q)
     if m == 0.0 and q == 2.0:
         raise ValueError("divergent: the half-period integral is +inf at (m, q) = (0, 2)")
 
-    with mp.workdps(30):
-        # constants must carry working precision: the radicands cancel to
-        # O(1-y) near y = 1 and double-rounded coefficients would leave an
-        # absolute noise floor ~1e-17 that a -1/2 singularity amplifies
-        mm = mp.mpf(m)
-        qq = mp.mpf(q)
-        z = (1 - mm * mm) / (1 + mm**qq)
-        one_minus_z = 1 - z
+    def density(u, c):
+        pos, neg = arc_densities(*arc_variables(u, c), m, q)
+        return pos + neg
 
-        def pos_term(y):
-            r = one_minus_z + z * y**qq - y * y
-            if r <= 0:
-                return mp.inf
-            return 1 / mp.sqrt(r)
-
-        first = integrate_endpoint_singular(pos_term, target_rel_err)
-        if m == 0.0:
-            return PeriodValue(m=m, q=q, value=first.value, error_estimate=first.error_estimate)
-
-        mq = mm**qq
-        m2 = mm * mm
-
-        def neg_term(y):
-            r = one_minus_z - z * mq * y**qq - m2 * y * y
-            if r <= 0:
-                return mp.inf
-            return mm / mp.sqrt(r)
-
-        second = integrate_endpoint_singular(neg_term, target_rel_err)
-
-    return PeriodValue(
-        m=m,
-        q=q,
-        value=first.value + second.value,
-        error_estimate=first.error_estimate + second.error_estimate,
-    )
+    res = integrate_endpoint_singular(density, target_rel_err)
+    return PeriodValue(m=m, q=q, value=res.value, error_estimate=res.error_estimate)
 
 
 def _check_mq_open(m: float, q: float) -> None:

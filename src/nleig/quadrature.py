@@ -1,45 +1,39 @@
 """Tanh-sinh (double-exponential) quadrature for endpoint-singular integrands.
 
 Evaluates integrals over (0, 1) whose integrands may blow up like an inverse
-power (weaker than first order, e.g. y**-0.5 or (1-y)**-0.5) at one or both
-endpoints.  The substitution
+power weaker than first order (e.g. x**-0.5 or (1-x)**-0.9) at one or both
+endpoints.  The substitution (Takahasi and Mori, 1974)
 
-    y(t) = 1 / (1 + exp(-pi*sinh(t))),      dy/dt = pi*cosh(t) * y * (1 - y)
+    x(t) = 1 / (1 + exp(-pi*sinh(t))),      dx/dt = pi*cosh(t) * x * (1 - x)
 
 maps the real line onto (0, 1) and makes the trapezoid rule converge at a
 double-exponential rate; halving the step re-uses all previous abscissae.
 
-Abscissae and weights are generated as ``mpmath`` scalars and the integrand is
-evaluated at those scalars: near y = 1 the distance 1 - y falls below the
-float64 resolution long before the weighted contributions are negligible, so
-float abscissae cannot deliver the accuracy this module promises.  Integrands
-written with plain Python arithmetic (``+ - * / **``) propagate the extended
-precision automatically.
+Everything runs in float64 on numpy arrays.  Near x = 1 the abscissa itself
+rounds to 1.0 long before the weighted contributions are negligible, so the
+integrand is handed the complement as well: it is called as ``f(x, c)`` with
+``c = 1 - x`` taken straight from the node formula, ``c = 1/(1 + exp(pi*sinh(t)))``,
+which keeps full relative accuracy down to c ~ 1e-300.  An integrand that
+forms its right-endpoint factors from ``c`` (never from ``1 - x``) is
+therefore resolved as finely at x = 1 as at x = 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath as mp
-
-# Working precision for nodes, weights and partial sums.  The deep-node error
-# of a p-power endpoint singularity scales like sqrt(working epsilon), so 30
-# digits keep the worst case below the tightest supported target (1e-14).
-_DPS = 30
+import numpy as np
 
 _MAX_LEVEL = 12
 
-# Nodes are clamped so both y and 1-y stay >= ~1e-300: pi*sinh(t) <= 690.
+# Nodes are clamped so both x and 1-x stay >= ~1e-304: pi*sinh(t) <= 700.
 _T_CAP = 6.1
 
 _MIN_TARGET = 1e-14
 _MAX_TARGET = 1e-4
-
-# cache: level -> list of (t=0 flag, y_plus, y_minus, weight) groups
-_NODES: dict[int, list] = {}
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,7 @@ class QuadResult:
     """Value of an integral together with its convergence diagnostics.
 
     ``error_estimate`` is the absolute difference between the last two
-    refinement levels; ``evaluations`` counts integrand calls.
+    refinement levels; ``evaluations`` counts integrand values.
     """
 
     value: float
@@ -63,58 +57,44 @@ class QuadratureNonconvergence(RuntimeError):
         self.best = best
 
 
-def _level_nodes(level: int) -> list:
-    """Node groups introduced at `level` (trapezoid step 2**-level).
+@functools.cache
+def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Abscissae x, complements c = 1 - x and weights introduced at `level`.
 
-    Level 0 holds the integer abscissae t = 0, 1, 2, ...; every later level
-    holds the odd multiples of its step, so the union over levels 0..L is the
-    full grid of spacing 2**-L.
+    Level 0 holds the integer steps t = 0, 1, 2, ...; every later level holds
+    the odd multiples of its step 2**-level, so the union over levels 0..L is
+    the full grid of spacing 2**-L.  Each t > 0 contributes the mirror pair
+    x(t), x(-t) = c(t).  The arrays are read-only: the cache shares them.
     """
-    if level in _NODES:
-        return _NODES[level]
-    with mp.workdps(_DPS):
-        groups = []
-        step = mp.mpf(2) ** -level
-        k = 0 if level == 0 else 1
-        stride = 1 if level == 0 else 2
-        while True:
-            t = k * step
-            if t > _T_CAP:
-                break
-            u = mp.pi * mp.sinh(t)
-            y_plus = 1 / (1 + mp.exp(-u))
-            y_minus = 1 / (1 + mp.exp(u))  # = 1 - y_plus, computed without cancellation
-            w = mp.pi * mp.cosh(t) * y_plus * y_minus
-            groups.append((k == 0, y_plus, y_minus, w))
-            k += stride
-    _NODES[level] = groups
-    return groups
-
-
-def _eval(f: Callable, y) -> mp.mpf:
-    """Evaluate the integrand, mapping non-finite results at extreme nodes to 0.
-
-    A node within ~1e-300 of an endpoint can push an (integrable) singular
-    integrand past what its own arithmetic supports; the true weighted
-    contribution there is far below every supported target, so it is dropped.
-    """
-    try:
-        v = mp.mpf(f(y))
-    except (ZeroDivisionError, ValueError, OverflowError, TypeError):
-        return mp.mpf(0)
-    if not mp.isfinite(v):
-        return mp.mpf(0)
-    return v
+    step = 2.0**-level
+    if level == 0:
+        t = np.arange(0.0, math.floor(_T_CAP) + 1.0)
+    else:
+        t = np.arange(1.0, _T_CAP / step, 2.0) * step
+    s = math.pi * np.sinh(t)
+    x = 1.0 / (1.0 + np.exp(-s))
+    c = 1.0 / (1.0 + np.exp(s))  # = 1 - x, computed without cancellation
+    w = math.pi * np.cosh(t) * x * c
+    mirror = t > 0.0
+    nodes = (
+        np.concatenate([x, c[mirror]]),
+        np.concatenate([c, x[mirror]]),
+        np.concatenate([w, w[mirror]]),
+    )
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
 
 
 def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResult:
-    """Integrate ``f`` over (0, 1), tolerating inverse-square-root endpoints.
+    """Integrate ``f`` over (0, 1), tolerating integrable endpoint singularities.
 
     Parameters
     ----------
     f : callable
-        Integrand, finite on the open interval.  It is called with ``mpmath``
-        scalars; plain arithmetic keeps the extended precision.
+        Integrand, called as ``f(x, c)`` on float64 arrays of abscissae x and
+        their complements c = 1 - x; it returns an array (or a scalar) of
+        values.  Factors that blow up at x = 1 must be formed from ``c``.
     target_rel_err : float
         Requested relative accuracy, in [1e-14, 1e-4].  The step is halved
         until two successive levels agree to this tolerance.
@@ -127,48 +107,49 @@ def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResul
     ------
     QuadratureNonconvergence
         If agreement is not reached within 12 halvings.  The exception carries
-        the best available estimate in ``.best``.
+        the best available estimate in ``.best``.  A level also counts as
+        unconverged while ``f`` returns a non-finite value at any node so far
+        (such values enter the estimate as 0), or while the weighted integrand
+        at the outermost integer step t = 6 (about 1e-275 from an endpoint) is
+        not negligible: the part of the integral beyond the last node is then
+        not negligible either.
     """
     if not (_MIN_TARGET <= target_rel_err <= _MAX_TARGET):
         raise ValueError(
             f"target_rel_err must lie in [{_MIN_TARGET:g}, {_MAX_TARGET:g}], "
             f"got {target_rel_err:g}"
         )
-    target = mp.mpf(target_rel_err)
-    with mp.workdps(_DPS):
-        tail_floor = mp.mpf("1e-300")
-        total = mp.mpf(0)  # running sum of w*f over all nodes generated so far
-        evals = 0
-        prev = None
-        diff = mp.inf
-        for level in range(_MAX_LEVEL + 1):
-            step = mp.mpf(2) ** -level
-            quiet = 0
-            for center, y_plus, y_minus, w in _level_nodes(level):
-                if center:
-                    term = w * _eval(f, y_plus)
-                    evals += 1
-                else:
-                    term = w * (_eval(f, y_plus) + _eval(f, y_minus))
-                    evals += 2
-                total += term
-                # once consecutive groups are negligible the double-exponential
-                # tail cannot contribute at any supported target
-                if abs(term) <= 1e-26 * (abs(total) + tail_floor):
-                    quiet += 1
-                    if quiet >= 2:
-                        break
-                else:
-                    quiet = 0
-            value = step * total
-            if prev is not None:
-                diff = abs(value - prev)
-                if level >= 2 and diff <= target * (abs(value) + tail_floor):
-                    return QuadResult(float(value), float(diff), evals)
-            prev = value
-        best = QuadResult(float(prev), float(diff), evals)
+    tail_floor = 1e-300
+    total = 0.0  # running sum of w*f over all nodes generated so far
+    evals = 0
+    resolved = True
+    edge = 0.0
+    prev = None
+    diff = math.inf
+    for level in range(_MAX_LEVEL + 1):
+        x, c, w = _level_nodes(level)
+        terms = w * f(x, c)
+        evals += x.size
+        finite = np.isfinite(terms)
+        if not finite.all():
+            resolved = False
+            terms = np.where(finite, terms, 0.0)
+        if level == 0:
+            # the last integer step sits at index 6 (+x side) and 12 (-x side)
+            last = math.floor(_T_CAP)
+            edge = max(abs(terms[last]), abs(terms[2 * last]))
+        total += float(terms.sum())
+        value = 2.0**-level * total
+        if prev is not None:
+            diff = abs(value - prev)
+            tol = target_rel_err * (abs(value) + tail_floor)
+            if level >= 2 and resolved and diff <= tol and edge <= tol:
+                return QuadResult(value, diff, evals)
+        prev = value
+    best = QuadResult(prev, diff, evals)
+    unresolved = "" if resolved else ", non-finite integrand values"
     raise QuadratureNonconvergence(
-        f"quadrature nonconvergence: inter-level difference {best.error_estimate:.3e} "
-        f"after {_MAX_LEVEL} levels (target {target_rel_err:g})",
+        f"quadrature nonconvergence: inter-level difference {diff:.3e}, "
+        f"tail term {edge:.3e}{unresolved} after {_MAX_LEVEL} levels (target {target_rel_err:g})",
         best,
     )

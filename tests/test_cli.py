@@ -97,6 +97,14 @@ def test_hfun_value(capsys):
     assert abs(rec["value"] - math.pi) <= 1e-9
 
 
+def test_hfun_small_depth_tight_tolerance(capsys):
+    m = 1e-6
+    code, out, _ = run(capsys, ["hfun", "--m", "1e-6", "--q", "2", "--tol", "1e-13"])
+    assert code == 0
+    closed = 0.5 * math.pi * math.sqrt((1 + m * m) / 2) * (1 / m + 1)
+    assert abs(json.loads(out)["value"] - closed) <= 1e-12 * closed
+
+
 def test_hfun_divergent_exits_1(capsys):
     code, _, err = run(capsys, ["hfun", "--m", "0", "--q", "2"])
     assert code == 1
@@ -236,9 +244,17 @@ def test_verify_subset(capsys):
 
 # --- import path ----------------------------------------------------------------------
 
-def test_import_loads_no_scipy():
+def _modules_loaded_by_import(package):
     src = os.path.dirname(os.path.dirname(os.path.abspath(nleig.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, nleig, nleig.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = f"import sys, nleig, nleig.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _modules_loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_mpmath():
+    assert _modules_loaded_by_import("mpmath") == "[]"

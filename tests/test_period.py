@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nleig.period import (
+    arc_densities,
+    arc_variables,
     first_integral_coeffs,
     half_period,
     integrand,
@@ -14,6 +17,7 @@ from nleig.period import (
     offset_positivity_margin,
     pos_arc_radical,
 )
+from nleig.quadrature import QuadratureNonconvergence
 
 PI = math.pi
 MS = [k / 10 for k in range(1, 10)]
@@ -135,6 +139,37 @@ def test_half_period_zero_depth_closed_form():
 def test_half_period_divergent_case():
     with pytest.raises(ValueError, match="divergent"):
         half_period(0.0, 2.0)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("m", [1e-2, 1e-4, 1e-6, 1e-9])
+def test_half_period_q2_closed_form_as_depth_vanishes(m, tol):
+    closed = 0.5 * PI * math.sqrt((1 + m * m) / 2) * (1 / m + 1)
+    hv = half_period(m, 2.0, tol)
+    assert abs(hv.value - closed) <= 10 * tol * closed
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-4])
+def test_half_period_near_divergent_corner_raises(tol):
+    # at m = 0 the integral is pi/(2-q) = 100*pi, but y^(-q/2) leaves a tail
+    # beyond the reach of float64 nodes; it must not come back as a value,
+    # not even at the loosest target, where the level differences settle
+    with pytest.raises(QuadratureNonconvergence) as info:
+        half_period(0.0, 1.99, tol)
+    assert info.value.best.evaluations >= 1
+
+
+def test_arc_densities_match_the_radicals():
+    # the cancellation-free radicands against the direct first-integral form:
+    # dx/du = 2u / pos_arc_radical(y) and 2mu / neg_arc_radical(y), y = 1 - u^2
+    u = np.array([0.2, 0.6, 0.9])
+    for m in (0.3, 0.7):
+        for q in (1.0, 1.3, 1.8, 2.0):
+            pos, neg = arc_densities(*arc_variables(u, 1.0 - u), m, q)
+            for k, uk in enumerate(u):
+                y = 1.0 - uk * uk
+                assert abs(pos[k] - 2 * uk / pos_arc_radical(m, q, y)) <= 1e-12 * pos[k]
+                assert abs(neg[k] - 2 * m * uk / neg_arc_radical(m, q, y)) <= 1e-12 * neg[k]
 
 
 def test_half_period_exceeds_pi_with_margin():
