@@ -131,33 +131,47 @@ def _check_interval(u: GridFunction, params: ProblemParams) -> None:
         )
 
 
+def apply_stiffness(v: np.ndarray, h: float) -> np.ndarray:
+    """-v'' by the stencil (2*v_i - v_{i-1} - v_{i+1}) / h^2 through the zero endpoint values."""
+    out = 2.0 * v
+    out[:-1] -= v[1:]
+    out[1:] -= v[:-1]
+    return out / h**2
+
+
+def quotient_terms(v: np.ndarray, h: float, q: float) -> tuple[float, np.ndarray, float]:
+    """Dirichlet energy D, power p = |v|^(q-1) and signed q-average S = h*sum(v*p).
+
+    D comes from one first-difference vector plus the two zero endpoint
+    differences; the algebraically equal v . (stiffness v) cancels at the
+    1e-12 level, which is enough to upset a line search comparing values.
+    """
+    d = v[1:] - v[:-1]
+    energy = (float(d @ d) + v[0] * v[0] + v[-1] * v[-1]) / h
+    p = np.abs(v) ** (q - 1.0)
+    return energy, p, h * float(v @ p)
+
+
 def dirichlet_energy(u: GridFunction) -> float:
     """int |u'|^2 by central differences through the zero endpoint values."""
-    d = np.diff(u.values, prepend=0.0, append=0.0)
-    return float(d @ d) / u.h
-
-
-def l2_sq(u: GridFunction) -> float:
-    """int u^2 by the composite trapezoid rule (endpoints contribute 0)."""
-    return u.h * float(u.values @ u.values)
+    return quotient_terms(u.values, u.h, 1.0)[0]
 
 
 def q_average(u: GridFunction, q: float) -> float:
     """Signed average int |u|^(q-1) u dx by the composite trapezoid rule."""
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
-    v = u.values
-    return u.h * float(np.sign(v) @ np.abs(v) ** q)
+    return quotient_terms(u.values, u.h, q)[2]
 
 
 def rayleigh_quotient(u: GridFunction, params: ProblemParams) -> float:
     """( D(u) + alpha*|S(u)|^(2/q) ) / int u^2, exactly invariant under u -> c*u."""
     _check_interval(u, params)
-    mass = l2_sq(u)
+    mass = u.h * float(u.values @ u.values)  # trapezoid rule; the endpoints contribute 0
     if mass == 0.0:
         raise ValueError("degenerate input: u is identically zero")
-    s = q_average(u, params.q)
-    return (dirichlet_energy(u) + params.alpha * abs(s) ** (2.0 / params.q)) / mass
+    energy, _, s = quotient_terms(u.values, u.h, params.q)
+    return (energy + params.alpha * abs(s) ** (2.0 / params.q)) / mass
 
 
 def _refine_extremum(xp: np.ndarray, vp: np.ndarray, i: int) -> tuple[float, float]:
@@ -222,11 +236,12 @@ def analyze(u: GridFunction) -> MinimizerProfile:
         band = SIGN_BAND * amax
         signs = np.where(np.abs(w) <= band, 0.0, np.sign(w))
         idx = np.flatnonzero(signs)
-        for k0, k1 in zip(idx[:-1], idx[1:]):
-            if signs[k0] * signs[k1] < 0.0:
-                x0, x1 = u.x[k0], u.x[k1]
-                w0, w1 = w[k0], w[k1]
-                zeros.append(float(x0 + (x1 - x0) * w0 / (w0 - w1)))
+        # consecutive out-of-band nodes of opposite sign bracket one zero
+        cross = np.flatnonzero(signs[idx[:-1]] * signs[idx[1:]] < 0.0)
+        k0, k1 = idx[cross], idx[cross + 1]
+        x0, x1 = xp[k0 + 1], xp[k1 + 1]
+        w0, w1 = w[k0], w[k1]
+        zeros = (x0 + (x1 - x0) * w0 / (w0 - w1)).tolist()
         m_bar = float(np.clip(-min_value / max_value, 0.0, 1.0)) if max_value > 0 else 1.0
     else:
         m_bar = 0.0

@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import GridFunction, ProblemParams
-from .solver import (
-    SolverOptions,
-    _apply_stiffness,
-    _descend,
-    minimize,
-    saturation_reference,
-)
+from .core import GridFunction, ProblemParams, apply_stiffness, quotient_terms
+from .solver import SolverOptions, _descend, minimize, saturation_reference
 
 _PI2 = math.pi**2
 
@@ -102,6 +97,16 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     )
 
 
+def dual_quotient_and_gradient(v: np.ndarray, h: float, q: float) -> tuple[float, np.ndarray]:
+    """The dual quotient R(v) = D(v) / P^(2/q), P = int|v|^q, and its gradient in v."""
+    energy, p, _ = quotient_terms(v, h, q)
+    big_p = h * float(np.abs(v) @ p)
+    expo = 2.0 / q
+    value = energy / big_p**expo
+    g = apply_stiffness(v, h) - value * big_p ** (expo - 1.0) * np.sign(v) * p
+    return value, 2.0 * g
+
+
 def dual_quotient_min(q: float, opts: SolverOptions = SolverOptions()) -> tuple[float, GridFunction]:
     """Minimize int|w'|^2 / (int|w|^q)^(2/q) by the solver's descent machinery.
 
@@ -113,28 +118,13 @@ def dual_quotient_min(q: float, opts: SolverOptions = SolverOptions()) -> tuple[
     n = opts.n
     h = 2.0 / (n + 1)
     x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-    expo = 2.0 / q
-
-    def qpow(v):
-        return h * float(np.sum(np.abs(v) ** q))
-
-    def value(v):
-        d = np.diff(v, prepend=0.0, append=0.0)
-        return float(d @ d) / h / qpow(v) ** expo
-
-    def grad(v, r_val):
-        p = qpow(v)
-        g = _apply_stiffness(v, h)
-        g = g - r_val * p ** (expo - 1.0) * np.sign(v) * np.abs(v) ** (q - 1.0)
-        return 2.0 * g
 
     def normalize(v):
-        return v / qpow(v) ** (1.0 / q)
+        return v / (h * float(np.sum(np.abs(v) ** q))) ** (1.0 / q)
 
     u0 = np.sin(0.5 * np.pi * (x + 1.0))
-    w, tau, _, converged = _descend(
-        u0, value, grad, normalize, h, opts.max_iterations, opts.lambda_tol
-    )
+    evaluate = partial(dual_quotient_and_gradient, h=h, q=q)
+    w, tau, _, converged = _descend(u0, evaluate, normalize, h, opts.max_iterations, opts.lambda_tol)
     if not converged:
         raise RuntimeError(f"dual quotient descent did not converge for q = {q}")
     return tau, GridFunction(w)

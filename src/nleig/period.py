@@ -3,7 +3,7 @@
 A sign-changing minimizer normalized to max 1 and min -m satisfies the first
 integral  (y')^2 = lambda * [1 - z*(1 - |y|^(q-1) y) - y^2]  with
 
-    z(m, q) = (1 - m^2) / (1 + m^q),        t(m, q) = 1 - z(m, q).
+    z(m, q) = (1 - m^2) / (1 + m^q),        t(m, q) = 1 - z(m, q) = (m^q + m^2) / (1 + m^q).
 
 Integrating dx = dy/|y'| from the minimum to the maximum shows that the
 eigenvalue equals the square of
@@ -33,7 +33,7 @@ DEFAULT_TARGET_REL_ERR = 1e-10
 
 @dataclass(frozen=True)
 class FirstIntegralCoeffs:
-    """Coefficients z = (1-m^2)/(1+m^q) and t = 1-z of the first integral."""
+    """Coefficients z = (1-m^2)/(1+m^q) and t = 1-z = (m^q+m^2)/(1+m^q) of the first integral."""
 
     z: float
     t: float
@@ -59,10 +59,10 @@ def _check_mq(m: float, q: float) -> None:
 
 
 def first_integral_coeffs(m: float, q: float) -> FirstIntegralCoeffs:
-    """Evaluate z(m, q) = (1-m^2)/(1+m^q) and its complement t = 1 - z."""
+    """Evaluate z(m, q) and its complement t, formed without cancellation as m -> 0."""
     _check_mq(m, q)
-    z = (1.0 - m * m) / (1.0 + m**q)
-    return FirstIntegralCoeffs(z=z, t=1.0 - z, m=m, q=q)
+    mq = m**q
+    return FirstIntegralCoeffs(z=(1.0 - m * m) / (1.0 + mq), t=(mq + m * m) / (1.0 + mq), m=m, q=q)
 
 
 def pos_arc_radical(m: float, q: float, y: float) -> float:
@@ -70,9 +70,8 @@ def pos_arc_radical(m: float, q: float, y: float) -> float:
 
     Bounded above by sqrt(1 - y^2) for every admissible (m, q).
     """
-    _check_mq(m, q)
-    z = (1.0 - m * m) / (1.0 + m**q)
-    r = (1.0 - z) + z * y**q - y * y
+    co = first_integral_coeffs(m, q)
+    r = co.t + co.z * y**q - y * y
     return math.sqrt(_guard_radicand(r))
 
 
@@ -81,9 +80,8 @@ def neg_arc_radical(m: float, q: float, y: float) -> float:
 
     Bounded below by m*sqrt(1 - y^2) for every admissible (m, q).
     """
-    _check_mq(m, q)
-    z = (1.0 - m * m) / (1.0 + m**q)
-    r = (1.0 - z) - z * m**q * y**q - (m * y) ** 2
+    co = first_integral_coeffs(m, q)
+    r = co.t - co.z * m**q * y**q - (m * y) ** 2
     return math.sqrt(_guard_radicand(r))
 
 
@@ -134,24 +132,22 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
         pos(u) = 2 / sqrt(r(u)),   r(u) = t*(1+y) + z*y^q*(-expm1((2-q)*ln y))/u^2,
         neg(u) = 2m / sqrt(s(u)),  s(u) = m^2*(1+y) + z*m^q*(-expm1(q*ln y))/u^2.
 
-    ``u2`` and ``ln_y`` come from ``arc_variables``.  Both radicands are sums
-    of non-negative terms, so nothing cancels: t is formed as
-    (m^q + m^2)/(1 + m^q), not as 1 - z, and the expm1 quotients tend to 2 - q
-    and q as u -> 0.  Integrating pos + neg over (0, 1) gives half_period(m, q).
-    At m = 0, neg is 0 and y^q is factored out of r, where it would underflow
-    to a zero radicand as y -> 0.
+    ``u2`` and ``ln_y`` come from ``arc_variables``, z and t from
+    ``first_integral_coeffs``.  Both radicands are sums of non-negative terms,
+    so nothing cancels: the expm1 quotients tend to 2 - q and q as u -> 0.
+    Integrating pos + neg over (0, 1) gives half_period(m, q).  At m = 0, neg
+    is 0 and y^q is factored out of r, where it would underflow to a zero
+    radicand as y -> 0.
     """
-    mq = m**q
-    z = (1.0 - m * m) / (1.0 + mq)
+    co = first_integral_coeffs(m, q)
     pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
     if m == 0.0:  # t = 0, z = 1
         pos = 2.0 * np.exp(-0.5 * q * ln_y) / np.sqrt(pos_quot)
         return pos, np.zeros_like(pos)
-    t = (mq + m * m) / (1.0 + mq)
     one_y = 2.0 - u2  # 1 + y
-    pos = 2.0 / np.sqrt(t * one_y + z * np.exp(q * ln_y) * pos_quot)
+    pos = 2.0 / np.sqrt(co.t * one_y + co.z * np.exp(q * ln_y) * pos_quot)
     neg_quot = -np.expm1(q * ln_y) / u2
-    neg = 2.0 * m / np.sqrt(m * m * one_y + z * mq * neg_quot)
+    neg = 2.0 * m / np.sqrt(m * m * one_y + co.z * m**q * neg_quot)
     return pos, neg
 
 

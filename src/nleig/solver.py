@@ -8,17 +8,22 @@ by the inverse Dirichlet stiffness operator, which keeps the step count
 mesh-independent; a raw L2 gradient would need O(1/h^2) iterations at the
 default resolution.  That inverse is applied in closed form through the
 discrete Green's function of -u'' (two prefix sums, no factorization).
+One kernel evaluates each trial point once, returning the quotient and its
+gradient from a single |v|^(q-1) and stencil apply; the accepted trial's
+gradient starts the next step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .core import EigenResult, GridFunction, ProblemParams, analyze, rayleigh_quotient
+from .core import EigenResult, GridFunction, ProblemParams, analyze, apply_stiffness, quotient_terms
+from .core import rayleigh_quotient
 from .period import first_integral_coeffs
 
 _START_TAGS = ("positive_bump", "odd_sine", "random")
@@ -80,30 +85,39 @@ def _dirichlet_solve(r: np.ndarray, h: float) -> np.ndarray:
     return (h * h / big_n) * ((big_n - j) * head + j * tail)
 
 
-def _apply_stiffness(u: np.ndarray, h: float) -> np.ndarray:
-    out = 2.0 * u
-    out[:-1] -= u[1:]
-    out[1:] -= u[:-1]
-    return out / h**2
+def quotient_and_gradient(v: np.ndarray, h: float, alpha: float, q: float) -> tuple[float, np.ndarray]:
+    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v) and its gradient in v.
+
+    The gradient carries the nonlocal density 2*alpha*|S|^(2/q-1)*sign(S)*|v|^(q-1);
+    at S = 0 the limit (q < 2) and the subgradient choice (q = 2) are both 0.
+    """
+    energy, p, s = quotient_terms(v, h, q)
+    expo = 2.0 / q
+    value = (energy + alpha * abs(s) ** expo) / (h * float(v @ v))
+    g = apply_stiffness(v, h)
+    if s != 0.0:
+        g += alpha * abs(s) ** (expo - 1.0) * math.copysign(1.0, s) * p
+    return value, 2.0 * (g - value * v)
 
 
 def _descend(
     u: np.ndarray,
-    value: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray, float], np.ndarray],
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]],
     normalize: Callable[[np.ndarray], np.ndarray],
     h: float,
     max_iterations: int,
     tol: float,
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Armijo-backtracked preconditioned descent on a normalized manifold."""
+    """Armijo-backtracked preconditioned descent on a normalized manifold.
+
+    ``evaluate(v)`` gives (objective, gradient) and runs once per trial point.
+    """
     u = normalize(u)
-    q_val = value(u)
+    q_val, g = evaluate(u)
     iterations = 0
     converged = False
     step_init = 1.0
     while iterations < max_iterations:
-        g = grad(u, q_val)
         # the half factor makes the unit step coincide with inverse iteration
         # on the local problem, which crushes high-frequency error modes
         d = 0.5 * _dirichlet_solve(g, h)
@@ -115,7 +129,7 @@ def _descend(
         accepted = False
         while step > 1e-14:
             trial = normalize(u - step * d)
-            q_trial = value(trial)
+            q_trial, g_trial = evaluate(trial)
             if q_trial <= q_val - _ARMIJO * step * slope:
                 accepted = True
                 break
@@ -125,7 +139,7 @@ def _descend(
             break
         step_init = min(1.0, 2.0 * step)  # warm-start the next search
         decrease = q_val - q_trial
-        u, q_val = trial, q_trial
+        u, q_val, g = trial, q_trial, g_trial
         iterations += 1
         if decrease < tol:
             converged = True
@@ -148,7 +162,7 @@ def _starts(tag: str, x: np.ndarray, interval, rng_seed: int, n: int) -> np.ndar
 def _el_residual_values(
     v: np.ndarray, lam: float, gamma: float, alpha: float, q: float, h: float
 ) -> float:
-    r = _apply_stiffness(v, h)  # the stencil computes -v'' directly
+    r = apply_stiffness(v, h)  # the stencil computes -v'' directly
     r += alpha * gamma * np.abs(v) ** (q - 1.0)
     r -= lam * v
     return float(np.sqrt(np.mean(r * r)))
@@ -168,24 +182,7 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     h = (b - a) / (n + 1)
     x = np.linspace(a, b, n + 2)[1:-1]
     alpha, q = params.alpha, params.q
-    expo = 2.0 / q
-
-    def s_of(v):
-        return h * float(np.sign(v) @ np.abs(v) ** q)
-
-    def value(v):
-        d = np.diff(v, prepend=0.0, append=0.0)
-        return (float(d @ d) / h + alpha * abs(s_of(v)) ** expo) / (h * float(v @ v))
-
-    def grad(v, q_val):
-        # nonlocal gradient density 2*alpha*|S|^(2/q-1)*sign(S)*|v|^(q-1);
-        # at S = 0 the limit (q < 2) and the subgradient choice (q = 2) are both 0
-        s = s_of(v)
-        g = _apply_stiffness(v, h)
-        if s != 0.0:
-            coef = alpha * abs(s) ** (expo - 1.0) * math.copysign(1.0, s)
-            g = g + coef * np.abs(v) ** (q - 1.0)
-        return 2.0 * (g - q_val * v)
+    evaluate = partial(quotient_and_gradient, h=h, alpha=alpha, q=q)
 
     def normalize(v):
         return v / math.sqrt(h * float(v @ v))
@@ -195,7 +192,7 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     for tag in opts.starts:
         u0 = _starts(tag, x, params.interval, opts.random_seed, n)
         u, q_val, iters, conv = _descend(
-            u0, value, grad, normalize, h, opts.max_iterations, opts.lambda_tol
+            u0, evaluate, normalize, h, opts.max_iterations, opts.lambda_tol
         )
         total_iterations += iters
         runs.append((q_val, tag, u, conv))
@@ -215,14 +212,12 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
         best = const[0]
         degenerate = True
 
-    q_best, _, v, conv = best
-    s = s_of(v)
+    q_best, _, v, conv = best  # normalized by the descent
+    s = quotient_terms(v, h, q)[2]
     if s < 0.0:
-        v = -v
-        s = -s
-    v = v / math.sqrt(h * float(v @ v))
-    s = s_of(v)
+        v, s = -v, -s
 
+    expo = 2.0 / q
     if expo - 1.0 == 0.0:  # q = 2: gamma drops to 0 in the zero-average case
         gamma = 1.0 if s > _GAMMA_ZERO_TOL else 0.0
     else:

@@ -1,17 +1,19 @@
 import pytest
 
-from nleig import SolverOptions, alpha_critical
+from nleig import SolverOptions, alpha_critical, verify
 
 
 @pytest.fixture(scope="session")
 def crit():
-    """Session cache for critical-coupling searches (the slowest computations)."""
-    cache = {}
+    """Critical-coupling searches (the slowest computations).
 
-    def get(q, tol=0.04):
-        key = (q, tol)
-        if key not in cache:
-            cache[key] = alpha_critical(q, tol, SolverOptions())
-        return cache[key]
+    At the verify tolerance the search comes from the verify criteria's own
+    cache, so a session runs each search once.
+    """
+
+    def get(q, tol=verify._CRIT_TOL):
+        if tol == verify._CRIT_TOL:
+            return verify._crit(q)
+        return alpha_critical(q, tol, SolverOptions())
 
     return get

@@ -191,8 +191,12 @@ def test_analyze_interior_zero_of_mixed_profile():
 
 @pytest.mark.parametrize("k,count", [(1, 1), (2, 3)])
 def test_analyze_zero_counts_for_sine_modes(k, count):
-    prof = analyze(grid_sin(k))
+    u = grid_sin(k)
+    prof = analyze(u)
     assert len(prof.zeros) == count
+    # sin(k*pi*x) vanishes at x = j/k inside (-1, 1)
+    for x0, j in zip(prof.zeros, range(1 - k, k)):
+        assert abs(x0 - j / k) <= u.h
 
 
 def test_analyze_ignores_roundoff_undershoot():

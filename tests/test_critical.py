@@ -1,14 +1,16 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import nleig.critical as critical
-from nleig.core import ProblemParams, analyze
+from nleig.core import GridFunction, ProblemParams, analyze, dirichlet_energy
 from nleig.critical import (
     BracketViolation,
     alpha_critical,
     alpha_zero,
+    dual_quotient_and_gradient,
     dual_quotient_min,
     lower_bound,
     rescale_lambda,
@@ -126,6 +128,24 @@ def test_dual_quotient_minimizer_has_constant_sign():
 def test_dual_quotient_q2_is_poincare():
     tau, _ = dual_quotient_min(2.0, OPTS)
     assert abs(tau - PI2 / 4) <= 1e-6 * PI2 / 4
+
+
+def test_dual_quotient_gradient_matches_finite_differences():
+    n, q = 100, 1.5
+    u = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) * (1.0 + 0.3 * x), n)
+    v, h = u.values, u.h
+    value, g = dual_quotient_and_gradient(v, h, q)
+    big_p = h * float(np.sum(np.abs(v) ** q))
+    assert value == pytest.approx(dirichlet_energy(u) / big_p ** (2.0 / q), rel=1e-14)
+    rng = np.random.default_rng(7)
+    eps = 1e-6
+    for _ in range(3):
+        e = rng.standard_normal(n)
+        fd = (dual_quotient_and_gradient(v + eps * e, h, q)[0]
+              - dual_quotient_and_gradient(v - eps * e, h, q)[0]) / (2.0 * eps)
+        # g is the gradient for P = int|v|^q = 1; the Euclidean one is h*g/P^(2/q)
+        exact = h * float(g @ e) / big_p ** (2.0 / q)
+        assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 # --- rescaling -------------------------------------------------------------------

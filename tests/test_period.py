@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,9 +50,23 @@ def test_coeffs_half_depth_q2():
 @given(m=st.floats(0.0, 1.0), q=st.floats(1.0, 2.0))
 def test_coeffs_partition_of_unity(m, q):
     co = first_integral_coeffs(m, q)
-    assert co.z + co.t == 1.0  # t is defined as the exact complement
+    # complements, each formed without cancellation: the sum is 1 to one unit in the last place
+    assert abs(co.z + co.t - 1.0) <= math.ulp(1.0)
     assert 0.0 <= co.z <= 1.0
     assert (co.z == 0.0) == (m == 1.0)
+
+
+@pytest.mark.parametrize("m,q", [(1e-6, 2.0), (1e-3, 2.0), (1e-3, 1.5)])
+def test_coeffs_small_depth_t_is_accurate(m, q):
+    # exact rational reference; m^q to 40 digits by decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 40
+        mq = Fraction(Decimal(m) ** Decimal(q))
+    m_exact = Fraction(m)
+    t_exact = (mq + m_exact**2) / (1 + mq)
+    co = first_integral_coeffs(m, q)
+    assert abs(Fraction(co.t) - t_exact) <= Fraction(1, 10**15) * t_exact
+    assert abs(Fraction(co.z) - (1 - t_exact)) <= Fraction(1, 10**15) * (1 - t_exact)
 
 
 def test_coeffs_range_validation():

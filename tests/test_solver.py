@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from nleig.core import EigenResult, GridFunction, ProblemParams, analyze
+from nleig.core import (
+    EigenResult,
+    GridFunction,
+    ProblemParams,
+    analyze,
+    apply_stiffness,
+    q_average,
+    rayleigh_quotient,
+)
 from nleig.solver import (
     SolverNonconvergence,
     SolverOptions,
-    _apply_stiffness,
     _dirichlet_solve,
     el_residual,
     minimize,
+    quotient_and_gradient,
     saturation_reference,
 )
 
@@ -148,6 +156,28 @@ def test_saturation_reference_converges_quadratically():
     assert e2 < e1
 
 
+# --- quotient kernel ---------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("alpha", [-3.0, 4.0])
+def test_quotient_gradient_matches_finite_differences(q, alpha):
+    n = 100
+    u = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) + 0.4 * np.sin(math.pi * x), n)
+    v, h = u.values, u.h
+    assert q_average(u, q) > 0.1  # S != 0: the nonlocal term enters the gradient
+    value, g = quotient_and_gradient(v, h, alpha, q)
+    assert value == pytest.approx(rayleigh_quotient(u, ProblemParams(alpha, q)), rel=1e-14)
+    rng = np.random.default_rng(7)
+    eps = 1e-6
+    for _ in range(3):
+        e = rng.standard_normal(n)
+        fd = (quotient_and_gradient(v + eps * e, h, alpha, q)[0]
+              - quotient_and_gradient(v - eps * e, h, alpha, q)[0]) / (2.0 * eps)
+        # g is the gradient for the mass h*v.v; the Euclidean one is h*g/(h*v.v)
+        exact = float(g @ e) / float(v @ v)
+        assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
 # --- closed-form Dirichlet solve -------------------------------------------------
 
 @pytest.mark.parametrize("n", [100, 4000])
@@ -155,10 +185,10 @@ def test_dirichlet_solve_inverts_stiffness(n):
     rng = np.random.default_rng(n)
     h = 2.0 / (n + 1)
     u = rng.standard_normal(n)
-    back = _dirichlet_solve(_apply_stiffness(u, h), h)
+    back = _dirichlet_solve(apply_stiffness(u, h), h)
     assert np.linalg.norm(back - u) <= 1e-10 * np.linalg.norm(u)
     r = rng.standard_normal(n)
-    fwd = _apply_stiffness(_dirichlet_solve(r, h), h)
+    fwd = apply_stiffness(_dirichlet_solve(r, h), h)
     assert np.linalg.norm(fwd - r) <= 1e-10 * np.linalg.norm(r)
 
 
