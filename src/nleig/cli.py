@@ -2,30 +2,27 @@
 
 Single evaluations print one JSON object to stdout; scans write plot-ready CSV.
 Exit codes: 0 success, 1 invalid arguments or I/O failure, 2 nonconvergence,
-3 verification failure.  The environment variable NE_SEED overrides the
-default random seed; an explicit --seed flag wins over both.
+3 verification failure.  Every solve descends from one start per branch of
+the minimizer dichotomy, so the output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify
-from .core import ProblemParams, analyze
+from .core import EigenResult, MinimizerProfile, ProblemParams, analyze
 from .critical import BracketViolation, alpha_critical
 from .period import half_period
 from .quadrature import QuadratureNonconvergence
 from .solver import SolverNonconvergence, SolverOptions, minimize
 
 CSV_HEADER = "alpha,q,lambda,sign_class,q_average,m_bar,odd_defect,residual,iterations"
-
-_DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -62,15 +59,15 @@ def _emit_json(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _solver_options(args) -> SolverOptions:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("NE_SEED", _DEFAULT_SEED))
-    return SolverOptions(n=args.n, random_seed=seed)
+def _solve(alpha: float, q: float, opts: SolverOptions) -> tuple[EigenResult, bool]:
+    """Run the solver; a capped winner is returned too, flagged not converged."""
+    try:
+        return minimize(ProblemParams(alpha, q), opts), True
+    except SolverNonconvergence as exc:
+        return exc.result, False
 
 
-def _lambda_record(result, alpha: float, q: float, n: int) -> dict:
-    prof = analyze(result.minimizer)
+def _lambda_record(result: EigenResult, prof: MinimizerProfile, alpha: float, q: float, n: int) -> dict:
     return {
         "alpha": _sig12(alpha),
         "q": _sig12(q),
@@ -86,15 +83,9 @@ def _lambda_record(result, alpha: float, q: float, n: int) -> dict:
 
 
 def _cmd_lambda(args) -> int:
-    opts = _solver_options(args)
-    params = ProblemParams(args.alpha, args.q)
-    try:
-        result = minimize(params, opts)
-    except SolverNonconvergence as exc:
-        _emit_json(_lambda_record(exc.result, args.alpha, args.q, args.n))
-        return 2
-    _emit_json(_lambda_record(result, args.alpha, args.q, args.n))
-    return 0
+    result, converged = _solve(args.alpha, args.q, SolverOptions(n=args.n))
+    _emit_json(_lambda_record(result, analyze(result.minimizer), args.alpha, args.q, args.n))
+    return 0 if converged else 2
 
 
 def _cmd_hfun(args) -> int:
@@ -116,7 +107,7 @@ def _cmd_hfun(args) -> int:
 
 def _cmd_alpha_crit(args) -> int:
     try:
-        res = alpha_critical(args.q, args.tol, _solver_options(args))
+        res = alpha_critical(args.q, args.tol, SolverOptions(n=args.n))
     except (SolverNonconvergence, BracketViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -134,14 +125,7 @@ def _cmd_alpha_crit(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    opts = _solver_options(args)
-    params = ProblemParams(args.alpha, args.q)
-    code = 0
-    try:
-        result = minimize(params, opts)
-    except SolverNonconvergence as exc:
-        result = exc.result
-        code = 2
+    result, converged = _solve(args.alpha, args.q, SolverOptions(n=args.n))
     u = result.minimizer
     a, b = u.interval
     xs = np.concatenate(([a], u.x, [b]))
@@ -151,7 +135,7 @@ def _cmd_profile(args) -> int:
         for xv, yv in zip(xs, ys):
             handle.write(f"{_sig12(xv):.12g},{_sig12(yv):.12g}\n")
     prof = analyze(u)
-    record = _lambda_record(result, args.alpha, args.q, args.n)
+    record = _lambda_record(result, prof, args.alpha, args.q, args.n)
     record.update(
         {
             "out": args.out,
@@ -161,16 +145,11 @@ def _cmd_profile(args) -> int:
         }
     )
     _emit_json(record)
-    return code
+    return 0 if converged else 2
 
 
 def _scan_point(alpha: float, q: float, opts: SolverOptions) -> tuple[str, bool]:
-    converged = True
-    try:
-        result = minimize(ProblemParams(alpha, q), opts)
-    except SolverNonconvergence as exc:
-        result = exc.result
-        converged = False
+    result, converged = _solve(alpha, q, opts)
     prof = analyze(result.minimizer)
     fields = (
         f"{_sig12(alpha):.12g}",
@@ -208,7 +187,7 @@ def _cmd_scan(args) -> int:
     spec = ScanSpec(
         alpha_range=(args.alpha_min, args.alpha_max, args.alpha_count),
         q_range=(args.q_min, args.q_max, args.q_count),
-        options=_solver_options(args),
+        options=SolverOptions(n=args.n),
         out=args.out,
     )
     return 0 if run_scan(spec) else 2
@@ -234,7 +213,6 @@ def build_parser() -> _Parser:
 
     def add_solver_args(p):
         p.add_argument("--n", type=int, default=4000, help="interior grid nodes (default 4000)")
-        p.add_argument("--seed", type=int, default=None, help="random-start seed (default NE_SEED or 42)")
 
     p = sub.add_parser("lambda", help="single eigenvalue evaluation")
     p.add_argument("--alpha", type=float, required=True)

@@ -59,6 +59,12 @@ def test_lambda_missing_argument_exits_1(capsys):
     assert code == 1
 
 
+def test_lambda_seed_flag_is_rejected(capsys):
+    code, _, err = run(capsys, ["lambda", "--alpha", "0", "--q", "1.5", "--seed", "3"])
+    assert code == 1
+    assert "--seed" in err
+
+
 def test_unknown_command_exits_1(capsys):
     code, _, _ = run(capsys, ["frobnicate"])
     assert code == 1
@@ -216,20 +222,6 @@ def test_scan_rejects_bad_grid(capsys, tmp_path):
     )
     assert code == 1
     assert "ordered" in err
-
-
-# --- seed resolution ------------------------------------------------------------------
-
-def test_seed_resolution(monkeypatch):
-    parser = cli.build_parser()
-    monkeypatch.setenv("NE_SEED", "7")
-    args = parser.parse_args(["lambda", "--alpha", "0", "--q", "1"])
-    assert cli._solver_options(args).random_seed == 7
-    args = parser.parse_args(["lambda", "--alpha", "0", "--q", "1", "--seed", "3"])
-    assert cli._solver_options(args).random_seed == 3
-    monkeypatch.delenv("NE_SEED")
-    args = parser.parse_args(["lambda", "--alpha", "0", "--q", "1"])
-    assert cli._solver_options(args).random_seed == 42
 
 
 # --- verify ---------------------------------------------------------------------------

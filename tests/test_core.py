@@ -199,6 +199,23 @@ def test_analyze_zero_counts_for_sine_modes(k, count):
         assert abs(x0 - j / k) <= u.h
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: np.sin(PI * x),
+        lambda x: 0.25 * (1.0 + np.cos(PI * x)) - math.sqrt(0.5) * np.sin(PI * x),
+    ],
+    ids=["odd_tie", "dominant_hump"],
+)
+def test_analyze_sign_changing_is_flip_invariant(f):
+    u = GridFunction.from_callable(f, N)
+    prof = analyze(u)
+    flipped = analyze(GridFunction(-u.values))
+    assert prof.sign_class == flipped.sign_class == "sign_changing"
+    assert flipped.m_bar == prof.m_bar
+    assert flipped.zeros == prof.zeros
+
+
 def test_analyze_ignores_roundoff_undershoot():
     u = grid_cos(500)
     v = u.values.copy()

@@ -94,6 +94,17 @@ def test_nonconvergence_carries_best_iterate():
     assert res.minimizer.n == 400
 
 
+@pytest.mark.parametrize("q", [1.4, 1.5, 1.6, 1.7])
+def test_top_of_bracket_converges_quickly_to_the_odd_sine_branch(q):
+    # alpha = 2*pi^2 is the upper end of the critical search; here the odd
+    # start settles within a few dozen steps and the bump start loses
+    params = ProblemParams(2.0 * PI2, q)
+    res = minimize(params, OPTS)
+    assert res.converged
+    assert res.iterations <= 100
+    assert res.lam == minimize(params, SolverOptions(starts=("odd_sine",))).lam
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(n=50)
@@ -113,8 +124,11 @@ def test_residual_small_at_poincare_minimizer():
     assert el_residual(res, params) < 1e-3 * res.lam
 
 
-def test_residual_small_on_saturated_branch_with_zero_gamma():
-    params = ProblemParams(10.0, 2.0)
+# at (6.34, 1.25) the odd winner keeps S = 2.4e-10, the largest seen in a scan
+# of q in [1.02, 1.98] x alpha in [5, 2*pi^2]; gamma must still read 0
+@pytest.mark.parametrize("alpha,q", [(10.0, 2.0), (9.0, 1.8), (7.0, 1.5), (6.34, 1.25)])
+def test_residual_small_on_saturated_branch_with_zero_gamma(alpha, q):
+    params = ProblemParams(alpha, q)
     res = minimize(params, OPTS)
     assert res.gamma == 0.0
     assert el_residual(res, params) < 1e-3 * res.lam
