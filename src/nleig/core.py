@@ -197,6 +197,13 @@ def _part_symmetry_defect(xp: np.ndarray, part: np.ndarray, center: float) -> fl
     return math.sqrt(float(diff @ diff)) / norm
 
 
+def is_constant_sign(v: np.ndarray) -> bool:
+    """Whether nodal values keep one sign up to the roundoff band: min*max > -SIGN_BAND*max|v|^2."""
+    vmax, vmin = float(v.max()), float(v.min())
+    amax = max(vmax, -vmin)
+    return vmin * vmax > -SIGN_BAND * amax * amax
+
+
 def analyze(u: GridFunction) -> MinimizerProfile:
     """Locate zeros, extrema, sign class and symmetry defects of a grid function.
 
@@ -205,11 +212,11 @@ def analyze(u: GridFunction) -> MinimizerProfile:
     quadratic fit around the nodal argmax/argmin.
     """
     v = u.values
-    amax = float(np.max(np.abs(v)))
+    vmax, vmin = float(v.max()), float(v.min())
+    amax = max(vmax, -vmin)
     if amax == 0.0:
         raise ValueError("degenerate input: u is identically zero")
-    vmax, vmin = float(v.max()), float(v.min())
-    constant_sign = vmin * vmax > -SIGN_BAND * amax * amax
+    constant_sign = is_constant_sign(v)
 
     if constant_sign:
         sign_class = "positive" if vmax >= -vmin else "negative"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nleig.core import GridFunction, ProblemParams, analyze, q_average, rayleigh_quotient
+from nleig.core import SIGN_BAND, GridFunction, ProblemParams, analyze, is_constant_sign, q_average, rayleigh_quotient
 
 PI = math.pi
 N = 4000
@@ -223,6 +223,31 @@ def test_analyze_ignores_roundoff_undershoot():
     prof = analyze(GridFunction(v))
     assert prof.sign_class == "positive"
     assert prof.zeros == ()
+
+
+def _constant_sign_cases():
+    bump = grid_cos(500).values
+    mixed = GridFunction.from_callable(lambda x: 0.25 * (1.0 + np.cos(PI * x)) - math.sqrt(0.5) * np.sin(PI * x), 500)
+    cases = [
+        pytest.param(bump, True, id="cosine"),
+        pytest.param(grid_sin(1, 500).values, False, id="sine"),
+        pytest.param(grid_sin(3, 500).values, False, id="sine_k3"),
+        pytest.param(mixed.values, False, id="mixed"),
+    ]
+    # one boundary-adjacent dip of depth band*vmax: inside, on and just past the edge
+    for label, depth, expected in (("inside", 0.999, True), ("edge", 1.0, False), ("past", 1.001, False)):
+        v = bump.copy()
+        v[0] = -depth * SIGN_BAND * v.max()
+        cases.append(pytest.param(v, expected, id=f"dip_{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("v,expected", _constant_sign_cases())
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_is_constant_sign_agrees_with_analyze(v, expected, sign):
+    w = sign * v
+    assert is_constant_sign(w) is expected
+    assert (analyze(GridFunction(w)).sign_class != "sign_changing") is expected
 
 
 def test_analyze_rejects_zero_function():

@@ -15,7 +15,10 @@ from nleig.core import (
 from nleig.solver import (
     SolverNonconvergence,
     SolverOptions,
+    _descend,
     _dirichlet_solve,
+    _S_ROUNDING_BAND,
+    _starts,
     el_residual,
     minimize,
     quotient_and_gradient,
@@ -190,6 +193,86 @@ def test_quotient_gradient_matches_finite_differences(q, alpha):
         # g is the gradient for the mass h*v.v; the Euclidean one is h*g/(h*v.v)
         exact = float(g @ e) / float(v @ v)
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("q", [1.5, 1.8, 2.0])
+def test_rounding_level_average_drops_the_nonlocal_gradient(q):
+    # the sampled sine has S = 0 by symmetry; what is left is rounding residue,
+    # which must count as the kink S = 0 rather than as a signed average
+    u = GridFunction.from_callable(lambda x: np.sin(math.pi * x), 4000)
+    v, h = u.values, u.h
+    assert 0.0 < abs(q_average(u, q)) <= _S_ROUNDING_BAND
+    value, g = quotient_and_gradient(v, h, 8.0, q)
+    local = 2.0 * (apply_stiffness(v, h) - value * v)
+    assert np.linalg.norm(g - local) <= 1e-12 * np.linalg.norm(apply_stiffness(v, h))
+
+
+def test_small_real_average_keeps_the_nonlocal_gradient():
+    # S of about 1.7e-9 is a real average, of the size odd iterates carry on
+    # their way to the odd minimizer: at q = 2 its term alpha*sign(S)*|v| stays
+    u = GridFunction.from_callable(lambda x: np.sin(math.pi * x) + 1e-9 * np.cos(0.5 * math.pi * x), 4000)
+    v, h, alpha = u.values, u.h, 8.0
+    s = q_average(u, 2.0)
+    assert 1e-9 < s < 1e-8
+    value, g = quotient_and_gradient(v, h, alpha, 2.0)
+    full = 2.0 * (apply_stiffness(v, h) + alpha * np.abs(v) - value * v)
+    assert np.linalg.norm(g - full) <= 1e-12 * np.linalg.norm(full)
+
+
+# --- descent work -----------------------------------------------------------------
+
+def _counted_descent(v0, alpha, q, n=4000):
+    """Run _descend on the quotient from v0; returns (iterations, evaluations, converged, value)."""
+    h = 2.0 / (n + 1)
+    calls = [0]
+
+    def evaluate(v):
+        calls[0] += 1
+        return quotient_and_gradient(v, h, alpha, q)
+
+    def normalize(v):
+        return v / math.sqrt(h * float(v @ v))
+
+    _, value, iterations, converged = _descend(v0, evaluate, normalize, h, OPTS.max_iterations, OPTS.lambda_tol)
+    return iterations, calls[0], converged, value
+
+
+@pytest.mark.parametrize("alpha,q", [(8.0, 2.0), (5.0, 1.5), (8.8, 1.8)])
+def test_odd_sine_start_above_threshold_is_already_converged(alpha, q):
+    # above alpha_q the sampled sine is the exact discrete odd minimizer
+    x = np.linspace(-1.0, 1.0, 4002)[1:-1]
+    iterations, evaluations, converged, value = _counted_descent(_starts("odd_sine", x, (-1.0, 1.0)), alpha, q)
+    assert (iterations, evaluations, converged) == (0, 1, True)
+    assert value == pytest.approx(saturation_reference(4000, q), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "alpha,q,start",
+    [(2.0 * PI2, 2.0, "sine"), (9.0, 1.5, "winner"), (2.0, 1.5, "winner")],
+)
+def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, start):
+    if start == "sine":
+        v0 = GridFunction.from_callable(lambda x: np.sin(math.pi * x), 4000).values
+    else:
+        v0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values
+    _, evaluations, converged, _ = _counted_descent(v0, alpha, q)
+    assert converged
+    assert evaluations <= 2
+
+
+@pytest.mark.parametrize("alpha", [2.0, 10.0])
+def test_minimize_analyses_only_the_winner(alpha, monkeypatch):
+    seen = []
+    monkeypatch.setattr("nleig.solver.analyze", lambda u: seen.append(u) or analyze(u))
+    res = minimize(ProblemParams(alpha, 2.0), FAST)
+    assert len(seen) == 1
+    assert seen[0] is res.minimizer
+
+
+def test_losing_odd_restart_below_threshold_stops_at_once():
+    # at (-50, 1.75) the odd start, with S = 0, is a critical point of the
+    # quotient that loses to the bump: its restart must stop at once
+    assert minimize(ProblemParams(-50.0, 1.75), OPTS).iterations <= 50
 
 
 # --- closed-form Dirichlet solve -------------------------------------------------
