@@ -25,16 +25,46 @@ from .period import (
 
 _PI2 = math.pi**2
 
-# quadrature mesh of the arclength accumulation: 2048 panels per arc on the
-# square-root variable u in [0, 1], each integrated by 8-point Gauss-Legendre;
-# the geometry is fixed, so it is built once
-_PANELS = 2048
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_U_EDGES = np.linspace(0.0, 1.0, _PANELS + 1)
-_HALF = 0.5 * np.diff(_U_EDGES)
-_PTS = (0.5 * (_U_EDGES[:-1] + _U_EDGES[1:]))[:, None] + _HALF[:, None] * _GL_NODES[None, :]
-_PTS_U2, _PTS_LN_Y = arc_variables(_PTS, 1.0 - _PTS)
-_Y_EDGES = 1.0 - _U_EDGES * _U_EDGES  # y = 1 - u^2 at the panel edges
+# Graded mesh of the arclength accumulation on the square-root variable u in
+# [0, 1] of each arc: panels of width c0 = 1/512 in the complement c = 1 - u
+# down to c = c0, then geometric panels [c0*2^-(k+1), c0*2^-k] for k < 60, which
+# resolve the y^(-q/2) end of the positive arc at u -> 1 as m -> 0 (hp-style
+# grading, Schwab 1998).  Each panel carries 8 Gauss-Legendre nodes.  The
+# geometry is fixed, so it is built once; the arrays are read-only because
+# every rebuild shares them.
+_GL_ORDER = 8
+_C0 = 1.0 / 512
+_GEOMETRIC_PANELS = 60
+
+
+def _graded_geometry() -> tuple[np.ndarray, ...]:
+    """u^2 and ln y at the Gauss nodes, panel half-widths, increment matrix, y at all points.
+
+    Nodes are placed by their complements c, taken from the panel edges, so
+    that c keeps full relative accuracy at u -> 1.  "All points" are the panel
+    edges and Gauss nodes in order of increasing u: edge, its 8 nodes, next
+    edge, ..., last edge.  Row j of the (8, 9) increment matrix maps the value
+    at node j to its share of the integrals of the degree-7 interpolant over
+    [-1, xi_0], [xi_0, xi_1], ..., [xi_7, 1] of the reference panel; each row
+    sums to the Gauss weight of its node.
+    """
+    legendre = np.polynomial.legendre
+    c_edges = np.concatenate((np.arange(1.0, 0.0, -_C0), _C0 * 0.5 ** np.arange(1, _GEOMETRIC_PANELS + 1)))
+    half = 0.5 * (c_edges[:-1] - c_edges[1:])[:, None]
+    nodes, _ = legendre.leggauss(_GL_ORDER)
+    pts_c = 0.5 * (c_edges[:-1] + c_edges[1:])[:, None] - half * nodes
+    u2, ln_y = arc_variables(1.0 - pts_c, pts_c)
+    lagrange = np.linalg.inv(legendre.legvander(nodes, _GL_ORDER - 1))  # column j: basis l_j
+    primitive = legendre.legint(lagrange, lbnd=-1.0)
+    increments = np.diff(legendre.legval(np.append(nodes, 1.0), primitive), axis=1, prepend=0.0)
+    c_all = np.append(np.column_stack((c_edges[:-1], pts_c)).ravel(), c_edges[-1])
+    geometry = (u2, ln_y, half, increments, c_all * (2.0 - c_all))  # y = 1 - u^2 = c*(2 - c)
+    for a in geometry:
+        a.setflags(write=False)
+    return geometry
+
+
+_PTS_U2, _PTS_LN_Y, _HALF, _INCREMENTS, _Y_ALL = _graded_geometry()
 
 
 @dataclass(frozen=True)
@@ -67,14 +97,15 @@ def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_
 
 
 def _arc_cumulative(density: np.ndarray) -> np.ndarray:
-    """Cumulative integral of an arclength density sampled at ``_PTS``.
+    """Cumulative integral of an arclength density sampled at the Gauss nodes of the graded panels.
 
-    The returned array has one entry per panel edge ``_U_EDGES``, starting at 0.
+    The returned array has one entry per edge and node of the panels, in order
+    of increasing u, starting at 0 and ending at the integral over (0, 1).
     """
-    panel = (density * _GL_WEIGHTS[None, :]).sum(axis=1) * _HALF
-    out = np.empty(_PANELS + 1)
+    steps = (density @ _INCREMENTS) * _HALF
+    out = np.empty(steps.size + 1)
     out[0] = 0.0
-    np.cumsum(panel, out=out[1:])
+    np.cumsum(steps.ravel(), out=out[1:])
     return out
 
 
@@ -84,9 +115,10 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     The arclength maps x(y) on the rising and falling arcs are accumulated in
     the square-root variables y = 1 - u^2 (positive arc) and |y| = m*(1 - v^2)
     (negative arc), where the densities (``period.arc_densities``) are
-    smooth, then inverted by piecewise-linear interpolation on the panel edges.  The positive arc is
-    anchored first: the profile rises from x = -1, crosses zero once, and dips
-    to -m before x = 1.
+    smooth, then inverted by piecewise-linear interpolation on the edges and
+    Gauss nodes of the graded panels.  The positive arc is anchored first:
+    the profile rises from x = -1, crosses zero once, and dips to -m before
+    x = 1.
     """
     if not 0.0 < m <= 1.0:
         raise ValueError(f"m must lie in (0, 1], got {m!r}")
@@ -102,7 +134,7 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
 
     # map: arclength from the zero end -> height on the positive arc
     s_pos = (len_pos - pos_cum)[::-1]
-    y_pos = _Y_EDGES[::-1]
+    y_pos = _Y_ALL[::-1]
     # map: arclength from the zero end -> depth on the negative arc
     s_neg = (len_neg - neg_cum)[::-1]
     w_neg = m * y_pos

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify
-from .core import EigenResult, MinimizerProfile, ProblemParams, analyze
+from .core import EigenResult, ProblemParams
 from .critical import BracketViolation, alpha_critical
 from .period import half_period
 from .quadrature import QuadratureNonconvergence
@@ -67,13 +67,13 @@ def _solve(alpha: float, q: float, opts: SolverOptions) -> tuple[EigenResult, bo
         return exc.result, False
 
 
-def _lambda_record(result: EigenResult, prof: MinimizerProfile, alpha: float, q: float, n: int) -> dict:
+def _lambda_record(result: EigenResult, alpha: float, q: float, n: int) -> dict:
     return {
         "alpha": _sig12(alpha),
         "q": _sig12(q),
         "n": n,
         "lambda": _sig12(result.lam),
-        "sign_class": prof.sign_class,
+        "sign_class": result.profile.sign_class,
         "q_average": _sig12(result.q_average),
         "gamma": _sig12(result.gamma),
         "residual": _sig12(result.residual),
@@ -84,7 +84,7 @@ def _lambda_record(result: EigenResult, prof: MinimizerProfile, alpha: float, q:
 
 def _cmd_lambda(args) -> int:
     result, converged = _solve(args.alpha, args.q, SolverOptions(n=args.n))
-    _emit_json(_lambda_record(result, analyze(result.minimizer), args.alpha, args.q, args.n))
+    _emit_json(_lambda_record(result, args.alpha, args.q, args.n))
     return 0 if converged else 2
 
 
@@ -134,8 +134,8 @@ def _cmd_profile(args) -> int:
         handle.write("x,y\n")
         for xv, yv in zip(xs, ys):
             handle.write(f"{_sig12(xv):.12g},{_sig12(yv):.12g}\n")
-    prof = analyze(u)
-    record = _lambda_record(result, prof, args.alpha, args.q, args.n)
+    prof = result.profile
+    record = _lambda_record(result, args.alpha, args.q, args.n)
     record.update(
         {
             "out": args.out,
@@ -150,7 +150,7 @@ def _cmd_profile(args) -> int:
 
 def _scan_point(alpha: float, q: float, opts: SolverOptions) -> tuple[str, bool]:
     result, converged = _solve(alpha, q, opts)
-    prof = analyze(result.minimizer)
+    prof = result.profile
     fields = (
         f"{_sig12(alpha):.12g}",
         f"{_sig12(q):.12g}",

@@ -110,10 +110,14 @@ class MinimizerProfile:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Outcome of a variational solve: eigenvalue, minimizer and diagnostics."""
+    """Outcome of a variational solve: eigenvalue, minimizer and diagnostics.
+
+    ``profile`` is ``analyze(minimizer)``, measured once by the solver.
+    """
 
     lam: float
     minimizer: GridFunction
+    profile: MinimizerProfile
     q_average: float
     gamma: float
     first_integral_constant: Optional[float]

@@ -244,6 +244,7 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     result = EigenResult(
         lam=q_best,
         minimizer=minimizer,
+        profile=profile,
         q_average=s,
         gamma=gamma,
         first_integral_constant=c,

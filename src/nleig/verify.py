@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .branches import q1_coupling_of_eigenvalue, q1_flat_family, reconstruct_profile
-from .core import EigenResult, ProblemParams, analyze, rayleigh_quotient
+from .core import EigenResult, ProblemParams, rayleigh_quotient
 from .critical import DualityMismatch, alpha_critical, alpha_zero, lower_bound, rescale_lambda
 from .period import (
     half_period,
@@ -142,7 +142,7 @@ def _c5_threshold_transition():
     for q in (1.5, 2.0):
         aq = _crit(q).alpha_q
         above = _solve(aq + 0.5, q)
-        prof = analyze(above.minimizer)
+        prof = above.profile
         if abs(above.lam - _PI2) > 1e-4 * _PI2:
             fails.append(f"q={q}: lambda at alpha_q+0.5 off pi^2 by {abs(above.lam-_PI2)/_PI2:.1e}")
         if not above.q_average < 1e-6:
@@ -152,7 +152,7 @@ def _c5_threshold_transition():
         if len(prof.zeros) != 1 or abs(prof.zeros[0]) > 2.0 * h:
             fails.append(f"q={q}: zeros {prof.zeros} not a single midpoint crossing")
         below = _solve(aq - 0.5, q)
-        prof_b = analyze(below.minimizer)
+        prof_b = below.profile
         if prof_b.sign_class == "sign_changing":
             fails.append(f"q={q}: minimizer below threshold changes sign")
         if not below.lam < _PI2:

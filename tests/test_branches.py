@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from nleig import branches
 from nleig.branches import (
     branch_point,
     eigenvalue_from_depth,
@@ -13,7 +14,8 @@ from nleig.branches import (
     reconstruct_profile,
 )
 from nleig.core import GridFunction, ProblemParams, analyze, q_average, rayleigh_quotient
-from nleig.period import first_integral_coeffs
+from nleig.period import arc_densities, arc_variables, first_integral_coeffs, half_period
+from nleig.quadrature import integrate_endpoint_singular
 from nleig.solver import SolverOptions, minimize
 
 PI = math.pi
@@ -94,6 +96,73 @@ def test_branch_constants_match_measured_first_integral():
     # the stored pair is consistent by construction with the coefficients
     co = first_integral_coeffs(m, q)
     assert bp.c == pytest.approx(0.5 * bp.lam * (1.0 - co.z), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "m, q", [(1e-6, 1.2), (1e-3, 1.9), (0.05, 1.5), (0.5, 1.5), (1.0, 2.0), (1e-9, 1.05)]
+)
+def test_profile_own_half_period_matches_quadrature(m, q):
+    # the rebuild scales x by its own half period, len_pos + len_neg; as m -> 0
+    # the positive arc's y^(-q/2) end must be resolved for it to be right
+    pos, neg = arc_densities(branches._PTS_U2, branches._PTS_LN_Y, m, q)
+    own = branches._arc_cumulative(pos)[-1] + branches._arc_cumulative(neg)[-1]
+    ref = half_period(m, q, 1e-13).value
+    assert abs(own - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("m", [1e-4, 1e-2, 0.3, 1.0])
+def test_q2_profile_matches_closed_form(m):
+    # at q = 2 each arc is an exact cosine: y = cos(w_pos*(x - x_max)) with
+    # w_pos = sqrt(lam*t), and y = -m*cos(w_neg*(x - x_min)) with w_neg = sqrt(lam*(1+z))
+    z = (1.0 - m * m) / (1.0 + m * m)
+    t = 2.0 * m * m / (1.0 + m * m)
+    root = 0.5 * PI * (1.0 / math.sqrt(t) + 1.0 / math.sqrt(1.0 + z))  # quarter waves fill (-1, 1)
+    w_pos, w_neg = root * math.sqrt(t), root * math.sqrt(1.0 + z)
+    x_max = -1.0 + 0.5 * PI / w_pos
+    zero = -1.0 + PI / w_pos
+    x_min = zero + 0.5 * PI / w_neg
+    u = reconstruct_profile(m, 2.0, 4000)
+    exact = np.where(u.x <= zero, np.cos(w_pos * (u.x - x_max)), -m * np.cos(w_neg * (u.x - x_min)))
+    assert np.abs(u.values - exact).max() <= 6e-8
+
+
+def _negative_arc_width(m, q):
+    """Width 2*len_neg/half_period of the negative arc, from quadrature alone."""
+    res = integrate_endpoint_singular(lambda u, c: arc_densities(*arc_variables(u, c), m, q)[1], 1e-13)
+    return 2.0 * res.value / half_period(m, q, 1e-13).value
+
+
+@pytest.mark.parametrize(
+    "m, q, n",
+    [(m, q, n) for m in (1e-6, 1e-9) for q in (1.05, 1.2) for n in (100, 4000)]
+    + [(0.5, 1.5, 100), (0.5, 1.0, 100), (1e-6, 1.0, 100), (1e-6, 1.0, 4000)],
+)
+def test_profile_edge_cases(m, q, n):
+    u = reconstruct_profile(m, q, n)
+    v, h = u.values, u.h
+    lam = half_period(m, q, 1e-13).value ** 2
+    z = first_integral_coeffs(m, q).z
+    assert np.all(np.isfinite(v))
+    # interpolation never leaves the tables, whose extremes are 1 and -m
+    assert -m <= v.min() and v.max() <= 1.0
+    # some node lies within h/2 of each extremum; |y''| <= lam on the positive
+    # arc and <= k on the negative one, by the first integral
+    assert 1.0 - v.max() <= lam * h * h / 8.0
+    width = _negative_arc_width(m, q)
+    if width >= h:
+        k = 0.5 * lam * (z * q * m ** (q - 1.0) + 2.0 * m)
+        assert v.min() + m <= k * h * h / 8.0
+    # one sign change, at the zero 1 - width; none when no node lies past it,
+    # as for m = 1e-9, whose negative arc is narrower than h
+    assert np.all(v != 0.0)
+    assert np.array_equal(v < 0.0, u.x > 1.0 - width)
+    assert np.count_nonzero(np.diff(np.sign(v))) == int(np.any(u.x > 1.0 - width))
+
+
+def test_profile_geometry_is_read_only():
+    for name in ("_PTS_U2", "_PTS_LN_Y", "_Y_ALL", "_HALF", "_INCREMENTS"):
+        with pytest.raises(ValueError):
+            getattr(branches, name)[0] = 0.0
 
 
 def test_profile_rejects_bad_arguments():

@@ -8,7 +8,7 @@ import pytest
 
 import nleig
 import nleig.cli as cli
-from nleig.core import EigenResult, GridFunction
+from nleig.core import EigenResult, GridFunction, analyze
 from nleig.critical import BracketViolation
 from nleig.solver import SolverNonconvergence
 
@@ -73,9 +73,11 @@ def test_unknown_command_exits_1(capsys):
 def test_lambda_nonconvergence_exits_2(capsys, monkeypatch):
     import numpy as np
 
+    minimizer = GridFunction(np.sin(np.pi * np.linspace(-1, 1, 202)[1:-1]))
     result = EigenResult(
         lam=1.0,
-        minimizer=GridFunction(np.sin(np.pi * np.linspace(-1, 1, 202)[1:-1])),
+        minimizer=minimizer,
+        profile=analyze(minimizer),
         q_average=0.0,
         gamma=0.0,
         first_integral_constant=None,
@@ -222,6 +224,35 @@ def test_scan_rejects_bad_grid(capsys, tmp_path):
     )
     assert code == 1
     assert "ordered" in err
+
+
+def _count_analyze_calls(monkeypatch) -> list:
+    """Route every nleig module-level name bound to core.analyze through a counter."""
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return analyze(u)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nleig" and getattr(module, "analyze", None) is analyze:
+            monkeypatch.setattr(module, "analyze", counted)
+    return calls
+
+
+def test_one_analyze_per_lambda_command_and_scan_point(capsys, monkeypatch):
+    calls = _count_analyze_calls(monkeypatch)
+    assert run(capsys, ["lambda", "--alpha", "10", "--q", "2", "--n", "400"])[0] == 0
+    assert len(calls) == 1
+    del calls[:]
+    scan = [
+        "scan",
+        "--alpha-min", "0", "--alpha-max", "10", "--alpha-count", "3",
+        "--q-min", "1.5", "--q-max", "2", "--q-count", "2",
+        "--n", "400", "--out", "-",
+    ]
+    assert run(capsys, scan)[0] == 0
+    assert len(calls) == 3 * 2
 
 
 # --- verify ---------------------------------------------------------------------------

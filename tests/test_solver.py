@@ -145,6 +145,7 @@ def test_residual_large_for_arbitrary_function():
     fake = EigenResult(
         lam=converged.lam,
         minimizer=junk,
+        profile=analyze(junk),
         q_average=0.0,
         gamma=0.0,
         first_integral_constant=None,
@@ -353,3 +354,9 @@ def test_saturated_minimizer_is_sine_for_q_above_one():
         assert abs(res.q_average) < 1e-6
         sine = np.sin(math.pi * res.minimizer.x)
         assert l2_dist(res.minimizer, sine) < 1e-3
+
+
+def test_result_carries_the_winners_profile():
+    res = minimize(ProblemParams(10.0, 1.5), FAST)
+    assert res.profile == analyze(res.minimizer)
+    assert res.profile.sign_class == "sign_changing"
