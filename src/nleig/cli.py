@@ -226,9 +226,9 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-10, help="relative quadrature target")
     p.set_defaults(func=_cmd_hfun)
 
-    p = sub.add_parser("alpha-crit", help="critical coupling by bisection")
+    p = sub.add_parser("alpha-crit", help="critical coupling by Newton on the constant-sign branch")
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-2, help="bracket width target (>= 1e-4)")
+    p.add_argument("--tol", type=float, default=1e-2, help="width of the confirmation pair (>= 1e-4)")
     add_solver_args(p)
     p.set_defaults(func=_cmd_alpha_crit)
 

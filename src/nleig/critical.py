@@ -1,16 +1,25 @@
 """Critical coupling location, zero-eigenvalue duality, interval rescaling.
 
-The eigenvalue is nondecreasing in the coupling and saturates at the twisted
-value pi^2, so the critical coupling is found by bisection on the predicate
-"lambda has reached the grid-consistent pi^2".  Comparing against the sampled
-sine quotient rather than the analytic pi^2 cancels the O(h^2) discretization
-bias that would otherwise shift the threshold.
+The paper's dichotomy makes the critical coupling alpha_q the simple root of
+lambda_c(alpha) = pi^2, where lambda_c is the constant-sign branch: below
+alpha_q a constant-sign minimizer wins, above it the odd one with the
+saturated value pi^2.  Both roots here (alpha_q and the zero crossing) are
+found by Newton's method on that branch.  Its slope is free: by the envelope
+theorem d lambda / d alpha = |S|^(2/q) at a normalized minimizer, and every
+solve returns S as ``q_average``.  lambda_c is a minimum of quotients that
+are each affine in alpha, so it is concave: every tangent lies above it, and
+from a point left of the root each Newton step lands left of the root again.
+The iterates climb to the root monotonically and never overshoot.
+
+The target is the sampled sine quotient rather than the analytic pi^2: it
+is what the discrete odd branch saturates at, which cancels the O(h^2)
+discretization bias that would otherwise shift the threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -22,12 +31,23 @@ _PI2 = math.pi**2
 
 # The paper-level lower bound 3*pi^2/2^(1+2/q) is attained exactly at q = 2,
 # where the O(h^2) discrete threshold sits a hair below it; the margin keeps
-# the bisection bracket valid at every resolution.
+# the lower end of the search valid at every resolution.
 _BRACKET_MARGIN = 0.1
+
+# A descent stops once a step lowers the quotient by less than lambda_tol,
+# which leaves lambda above the discrete minimum by up to a few lambda_tol
+# (measured: at most 6e-12 at lambda_tol = 1e-11).  Eigenvalues within this
+# many lambda_tol of the saturation value count as saturated.
+_NOISE_FACTOR = 100.0
+
+# Newton on the concave branch converges quadratically from the left: the
+# searches here solve one to three Newton points.  A run of this many steps
+# means the branch is not concave or the root is not in the bounds.
+_NEWTON_STEPS = 20
 
 
 class BracketViolation(RuntimeError):
-    """The saturation predicate failed on a bracket endpoint (solver or grid fault)."""
+    """The dichotomy failed at a bracket or confirmation point (solver or grid fault)."""
 
 
 class DualityMismatch(RuntimeError):
@@ -36,7 +56,16 @@ class DualityMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class CriticalResult:
-    """Bisection outcome for the critical coupling at fixed q."""
+    """Critical coupling at fixed q, with the pair of full solves that confirm it.
+
+    ``bracket`` is (alpha_q - tol/2, alpha_q + tol/2), rounded inward so that
+    its width is at most ``tolerance``: the full solve at its lower end found a
+    constant-sign, unsaturated minimizer, the one at its upper end a saturated
+    eigenvalue.  ``solver_calls`` counts every ``minimize`` call of the
+    search: the two full solves that check the initial bracket, the
+    single-restart Newton solves on the constant-sign branch and the two full
+    confirming solves.
+    """
 
     q: float
     alpha_q: float
@@ -51,46 +80,90 @@ def lower_bound(q: float) -> float:
     return 3.0 * _PI2 / 2.0 ** (1.0 + 2.0 / q)
 
 
+def _newton(solve, alpha, res, target, q, done, bounds):
+    """Newton's method on lambda(alpha) = target along the constant-sign branch.
+
+    ``res`` is the solve at ``alpha``.  Each step uses the envelope slope
+    |S|^(2/q) of the last solve, and its end point is kept inside ``bounds``,
+    an interval known to hold the root.  The iteration ends when
+    ``done(alpha, step, res)`` holds for the step proposed from the last
+    solve; the returned root is that step's end point, which is not solved.
+    """
+    a, b = bounds
+    for _ in range(_NEWTON_STEPS):
+        step = float(target - res.lam) / abs(res.q_average) ** (2.0 / q)
+        end = min(max(alpha + step, a), b)
+        if done(alpha, step, res):
+            return end
+        alpha, res = end, solve(end)
+    raise RuntimeError(
+        f"Newton's method on the constant-sign branch took more than {_NEWTON_STEPS} "
+        f"steps (q = {q}, alpha = {alpha:.6f}, lambda = {res.lam:.6f})"
+    )
+
+
 def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> CriticalResult:
     """Locate the smallest coupling at which the eigenvalue saturates.
 
-    Bisects the predicate lambda(alpha, q) >= saturation_reference - delta with
-    delta tied to the measured discretization error; the initial bracket runs
-    from the test-function lower bound (minus a small safety margin) to 2*pi^2.
+    Full solves first check the initial bracket: unsaturated at the
+    test-function lower bound minus a small margin, saturated at 2*pi^2;
+    "saturated" means lambda >= saturation_reference - a band at the solver's
+    noise level, tied to ``opts.lambda_tol``.  Newton's method then runs from
+    the lower end on lambda_c(alpha) = saturation_reference, where each step
+    solves only the constant-sign branch (the ``positive_bump`` restart) and
+    its slope is the envelope derivative |S|^(2/q).  By concavity the iterates
+    increase and stay left of the root; they never step past 2*pi^2.  The
+    search stops when the proposed step is at most ``tol`` or a solve lands
+    within the noise band of saturation.  Two full solves at alpha_q -/+ tol/2
+    then confirm the dichotomy: constant-sign and unsaturated below, saturated
+    above; otherwise BracketViolation is raised.
     """
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
     if tol < 1e-4:
         raise ValueError(f"tol must be at least 1e-4, got {tol!r}")
     sat = saturation_reference(opts.n, q)
-    delta = 10.0 * abs(sat - _PI2) + 1e-8
+    band = _NOISE_FACTOR * opts.lambda_tol
+    branch_opts = replace(opts, starts=("positive_bump",))
     calls = 0
 
-    def saturated(alpha: float) -> bool:
+    def solve(alpha: float, o: SolverOptions = opts):
         nonlocal calls
         calls += 1
-        return minimize(ProblemParams(alpha, q), opts).lam >= sat - delta
+        return minimize(ProblemParams(alpha, q), o)
 
     lo = lower_bound(q) - _BRACKET_MARGIN
     hi = 2.0 * _PI2
-    if saturated(lo):
+    res_lo = solve(lo)
+    if res_lo.lam >= sat - band:
         raise BracketViolation(
             f"bracket violation: eigenvalue already saturated at alpha = {lo:.6f} (q = {q})"
         )
-    if not saturated(hi):
+    if solve(hi).lam < sat - band:
         raise BracketViolation(
             f"bracket violation: eigenvalue not saturated at alpha = {hi:.6f} (q = {q})"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if saturated(mid):
-            hi = mid
-        else:
-            lo = mid
+    alpha_q = _newton(
+        partial(solve, o=branch_opts), lo, res_lo, sat, q,
+        lambda alpha, step, res: abs(step) <= tol or abs(res.lam - sat) <= band,
+        (lo, hi),
+    )
+    # a hair inside alpha_q -/+ tol/2, so that the rounded pair is at most tol wide
+    half = 0.5 * tol - math.ulp(alpha_q)
+    below, above = alpha_q - half, alpha_q + half
+    res_below = solve(below)
+    if res_below.profile.sign_class == "sign_changing" or res_below.lam >= sat - band:
+        raise BracketViolation(
+            f"bracket violation: no unsaturated constant-sign minimizer at alpha = {below:.6f} (q = {q})"
+        )
+    if solve(above).lam < sat - band:
+        raise BracketViolation(
+            f"bracket violation: eigenvalue not saturated at alpha = {above:.6f} (q = {q})"
+        )
     return CriticalResult(
         q=q,
-        alpha_q=0.5 * (lo + hi),
-        bracket=(lo, hi),
+        alpha_q=alpha_q,
+        bracket=(below, above),
         saturation_value=sat,
         tolerance=tol,
         solver_calls=calls,
@@ -133,8 +206,12 @@ def dual_quotient_min(q: float, opts: SolverOptions = SolverOptions()) -> tuple[
 def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> float:
     """Coupling at which the eigenvalue crosses zero, cross-checked by duality.
 
-    Bisects lambda(alpha, q) = 0 over alpha < 0, then verifies that -alpha
-    equals the dual quotient minimum to within the relative tolerance; raises
+    Runs Newton's method on lambda(alpha, q) = 0 from alpha = 0, where
+    lambda = pi^2/4 > 0, with the envelope slope.  By concavity the first step
+    lands at or left of the root and the later ones climb to it from the left.
+    It stops once |lambda| <= tol/4 at a solve and the next step is at most
+    tol*|alpha|, and returns that step's end point.  Then -alpha must equal the
+    dual quotient minimum to within the relative tolerance; raises
     DualityMismatch on disagreement.
     """
     if not 1.0 <= q <= 2.0:
@@ -142,33 +219,22 @@ def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> f
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
 
-    def lam(alpha: float) -> float:
-        return minimize(ProblemParams(alpha, q), opts).lam
+    def solve(alpha: float):
+        return minimize(ProblemParams(alpha, q), opts)
 
-    lo = -2.0
-    while lam(lo) > 0.0:
-        lo *= 2.0
-        if lo < -1e4:
-            raise RuntimeError("failed to bracket the zero crossing")
-    hi = 0.0  # lambda(0, q) = pi^2/4 > 0
-    mid = lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lam_mid = lam(mid)
-        if abs(lam_mid) <= 0.25 * tol and hi - lo <= tol * abs(mid):
-            break
-        if lam_mid > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    root = _newton(
+        solve, 0.0, solve(0.0), 0.0, q,
+        lambda alpha, step, res: abs(res.lam) <= 0.25 * tol and abs(step) <= tol * abs(alpha),
+        (-math.inf, 0.0),  # lambda(0, q) = pi^2/4 > 0
+    )
 
     tau, _ = dual_quotient_min(q, opts)
-    if abs(tau + mid) > tol * abs(tau):
+    if abs(tau + root) > tol * abs(tau):
         raise DualityMismatch(
-            f"duality mismatch at q = {q}: zero crossing at alpha = {mid:.8f} "
+            f"duality mismatch at q = {q}: zero crossing at alpha = {root:.8f} "
             f"but dual quotient minimum is {tau:.8f}"
         )
-    return mid
+    return root
 
 
 def rescale_lambda(

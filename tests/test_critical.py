@@ -94,6 +94,63 @@ def test_bracket_violation(monkeypatch, lam_of_alpha, message):
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
 
 
+def test_critical_coupling_q1_closed_form_tight(crit):
+    assert abs(crit(1.0).alpha_q - PI2 / 2) <= 1e-5
+
+
+def test_critical_coupling_q2_closed_form_tight(crit):
+    assert abs(crit(2.0).alpha_q - 0.75 * PI2) <= 1e-5
+
+
+@pytest.mark.parametrize("q", [1.25, 1.5])
+def test_critical_coupling_two_grid_order(q):
+    a1000, a2000, a4000 = (alpha_critical(q, 1e-4, SolverOptions(n=n)).alpha_q for n in (1000, 2000, 4000))
+    ratio = (a1000 - a2000) / (a2000 - a4000)
+    assert 3.5 <= ratio <= 4.5
+
+
+@pytest.mark.parametrize("q", [1.0, 1.25, 1.5, 1.75, 2.0])
+def test_search_mechanics(monkeypatch, q):
+    tol = 0.04
+    calls = []
+
+    def recording_minimize(params, opts):
+        res = minimize(params, opts)
+        calls.append((params.alpha, opts.starts, res))
+        return res
+
+    monkeypatch.setattr(critical, "minimize", recording_minimize)
+    res = alpha_critical(q, tol, OPTS)
+    assert res.solver_calls == len(calls) <= 7
+    newton = [alpha for alpha, starts, _ in calls if starts == ("positive_bump",)]
+    assert newton and all(a <= res.alpha_q for a in newton)
+    assert all(a0 < a1 for a0, a1 in zip(newton, newton[1:]))
+    lo, hi = res.bracket
+    assert hi - lo <= tol
+    assert lo <= res.alpha_q <= hi
+    full = {alpha: r for alpha, starts, r in calls if starts == OPTS.starts}
+    assert lo in full and hi in full
+    sat = res.saturation_value
+    assert full[lo].profile.sign_class != "sign_changing"
+    assert full[lo].lam < sat
+    assert abs(full[hi].lam - sat) <= 1e-9
+
+
+def test_newton_step_cap(monkeypatch):
+    # full solves keep the bracket valid, but the constant-sign branch never
+    # reaches saturation: the search must stop at its step cap, not loop
+    sat = saturation_reference(100, 1.5)
+
+    def fake_minimize(params, opts):
+        if opts.starts == ("positive_bump",):
+            return SimpleNamespace(lam=sat - 1.0, q_average=1.0)
+        return SimpleNamespace(lam=sat if params.alpha > 7.0 else sat - 1.0, q_average=1.0)
+
+    monkeypatch.setattr(critical, "minimize", fake_minimize)
+    with pytest.raises(RuntimeError, match="took more than"):
+        alpha_critical(1.5, 0.04, SolverOptions(n=100))
+
+
 # --- alpha_zero and duality -----------------------------------------------------
 
 def test_zero_crossing_q2_matches_poincare_shift():
