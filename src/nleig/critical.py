@@ -11,6 +11,12 @@ are each affine in alpha, so it is concave: every tangent lies above it, and
 from a point left of the root each Newton step lands left of the root again.
 The iterates climb to the root monotonically and never overshoot.
 
+Each quotient is also nondecreasing in alpha (the nonlocal term
+alpha*|S|^(2/q) has slope |S|^(2/q) >= 0), and so is their minimum lambda.
+A saturated solve at some alpha therefore proves saturation at every larger
+alpha: the confirming solve just above alpha_q covers the whole top of the
+search window, and 2*pi^2 is solved only if Newton reaches it.
+
 The target is the sampled sine quotient rather than the analytic pi^2: it
 is what the discrete odd branch saturates at, which cancels the O(h^2)
 discretization bias that would otherwise shift the threshold.
@@ -62,9 +68,9 @@ class CriticalResult:
     its width is at most ``tolerance``: the full solve at its lower end found a
     constant-sign, unsaturated minimizer, the one at its upper end a saturated
     eigenvalue.  ``solver_calls`` counts every ``minimize`` call of the
-    search: the two full solves that check the initial bracket, the
-    single-restart Newton solves on the constant-sign branch and the two full
-    confirming solves.
+    search: the full solve that checks the lower end, the single-restart
+    Newton solves on the constant-sign branch, the two full confirming solves,
+    and a full solve at 2*pi^2 only when a Newton step is clamped there.
     """
 
     q: float
@@ -84,10 +90,10 @@ def _newton(solve, alpha, res, target, q, done, bounds):
     """Newton's method on lambda(alpha) = target along the constant-sign branch.
 
     ``res`` is the solve at ``alpha``.  Each step uses the envelope slope
-    |S|^(2/q) of the last solve, and its end point is kept inside ``bounds``,
-    an interval known to hold the root.  The iteration ends when
-    ``done(alpha, step, res)`` holds for the step proposed from the last
-    solve; the returned root is that step's end point, which is not solved.
+    |S|^(2/q) of the last solve, and its end point is clamped to ``bounds``.
+    The iteration ends when ``done(alpha, step, res)`` holds for the step
+    proposed from the last solve; the returned root is that step's end point,
+    which is not solved.
     """
     a, b = bounds
     for _ in range(_NEWTON_STEPS):
@@ -105,18 +111,21 @@ def _newton(solve, alpha, res, target, q, done, bounds):
 def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> CriticalResult:
     """Locate the smallest coupling at which the eigenvalue saturates.
 
-    Full solves first check the initial bracket: unsaturated at the
-    test-function lower bound minus a small margin, saturated at 2*pi^2;
-    "saturated" means lambda >= saturation_reference - a band at the solver's
-    noise level, tied to ``opts.lambda_tol``.  Newton's method then runs from
-    the lower end on lambda_c(alpha) = saturation_reference, where each step
-    solves only the constant-sign branch (the ``positive_bump`` restart) and
-    its slope is the envelope derivative |S|^(2/q).  By concavity the iterates
-    increase and stay left of the root; they never step past 2*pi^2.  The
+    A full solve first checks that the eigenvalue is unsaturated at the
+    test-function lower bound minus a small margin; "saturated" means
+    lambda >= saturation_reference - a band at the solver's noise level, tied
+    to ``opts.lambda_tol``.  Newton's method then runs from there on
+    lambda_c(alpha) = saturation_reference, where each step solves only the
+    constant-sign branch (the ``positive_bump`` restart) and its slope is the
+    envelope derivative |S|^(2/q).  By concavity the iterates increase and
+    stay left of the root; they are clamped at 2*pi^2, and only a Newton point
+    clamped there costs a full solve at 2*pi^2, which must be saturated.  The
     search stops when the proposed step is at most ``tol`` or a solve lands
     within the noise band of saturation.  Two full solves at alpha_q -/+ tol/2
     then confirm the dichotomy: constant-sign and unsaturated below, saturated
-    above; otherwise BracketViolation is raised.
+    above; otherwise BracketViolation is raised.  lambda is nondecreasing in
+    alpha, so the saturated solve above alpha_q also shows saturation at every
+    larger alpha, 2*pi^2 included.
     """
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
@@ -125,6 +134,8 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     sat = saturation_reference(opts.n, q)
     band = _NOISE_FACTOR * opts.lambda_tol
     branch_opts = replace(opts, starts=("positive_bump",))
+    lo = lower_bound(q) - _BRACKET_MARGIN
+    hi = 2.0 * _PI2
     calls = 0
 
     def solve(alpha: float, o: SolverOptions = opts):
@@ -132,19 +143,21 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
         calls += 1
         return minimize(ProblemParams(alpha, q), o)
 
-    lo = lower_bound(q) - _BRACKET_MARGIN
-    hi = 2.0 * _PI2
+    def branch(alpha: float):
+        # the upper end needs its own full solve only once Newton is clamped there
+        if alpha == hi and solve(hi).lam < sat - band:
+            raise BracketViolation(
+                f"bracket violation: eigenvalue not saturated at alpha = {hi:.6f} (q = {q})"
+            )
+        return solve(alpha, branch_opts)
+
     res_lo = solve(lo)
     if res_lo.lam >= sat - band:
         raise BracketViolation(
             f"bracket violation: eigenvalue already saturated at alpha = {lo:.6f} (q = {q})"
         )
-    if solve(hi).lam < sat - band:
-        raise BracketViolation(
-            f"bracket violation: eigenvalue not saturated at alpha = {hi:.6f} (q = {q})"
-        )
     alpha_q = _newton(
-        partial(solve, o=branch_opts), lo, res_lo, sat, q,
+        branch, lo, res_lo, sat, q,
         lambda alpha, step, res: abs(step) <= tol or abs(res.lam - sat) <= band,
         (lo, hi),
     )

@@ -82,12 +82,12 @@ def test_alpha_critical_rejects_loose_inputs():
     "lam_of_alpha, message",
     [
         (lambda alpha: PI2, "already saturated at alpha"),  # saturated at the lower end
-        (lambda alpha: 0.0, "not saturated at alpha"),  # unsaturated at the upper end
+        (lambda alpha: 0.0, "not saturated at alpha"),  # Newton climbs to the upper end
     ],
 )
 def test_bracket_violation(monkeypatch, lam_of_alpha, message):
     def fake_minimize(params, opts):
-        return SimpleNamespace(lam=lam_of_alpha(params.alpha))
+        return SimpleNamespace(lam=lam_of_alpha(params.alpha), q_average=1.0)
 
     monkeypatch.setattr(critical, "minimize", fake_minimize)
     with pytest.raises(BracketViolation, match=message):
@@ -109,7 +109,11 @@ def test_critical_coupling_two_grid_order(q):
     assert 3.5 <= ratio <= 4.5
 
 
-@pytest.mark.parametrize("q", [1.0, 1.25, 1.5, 1.75, 2.0])
+# q = 1.2 and 1.3 are the band where the constant-sign restart of a full solve
+# at 2 pi^2 descends thousands of iterations before it loses; saturation there
+# follows from the confirming solve above alpha_q, since lambda is
+# nondecreasing in alpha, so no search solves at 2 pi^2
+@pytest.mark.parametrize("q", [1.0, 1.2, 1.25, 1.3, 1.5, 1.75, 2.0])
 def test_search_mechanics(monkeypatch, q):
     tol = 0.04
     calls = []
@@ -121,7 +125,9 @@ def test_search_mechanics(monkeypatch, q):
 
     monkeypatch.setattr(critical, "minimize", recording_minimize)
     res = alpha_critical(q, tol, OPTS)
-    assert res.solver_calls == len(calls) <= 7
+    assert res.solver_calls == len(calls) <= 6
+    assert all(alpha != 2 * PI2 for alpha, _, _ in calls)
+    assert sum(r.iterations for _, _, r in calls) <= 100
     newton = [alpha for alpha, starts, _ in calls if starts == ("positive_bump",)]
     assert newton and all(a <= res.alpha_q for a in newton)
     assert all(a0 < a1 for a0, a1 in zip(newton, newton[1:]))
