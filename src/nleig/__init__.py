@@ -22,7 +22,7 @@ from .core import (
 )
 from .quadrature import QuadResult, QuadratureNonconvergence, integrate_endpoint_singular
 from .period import FirstIntegralCoeffs, PeriodValue, first_integral_coeffs, half_period
-from .solver import SolverNonconvergence, SolverOptions, el_residual, minimize, saturation_reference
+from .solver import SolverNonconvergence, SolverOptions, minimize, saturation_reference
 from .branches import (
     BranchPoint,
     branch_point,
@@ -61,7 +61,6 @@ __all__ = [
     "half_period",
     "SolverNonconvergence",
     "SolverOptions",
-    "el_residual",
     "minimize",
     "saturation_reference",
     "BranchPoint",

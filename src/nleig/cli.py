@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +22,6 @@ from .quadrature import QuadratureNonconvergence
 from .solver import SolverNonconvergence, SolverOptions, minimize
 
 CSV_HEADER = "alpha,q,lambda,sign_class,q_average,m_bar,odd_defect,residual,iterations"
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """Grid of (alpha, q) points, solver options, output path."""
-
-    alpha_range: tuple[float, float, int]
-    q_range: tuple[float, float, int]
-    options: SolverOptions
-    out: str
-
-    def __post_init__(self):
-        for lo, hi, count in (self.alpha_range, self.q_range):
-            if count < 1:
-                raise ValueError("range counts must be at least 1")
-            if count > 1 and not lo < hi:
-                raise ValueError("ranges must be ordered")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,12 +41,12 @@ def _emit_json(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _solve(alpha: float, q: float, opts: SolverOptions) -> tuple[EigenResult, bool]:
-    """Run the solver; a capped winner is returned too, flagged not converged."""
+def _solve(alpha: float, q: float, opts: SolverOptions) -> EigenResult:
+    """Run the solver; a capped winner is returned too, with ``converged`` false."""
     try:
-        return minimize(ProblemParams(alpha, q), opts), True
+        return minimize(ProblemParams(alpha, q), opts)
     except SolverNonconvergence as exc:
-        return exc.result, False
+        return exc.result
 
 
 def _lambda_record(result: EigenResult, alpha: float, q: float, n: int) -> dict:
@@ -83,9 +65,9 @@ def _lambda_record(result: EigenResult, alpha: float, q: float, n: int) -> dict:
 
 
 def _cmd_lambda(args) -> int:
-    result, converged = _solve(args.alpha, args.q, SolverOptions(n=args.n))
+    result = _solve(args.alpha, args.q, SolverOptions(n=args.n))
     _emit_json(_lambda_record(result, args.alpha, args.q, args.n))
-    return 0 if converged else 2
+    return 0 if result.converged else 2
 
 
 def _cmd_hfun(args) -> int:
@@ -125,7 +107,7 @@ def _cmd_alpha_crit(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    result, converged = _solve(args.alpha, args.q, SolverOptions(n=args.n))
+    result = _solve(args.alpha, args.q, SolverOptions(n=args.n))
     u = result.minimizer
     a, b = u.interval
     xs = np.concatenate(([a], u.x, [b]))
@@ -145,11 +127,10 @@ def _cmd_profile(args) -> int:
         }
     )
     _emit_json(record)
-    return 0 if converged else 2
+    return 0 if result.converged else 2
 
 
-def _scan_point(alpha: float, q: float, opts: SolverOptions) -> tuple[str, bool]:
-    result, converged = _solve(alpha, q, opts)
+def _scan_row(result: EigenResult, alpha: float, q: float) -> str:
     prof = result.profile
     fields = (
         f"{_sig12(alpha):.12g}",
@@ -162,35 +143,34 @@ def _scan_point(alpha: float, q: float, opts: SolverOptions) -> tuple[str, bool]
         f"{_sig12(result.residual):.12g}",
         str(result.iterations),
     )
-    return ",".join(fields), converged
+    return ",".join(fields)
 
 
-def run_scan(spec: ScanSpec) -> bool:
-    """Execute the scan, writing CSV rows in grid order; returns overall convergence."""
-    alo, ahi, acount = spec.alpha_range
-    qlo, qhi, qcount = spec.q_range
-    alphas = np.linspace(alo, ahi, acount)
-    qs = np.linspace(qlo, qhi, qcount)
-    rows = [_scan_point(float(alpha), float(q), spec.options) for q in qs for alpha in alphas]
-    handle = sys.stdout if spec.out == "-" else open(spec.out, "w", encoding="utf-8")
+def _cmd_scan(args) -> int:
+    """Solve on the (alpha, q) grid and write CSV rows in grid order, q outermost."""
+    ranges = ((args.alpha_min, args.alpha_max, args.alpha_count), (args.q_min, args.q_max, args.q_count))
+    for lo, hi, count in ranges:
+        if count < 1:
+            raise ValueError("range counts must be at least 1")
+        if count > 1 and not lo < hi:
+            raise ValueError("ranges must be ordered")
+    alphas, qs = (np.linspace(*r) for r in ranges)
+    opts = SolverOptions(n=args.n)
+    rows, converged = [], True
+    for q in map(float, qs):
+        for alpha in map(float, alphas):
+            result = _solve(alpha, q, opts)
+            rows.append(_scan_row(result, alpha, q))
+            converged = converged and result.converged
+    handle = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         handle.write(CSV_HEADER + "\n")
-        for line, _ in rows:
+        for line in rows:
             handle.write(line + "\n")
     finally:
         if handle is not sys.stdout:
             handle.close()
-    return all(ok for _, ok in rows)
-
-
-def _cmd_scan(args) -> int:
-    spec = ScanSpec(
-        alpha_range=(args.alpha_min, args.alpha_max, args.alpha_count),
-        q_range=(args.q_min, args.q_max, args.q_count),
-        options=SolverOptions(n=args.n),
-        out=args.out,
-    )
-    return 0 if run_scan(spec) else 2
+    return 0 if converged else 2
 
 
 def _cmd_verify(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -91,9 +91,13 @@ class MinimizerProfile:
 
     Sign-changing inputs are reported in the orientation where the dominant
     hump is positive (ties broken so the maximum comes first); ``m_bar`` is
-    |min|/max in that orientation, in [0, 1].  Defects are relative L2
-    distances: each sign part against its reflection about its own extremum,
-    and the whole function against its odd reflection about the midpoint.
+    |min|/max in that orientation, in [0, 1].  Constant-sign inputs keep
+    their sign and have ``m_bar`` = 0; the extremum on their zero side (a
+    positive input's minimum, a negative input's maximum) is the endpoint a
+    with value 0, unless a roundoff-band undershoot goes past 0.  Defects are
+    relative L2 distances: each sign part against its reflection about its
+    own extremum, and the whole function against its odd reflection about the
+    midpoint.
     """
 
     sign_class: str  # "positive" | "negative" | "sign_changing"
@@ -112,7 +116,13 @@ class MinimizerProfile:
 class EigenResult:
     """Outcome of a variational solve: eigenvalue, minimizer and diagnostics.
 
+    ``minimizer`` is L2-normalized with ``q_average`` = S >= 0, and
     ``profile`` is ``analyze(minimizer)``, measured once by the solver.
+    ``gamma`` is S^(2/q-1), or 0 for a zero-average minimizer; ``residual`` is
+    the RMS residual of -u'' + alpha*gamma*|u|^(q-1) = lam*u on the grid.
+    ``iterations`` sums the descent steps of every restart.  A sign-changing
+    minimizer's first-integral constant is 0.5*lam*first_integral_coeffs(
+    profile.m_bar, q).t, the formula behind ``branches.branch_point(...).c``.
     """
 
     lam: float
@@ -120,10 +130,8 @@ class EigenResult:
     profile: MinimizerProfile
     q_average: float
     gamma: float
-    first_integral_constant: Optional[float]
     iterations: int
     residual: float
-    restarts_used: int
     converged: bool = True
     degenerate: bool = False
 
@@ -179,7 +187,13 @@ def rayleigh_quotient(u: GridFunction, params: ProblemParams) -> float:
 
 
 def _refine_extremum(xp: np.ndarray, vp: np.ndarray, i: int) -> tuple[float, float]:
-    """Three-point quadratic refinement of the nodal extremum at padded index i."""
+    """Three-point quadratic refinement of the nodal extremum at padded index i.
+
+    An extremum on a zero pad (the far side of a constant-sign function) is
+    the endpoint itself, with value 0.
+    """
+    if i == 0 or i == vp.size - 1:
+        return float(xp[i]), 0.0
     a, b, c = vp[i - 1], vp[i], vp[i + 1]
     curv = a - 2.0 * b + c
     if curv == 0.0:

@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .core import GridFunction, ProblemParams, apply_stiffness, quotient_terms
-from .solver import SolverOptions, _descend, minimize, saturation_reference
+from .solver import _LAMBDA_TOL, _MAX_ITERATIONS, SolverOptions, _descend, minimize, saturation_reference
 
 _PI2 = math.pi**2
 
@@ -40,10 +40,10 @@ _PI2 = math.pi**2
 # the lower end of the search valid at every resolution.
 _BRACKET_MARGIN = 0.1
 
-# A descent stops once a step lowers the quotient by less than lambda_tol,
-# which leaves lambda above the discrete minimum by up to a few lambda_tol
-# (measured: at most 6e-12 at lambda_tol = 1e-11).  Eigenvalues within this
-# many lambda_tol of the saturation value count as saturated.
+# A descent stops once a step lowers the quotient by less than _LAMBDA_TOL,
+# which leaves lambda above the discrete minimum by up to a few _LAMBDA_TOL
+# (measured: at most 6e-12 at _LAMBDA_TOL = 1e-11).  Eigenvalues within this
+# many _LAMBDA_TOL of the saturation value count as saturated.
 _NOISE_FACTOR = 100.0
 
 # Newton on the concave branch converges quadratically from the left: the
@@ -114,7 +114,7 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     A full solve first checks that the eigenvalue is unsaturated at the
     test-function lower bound minus a small margin; "saturated" means
     lambda >= saturation_reference - a band at the solver's noise level, tied
-    to ``opts.lambda_tol``.  Newton's method then runs from there on
+    to its stopping tolerance.  Newton's method then runs from there on
     lambda_c(alpha) = saturation_reference, where each step solves only the
     constant-sign branch (the ``positive_bump`` restart) and its slope is the
     envelope derivative |S|^(2/q).  By concavity the iterates increase and
@@ -125,17 +125,18 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     then confirm the dichotomy: constant-sign and unsaturated below, saturated
     above; otherwise BracketViolation is raised.  lambda is nondecreasing in
     alpha, so the saturated solve above alpha_q also shows saturation at every
-    larger alpha, 2*pi^2 included.
+    larger alpha, 2*pi^2 included.  ``tol`` must lie between 1e-4 and the
+    width of the search window.
     """
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
-    if tol < 1e-4:
-        raise ValueError(f"tol must be at least 1e-4, got {tol!r}")
-    sat = saturation_reference(opts.n, q)
-    band = _NOISE_FACTOR * opts.lambda_tol
-    branch_opts = replace(opts, starts=("positive_bump",))
     lo = lower_bound(q) - _BRACKET_MARGIN
     hi = 2.0 * _PI2
+    if not 1e-4 <= tol <= hi - lo:
+        raise ValueError(f"tol must lie in [1e-4, {hi - lo!r}] (the search window), got {tol!r}")
+    sat = saturation_reference(opts.n, q)
+    band = _NOISE_FACTOR * _LAMBDA_TOL
+    branch_opts = replace(opts, starts=("positive_bump",))
     calls = 0
 
     def solve(alpha: float, o: SolverOptions = opts):
@@ -210,7 +211,7 @@ def dual_quotient_min(q: float, opts: SolverOptions = SolverOptions()) -> tuple[
 
     u0 = np.sin(0.5 * np.pi * (x + 1.0))
     evaluate = partial(dual_quotient_and_gradient, h=h, q=q)
-    w, tau, _, converged = _descend(u0, evaluate, normalize, h, opts.max_iterations, opts.lambda_tol)
+    w, tau, _, converged = _descend(u0, evaluate, normalize, h, _MAX_ITERATIONS, _LAMBDA_TOL)
     if not converged:
         raise RuntimeError(f"dual quotient descent did not converge for q = {q}")
     return tau, GridFunction(w)

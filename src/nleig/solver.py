@@ -31,7 +31,6 @@ import numpy as np
 
 from .core import EigenResult, GridFunction, ProblemParams, analyze, apply_stiffness, is_constant_sign
 from .core import quotient_terms, rayleigh_quotient
-from .period import first_integral_coeffs
 
 _START_TAGS = ("positive_bump", "odd_sine")
 
@@ -43,8 +42,8 @@ _GAMMA_ZERO_TOL = 1e-8
 # odd sine carries a rounding residue S of about 1e-17 at n = 4000; odd winners
 # reached by descent keep S of up to a few 1e-10, and their gradient term with
 # it.  Inside the band, on a normalized v with |alpha| <= 2*pi^2, the whole
-# nonlocal term alpha*|S|^(2/q) is at most 2e-13, below the default
-# lambda_tol, so leaving its gradient out moves lambda by less than that.
+# nonlocal term alpha*|S|^(2/q) is at most 2e-13, below _LAMBDA_TOL, so
+# leaving its gradient out moves lambda by less than that.
 _S_ROUNDING_BAND = 1e-14
 
 # branch quotients closer than this are reported as a degenerate tie
@@ -52,23 +51,29 @@ _TIE_TOL = 1e-9
 
 _ARMIJO = 1e-4
 
+# a descent converges once a step lowers the quotient by less than this
+_LAMBDA_TOL = 1e-11
+
+# descent steps per restart; a winner that reaches the cap raises SolverNonconvergence
+_MAX_ITERATIONS = 50000
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Grid size, iteration budget, stopping rule and restart list."""
+    """Interior grid size and the restarts to descend from.
+
+    ``starts`` is a nonempty subset of ("positive_bump", "odd_sine"); one
+    restart per branch of the dichotomy by default.  The stopping tolerance
+    and the iteration cap are the module constants _LAMBDA_TOL and
+    _MAX_ITERATIONS.
+    """
 
     n: int = 4000
-    max_iterations: int = 50000
-    lambda_tol: float = 1e-11
     starts: tuple[str, ...] = _START_TAGS
 
     def __post_init__(self):
         if self.n < 100:
             raise ValueError(f"n must be at least 100, got {self.n}")
-        if not self.lambda_tol > 0:
-            raise ValueError("lambda_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
         starts = tuple(self.starts)
         object.__setattr__(self, "starts", starts)
         unknown = set(starts) - set(_START_TAGS)
@@ -174,9 +179,10 @@ def _starts(tag: str, x: np.ndarray, interval) -> np.ndarray:
     return -np.sin(2.0 * np.pi * (x - a) / span)
 
 
-def _el_residual_values(
+def _euler_lagrange_residual(
     v: np.ndarray, lam: float, gamma: float, alpha: float, q: float, h: float
 ) -> float:
+    """RMS interior residual of -v'' + alpha*gamma*|v|^(q-1) = lam*v, by the energy's stencil."""
     r = apply_stiffness(v, h)  # the stencil computes -v'' directly
     r += alpha * gamma * np.abs(v) ** (q - 1.0)
     r -= lam * v
@@ -209,9 +215,7 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     total_iterations = 0
     for tag in opts.starts:
         u0 = _starts(tag, x, params.interval)
-        u, q_val, iters, conv = _descend(
-            u0, evaluate, normalize, h, opts.max_iterations, opts.lambda_tol
-        )
+        u, q_val, iters, conv = _descend(u0, evaluate, normalize, h, _MAX_ITERATIONS, _LAMBDA_TOL)
         total_iterations += iters
         runs.append((q_val, u, conv, is_constant_sign(u)))
 
@@ -219,7 +223,7 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     best = runs[0]
     if not best[2]:
         # a capped run that ties a converged one to rounding level is no winner
-        near = [r for r in runs if r[2] and r[0] - best[0] <= 10.0 * opts.lambda_tol * max(1.0, abs(best[0]))]
+        near = [r for r in runs if r[2] and r[0] - best[0] <= 10.0 * _LAMBDA_TOL * max(1.0, abs(best[0]))]
         if near:
             best = near[0]
     degenerate = False
@@ -236,42 +240,24 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     gamma = s ** (2.0 / q - 1.0) if s > _GAMMA_ZERO_TOL else 0.0
 
     minimizer = GridFunction(v, params.interval)
-    profile = analyze(minimizer)
-    c = None
-    if profile.sign_class == "sign_changing":
-        c = 0.5 * q_best * first_integral_coeffs(profile.m_bar, q).t
-
     result = EigenResult(
         lam=q_best,
         minimizer=minimizer,
-        profile=profile,
+        profile=analyze(minimizer),
         q_average=s,
         gamma=gamma,
-        first_integral_constant=c,
         iterations=total_iterations,
-        residual=_el_residual_values(v, q_best, gamma, alpha, q, h),
-        restarts_used=len(opts.starts),
+        residual=_euler_lagrange_residual(v, q_best, gamma, alpha, q, h),
         converged=conv,
         degenerate=degenerate,
     )
     if not conv:
         raise SolverNonconvergence(
-            f"nonconverged: iteration cap {opts.max_iterations} hit at "
+            f"nonconverged: iteration cap {_MAX_ITERATIONS} hit at "
             f"(alpha={alpha}, q={q})",
             result,
         )
     return result
-
-
-def el_residual(result: EigenResult, params: ProblemParams) -> float:
-    """RMS interior residual of -y'' + alpha*gamma*|y|^(q-1) = lambda*y.
-
-    Uses the same difference stencil as the energy.
-    """
-    u = result.minimizer
-    return _el_residual_values(
-        u.values, result.lam, result.gamma, params.alpha, params.q, u.h
-    )
 
 
 def saturation_reference(n: int, q: float) -> float:

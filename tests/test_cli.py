@@ -80,10 +80,8 @@ def test_lambda_nonconvergence_exits_2(capsys, monkeypatch):
         profile=analyze(minimizer),
         q_average=0.0,
         gamma=0.0,
-        first_integral_constant=None,
         iterations=7,
         residual=1.0,
-        restarts_used=1,
         converged=False,
     )
 
@@ -125,6 +123,13 @@ def test_alpha_crit(capsys):
     rec = json.loads(out)
     assert abs(rec["alpha_q"] - 0.75 * PI2) <= 0.5
     assert rec["bracket"][0] <= rec["alpha_q"] <= rec["bracket"][1]
+
+
+def test_alpha_crit_rejects_tol_wider_than_the_search(capsys):
+    code, out, err = run(capsys, ["alpha-crit", "--q", "1.5", "--tol", "1e300", "--n", "400"])
+    assert code == 1
+    assert out == ""
+    assert "tol" in err
 
 
 @pytest.mark.parametrize(
@@ -281,3 +286,12 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_mpmath():
     assert _modules_loaded_by_import("mpmath") == "[]"
+
+
+def test_public_names_resolve():
+    assert len(set(nleig.__all__)) == len(nleig.__all__)
+    for name in nleig.__all__:
+        assert getattr(nleig, name) is not None, name
+    namespace = {}
+    exec("from nleig import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(nleig.__all__)

@@ -167,6 +167,13 @@ def test_analyze_cosine():
     assert prof.zeros == ()
     assert abs(prof.max_point) < 1e-6
     assert prof.m_bar == 0.0
+    # the extremum on the zero side is the boundary value, not an
+    # extrapolation past the endpoint
+    assert (prof.min_point, prof.min_value) == (-1.0, 0.0)
+    neg = analyze(GridFunction(-grid_cos().values))
+    assert neg.sign_class == "negative"
+    assert abs(neg.min_point) < 1e-6
+    assert (neg.max_point, neg.max_value) == (-1.0, 0.0)
 
 
 def test_analyze_interior_zero_of_mixed_profile():

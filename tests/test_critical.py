@@ -76,6 +76,11 @@ def test_alpha_critical_rejects_loose_inputs():
         alpha_critical(1.5, 1e-5, OPTS)
     with pytest.raises(ValueError):
         alpha_critical(2.5, 0.04, OPTS)
+    # a tol wider than the search window [lower_bound - 0.1, 2*pi^2] or not finite
+    window = 2.0 * PI2 - lower_bound(1.5) + 0.1
+    for tol in (math.nan, math.inf, 1e300, 1.01 * window):
+        with pytest.raises(ValueError, match="tol"):
+            alpha_critical(1.5, tol, OPTS)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nleig.core import (
-    EigenResult,
     GridFunction,
     ProblemParams,
     analyze,
@@ -12,14 +11,17 @@ from nleig.core import (
     q_average,
     rayleigh_quotient,
 )
+from nleig import solver
 from nleig.solver import (
+    _LAMBDA_TOL,
+    _MAX_ITERATIONS,
     SolverNonconvergence,
     SolverOptions,
     _descend,
     _dirichlet_solve,
+    _euler_lagrange_residual,
     _S_ROUNDING_BAND,
     _starts,
-    el_residual,
     minimize,
     quotient_and_gradient,
     saturation_reference,
@@ -80,18 +82,11 @@ def test_minimizer_is_normalized_with_nonnegative_average():
     assert res.q_average >= 0.0
 
 
-def test_first_integral_constant_only_on_sign_changing_branch():
-    below = minimize(ProblemParams(1.0, 2.0), FAST)
-    assert below.first_integral_constant is None
-    above = minimize(ProblemParams(10.0, 2.0), FAST)
-    # saturated branch: depth 1, so the constant is lambda/2
-    assert above.first_integral_constant == pytest.approx(0.5 * above.lam, rel=1e-6)
-
-
-def test_nonconvergence_carries_best_iterate():
+def test_nonconvergence_carries_best_iterate(monkeypatch):
     # at nonzero coupling the bump start needs more than two descent steps
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
     with pytest.raises(SolverNonconvergence) as info:
-        minimize(ProblemParams(3.0, 1.5), SolverOptions(n=400, max_iterations=2, starts=("positive_bump",)))
+        minimize(ProblemParams(3.0, 1.5), SolverOptions(n=400, starts=("positive_bump",)))
     res = info.value.result
     assert not res.converged
     assert res.minimizer.n == 400
@@ -112,48 +107,33 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(n=50)
     with pytest.raises(ValueError):
-        SolverOptions(lambda_tol=0.0)
-    with pytest.raises(ValueError):
         SolverOptions(starts=("bad_tag",))
     with pytest.raises(ValueError):
         SolverOptions(starts=())
 
 
-# --- el_residual ----------------------------------------------------------------
+# --- Euler-Lagrange residual --------------------------------------------------------
 
 def test_residual_small_at_poincare_minimizer():
-    params = ProblemParams(0.0, 1.5)
-    res = minimize(params, OPTS)
-    assert el_residual(res, params) < 1e-3 * res.lam
+    res = minimize(ProblemParams(0.0, 1.5), OPTS)
+    assert res.residual < 1e-3 * res.lam
 
 
 # at (6.34, 1.25) the odd winner keeps S = 2.4e-10, the largest seen in a scan
 # of q in [1.02, 1.98] x alpha in [5, 2*pi^2]; gamma must still read 0
 @pytest.mark.parametrize("alpha,q", [(10.0, 2.0), (9.0, 1.8), (7.0, 1.5), (6.34, 1.25)])
 def test_residual_small_on_saturated_branch_with_zero_gamma(alpha, q):
-    params = ProblemParams(alpha, q)
-    res = minimize(params, OPTS)
+    res = minimize(ProblemParams(alpha, q), OPTS)
     assert res.gamma == 0.0
-    assert el_residual(res, params) < 1e-3 * res.lam
+    assert res.residual < 1e-3 * res.lam
 
 
 def test_residual_large_for_arbitrary_function():
-    params = ProblemParams(0.0, 1.5)
-    converged = minimize(params, FAST)
+    converged = minimize(ProblemParams(0.0, 1.5), FAST)
     rng = np.random.default_rng(1)
     junk = GridFunction(rng.uniform(-1.0, 1.0, FAST.n))
-    fake = EigenResult(
-        lam=converged.lam,
-        minimizer=junk,
-        profile=analyze(junk),
-        q_average=0.0,
-        gamma=0.0,
-        first_integral_constant=None,
-        iterations=0,
-        residual=0.0,
-        restarts_used=0,
-    )
-    assert el_residual(fake, params) > 100.0 * el_residual(converged, params)
+    junk_residual = _euler_lagrange_residual(junk.values, converged.lam, 0.0, 0.0, 1.5, junk.h)
+    assert junk_residual > 100.0 * converged.residual
 
 
 # --- saturation reference --------------------------------------------------------
@@ -234,7 +214,7 @@ def _counted_descent(v0, alpha, q, n=4000):
     def normalize(v):
         return v / math.sqrt(h * float(v @ v))
 
-    _, value, iterations, converged = _descend(v0, evaluate, normalize, h, OPTS.max_iterations, OPTS.lambda_tol)
+    _, value, iterations, converged = _descend(v0, evaluate, normalize, h, _MAX_ITERATIONS, _LAMBDA_TOL)
     return iterations, calls[0], converged, value
 
 
