@@ -3,8 +3,9 @@
 Independent oracles for the variational solver: the sign-changing branch
 parametrized by the normalized depth m (eigenvalue = half_period(m, q)^2,
 profile recovered by inverting the first-integral arclength map), the explicit
-q = 1 constant-sign branch, and the one-parameter family of flat minimizers
-that coexist at q = 1 when the coupling reaches pi^2/2.
+q = 1 constant-sign branch, the one-parameter family of flat minimizers
+that coexist at q = 1 when the coupling reaches pi^2/2, and the closed-form
+coupling alpha_0 at which the eigenvalue crosses zero.
 """
 
 from __future__ import annotations
@@ -205,3 +206,25 @@ def q1_flat_family(avg: float, n: int) -> GridFunction:
     return GridFunction.from_callable(
         lambda x: 0.5 * avg * (1.0 + np.cos(np.pi * x)) - root * np.sin(np.pi * x), n
     )
+
+
+def _beta(a: float, b: float) -> float:
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def alpha_zero_exact(q: float) -> float:
+    """Coupling at which lambda(alpha, q) crosses zero: minus the dual constant tau_q.
+
+    tau_q = min int|w'|^2 / (int|w|^q)^(2/q).  The minimizer with max 1 on
+    (-1, 1) has first integral w'^2 = c*(1 - w^q), so int|w'|^2 = (q*c/2)*S
+    with S = int w^q; with B the Beta function,
+
+        sqrt(c) = B(1/q, 1/2)/q,  S = 2*B(1 + 1/q, 1/2)/(q*sqrt(c)),  alpha_0 = -(q*c/2)*S^(1 - 2/q).
+
+    q = 1 gives -3/2 (w = 1 - x^2) and q = 2 gives -pi^2/4.
+    """
+    if not 1.0 <= q <= 2.0:
+        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    root_c = _beta(1.0 / q, 0.5) / q
+    s = 2.0 * _beta(1.0 + 1.0 / q, 0.5) / (q * root_c)
+    return -0.5 * q * root_c**2 * s ** (1.0 - 2.0 / q)

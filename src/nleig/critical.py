@@ -20,18 +20,21 @@ search window, and 2*pi^2 is solved only if Newton reaches it.
 The target is the sampled sine quotient rather than the analytic pi^2: it
 is what the discrete odd branch saturates at, which cancels the O(h^2)
 discretization bias that would otherwise shift the threshold.
+
+At the zero crossing alpha_0 the quotient's numerator vanishes at the
+minimizer, so -alpha_0 is the dual constant min int|w'|^2 / (int|w|^q)^(2/q).
+That constant has a closed form (``branches.alpha_zero_exact``), which checks
+the Newton root up to the grid's O(h^2) bias.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
-import numpy as np
-
-from .core import GridFunction, ProblemParams, apply_stiffness, quotient_terms
-from .solver import _LAMBDA_TOL, _MAX_ITERATIONS, SolverOptions, _descend, minimize, saturation_reference
+from .branches import alpha_zero_exact
+from .core import ProblemParams
+from .solver import _LAMBDA_TOL, SolverOptions, minimize, saturation_reference
 
 _PI2 = math.pi**2
 
@@ -57,7 +60,7 @@ class BracketViolation(RuntimeError):
 
 
 class DualityMismatch(RuntimeError):
-    """Zero-crossing coupling and the dual quotient minimum disagree."""
+    """The zero-crossing coupling is off minus the closed-form dual quotient minimum."""
 
 
 @dataclass(frozen=True)
@@ -184,39 +187,6 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     )
 
 
-def dual_quotient_and_gradient(v: np.ndarray, h: float, q: float) -> tuple[float, np.ndarray]:
-    """The dual quotient R(v) = D(v) / P^(2/q), P = int|v|^q, and its gradient in v."""
-    energy, p, _ = quotient_terms(v, h, q)
-    big_p = h * float(np.abs(v) @ p)
-    expo = 2.0 / q
-    value = energy / big_p**expo
-    g = apply_stiffness(v, h) - value * big_p ** (expo - 1.0) * np.sign(v) * p
-    return value, 2.0 * g
-
-
-def dual_quotient_min(q: float, opts: SolverOptions = SolverOptions()) -> tuple[float, GridFunction]:
-    """Minimize int|w'|^2 / (int|w|^q)^(2/q) by the solver's descent machinery.
-
-    Returns the minimum and its (q-norm normalized) minimizer; the minimizer
-    has constant sign.
-    """
-    if not 1.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [1, 2], got {q!r}")
-    n = opts.n
-    h = 2.0 / (n + 1)
-    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-
-    def normalize(v):
-        return v / (h * float(np.sum(np.abs(v) ** q))) ** (1.0 / q)
-
-    u0 = np.sin(0.5 * np.pi * (x + 1.0))
-    evaluate = partial(dual_quotient_and_gradient, h=h, q=q)
-    w, tau, _, converged = _descend(u0, evaluate, normalize, h, _MAX_ITERATIONS, _LAMBDA_TOL)
-    if not converged:
-        raise RuntimeError(f"dual quotient descent did not converge for q = {q}")
-    return tau, GridFunction(w)
-
-
 def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> float:
     """Coupling at which the eigenvalue crosses zero, cross-checked by duality.
 
@@ -225,7 +195,9 @@ def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> f
     lands at or left of the root and the later ones climb to it from the left.
     It stops once |lambda| <= tol/4 at a solve and the next step is at most
     tol*|alpha|, and returns that step's end point.  Then -alpha must equal the
-    dual quotient minimum to within the relative tolerance; raises
+    dual quotient minimum tau = -``branches.alpha_zero_exact(q)`` to within
+    (tol + h^2)*tau, h = 2/(n + 1): the h^2 term covers the discretization bias
+    of the discrete minimum (measured below 0.26*h^2*tau).  Raises
     DualityMismatch on disagreement.
     """
     if not 1.0 <= q <= 2.0:
@@ -242,8 +214,9 @@ def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> f
         (-math.inf, 0.0),  # lambda(0, q) = pi^2/4 > 0
     )
 
-    tau, _ = dual_quotient_min(q, opts)
-    if abs(tau + root) > tol * abs(tau):
+    tau = -alpha_zero_exact(q)
+    h = 2.0 / (opts.n + 1)
+    if abs(tau + root) > (tol + h * h) * tau:
         raise DualityMismatch(
             f"duality mismatch at q = {q}: zero crossing at alpha = {root:.8f} "
             f"but dual quotient minimum is {tau:.8f}"
@@ -257,9 +230,21 @@ def rescale_lambda(
     """Eigenvalue on the interval (a, b) via the reference-interval solve.
 
         lambda(alpha, q; (a, b)) = (2/(b-a))^2 * lambda( ((b-a)/2)^(1+2/q) * alpha, q )
+
+    (a, b) must be a finite ordered pair, as for any ``ProblemParams``
+    interval, and neither the rescaled coupling nor the rescaled eigenvalue
+    may underflow or overflow.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got ({a!r}, {b!r})")
+    params = ProblemParams(alpha, q, (a, b))
+    unscalable = ValueError(f"interval {params.interval!r} is too short or too long to rescale to (-1, 1)")
     scale = 0.5 * (b - a)
-    lam_ref = minimize(ProblemParams(scale ** (1.0 + 2.0 / q) * alpha, q), opts).lam
-    return lam_ref / scale**2
+    try:
+        factor = scale ** (1.0 + 2.0 / q)  # a power >= 2: scale**2 is nonzero and finite if this is
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise unscalable
+    lam = float(minimize(ProblemParams(factor * alpha, q), opts).lam) / scale**2
+    if not math.isfinite(lam):
+        raise unscalable
+    return lam

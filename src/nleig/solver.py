@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -122,49 +120,42 @@ def quotient_and_gradient(v: np.ndarray, h: float, alpha: float, q: float) -> tu
     return value, 2.0 * (g - value * v)
 
 
-def _descend(
-    u: np.ndarray,
-    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    normalize: Callable[[np.ndarray], np.ndarray],
-    h: float,
-    max_iterations: int,
-    tol: float,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Armijo-backtracked preconditioned descent on a normalized manifold.
+def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarray, float, int, bool]:
+    """Armijo-backtracked preconditioned descent of the quotient on the unit L2 sphere.
 
-    ``evaluate(v)`` gives (objective, gradient) and runs once per trial point.
-    The descent converges when an accepted step lowers the objective by less
-    than ``tol``, or when backtracking reaches a step whose first-order
-    decrease step*slope is at most ``tol``: such a step could only end the
-    descent, so it is not tried.  A start at the minimum costs one evaluation.
+    ``quotient_and_gradient`` runs once per trial point.  The descent
+    converges when an accepted step lowers the quotient by less than
+    _LAMBDA_TOL, or when backtracking reaches a step whose first-order
+    decrease step*slope is at most _LAMBDA_TOL: such a step could only end the
+    descent, so it is not tried.  A start at the minimum costs one
+    evaluation.  At most _MAX_ITERATIONS steps are taken.
     """
-    u = normalize(u)
-    q_val, g = evaluate(u)
+    u = u / math.sqrt(h * float(u @ u))
+    q_val, g = quotient_and_gradient(u, h, alpha, q)
     iterations = 0
     converged = False
     step_init = 1.0
-    while iterations < max_iterations:
+    while iterations < _MAX_ITERATIONS:
         # the half factor makes the unit step coincide with inverse iteration
         # on the local problem, which crushes high-frequency error modes
         d = 0.5 * _dirichlet_solve(g, h)
         slope = h * float(g @ d)
         step = step_init
-        accepted = False
-        while step * slope > tol:
-            trial = normalize(u - step * d)
-            q_trial, g_trial = evaluate(trial)
+        while step * slope > _LAMBDA_TOL:
+            trial = u - step * d
+            trial /= math.sqrt(h * float(trial @ trial))
+            q_trial, g_trial = quotient_and_gradient(trial, h, alpha, q)
             if q_trial <= q_val - _ARMIJO * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            converged = True  # no decrease above tol left
+        else:
+            converged = True  # no step accepted: no decrease above tol left
             break
         step_init = min(1.0, 2.0 * step)  # warm-start the next search
         decrease = q_val - q_trial
         u, q_val, g = trial, q_trial, g_trial
         iterations += 1
-        if decrease < tol:
+        if decrease < _LAMBDA_TOL:
             converged = True
             break
     return u, q_val, iterations, converged
@@ -206,16 +197,10 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     h = (b - a) / (n + 1)
     x = np.linspace(a, b, n + 2)[1:-1]
     alpha, q = params.alpha, params.q
-    evaluate = partial(quotient_and_gradient, h=h, alpha=alpha, q=q)
-
-    def normalize(v):
-        return v / math.sqrt(h * float(v @ v))
-
     runs = []
     total_iterations = 0
     for tag in opts.starts:
-        u0 = _starts(tag, x, params.interval)
-        u, q_val, iters, conv = _descend(u0, evaluate, normalize, h, _MAX_ITERATIONS, _LAMBDA_TOL)
+        u, q_val, iters, conv = _descend(_starts(tag, x, params.interval), h, alpha, q)
         total_iterations += iters
         runs.append((q_val, u, conv, is_constant_sign(u)))
 

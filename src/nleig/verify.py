@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .branches import q1_coupling_of_eigenvalue, q1_flat_family, reconstruct_profile
+from .branches import alpha_zero_exact, q1_coupling_of_eigenvalue, q1_flat_family, reconstruct_profile
 from .core import EigenResult, ProblemParams, rayleigh_quotient
 from .critical import DualityMismatch, alpha_critical, alpha_zero, lower_bound, rescale_lambda
 from .period import (
@@ -220,10 +220,16 @@ def _c10_duality():
     fails = []
     vals = []
     for q in (1.0, 1.5, 2.0):
+        exact = alpha_zero_exact(q)
         try:
-            vals.append(f"q={q}: alpha_0={alpha_zero(q, 1e-3, _opts()):.5f}")
+            root = alpha_zero(q, 1e-3, _opts())
         except DualityMismatch as exc:
             fails.append(str(exc))
+            continue
+        rel = abs(root - exact) / abs(exact)
+        vals.append(f"q={q}: alpha_0={root:.7f} rel {rel:.1e} from closed form")
+        if rel > 1e-6:
+            fails.append(f"q={q}: alpha_0 {root:.7f} off closed form {exact:.7f} by rel {rel:.1e} > 1e-6")
     return not fails, "; ".join(fails) or "; ".join(vals)
 
 

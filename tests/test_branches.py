@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from nleig import branches
 from nleig.branches import (
@@ -13,10 +12,9 @@ from nleig.branches import (
     q1_positive_profile,
     reconstruct_profile,
 )
-from nleig.core import GridFunction, ProblemParams, analyze, q_average, rayleigh_quotient
+from nleig.core import ProblemParams, analyze, q_average, rayleigh_quotient
 from nleig.period import arc_densities, arc_variables, first_integral_coeffs, half_period
 from nleig.quadrature import integrate_endpoint_singular
-from nleig.solver import SolverOptions, minimize
 
 PI = math.pi
 PI2 = math.pi**2
@@ -225,18 +223,3 @@ def test_flat_family_endpoints_of_the_parameter():
     assert np.all(q1_flat_family(1.0, 500).values >= 0.0)
     with pytest.raises(ValueError):
         q1_flat_family(1.5, 500)
-
-
-# --- solver equivalence ------------------------------------------------------------
-
-def test_variational_solver_matches_q1_branch():
-    opts = SolverOptions(n=1200)
-    for alpha in (1.0, 2.5, 4.0):
-        root = brentq(
-            lambda lam: q1_coupling_of_eigenvalue(lam) - alpha,
-            PI2 / 4 + 1e-9,
-            PI2 - 1e-9,
-            xtol=1e-12,
-        )
-        lam_solver = minimize(ProblemParams(alpha, 1.0), opts).lam
-        assert abs(lam_solver - root) <= 1e-3 * root

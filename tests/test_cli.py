@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -282,6 +284,21 @@ def _modules_loaded_by_import(package):
 
 def test_import_loads_no_scipy():
     assert _modules_loaded_by_import("scipy") == "[]"
+
+
+def test_no_source_or_test_file_imports_scipy():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    offenders = []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.relative_to(root)}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def test_import_loads_no_mpmath():

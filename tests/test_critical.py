@@ -1,17 +1,16 @@
 import math
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import nleig.critical as critical
-from nleig.core import GridFunction, ProblemParams, analyze, dirichlet_energy
+from nleig.branches import alpha_zero_exact
+from nleig.core import ProblemParams, analyze
 from nleig.critical import (
     BracketViolation,
+    DualityMismatch,
     alpha_critical,
     alpha_zero,
-    dual_quotient_and_gradient,
-    dual_quotient_min,
     lower_bound,
     rescale_lambda,
 )
@@ -186,34 +185,31 @@ def test_zero_crossing_root_quality(q):
     assert -tol < lam < tol
 
 
-def test_dual_quotient_minimizer_has_constant_sign():
-    for q in (1.0, 1.5, 2.0):
-        tau, w = dual_quotient_min(q, OPTS)
-        assert tau > 0.0
-        assert analyze(w).sign_class != "sign_changing"
+def test_alpha_zero_exact_closed_values():
+    # q = 1: the dual minimizer is the parabola 1 - x^2; q = 2: the Poincare constant
+    assert alpha_zero_exact(1.0) == pytest.approx(-1.5, rel=1e-14)
+    assert alpha_zero_exact(2.0) == pytest.approx(-PI2 / 4, rel=1e-14)
 
 
-def test_dual_quotient_q2_is_poincare():
-    tau, _ = dual_quotient_min(2.0, OPTS)
-    assert abs(tau - PI2 / 4) <= 1e-6 * PI2 / 4
+@pytest.mark.parametrize("q", [1.25, 1.5, 1.75])
+def test_zero_crossing_matches_closed_form(q):
+    exact = alpha_zero_exact(q)
+    assert abs(alpha_zero(q, 1e-3, OPTS) - exact) <= 5e-7 * abs(exact)
 
 
-def test_dual_quotient_gradient_matches_finite_differences():
-    n, q = 100, 1.5
-    u = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) * (1.0 + 0.3 * x), n)
-    v, h = u.values, u.h
-    value, g = dual_quotient_and_gradient(v, h, q)
-    big_p = h * float(np.sum(np.abs(v) ** q))
-    assert value == pytest.approx(dirichlet_energy(u) / big_p ** (2.0 / q), rel=1e-14)
-    rng = np.random.default_rng(7)
-    eps = 1e-6
-    for _ in range(3):
-        e = rng.standard_normal(n)
-        fd = (dual_quotient_and_gradient(v + eps * e, h, q)[0]
-              - dual_quotient_and_gradient(v - eps * e, h, q)[0]) / (2.0 * eps)
-        # g is the gradient for P = int|v|^q = 1; the Euclidean one is h*g/P^(2/q)
-        exact = h * float(g @ e) / big_p ** (2.0 / q)
-        assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+@pytest.mark.parametrize("q", [1.0, 1.1, 1.5, 2.0])
+def test_zero_crossing_band_covers_the_coarse_grid_bias(q, tol):
+    # at n = 100 the discrete root sits up to 9.8e-5 (relative, q = 1) off the
+    # closed form: inside tol = 1e-3, and at tol = 1e-6 only inside the h^2
+    # term of the band (3.9e-4)
+    assert alpha_zero(q, tol, SolverOptions(n=100)) < 0.0
+
+
+def test_zero_crossing_off_the_closed_form_is_a_mismatch(monkeypatch):
+    monkeypatch.setattr(critical, "alpha_zero_exact", lambda q: 1.01 * alpha_zero_exact(q))
+    with pytest.raises(DualityMismatch, match="duality mismatch at q = 1.5"):
+        alpha_zero(1.5, 1e-3, SolverOptions(n=100))
 
 
 # --- rescaling -------------------------------------------------------------------
@@ -239,3 +235,19 @@ def test_rescale_against_direct_solve():
 def test_rescale_rejects_unordered_interval():
     with pytest.raises(ValueError):
         rescale_lambda(2.0, -2.0, 1.0, 2.0, OPTS)
+
+
+@pytest.mark.parametrize(
+    "a, b, q, message",
+    [
+        (-math.inf, 1.0, 1.5, "ordered finite pair"),
+        (0.0, math.nan, 1.5, "ordered finite pair"),
+        (0.0, 1e-200, 1.5, r"interval \(0.0, 1e-200\) is too short or too long"),
+        (-1e200, 1e200, 1.5, r"interval \(-1e\+200, 1e\+200\) is too short or too long"),
+        # the coupling factor scale^2 = 1e-310 is still above 0, 1/scale^2 overflows
+        (0.0, 2e-155, 2.0, r"interval \(0.0, 2e-155\) is too short or too long"),
+    ],
+)
+def test_rescale_rejects_nonfinite_or_unscalable_intervals(a, b, q, message):
+    with pytest.raises(ValueError, match=message):
+        rescale_lambda(a, b, 1.0, q, SolverOptions(n=100))

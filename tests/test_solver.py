@@ -13,8 +13,6 @@ from nleig.core import (
 )
 from nleig import solver
 from nleig.solver import (
-    _LAMBDA_TOL,
-    _MAX_ITERATIONS,
     SolverNonconvergence,
     SolverOptions,
     _descend,
@@ -202,27 +200,26 @@ def test_small_real_average_keeps_the_nonlocal_gradient():
 
 # --- descent work -----------------------------------------------------------------
 
-def _counted_descent(v0, alpha, q, n=4000):
+def _counted_descent(monkeypatch, v0, alpha, q, n=4000):
     """Run _descend on the quotient from v0; returns (iterations, evaluations, converged, value)."""
     h = 2.0 / (n + 1)
     calls = [0]
 
-    def evaluate(v):
+    def counted(v, h, alpha, q):
         calls[0] += 1
         return quotient_and_gradient(v, h, alpha, q)
 
-    def normalize(v):
-        return v / math.sqrt(h * float(v @ v))
-
-    _, value, iterations, converged = _descend(v0, evaluate, normalize, h, _MAX_ITERATIONS, _LAMBDA_TOL)
+    monkeypatch.setattr(solver, "quotient_and_gradient", counted)
+    _, value, iterations, converged = _descend(v0, h, alpha, q)
     return iterations, calls[0], converged, value
 
 
 @pytest.mark.parametrize("alpha,q", [(8.0, 2.0), (5.0, 1.5), (8.8, 1.8)])
-def test_odd_sine_start_above_threshold_is_already_converged(alpha, q):
+def test_odd_sine_start_above_threshold_is_already_converged(monkeypatch, alpha, q):
     # above alpha_q the sampled sine is the exact discrete odd minimizer
     x = np.linspace(-1.0, 1.0, 4002)[1:-1]
-    iterations, evaluations, converged, value = _counted_descent(_starts("odd_sine", x, (-1.0, 1.0)), alpha, q)
+    v0 = _starts("odd_sine", x, (-1.0, 1.0))
+    iterations, evaluations, converged, value = _counted_descent(monkeypatch, v0, alpha, q)
     assert (iterations, evaluations, converged) == (0, 1, True)
     assert value == pytest.approx(saturation_reference(4000, q), rel=1e-14)
 
@@ -231,12 +228,12 @@ def test_odd_sine_start_above_threshold_is_already_converged(alpha, q):
     "alpha,q,start",
     [(2.0 * PI2, 2.0, "sine"), (9.0, 1.5, "winner"), (2.0, 1.5, "winner")],
 )
-def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, start):
+def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(monkeypatch, alpha, q, start):
     if start == "sine":
         v0 = GridFunction.from_callable(lambda x: np.sin(math.pi * x), 4000).values
     else:
         v0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values
-    _, evaluations, converged, _ = _counted_descent(v0, alpha, q)
+    _, evaluations, converged, _ = _counted_descent(monkeypatch, v0, alpha, q)
     assert converged
     assert evaluations <= 2
 
