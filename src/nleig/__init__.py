@@ -4,8 +4,9 @@ Computes the smallest value lambda(alpha, q) of the quotient
 
     ( int |u'|^2 dx  +  alpha * | int |u|^(q-1) u dx |^(2/q) )  /  int u^2 dx
 
-over functions vanishing at the endpoints of an interval, together with the
-minimizing profiles, the critical coupling at which the minimizer switches
+over functions on (-1, 1) vanishing at both endpoints (``rescale_lambda``
+carries the value to any other interval), together with the minimizing
+profiles, the critical coupling at which the minimizer switches
 from constant sign to an odd sine, and the auxiliary singular integrals that
 describe the sign-changing branch.
 """
@@ -16,12 +17,11 @@ from .core import (
     MinimizerProfile,
     ProblemParams,
     analyze,
-    dirichlet_energy,
     q_average,
     rayleigh_quotient,
 )
 from .quadrature import QuadResult, QuadratureNonconvergence, integrate_endpoint_singular
-from .period import FirstIntegralCoeffs, PeriodValue, first_integral_coeffs, half_period
+from .period import FirstIntegralCoeffs, first_integral_coeffs, half_period
 from .solver import SolverNonconvergence, SolverOptions, minimize, saturation_reference
 from .branches import (
     BranchPoint,
@@ -49,14 +49,12 @@ __all__ = [
     "MinimizerProfile",
     "ProblemParams",
     "analyze",
-    "dirichlet_energy",
     "q_average",
     "rayleigh_quotient",
     "QuadResult",
     "QuadratureNonconvergence",
     "integrate_endpoint_singular",
     "FirstIntegralCoeffs",
-    "PeriodValue",
     "first_integral_coeffs",
     "half_period",
     "SolverNonconvergence",

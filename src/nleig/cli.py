@@ -99,7 +99,7 @@ def _cmd_alpha_crit(args) -> int:
             "alpha_q": _sig12(res.alpha_q),
             "bracket": [_sig12(res.bracket[0]), _sig12(res.bracket[1])],
             "saturation_value": _sig12(res.saturation_value),
-            "tolerance": _sig12(res.tolerance),
+            "tolerance": _sig12(args.tol),
             "solver_calls": res.solver_calls,
         }
     )
@@ -109,8 +109,7 @@ def _cmd_alpha_crit(args) -> int:
 def _cmd_profile(args) -> int:
     result = _solve(args.alpha, args.q, SolverOptions(n=args.n))
     u = result.minimizer
-    a, b = u.interval
-    xs = np.concatenate(([a], u.x, [b]))
+    xs = np.concatenate(([-1.0], u.x, [1.0]))
     ys = np.concatenate(([0.0], u.values, [0.0]))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("x,y\n")

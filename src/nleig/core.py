@@ -1,7 +1,9 @@
 """Domain types and discrete Rayleigh-quotient primitives.
 
-Functions vanishing at the interval endpoints are represented by their values
-at the n interior nodes of a uniform partition.  Energies use second-order
+The problem is posed on the reference interval (-1, 1), as in the paper;
+``critical.rescale_lambda`` carries an eigenvalue to any other interval.
+Functions vanishing at -1 and 1 are represented by their values at the n
+interior nodes of a uniform partition.  Energies use second-order
 central differences (mass-lumped linear elements) and the composite trapezoid
 rule, which keeps every term of the quotient exactly 2-homogeneous and O(h^2)
 accurate.
@@ -15,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-DEFAULT_INTERVAL = (-1.0, 1.0)
-
 # A nodal function counts as constant-sign when min*max > -SIGN_BAND*max|u|^2:
 # descent iterates carry roundoff-scale undershoots near the boundary, and
 # zero counting ignores sign changes inside the same band.
@@ -25,32 +25,27 @@ SIGN_BAND = 1e-6
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """One problem instance: nonlocal strength alpha, exponent q, interval."""
+    """One problem instance on (-1, 1): nonlocal strength alpha and exponent q."""
 
     alpha: float
     q: float
-    interval: tuple[float, float] = DEFAULT_INTERVAL
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.q)):
             raise ValueError("alpha and q must be finite")
         if not 1.0 <= self.q <= 2.0:
             raise ValueError(f"q must lie in [1, 2], got {self.q!r}")
-        a, b = self.interval
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"interval must be an ordered finite pair, got {self.interval!r}")
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Nodal values of a function that vanishes at both interval endpoints.
+    """Nodal values of a function on (-1, 1) that vanishes at both endpoints.
 
-    ``values[i]`` is the value at a + (i+1)*h with h = (b-a)/(n+1); the
+    ``values[i]`` is the value at -1 + (i+1)*h with h = 2/(n+1); the
     endpoint values are structurally zero and never stored.
     """
 
     values: np.ndarray
-    interval: tuple[float, float] = DEFAULT_INTERVAL
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -59,9 +54,6 @@ class GridFunction:
         if not np.all(np.isfinite(v)):
             raise ValueError("nodal values must be finite")
         object.__setattr__(self, "values", v)
-        a, b = self.interval
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"interval must be an ordered finite pair, got {self.interval!r}")
 
     @property
     def n(self) -> int:
@@ -69,20 +61,17 @@ class GridFunction:
 
     @property
     def h(self) -> float:
-        a, b = self.interval
-        return (b - a) / (self.n + 1)
+        return 2.0 / (self.n + 1)
 
     @property
     def x(self) -> np.ndarray:
         """Interior node abscissae."""
-        a, b = self.interval
-        return np.linspace(a, b, self.n + 2)[1:-1]
+        return np.linspace(-1.0, 1.0, self.n + 2)[1:-1]
 
     @classmethod
-    def from_callable(cls, f: Callable, n: int, interval=DEFAULT_INTERVAL) -> "GridFunction":
-        a, b = interval
-        x = np.linspace(a, b, n + 2)[1:-1]
-        return cls(np.asarray(f(x), dtype=float), interval)
+    def from_callable(cls, f: Callable, n: int) -> "GridFunction":
+        x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+        return cls(np.asarray(f(x), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,7 @@ class MinimizerProfile:
     hump is positive (ties broken so the maximum comes first); ``m_bar`` is
     |min|/max in that orientation, in [0, 1].  Constant-sign inputs keep
     their sign and have ``m_bar`` = 0; the extremum on their zero side (a
-    positive input's minimum, a negative input's maximum) is the endpoint a
+    positive input's minimum, a negative input's maximum) is the endpoint -1
     with value 0, unless a roundoff-band undershoot goes past 0.  Defects are
     relative L2 distances: each sign part against its reflection about its
     own extremum, and the whole function against its odd reflection about the
@@ -136,13 +125,6 @@ class EigenResult:
     degenerate: bool = False
 
 
-def _check_interval(u: GridFunction, params: ProblemParams) -> None:
-    if tuple(u.interval) != tuple(params.interval):
-        raise ValueError(
-            f"grid interval {u.interval} does not match problem interval {params.interval}"
-        )
-
-
 def apply_stiffness(v: np.ndarray, h: float) -> np.ndarray:
     """-v'' by the stencil (2*v_i - v_{i-1} - v_{i+1}) / h^2 through the zero endpoint values."""
     out = 2.0 * v
@@ -164,11 +146,6 @@ def quotient_terms(v: np.ndarray, h: float, q: float) -> tuple[float, np.ndarray
     return energy, p, h * float(v @ p)
 
 
-def dirichlet_energy(u: GridFunction) -> float:
-    """int |u'|^2 by central differences through the zero endpoint values."""
-    return quotient_terms(u.values, u.h, 1.0)[0]
-
-
 def q_average(u: GridFunction, q: float) -> float:
     """Signed average int |u|^(q-1) u dx by the composite trapezoid rule."""
     if not 1.0 <= q <= 2.0:
@@ -178,7 +155,6 @@ def q_average(u: GridFunction, q: float) -> float:
 
 def rayleigh_quotient(u: GridFunction, params: ProblemParams) -> float:
     """( D(u) + alpha*|S(u)|^(2/q) ) / int u^2, exactly invariant under u -> c*u."""
-    _check_interval(u, params)
     mass = u.h * float(u.values @ u.values)  # trapezoid rule; the endpoints contribute 0
     if mass == 0.0:
         raise ValueError("degenerate input: u is identically zero")
@@ -249,8 +225,7 @@ def analyze(u: GridFunction) -> MinimizerProfile:
         else:
             w = v
 
-    a, b = u.interval
-    xp = np.concatenate(([a], u.x, [b]))
+    xp = np.concatenate(([-1.0], u.x, [1.0]))
     wp = np.concatenate(([0.0], w, [0.0]))
 
     max_point, max_value = _refine_extremum(xp, wp, int(np.argmax(wp)))

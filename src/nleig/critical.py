@@ -68,19 +68,17 @@ class CriticalResult:
     """Critical coupling at fixed q, with the pair of full solves that confirm it.
 
     ``bracket`` is (alpha_q - tol/2, alpha_q + tol/2), rounded inward so that
-    its width is at most ``tolerance``: the full solve at its lower end found a
-    constant-sign, unsaturated minimizer, the one at its upper end a saturated
-    eigenvalue.  ``solver_calls`` counts every ``minimize`` call of the
+    its width is at most the search's ``tol``: the full solve at its lower end
+    found a constant-sign, unsaturated minimizer, the one at its upper end a
+    saturated eigenvalue.  ``solver_calls`` counts every ``minimize`` call of the
     search: the full solve that checks the lower end, the single-restart
     Newton solves on the constant-sign branch, the two full confirming solves,
     and a full solve at 2*pi^2 only when a Newton step is clamped there.
     """
 
-    q: float
     alpha_q: float
     bracket: tuple[float, float]
     saturation_value: float
-    tolerance: float
     solver_calls: int
 
 
@@ -178,11 +176,9 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
             f"bracket violation: eigenvalue not saturated at alpha = {above:.6f} (q = {q})"
         )
     return CriticalResult(
-        q=q,
         alpha_q=alpha_q,
         bracket=(below, above),
         saturation_value=sat,
-        tolerance=tol,
         solver_calls=calls,
     )
 
@@ -227,22 +223,25 @@ def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> f
 def rescale_lambda(
     a: float, b: float, alpha: float, q: float, opts: SolverOptions = SolverOptions()
 ) -> float:
-    """Eigenvalue on the interval (a, b) via the reference-interval solve.
+    """Eigenvalue on the interval (a, b) via the solve on (-1, 1).
 
         lambda(alpha, q; (a, b)) = (2/(b-a))^2 * lambda( ((b-a)/2)^(1+2/q) * alpha, q )
 
-    (a, b) must be a finite ordered pair, as for any ``ProblemParams``
-    interval, and neither the rescaled coupling nor the rescaled eigenvalue
-    may underflow or overflow.
+    The problem itself is posed on (-1, 1) only; this is where any other
+    interval enters.  (a, b) must be a finite ordered pair, the factor
+    ((b-a)/2)^(1+2/q) may neither underflow nor overflow, and neither may the
+    rescaled coupling or the rescaled eigenvalue overflow.
     """
-    params = ProblemParams(alpha, q, (a, b))
-    unscalable = ValueError(f"interval {params.interval!r} is too short or too long to rescale to (-1, 1)")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"interval must be an ordered finite pair, got {(a, b)!r}")
+    ProblemParams(alpha, q)
+    unscalable = ValueError(f"interval {(a, b)!r} is too short or too long to rescale to (-1, 1)")
     scale = 0.5 * (b - a)
     try:
         factor = scale ** (1.0 + 2.0 / q)  # a power >= 2: scale**2 is nonzero and finite if this is
     except OverflowError:
         factor = math.inf
-    if not 0.0 < factor < math.inf:
+    if not (0.0 < factor < math.inf and math.isfinite(factor * alpha)):
         raise unscalable
     lam = float(minimize(ProblemParams(factor * alpha, q), opts).lam) / scale**2
     if not math.isfinite(lam):

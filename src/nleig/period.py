@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_endpoint_singular
+from .quadrature import QuadResult, integrate_endpoint_singular
 
 DEFAULT_TARGET_REL_ERR = 1e-10
 
@@ -39,16 +39,6 @@ class FirstIntegralCoeffs:
     t: float
     m: float
     q: float
-
-
-@dataclass(frozen=True)
-class PeriodValue:
-    """Half-period value with the propagated quadrature error estimate."""
-
-    m: float
-    q: float
-    value: float
-    error_estimate: float
 
 
 def _check_mq(m: float, q: float) -> None:
@@ -151,7 +141,7 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
     return pos, neg
 
 
-def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> PeriodValue:
+def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> QuadResult:
     """Evaluate the half-period integral by float64 tanh-sinh quadrature.
 
     Both arcs are integrated together in their square-root variables (see
@@ -160,7 +150,8 @@ def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_E
     where the density grows like y^(-q/2); the quadrature resolves it through
     the complement c = 1 - u.  (m, q) = (0, 2) diverges and raises ValueError;
     for m = 0 with q close to 2 the tail below y ~ 1e-275 stops being
-    negligible and the quadrature raises QuadratureNonconvergence.
+    negligible and the quadrature raises QuadratureNonconvergence.  Returns
+    the quadrature's value, error estimate and count of density evaluations.
     """
     _check_mq(m, q)
     if m == 0.0 and q == 2.0:
@@ -170,8 +161,7 @@ def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_E
         pos, neg = arc_densities(*arc_variables(u, c), m, q)
         return pos + neg
 
-    res = integrate_endpoint_singular(density, target_rel_err)
-    return PeriodValue(m=m, q=q, value=res.value, error_estimate=res.error_estimate)
+    return integrate_endpoint_singular(density, target_rel_err)
 
 
 def _check_mq_open(m: float, q: float) -> None:

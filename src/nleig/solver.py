@@ -161,13 +161,11 @@ def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarra
     return u, q_val, iterations, converged
 
 
-def _starts(tag: str, x: np.ndarray, interval) -> np.ndarray:
-    a, b = interval
-    span = b - a
+def _starts(tag: str, x: np.ndarray) -> np.ndarray:
     if tag == "positive_bump":
-        return np.sin(np.pi * (x - a) / span)
-    # odd_sine: equals sin(pi*x) on the reference interval (-1, 1)
-    return -np.sin(2.0 * np.pi * (x - a) / span)
+        return np.sin(np.pi * (x + 1.0) / 2.0)
+    # odd_sine: equals sin(pi*x)
+    return -np.sin(2.0 * np.pi * (x + 1.0) / 2.0)
 
 
 def _euler_lagrange_residual(
@@ -192,15 +190,14 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     SolverNonconvergence (carrying the result) if the winner hit the
     iteration cap.
     """
-    a, b = params.interval
     n = opts.n
-    h = (b - a) / (n + 1)
-    x = np.linspace(a, b, n + 2)[1:-1]
+    h = 2.0 / (n + 1)
+    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
     alpha, q = params.alpha, params.q
     runs = []
     total_iterations = 0
     for tag in opts.starts:
-        u, q_val, iters, conv = _descend(_starts(tag, x, params.interval), h, alpha, q)
+        u, q_val, iters, conv = _descend(_starts(tag, x), h, alpha, q)
         total_iterations += iters
         runs.append((q_val, u, conv, is_constant_sign(u)))
 
@@ -224,7 +221,7 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
         v, s = -v, -s
     gamma = s ** (2.0 / q - 1.0) if s > _GAMMA_ZERO_TOL else 0.0
 
-    minimizer = GridFunction(v, params.interval)
+    minimizer = GridFunction(v)
     result = EigenResult(
         lam=q_best,
         minimizer=minimizer,

@@ -168,18 +168,23 @@ def _c6_q2_linear_branch():
     return worst <= 1e-4, f"max rel dev of lambda(alpha,2) from pi^2/4+alpha: {worst:.2e}"
 
 
+def _q1_branch_root(alpha: float) -> float:
+    """Eigenvalue of the q = 1 constant-sign branch at coupling 0 < alpha < pi^2/2."""
+    # the coupling map is strictly increasing on (pi^2/4, pi^2): bisect it
+    lo, hi = _PI2 / 4.0 + 1e-9, _PI2 - 1e-9
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if q1_coupling_of_eigenvalue(mid) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _c7_q1_branch_oracle():
     fails = []
     for alpha in (1.0, 2.5, 4.0):
-        # the coupling map is strictly increasing on (pi^2/4, pi^2): bisect it
-        lo, hi = _PI2 / 4.0 + 1e-9, _PI2 - 1e-9
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if q1_coupling_of_eigenvalue(mid) < alpha:
-                lo = mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
+        root = _q1_branch_root(alpha)
         lam_solver = _solve(alpha, 1.0).lam
         rel = abs(lam_solver - root) / root
         if rel > 1e-3:
@@ -234,10 +239,14 @@ def _c10_duality():
 
 
 def _c11_rescaling():
-    direct = minimize(ProblemParams(1.0, 2.0, interval=(-2.0, 2.0)), _opts()).lam
-    rescaled = rescale_lambda(-2.0, 2.0, 1.0, 2.0, _opts())
-    rel = abs(direct - rescaled) / abs(rescaled)
-    return rel <= 1e-3, f"direct (-2,2) solve vs rescaled reference: rel dev {rel:.2e}"
+    # on (-2, 2) the reference coupling is 2^(1+2/q)*alpha = 4 and lambda scales by 1/4
+    worst = 0.0
+    dists = []
+    for q, alpha, exact in ((2.0, 1.0, (_PI2 / 4.0 + 4.0) / 4.0), (1.0, 0.5, _q1_branch_root(4.0) / 4.0)):
+        rel = abs(rescale_lambda(-2.0, 2.0, alpha, q, _opts()) - exact) / exact
+        worst = max(worst, rel)
+        dists.append(f"q={q}: rel {rel:.1e}")
+    return worst <= 1e-6, "rescaled (-2,2) lambda vs closed forms (tol 1e-6): " + "; ".join(dists)
 
 
 def _c12_profile_oracle():

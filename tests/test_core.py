@@ -50,7 +50,7 @@ def test_quotient_scaling_invariance():
     params = ProblemParams(2.0, 1.5)
     base = rayleigh_quotient(u, params)
     for c in (-3.0, 0.1, 7.0):
-        scaled = GridFunction(c * u.values, u.interval)
+        scaled = GridFunction(c * u.values)
         assert abs(rayleigh_quotient(scaled, params) - base) <= 1e-12 * abs(base)
 
 
@@ -84,19 +84,11 @@ def test_quotient_rejects_degenerate_input():
         rayleigh_quotient(u, ProblemParams(0.0, 1.5))
 
 
-def test_quotient_rejects_interval_mismatch():
-    u = GridFunction(np.ones(10), interval=(0.0, 2.0))
-    with pytest.raises(ValueError, match="interval"):
-        rayleigh_quotient(u, ProblemParams(0.0, 1.5))
-
-
 def test_grid_function_validation():
     with pytest.raises(ValueError):
         GridFunction(np.array([1.0, 2.0]))  # too few nodes
     with pytest.raises(ValueError):
         GridFunction(np.array([1.0, np.nan, 2.0]))
-    with pytest.raises(ValueError):
-        GridFunction(np.ones(5), interval=(2.0, 1.0))
 
 
 def test_problem_params_validation():
@@ -106,8 +98,6 @@ def test_problem_params_validation():
         ProblemParams(0.0, 2.5)
     with pytest.raises(ValueError):
         ProblemParams(math.nan, 1.5)
-    with pytest.raises(ValueError):
-        ProblemParams(0.0, 1.5, interval=(1.0, -1.0))
 
 
 # --- q_average ---------------------------------------------------------------

@@ -218,7 +218,7 @@ def _counted_descent(monkeypatch, v0, alpha, q, n=4000):
 def test_odd_sine_start_above_threshold_is_already_converged(monkeypatch, alpha, q):
     # above alpha_q the sampled sine is the exact discrete odd minimizer
     x = np.linspace(-1.0, 1.0, 4002)[1:-1]
-    v0 = _starts("odd_sine", x, (-1.0, 1.0))
+    v0 = _starts("odd_sine", x)
     iterations, evaluations, converged, value = _counted_descent(monkeypatch, v0, alpha, q)
     assert (iterations, evaluations, converged) == (0, 1, True)
     assert value == pytest.approx(saturation_reference(4000, q), rel=1e-14)
