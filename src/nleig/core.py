@@ -130,7 +130,8 @@ def apply_stiffness(v: np.ndarray, h: float) -> np.ndarray:
     out = 2.0 * v
     out[:-1] -= v[1:]
     out[1:] -= v[:-1]
-    return out / h**2
+    out /= h**2
+    return out
 
 
 def quotient_terms(v: np.ndarray, h: float, q: float) -> tuple[float, np.ndarray, float]:
@@ -225,7 +226,7 @@ def analyze(u: GridFunction) -> MinimizerProfile:
         else:
             w = v
 
-    xp = np.concatenate(([-1.0], u.x, [1.0]))
+    xp = np.linspace(-1.0, 1.0, u.n + 2)
     wp = np.concatenate(([0.0], w, [0.0]))
 
     max_point, max_value = _refine_extremum(xp, wp, int(np.argmax(wp)))

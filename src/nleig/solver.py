@@ -7,10 +7,12 @@ one (alpha > alpha_q); the smaller quotient wins.  The descent direction is
 the quotient gradient preconditioned by the inverse Dirichlet stiffness
 operator, which keeps the step count mesh-independent; a raw L2 gradient would
 need O(1/h^2) iterations at the default resolution.  That inverse is applied
-in closed form through the discrete Green's function of -u'' (two prefix
-sums, no factorization).  One kernel evaluates each trial point once,
-returning the quotient and its gradient from a single |v|^(q-1) and stencil
-apply; the accepted trial's gradient starts the next step.
+in closed form through the discrete Green's function of -u'': a double prefix
+sum of the right-hand side and one weighted correction, no factorization.
+One kernel evaluates each trial point once, returning the quotient and its
+gradient from a single |v|^(q-1) and stencil apply; the accepted trial's
+gradient starts the next step.  What depends on the grid size alone, the
+Green's weights and the start vectors, is built once per n and kept read-only.
 
 Work that cannot lower the quotient by the stopping tolerance is skipped.
 An S inside a rounding band counts as the kink S = 0, so the sampled odd
@@ -22,6 +24,7 @@ is analysed in full.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,17 +93,19 @@ class SolverNonconvergence(RuntimeError):
 def _dirichlet_solve(r: np.ndarray, h: float) -> np.ndarray:
     """Solve (2*u_i - u_{i-1} - u_{i+1}) / h^2 = r_i with u_0 = u_{n+1} = 0.
 
-    Discrete Green's function of -u'', with N = n + 1 and 1-based i, j:
+    Discrete Green's function of -u'' as a double prefix sum.  With 1-based
+    i and C_k = sum_{m<=k} sum_{j<=m} r_j (so C_0 = 0, and C_n equals
+    sum_j (n+1-j)*r_j):
 
-        u_i = h^2 * [ (N-i) * sum_{j<=i} j*r_j  +  i * sum_{j>i} (N-j)*r_j ] / N
+        u_i = h^2 * ( i/(n+1) * C_n  -  C_{i-1} )
     """
-    n = r.shape[0]
-    big_n = n + 1
-    j = np.arange(1.0, big_n)
-    head = np.cumsum(j * r)
-    tail = np.zeros(n)
-    tail[:-1] = np.cumsum(((big_n - j) * r)[:0:-1])[::-1]
-    return (h * h / big_n) * ((big_n - j) * head + j * tail)
+    weights = _grid(r.shape[0])[0]
+    c = np.add.accumulate(r)
+    np.add.accumulate(c, out=c)
+    u = weights * c[-1]
+    u[1:] -= c[:-1]
+    u *= h * h
+    return u
 
 
 def quotient_and_gradient(v: np.ndarray, h: float, alpha: float, q: float) -> tuple[float, np.ndarray]:
@@ -116,8 +121,11 @@ def quotient_and_gradient(v: np.ndarray, h: float, alpha: float, q: float) -> tu
     value = (energy + alpha * abs(s) ** expo) / (h * float(v @ v))
     g = apply_stiffness(v, h)
     if abs(s) > _S_ROUNDING_BAND:
-        g += alpha * abs(s) ** (expo - 1.0) * math.copysign(1.0, s) * p
-    return value, 2.0 * (g - value * v)
+        p *= alpha * abs(s) ** (expo - 1.0) * math.copysign(1.0, s)
+        g += p
+    g -= value * v
+    g *= 2.0
+    return value, g
 
 
 def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarray, float, int, bool]:
@@ -138,7 +146,8 @@ def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarra
     while iterations < _MAX_ITERATIONS:
         # the half factor makes the unit step coincide with inverse iteration
         # on the local problem, which crushes high-frequency error modes
-        d = 0.5 * _dirichlet_solve(g, h)
+        d = _dirichlet_solve(g, h)
+        d *= 0.5
         slope = h * float(g @ d)
         step = step_init
         while step * slope > _LAMBDA_TOL:
@@ -168,6 +177,19 @@ def _starts(tag: str, x: np.ndarray) -> np.ndarray:
     return -np.sin(2.0 * np.pi * (x + 1.0) / 2.0)
 
 
+# bounded, since each entry keeps three n-vectors alive
+@functools.lru_cache(maxsize=8)
+def _grid(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Read-only constants of the n-node grid: the Green's weights i/(n+1),
+    i = 1..n, and the start vector of each tag in _START_TAGS."""
+    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    weights = np.arange(1.0, n + 1) / (n + 1)
+    starts = {tag: _starts(tag, x) for tag in _START_TAGS}
+    for a in (weights, *starts.values()):
+        a.flags.writeable = False
+    return weights, starts
+
+
 def _euler_lagrange_residual(
     v: np.ndarray, lam: float, gamma: float, alpha: float, q: float, h: float
 ) -> float:
@@ -192,12 +214,12 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     """
     n = opts.n
     h = 2.0 / (n + 1)
-    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    starts = _grid(n)[1]
     alpha, q = params.alpha, params.q
     runs = []
     total_iterations = 0
     for tag in opts.starts:
-        u, q_val, iters, conv = _descend(_starts(tag, x), h, alpha, q)
+        u, q_val, iters, conv = _descend(starts[tag], h, alpha, q)
         total_iterations += iters
         runs.append((q_val, u, conv, is_constant_sign(u)))
 

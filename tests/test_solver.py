@@ -18,7 +18,9 @@ from nleig.solver import (
     _descend,
     _dirichlet_solve,
     _euler_lagrange_residual,
+    _grid,
     _S_ROUNDING_BAND,
+    _START_TAGS,
     _starts,
     minimize,
     quotient_and_gradient,
@@ -267,6 +269,22 @@ def test_dirichlet_solve_inverts_stiffness(n):
     assert np.linalg.norm(fwd - r) <= 1e-10 * np.linalg.norm(r)
 
 
+def _thomas_solve(r, h):
+    """Reference: forward elimination and back substitution on tridiag(-1, 2, -1) u = h^2 r."""
+    n = len(r)
+    diag = [2.0] * n
+    rhs = [h * h * float(ri) for ri in r]
+    for i in range(1, n):
+        m = -1.0 / diag[i - 1]
+        diag[i] += m
+        rhs[i] -= m * rhs[i - 1]
+    u = [0.0] * n
+    u[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        u[i] = (rhs[i] + u[i + 1]) / diag[i]
+    return np.array(u)
+
+
 def test_dirichlet_solve_matches_dense_solve():
     n = 100
     h = 2.0 / (n + 1)
@@ -274,6 +292,38 @@ def test_dirichlet_solve_matches_dense_solve():
     r = np.random.default_rng(0).standard_normal(n)
     ref = np.linalg.solve(stiffness, r)
     assert np.linalg.norm(_dirichlet_solve(r, h) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(_thomas_solve(r, h) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the production size, against the tridiagonal elimination
+    n = 4000
+    h = 2.0 / (n + 1)
+    r = np.random.default_rng(1).standard_normal(n)
+    ref = _thomas_solve(r, h)
+    assert np.linalg.norm(_dirichlet_solve(r, h) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+# --- per-grid constants -------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [100, 4000])
+def test_grid_constants_are_read_only(n):
+    weights, starts = _grid(n)
+    assert set(starts) == set(_START_TAGS)
+    for a in (weights, *starts.values()):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+
+
+def test_minimize_repeats_bytes_across_grid_sizes():
+    params = ProblemParams(3.0, 1.5)
+
+    def fingerprint(n):
+        res = minimize(params, SolverOptions(n=n))
+        return res.lam, res.iterations, res.minimizer.values.tobytes()
+
+    first = fingerprint(4000)
+    fingerprint(100)
+    assert fingerprint(4000) == first
 
 
 # --- structural invariants --------------------------------------------------------
