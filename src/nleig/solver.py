@@ -12,14 +12,22 @@ sum of the right-hand side and one weighted correction, no factorization.
 One kernel evaluates each trial point once, returning the quotient and its
 gradient from a single |v|^(q-1) and stencil apply; the accepted trial's
 gradient starts the next step.  What depends on the grid size alone, the
-Green's weights and the start vectors, is built once per n and kept read-only.
+Green's weights and the normalized start vectors, is built once per n and
+kept read-only.
+
+On the constant-sign branch the descent converges linearly with one dominant
+error mode; while the iterate keeps one sign and the last step was a full
+one, each step first tries a depth-1 Anderson (secant) extrapolation of the
+last two unit-step points, which removes that mode.  Sign-changing iterates,
+which sit near the kink S = 0 of alpha*|S|^(2/q), take plain steps.
 
 Work that cannot lower the quotient by the stopping tolerance is skipped.
 An S inside a rounding band counts as the kink S = 0, so the sampled odd
-sine, already the discrete odd minimizer, costs one evaluation; backtracking
-stops before a step whose predicted decrease is at most the tolerance; and
-restarts are told apart by the constant-sign test alone, so only the winner
-is analysed in full.
+sine, already the discrete odd minimizer, is a stationary point: the odd
+restart evaluates it once and takes no step.  Backtracking stops before a
+step whose predicted decrease is at most the tolerance, and restarts are
+told apart by the constant-sign test alone, so only the winner is analysed
+in full.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EigenResult, GridFunction, ProblemParams, analyze, apply_stiffness, is_constant_sign
-from .core import quotient_terms, rayleigh_quotient
+from .core import quotient_terms
 
 _START_TAGS = ("positive_bump", "odd_sine")
 
@@ -108,6 +116,12 @@ def _dirichlet_solve(r: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
+def _quotient(v: np.ndarray, h: float, alpha: float, q: float) -> tuple[float, np.ndarray, float]:
+    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v), with |v|^(q-1) and S."""
+    energy, p, s = quotient_terms(v, h, q)
+    return (energy + alpha * abs(s) ** (2.0 / q)) / (h * float(v @ v)), p, s
+
+
 def quotient_and_gradient(v: np.ndarray, h: float, alpha: float, q: float) -> tuple[float, np.ndarray]:
     """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v) and its gradient in v.
 
@@ -116,33 +130,46 @@ def quotient_and_gradient(v: np.ndarray, h: float, alpha: float, q: float) -> tu
     stands for the kink S = 0, where the limit (q < 2) and the subgradient
     choice (q = 2) are both 0.  The value keeps alpha*|S|^(2/q) as computed.
     """
-    energy, p, s = quotient_terms(v, h, q)
-    expo = 2.0 / q
-    value = (energy + alpha * abs(s) ** expo) / (h * float(v @ v))
+    value, p, s = _quotient(v, h, alpha, q)
     g = apply_stiffness(v, h)
     if abs(s) > _S_ROUNDING_BAND:
-        p *= alpha * abs(s) ** (expo - 1.0) * math.copysign(1.0, s)
+        p *= alpha * abs(s) ** (2.0 / q - 1.0) * math.copysign(1.0, s)
         g += p
     g -= value * v
     g *= 2.0
     return value, g
 
 
-def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarray, float, int, bool]:
+def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarray, float, int, int, bool]:
     """Armijo-backtracked preconditioned descent of the quotient on the unit L2 sphere.
 
+    Returns the iterate, its quotient, the steps taken, the kernel
+    evaluations made and whether the descent converged.
     ``quotient_and_gradient`` runs once per trial point.  The descent
     converges when an accepted step lowers the quotient by less than
     _LAMBDA_TOL, or when backtracking reaches a step whose first-order
     decrease step*slope is at most _LAMBDA_TOL: such a step could only end the
     descent, so it is not tried.  A start at the minimum costs one
     evaluation.  At most _MAX_ITERATIONS steps are taken.
+
+    On a constant-sign iterate the unit step converges linearly with one
+    dominant error mode, which a depth-1 Anderson (secant) extrapolation
+    removes (Walker & Ni 2011).  With G_k = u_k - d_k the unit-step point
+    and d_k the scaled preconditioned gradient, the step first tries
+    G_k - gamma*(G_k - G_{k-1}), gamma = d_k.(d_k - d_{k-1}) / |d_k - d_{k-1}|^2,
+    and keeps it under the unit step's Armijo test; otherwise the line
+    search runs as without it, at the cost of one more evaluation.  The
+    history holds only across unit or extrapolated steps.  Sign-changing
+    iterates never extrapolate: near the kink S = 0 of alpha*|S|^(2/q) a
+    secant through two sides of it can send the descent astray.
     """
     u = u / math.sqrt(h * float(u @ u))
     q_val, g = quotient_and_gradient(u, h, alpha, q)
+    evaluations = 1
     iterations = 0
     converged = False
     step_init = 1.0
+    prev = None  # (u, d) of the last iterate that a unit or extrapolated step left
     while iterations < _MAX_ITERATIONS:
         # the half factor makes the unit step coincide with inverse iteration
         # on the local problem, which crushes high-frequency error modes
@@ -150,24 +177,38 @@ def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarra
         d *= 0.5
         slope = h * float(g @ d)
         step = step_init
-        while step * slope > _LAMBDA_TOL:
-            trial = u - step * d
+        accepted = False
+        if prev is not None and slope > _LAMBDA_TOL and is_constant_sign(u):
+            dd = d - prev[1]
+            gamma = float(d @ dd) / float(dd @ dd)
+            # G_k - G_{k-1} = (u_k - u_{k-1}) - (d_k - d_{k-1})
+            trial = u - d
+            trial -= gamma * ((u - prev[0]) - dd)
             trial /= math.sqrt(h * float(trial @ trial))
             q_trial, g_trial = quotient_and_gradient(trial, h, alpha, q)
-            if q_trial <= q_val - _ARMIJO * step * slope:
+            evaluations += 1
+            accepted = q_trial <= q_val - _ARMIJO * slope
+        if not accepted:
+            while step * slope > _LAMBDA_TOL:
+                trial = u - step * d
+                trial /= math.sqrt(h * float(trial @ trial))
+                q_trial, g_trial = quotient_and_gradient(trial, h, alpha, q)
+                evaluations += 1
+                if q_trial <= q_val - _ARMIJO * step * slope:
+                    break
+                step *= 0.5
+            else:
+                converged = True  # no step accepted: no decrease above tol left
                 break
-            step *= 0.5
-        else:
-            converged = True  # no step accepted: no decrease above tol left
-            break
         step_init = min(1.0, 2.0 * step)  # warm-start the next search
+        prev = (u, d) if step == 1.0 else None
         decrease = q_val - q_trial
         u, q_val, g = trial, q_trial, g_trial
         iterations += 1
         if decrease < _LAMBDA_TOL:
             converged = True
             break
-    return u, q_val, iterations, converged
+    return u, q_val, iterations, evaluations, converged
 
 
 def _starts(tag: str, x: np.ndarray) -> np.ndarray:
@@ -181,10 +222,13 @@ def _starts(tag: str, x: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _grid(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Read-only constants of the n-node grid: the Green's weights i/(n+1),
-    i = 1..n, and the start vector of each tag in _START_TAGS."""
+    i = 1..n, and the L2-normalized start vector of each tag in _START_TAGS."""
     x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    h = 2.0 / (n + 1)
     weights = np.arange(1.0, n + 1) / (n + 1)
     starts = {tag: _starts(tag, x) for tag in _START_TAGS}
+    for u in starts.values():
+        u /= math.sqrt(h * float(u @ u))
     for a in (weights, *starts.values()):
         a.flags.writeable = False
     return weights, starts
@@ -203,8 +247,9 @@ def _euler_lagrange_residual(
 def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> EigenResult:
     """Compute lambda(alpha, q) and a minimizer by projected descent.
 
-    By default descends once from each branch of the dichotomy, a positive
-    bump and an odd sine, and returns the restart with the smallest quotient;
+    By default takes one restart per branch of the dichotomy, a descent from
+    a positive bump and the evaluated odd sine (the exact discrete odd
+    minimizer, 0 steps), and returns the restart with the smallest quotient;
     when the best constant-sign and best sign-changing quotients agree to
     within 1e-9 the constant-sign result is reported with the ``degenerate``
     flag set.  Restarts are classified by the constant-sign test alone
@@ -219,7 +264,13 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     runs = []
     total_iterations = 0
     for tag in opts.starts:
-        u, q_val, iters, conv = _descend(starts[tag], h, alpha, q)
+        if tag == "odd_sine":
+            # the sampled sine is the discrete odd minimizer: a descent from it
+            # stops at its first evaluation, so evaluate it instead
+            u = starts[tag].copy()
+            q_val, iters, conv = _quotient(u, h, alpha, q)[0], 0, True
+        else:
+            u, q_val, iters, _, conv = _descend(starts[tag], h, alpha, q)
         total_iterations += iters
         runs.append((q_val, u, conv, is_constant_sign(u)))
 
@@ -268,9 +319,12 @@ def saturation_reference(n: int, q: float) -> float:
     """Discrete Rayleigh quotient of sampled sin(pi*x): the grid-consistent pi^2.
 
     The q-average of the sine vanishes by odd symmetry, so the value is the
-    pure Dirichlet quotient and is independent of both alpha and q.
+    pure Dirichlet quotient and is independent of both alpha and q.  It is
+    the quotient of the stored ``odd_sine`` start, the vector the odd
+    restart of ``minimize`` evaluates.
     """
     if n < 100:
         raise ValueError(f"n must be at least 100, got {n}")
-    u = GridFunction.from_callable(lambda x: np.sin(np.pi * x), n)
-    return rayleigh_quotient(u, ProblemParams(alpha=0.0, q=q))
+    if not 1.0 <= q <= 2.0:
+        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    return _quotient(_grid(n)[1]["odd_sine"], 2.0 / (n + 1), 0.0, q)[0]

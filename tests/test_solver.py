@@ -9,6 +9,7 @@ from nleig.core import (
     analyze,
     apply_stiffness,
     q_average,
+    quotient_terms,
     rayleigh_quotient,
 )
 from nleig import solver
@@ -202,40 +203,75 @@ def test_small_real_average_keeps_the_nonlocal_gradient():
 
 # --- descent work -----------------------------------------------------------------
 
-def _counted_descent(monkeypatch, v0, alpha, q, n=4000):
+def _counted_descent(v0, alpha, q, n=4000):
     """Run _descend on the quotient from v0; returns (iterations, evaluations, converged, value)."""
-    h = 2.0 / (n + 1)
-    calls = [0]
-
-    def counted(v, h, alpha, q):
-        calls[0] += 1
-        return quotient_and_gradient(v, h, alpha, q)
-
-    monkeypatch.setattr(solver, "quotient_and_gradient", counted)
-    _, value, iterations, converged = _descend(v0, h, alpha, q)
-    return iterations, calls[0], converged, value
+    _, value, iterations, evaluations, converged = _descend(v0, 2.0 / (n + 1), alpha, q)
+    return iterations, evaluations, converged, value
 
 
 @pytest.mark.parametrize("alpha,q", [(8.0, 2.0), (5.0, 1.5), (8.8, 1.8)])
-def test_odd_sine_start_above_threshold_is_already_converged(monkeypatch, alpha, q):
+def test_odd_sine_start_above_threshold_is_already_converged(alpha, q):
     # above alpha_q the sampled sine is the exact discrete odd minimizer
     x = np.linspace(-1.0, 1.0, 4002)[1:-1]
     v0 = _starts("odd_sine", x)
-    iterations, evaluations, converged, value = _counted_descent(monkeypatch, v0, alpha, q)
+    iterations, evaluations, converged, value = _counted_descent(v0, alpha, q)
     assert (iterations, evaluations, converged) == (0, 1, True)
-    assert value == pytest.approx(saturation_reference(4000, q), rel=1e-14)
+    assert value == saturation_reference(4000, q)
+
+
+@pytest.mark.parametrize("n", [100, 4000])
+@pytest.mark.parametrize("alpha", [-50.0, 0.0, 9.0, 2.0 * PI2, 1e6])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+def test_odd_restart_is_the_descent_it_replaces(q, alpha, n):
+    # minimize evaluates the stored sine instead of descending from it; the
+    # descent would stop at its first evaluation with the same bits
+    sine = _grid(n)[1]["odd_sine"]
+    u, value, iterations, evaluations, converged = _descend(sine, 2.0 / (n + 1), alpha, q)
+    assert (iterations, evaluations, converged) == (0, 1, True)
+    res = minimize(ProblemParams(alpha, q), SolverOptions(n, starts=("odd_sine",)))
+    assert (res.lam, res.iterations, res.converged) == (value, 0, True)
+    s = quotient_terms(u, 2.0 / (n + 1), q)[2]
+    assert np.array_equal(res.minimizer.values, -u if s < 0.0 else u)
+    assert res.minimizer.values.flags.writeable  # a copy, not the stored start
+
+
+@pytest.mark.parametrize("n", [100, 4000, 12345])
+def test_stored_sine_has_rounding_level_average(n):
+    sine = _grid(n)[1]["odd_sine"]
+    for q in (1.0, 1.5, 2.0):
+        assert abs(quotient_terms(sine, 2.0 / (n + 1), q)[2]) <= _S_ROUNDING_BAND
+
+
+@pytest.mark.parametrize(
+    "alpha,q,most",
+    # without the extrapolation: 6, 10, 7 and 5 steps
+    [(3.0, 1.5, 4), (4.99139, 1.0251, 7), (-5.0, 1.2, 4), (7.16, 1.947, 3)],
+)
+def test_extrapolation_shortens_constant_sign_descents(alpha, q, most):
+    iterations, evaluations, converged, _ = _counted_descent(_grid(4000)[1]["positive_bump"], alpha, q)
+    assert converged
+    assert iterations <= most
+    assert evaluations <= 2 * iterations + 1
+
+
+def test_sign_changing_descent_does_not_extrapolate():
+    # the bump restart crosses S = 0 here; secant steps across the kink sent
+    # it to the iteration cap, against 18 steps without them
+    iterations, _, converged, _ = _counted_descent(_grid(1200)[1]["positive_bump"], 1000.0, 1.65, n=1200)
+    assert converged
+    assert iterations <= 50
 
 
 @pytest.mark.parametrize(
     "alpha,q,start",
     [(2.0 * PI2, 2.0, "sine"), (9.0, 1.5, "winner"), (2.0, 1.5, "winner")],
 )
-def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(monkeypatch, alpha, q, start):
+def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, start):
     if start == "sine":
         v0 = GridFunction.from_callable(lambda x: np.sin(math.pi * x), 4000).values
     else:
         v0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values
-    _, evaluations, converged, _ = _counted_descent(monkeypatch, v0, alpha, q)
+    _, evaluations, converged, _ = _counted_descent(v0, alpha, q)
     assert converged
     assert evaluations <= 2
 
