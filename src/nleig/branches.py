@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction
+from .core import GridFunction, nodes
 from .period import (
     DEFAULT_TARGET_REL_ERR,
     arc_densities,
@@ -144,23 +144,20 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     max_point = -1.0 + len_pos / period
     min_point = zero + len_neg / period
 
-    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    x = nodes(n)[1:-1]
+    # x is sorted: the cut points split it at max_point <= zero <= min_point
+    i_max, i_zero, i_min = np.searchsorted(x, (max_point, zero, min_point), side="right")
     s = np.empty_like(x)
-    left = x <= max_point
-    s[left] = x[left] + 1.0
-    mid = (~left) & (x <= zero)
-    s[mid] = zero - x[mid]
-    down = (x > zero) & (x <= min_point)
-    s[down] = x[down] - zero
-    right = x > min_point
-    s[right] = 1.0 - x[right]
+    s[:i_max] = x[:i_max] + 1.0
+    s[i_max:i_zero] = zero - x[i_max:i_zero]
+    s[i_zero:i_min] = x[i_zero:i_min] - zero
+    s[i_min:] = 1.0 - x[i_min:]
     s *= lam_sqrt
 
     values = np.empty_like(x)
-    pos_mask = x <= zero
     # np.interp holds the end values outside [0, len], which clamps the arcs
-    values[pos_mask] = np.interp(s[pos_mask], s_pos, y_pos)
-    values[~pos_mask] = -np.interp(s[~pos_mask], s_neg, w_neg)
+    values[:i_zero] = np.interp(s[:i_zero], s_pos, y_pos)
+    values[i_zero:] = -np.interp(s[i_zero:], s_neg, w_neg)
     return GridFunction(values)
 
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .core import EigenResult, ProblemParams
+from .core import EigenResult, ProblemParams, nodes
 from .critical import BracketViolation, alpha_critical
 from .period import half_period
 from .quadrature import QuadratureNonconvergence
@@ -109,7 +109,7 @@ def _cmd_alpha_crit(args) -> int:
 def _cmd_profile(args) -> int:
     result = _solve(args.alpha, args.q, SolverOptions(n=args.n))
     u = result.minimizer
-    xs = np.concatenate(([-1.0], u.x, [1.0]))
+    xs = nodes(u.n)
     ys = np.concatenate(([0.0], u.values, [0.0]))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("x,y\n")

@@ -11,6 +11,7 @@ accurate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,6 +22,15 @@ import numpy as np
 # descent iterates carry roundoff-scale undershoots near the boundary, and
 # zero counting ignores sign changes inside the same band.
 SIGN_BAND = 1e-6
+
+
+# bounded, since analyze, the solver and the profile rebuild each meet a few grid sizes
+@functools.lru_cache(maxsize=8)
+def nodes(n: int) -> np.ndarray:
+    """Read-only abscissae -1 + i*h, i = 0..n+1 with h = 2/(n+1): the n interior nodes and both endpoints."""
+    x = np.linspace(-1.0, 1.0, n + 2)
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)
@@ -65,13 +75,12 @@ class GridFunction:
 
     @property
     def x(self) -> np.ndarray:
-        """Interior node abscissae."""
-        return np.linspace(-1.0, 1.0, self.n + 2)[1:-1]
+        """Interior node abscissae (read-only)."""
+        return nodes(self.n)[1:-1]
 
     @classmethod
     def from_callable(cls, f: Callable, n: int) -> "GridFunction":
-        x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-        return cls(np.asarray(f(x), dtype=float))
+        return cls(np.asarray(f(nodes(n)[1:-1]), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -105,24 +114,37 @@ class MinimizerProfile:
 class EigenResult:
     """Outcome of a variational solve: eigenvalue, minimizer and diagnostics.
 
-    ``minimizer`` is L2-normalized with ``q_average`` = S >= 0, and
-    ``profile`` is ``analyze(minimizer)``, measured once by the solver.
-    ``gamma`` is S^(2/q-1), or 0 for a zero-average minimizer; ``residual`` is
-    the RMS residual of -u'' + alpha*gamma*|u|^(q-1) = lam*u on the grid.
-    ``iterations`` sums the descent steps of every restart.  A sign-changing
-    minimizer's first-integral constant is 0.5*lam*first_integral_coeffs(
+    ``minimizer`` is L2-normalized with ``q_average`` = S >= 0, and its
+    values are read-only, so the derived values below cannot drift from the
+    solve.  ``gamma`` is S^(2/q-1), or 0 for a zero-average minimizer.
+    ``iterations`` sums the descent steps of every restart and
+    ``evaluations`` their quotient evaluations (an evaluated start counts 1).
+
+    ``profile`` (``analyze(minimizer)``) and ``residual`` (the RMS residual
+    of -u'' + alpha*gamma*|u|^(q-1) = lam*u on the grid) are derived: each
+    is computed on its first read and kept.  A sign-changing minimizer's
+    first-integral constant is 0.5*lam*first_integral_coeffs(
     profile.m_bar, q).t, the formula behind ``branches.branch_point(...).c``.
     """
 
     lam: float
     minimizer: GridFunction
-    profile: MinimizerProfile
+    params: ProblemParams
     q_average: float
     gamma: float
     iterations: int
-    residual: float
+    evaluations: int
     converged: bool = True
     degenerate: bool = False
+
+    @functools.cached_property
+    def profile(self) -> MinimizerProfile:
+        return analyze(self.minimizer)
+
+    @functools.cached_property
+    def residual(self) -> float:
+        u, p = self.minimizer, self.params
+        return _euler_lagrange_residual(u.values, self.lam, self.gamma, p.alpha, p.q, u.h)
 
 
 def apply_stiffness(v: np.ndarray, h: float) -> np.ndarray:
@@ -154,6 +176,16 @@ def q_average(u: GridFunction, q: float) -> float:
     return quotient_terms(u.values, u.h, q)[2]
 
 
+def _euler_lagrange_residual(
+    v: np.ndarray, lam: float, gamma: float, alpha: float, q: float, h: float
+) -> float:
+    """RMS interior residual of -v'' + alpha*gamma*|v|^(q-1) = lam*v, by the energy's stencil."""
+    r = apply_stiffness(v, h)  # the stencil computes -v'' directly
+    r += alpha * gamma * np.abs(v) ** (q - 1.0)
+    r -= lam * v
+    return float(np.sqrt(np.mean(r * r)))
+
+
 def rayleigh_quotient(u: GridFunction, params: ProblemParams) -> float:
     """( D(u) + alpha*|S(u)|^(2/q) ) / int u^2, exactly invariant under u -> c*u."""
     mass = u.h * float(u.values @ u.values)  # trapezoid rule; the endpoints contribute 0
@@ -171,32 +203,51 @@ def _refine_extremum(xp: np.ndarray, vp: np.ndarray, i: int) -> tuple[float, flo
     """
     if i == 0 or i == vp.size - 1:
         return float(xp[i]), 0.0
-    a, b, c = vp[i - 1], vp[i], vp[i + 1]
+    a, b, c = vp[i - 1 : i + 2].tolist()
+    x, step = float(xp[i]), float(xp[i + 1] - xp[i])
     curv = a - 2.0 * b + c
     if curv == 0.0:
-        return float(xp[i]), float(b)
-    step = xp[i + 1] - xp[i]
-    offset = 0.5 * step * (a - c) / curv
-    offset = float(np.clip(offset, -step, step))
-    value = b - (c - a) ** 2 / (8.0 * curv)
-    return float(xp[i] + offset), float(value)
+        return x, b
+    offset = min(max(0.5 * step * (a - c) / curv, -step), step)
+    return x + offset, b - (c - a) ** 2 / (8.0 * curv)
 
 
-def _part_symmetry_defect(xp: np.ndarray, part: np.ndarray, center: float) -> float:
-    """Relative L2 distance between a sign part and its reflection about `center`."""
+def _part_symmetry_defect(part: np.ndarray, center: float) -> float:
+    """Relative L2 distance between a sign part and its reflection about `center`.
+
+    ``part`` holds the values at all N = n + 2 nodes, zero pads included;
+    outside [-1, 1] the reflection is 0.  The nodes are uniform, so the
+    mirror of node i is the fractional index k - i, k = 2*(center + 1)/h,
+    and the reflection interpolates linearly between the nodes k0 - i and
+    k0 + 1 - i, k0 = floor(k), with weights 1 - f and f, f = k - k0.  Read
+    off the reversed part r (r[j] = part[N - 1 - j]), these are two shifted
+    slices, r[i + s] and r[i + s - 1] with s = N - 1 - k0: no search.
+    """
     norm = math.sqrt(float(part @ part))
     if norm == 0.0:
         return 0.0
-    mirrored = np.interp(2.0 * center - xp, xp, part, left=0.0, right=0.0)
-    diff = part - mirrored
+    size = part.size
+    k = (center + 1.0) * (size - 1)
+    k0 = math.floor(k)
+    f = k - k0
+    rev = part[::-1]
+    diff = part.copy()
+    s = size - 1 - k0
+    for shift, weight in ((s, 1.0 - f), (s - 1, f)):
+        lo, hi = max(0, -shift), min(size, size - shift)
+        if lo < hi:
+            diff[lo:hi] -= weight * rev[lo + shift : hi + shift]
     return math.sqrt(float(diff @ diff)) / norm
+
+
+def _keeps_sign(vmax: float, vmin: float) -> bool:
+    amax = max(vmax, -vmin)
+    return vmin * vmax > -SIGN_BAND * amax * amax
 
 
 def is_constant_sign(v: np.ndarray) -> bool:
     """Whether nodal values keep one sign up to the roundoff band: min*max > -SIGN_BAND*max|v|^2."""
-    vmax, vmin = float(v.max()), float(v.min())
-    amax = max(vmax, -vmin)
-    return vmin * vmax > -SIGN_BAND * amax * amax
+    return _keeps_sign(float(v.max()), float(v.min()))
 
 
 def analyze(u: GridFunction) -> MinimizerProfile:
@@ -207,52 +258,58 @@ def analyze(u: GridFunction) -> MinimizerProfile:
     quadratic fit around the nodal argmax/argmin.
     """
     v = u.values
-    vmax, vmin = float(v.max()), float(v.min())
+    i_max, i_min = int(v.argmax()), int(v.argmin())
+    vmax, vmin = float(v[i_max]), float(v[i_min])
     amax = max(vmax, -vmin)
     if amax == 0.0:
         raise ValueError("degenerate input: u is identically zero")
-    constant_sign = is_constant_sign(v)
+    constant_sign = _keeps_sign(vmax, vmin)
 
+    flip = False
     if constant_sign:
         sign_class = "positive" if vmax >= -vmin else "negative"
-        w = v
     else:
         sign_class = "sign_changing"
         # dominant hump positive; on a tie the maximum comes first
-        if -vmin > vmax * (1.0 + 1e-9):
-            w = -v
-        elif -vmin >= vmax * (1.0 - 1e-9) and np.argmin(v) < np.argmax(v):
-            w = -v
-        else:
-            w = v
+        flip = -vmin > vmax * (1.0 + 1e-9) or (-vmin >= vmax * (1.0 - 1e-9) and i_min < i_max)
 
-    xp = np.linspace(-1.0, 1.0, u.n + 2)
-    wp = np.concatenate(([0.0], w, [0.0]))
-
-    max_point, max_value = _refine_extremum(xp, wp, int(np.argmax(wp)))
-    min_point, min_value = _refine_extremum(xp, wp, int(np.argmin(wp)))
+    xp = nodes(u.n)
+    wp = np.zeros(u.n + 2)
+    w = wp[1:-1]
+    if flip:
+        np.negative(v, out=w)
+        i_max, i_min = i_min, i_max  # argmax(-v) is argmin(v), first occurrence and all
+    else:
+        w[:] = v
+    # the padded argmax is the first node of w's maximum, or the pad 0 where
+    # that maximum is not above the pad's 0; the same for the minimum
+    ip_max = i_max + 1 if w[i_max] > 0.0 else 0
+    ip_min = i_min + 1 if w[i_min] < 0.0 else 0
+    max_point, max_value = _refine_extremum(xp, wp, ip_max)
+    min_point, min_value = _refine_extremum(xp, wp, ip_min)
 
     zeros: list[float] = []
     if not constant_sign:
         band = SIGN_BAND * amax
-        signs = np.where(np.abs(w) <= band, 0.0, np.sign(w))
+        signs = (w > band).view(np.int8) - (w < -band).view(np.int8)
         idx = np.flatnonzero(signs)
         # consecutive out-of-band nodes of opposite sign bracket one zero
-        cross = np.flatnonzero(signs[idx[:-1]] * signs[idx[1:]] < 0.0)
+        s = signs[idx]
+        cross = np.flatnonzero(s[:-1] != s[1:])
         k0, k1 = idx[cross], idx[cross + 1]
         x0, x1 = xp[k0 + 1], xp[k1 + 1]
         w0, w1 = w[k0], w[k1]
         zeros = (x0 + (x1 - x0) * w0 / (w0 - w1)).tolist()
-        m_bar = float(np.clip(-min_value / max_value, 0.0, 1.0)) if max_value > 0 else 1.0
+        m_bar = min(max(-min_value / max_value, 0.0), 1.0) if max_value > 0 else 1.0
     else:
         m_bar = 0.0
 
-    pos_defect = _part_symmetry_defect(xp, np.maximum(wp, 0.0), max_point)
-    neg_defect = _part_symmetry_defect(xp, np.minimum(wp, 0.0), min_point)
+    # a part whose extremum is the pad 0 is zero throughout, with defect 0
+    pos_defect = _part_symmetry_defect(np.maximum(wp, 0.0), max_point) if ip_max else 0.0
+    neg_defect = _part_symmetry_defect(np.minimum(wp, 0.0), min_point) if ip_min else 0.0
 
-    rev = w[::-1]
-    wnorm = math.sqrt(float(w @ w))
-    odd_defect = math.sqrt(float((w + rev) @ (w + rev))) / wnorm
+    odd = w + w[::-1]
+    odd_defect = math.sqrt(float(odd @ odd)) / math.sqrt(float(v @ v))
 
     return MinimizerProfile(
         sign_class=sign_class,

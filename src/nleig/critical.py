@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .branches import alpha_zero_exact
-from .core import ProblemParams
+from .core import ProblemParams, is_constant_sign
 from .solver import _LAMBDA_TOL, SolverOptions, minimize, saturation_reference
 
 _PI2 = math.pi**2
@@ -167,7 +167,7 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     half = 0.5 * tol - math.ulp(alpha_q)
     below, above = alpha_q - half, alpha_q + half
     res_below = solve(below)
-    if res_below.profile.sign_class == "sign_changing" or res_below.lam >= sat - band:
+    if not is_constant_sign(res_below.minimizer.values) or res_below.lam >= sat - band:
         raise BracketViolation(
             f"bracket violation: no unsaturated constant-sign minimizer at alpha = {below:.6f} (q = {q})"
         )

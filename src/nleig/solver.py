@@ -26,8 +26,8 @@ An S inside a rounding band counts as the kink S = 0, so the sampled odd
 sine, already the discrete odd minimizer, is a stationary point: the odd
 restart evaluates it once and takes no step.  Backtracking stops before a
 step whose predicted decrease is at most the tolerance, and restarts are
-told apart by the constant-sign test alone, so only the winner is analysed
-in full.
+told apart by the constant-sign test alone.  Nothing is analysed: the
+result's profile and residual are computed on first read.
 """
 
 from __future__ import annotations
@@ -38,8 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EigenResult, GridFunction, ProblemParams, analyze, apply_stiffness, is_constant_sign
+from .core import EigenResult, GridFunction, ProblemParams, apply_stiffness, is_constant_sign, nodes
 from .core import quotient_terms
+
+# Not called here (EigenResult.profile calls core.analyze); the name stays
+# because perfbench/tracing.py counts analyze calls by rebinding it.
+from .core import analyze
 
 _START_TAGS = ("positive_bump", "odd_sine")
 
@@ -223,7 +227,7 @@ def _starts(tag: str, x: np.ndarray) -> np.ndarray:
 def _grid(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Read-only constants of the n-node grid: the Green's weights i/(n+1),
     i = 1..n, and the L2-normalized start vector of each tag in _START_TAGS."""
-    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    x = nodes(n)[1:-1]
     h = 2.0 / (n + 1)
     weights = np.arange(1.0, n + 1) / (n + 1)
     starts = {tag: _starts(tag, x) for tag in _START_TAGS}
@@ -232,16 +236,6 @@ def _grid(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     for a in (weights, *starts.values()):
         a.flags.writeable = False
     return weights, starts
-
-
-def _euler_lagrange_residual(
-    v: np.ndarray, lam: float, gamma: float, alpha: float, q: float, h: float
-) -> float:
-    """RMS interior residual of -v'' + alpha*gamma*|v|^(q-1) = lam*v, by the energy's stencil."""
-    r = apply_stiffness(v, h)  # the stencil computes -v'' directly
-    r += alpha * gamma * np.abs(v) ** (q - 1.0)
-    r -= lam * v
-    return float(np.sqrt(np.mean(r * r)))
 
 
 def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> EigenResult:
@@ -253,25 +247,27 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
     when the best constant-sign and best sign-changing quotients agree to
     within 1e-9 the constant-sign result is reported with the ``degenerate``
     flag set.  Restarts are classified by the constant-sign test alone
-    (``core.is_constant_sign``); only the winner is analysed in full.  Raises
-    SolverNonconvergence (carrying the result) if the winner hit the
-    iteration cap.
+    (``core.is_constant_sign``) and nothing is analysed: the result's
+    profile and residual are computed on first read.  The winner's values
+    are read-only.  Raises SolverNonconvergence (carrying the result) if the
+    winner hit the iteration cap.
     """
     n = opts.n
     h = 2.0 / (n + 1)
     starts = _grid(n)[1]
     alpha, q = params.alpha, params.q
     runs = []
-    total_iterations = 0
+    total_iterations = total_evaluations = 0
     for tag in opts.starts:
         if tag == "odd_sine":
             # the sampled sine is the discrete odd minimizer: a descent from it
             # stops at its first evaluation, so evaluate it instead
             u = starts[tag].copy()
-            q_val, iters, conv = _quotient(u, h, alpha, q)[0], 0, True
+            q_val, iters, evals, conv = _quotient(u, h, alpha, q)[0], 0, 1, True
         else:
-            u, q_val, iters, _, conv = _descend(starts[tag], h, alpha, q)
+            u, q_val, iters, evals, conv = _descend(starts[tag], h, alpha, q)
         total_iterations += iters
+        total_evaluations += evals
         runs.append((q_val, u, conv, is_constant_sign(u)))
 
     runs.sort(key=lambda r: r[0])
@@ -294,15 +290,15 @@ def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> Ei
         v, s = -v, -s
     gamma = s ** (2.0 / q - 1.0) if s > _GAMMA_ZERO_TOL else 0.0
 
-    minimizer = GridFunction(v)
+    v.flags.writeable = False
     result = EigenResult(
         lam=q_best,
-        minimizer=minimizer,
-        profile=analyze(minimizer),
+        minimizer=GridFunction(v),
+        params=params,
         q_average=s,
         gamma=gamma,
         iterations=total_iterations,
-        residual=_euler_lagrange_residual(v, q_best, gamma, alpha, q, h),
+        evaluations=total_evaluations,
         converged=conv,
         degenerate=degenerate,
     )

@@ -157,6 +157,46 @@ def test_profile_edge_cases(m, q, n):
     assert np.count_nonzero(np.diff(np.sign(v))) == int(np.any(u.x > 1.0 - width))
 
 
+def _reconstruct_profile_by_masks(m, q, n):
+    """reconstruct_profile as it was with four boolean masks over the nodes, kept as a reference."""
+    pos, neg = arc_densities(branches._PTS_U2, branches._PTS_LN_Y, m, q)
+    pos_cum = branches._arc_cumulative(pos)
+    neg_cum = branches._arc_cumulative(neg)
+    len_pos, len_neg = pos_cum[-1], neg_cum[-1]
+    period = len_pos + len_neg
+    s_pos = (len_pos - pos_cum)[::-1]
+    y_pos = branches._Y_ALL[::-1]
+    s_neg = (len_neg - neg_cum)[::-1]
+    w_neg = m * y_pos
+    zero = -1.0 + 2.0 * len_pos / period
+    max_point = -1.0 + len_pos / period
+    min_point = zero + len_neg / period
+    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    s = np.empty_like(x)
+    left = x <= max_point
+    s[left] = x[left] + 1.0
+    mid = (~left) & (x <= zero)
+    s[mid] = zero - x[mid]
+    down = (x > zero) & (x <= min_point)
+    s[down] = x[down] - zero
+    right = x > min_point
+    s[right] = 1.0 - x[right]
+    s *= period
+    values = np.empty_like(x)
+    pos_mask = x <= zero
+    values[pos_mask] = np.interp(s[pos_mask], s_pos, y_pos)
+    values[~pos_mask] = -np.interp(s[~pos_mask], s_neg, w_neg)
+    return values
+
+
+@pytest.mark.parametrize("n", [100, 101, 4000])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("m", [1e-6, 0.3, 1.0])
+def test_profile_cut_points_match_the_masks(m, q, n):
+    ref = _reconstruct_profile_by_masks(m, q, n)
+    assert reconstruct_profile(m, q, n).values.tobytes() == ref.tobytes()
+
+
 def test_profile_geometry_is_read_only():
     for name in ("_PTS_U2", "_PTS_LN_Y", "_Y_ALL", "_HALF", "_INCREMENTS"):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 import nleig
 import nleig.cli as cli
-from nleig.core import EigenResult, GridFunction, analyze
+from nleig.core import EigenResult, GridFunction, ProblemParams, analyze
 from nleig.critical import BracketViolation
 from nleig.solver import SolverNonconvergence
 
@@ -75,15 +75,14 @@ def test_unknown_command_exits_1(capsys):
 def test_lambda_nonconvergence_exits_2(capsys, monkeypatch):
     import numpy as np
 
-    minimizer = GridFunction(np.sin(np.pi * np.linspace(-1, 1, 202)[1:-1]))
     result = EigenResult(
         lam=1.0,
-        minimizer=minimizer,
-        profile=analyze(minimizer),
+        minimizer=GridFunction(np.sin(np.pi * np.linspace(-1, 1, 202)[1:-1])),
+        params=ProblemParams(0.0, 1.5),
         q_average=0.0,
         gamma=0.0,
         iterations=7,
-        residual=1.0,
+        evaluations=8,
         converged=False,
     )
 

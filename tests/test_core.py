@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nleig.core import SIGN_BAND, GridFunction, ProblemParams, analyze, is_constant_sign, q_average, rayleigh_quotient
+from nleig.core import (
+    SIGN_BAND,
+    GridFunction,
+    ProblemParams,
+    _part_symmetry_defect,
+    analyze,
+    is_constant_sign,
+    nodes,
+    q_average,
+    rayleigh_quotient,
+)
+from nleig.solver import SolverOptions, minimize
 
 PI = math.pi
 N = 4000
@@ -250,3 +261,60 @@ def test_is_constant_sign_agrees_with_analyze(v, expected, sign):
 def test_analyze_rejects_zero_function():
     with pytest.raises(ValueError, match="degenerate"):
         analyze(GridFunction(np.zeros(8)))
+
+
+# --- node table and part reflection -------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 101, 4000])
+def test_node_table_is_read_only_linspace(n):
+    x = nodes(n)
+    assert x is nodes(n)
+    assert x.tobytes() == np.linspace(-1.0, 1.0, n + 2).tobytes()
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert np.shares_memory(GridFunction(np.ones(n)).x, x)
+
+
+def _interp_defect(part, center):
+    """The part symmetry defect by np.interp at the mirrored abscissae, kept as the reference."""
+    xp = np.linspace(-1.0, 1.0, part.size)
+    norm = math.sqrt(float(part @ part))
+    if norm == 0.0:
+        return 0.0
+    diff = part - np.interp(2.0 * center - xp, xp, part, left=0.0, right=0.0)
+    return math.sqrt(float(diff @ diff)) / norm
+
+
+def _reflection_parts(n):
+    """Padded sign parts: white noise for small n, smooth random modes and solver minimizers at n >= 101.
+
+    White noise at n = 4000 is left out: there a rounding of the mirror
+    position (k near 8000 has an ulp of 9e-13) moves the defect of a vector
+    that jumps by O(1) between nodes by up to 2e-13 in both formulas alike,
+    against an extended-precision reference.
+    """
+    rng = np.random.default_rng(n)
+    x = nodes(n)
+    if n < 100:
+        vectors = [rng.standard_normal(n) for _ in range(3)]
+    else:
+        modes = np.arange(1, 9)
+        vectors = [np.sin(np.outer(x[1:-1] + 1.0, 0.5 * PI * modes)) @ rng.standard_normal(8) for _ in range(3)]
+        for alpha in (3.0, 9.0):
+            vectors.append(minimize(ProblemParams(alpha, 1.5), SolverOptions(n=n)).minimizer.values)
+    parts = []
+    for v in vectors:
+        wp = np.concatenate(([0.0], v, [0.0]))
+        parts += [np.maximum(wp, 0.0), np.minimum(wp, 0.0)]
+    return x, parts
+
+
+@pytest.mark.parametrize("n", [3, 4, 101, 4000])
+def test_part_reflection_by_index_shift_matches_interp(n):
+    x, parts = _reflection_parts(n)
+    h = 2.0 / (n + 1)
+    # on a node, midway between nodes, a third of the way, and on either zero pad
+    centers = [x[1], x[n // 2], x[n // 2] + 0.5 * h, x[n // 3] + h / 3.0, x[n] - 0.7 * h, -1.0, 1.0]
+    for part in parts:
+        for center in centers:
+            assert abs(_part_symmetry_defect(part, float(center)) - _interp_defect(part, float(center))) <= 1e-13

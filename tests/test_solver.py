@@ -6,6 +6,7 @@ import pytest
 from nleig.core import (
     GridFunction,
     ProblemParams,
+    _euler_lagrange_residual,
     analyze,
     apply_stiffness,
     q_average,
@@ -18,7 +19,6 @@ from nleig.solver import (
     SolverOptions,
     _descend,
     _dirichlet_solve,
-    _euler_lagrange_residual,
     _grid,
     _S_ROUNDING_BAND,
     _START_TAGS,
@@ -232,7 +232,7 @@ def test_odd_restart_is_the_descent_it_replaces(q, alpha, n):
     assert (res.lam, res.iterations, res.converged) == (value, 0, True)
     s = quotient_terms(u, 2.0 / (n + 1), q)[2]
     assert np.array_equal(res.minimizer.values, -u if s < 0.0 else u)
-    assert res.minimizer.values.flags.writeable  # a copy, not the stored start
+    assert not np.shares_memory(res.minimizer.values, sine)  # a copy, not the stored start
 
 
 @pytest.mark.parametrize("n", [100, 4000, 12345])
@@ -277,12 +277,55 @@ def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, 
 
 
 @pytest.mark.parametrize("alpha", [2.0, 10.0])
-def test_minimize_analyses_only_the_winner(alpha, monkeypatch):
+def test_minimize_analyses_nothing_and_the_profile_once(alpha, monkeypatch):
     seen = []
-    monkeypatch.setattr("nleig.solver.analyze", lambda u: seen.append(u) or analyze(u))
+    monkeypatch.setattr("nleig.core.analyze", lambda u: seen.append(u) or analyze(u))
     res = minimize(ProblemParams(alpha, 2.0), FAST)
+    assert seen == []
+    prof = res.profile
     assert len(seen) == 1
     assert seen[0] is res.minimizer
+    assert res.profile is prof
+    assert len(seen) == 1
+
+
+def _degenerate_params(n):
+    # at q = 2 the constant-sign branch is base + alpha exactly, base the sampled
+    # cosine's quotient, so at alpha = saturation - base the two branches tie
+    base = rayleigh_quotient(GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x), n), ProblemParams(0.0, 2.0))
+    return ProblemParams(saturation_reference(n, 2.0) - base, 2.0)
+
+
+@pytest.mark.parametrize(
+    "params,kind",
+    [(ProblemParams(3.0, 1.5), "positive"), (ProblemParams(9.0, 1.5), "sign_changing"), (_degenerate_params(FAST.n), "degenerate")],
+)
+def test_residual_is_the_euler_lagrange_residual_of_the_result(params, kind):
+    res = minimize(params, FAST)
+    assert res.degenerate is (kind == "degenerate")
+    assert res.profile.sign_class == ("sign_changing" if kind == "sign_changing" else "positive")
+    u = res.minimizer
+    expected = _euler_lagrange_residual(u.values, res.lam, res.gamma, params.alpha, params.q, 2.0 / (FAST.n + 1))
+    assert res.residual == expected  # bit for bit
+
+
+def test_minimizer_values_are_read_only():
+    res = minimize(ProblemParams(3.0, 1.5), FAST)
+    with pytest.raises(ValueError):
+        res.minimizer.values[0] = 1.0
+    with pytest.raises(ValueError):
+        res.minimizer.values *= 2.0
+
+
+@pytest.mark.parametrize("alpha,q", [(3.0, 1.5), (9.0, 1.5)])
+def test_evaluations_sum_the_restarts(alpha, q):
+    n = OPTS.n
+    res = minimize(ProblemParams(alpha, q), OPTS)
+    counts = [_counted_descent(_grid(n)[1][tag], alpha, q, n) for tag in _START_TAGS]
+    assert res.evaluations == sum(c[1] for c in counts)
+    assert res.iterations == sum(c[0] for c in counts)
+    # the odd restart is evaluated once, not descended
+    assert counts[_START_TAGS.index("odd_sine")][:2] == (0, 1)
 
 
 def test_losing_odd_restart_below_threshold_stops_at_once():
