@@ -47,12 +47,13 @@ class ProblemParams:
             raise ValueError(f"q must lie in [1, 2], got {self.q!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Nodal values of a function on (-1, 1) that vanishes at both endpoints.
 
     ``values[i]`` is the value at -1 + (i+1)*h with h = 2/(n+1); the
-    endpoint values are structurally zero and never stored.
+    endpoint values are structurally zero and never stored.  Equality and
+    hashing are by identity, as for the array it holds.
     """
 
     values: np.ndarray
@@ -110,7 +111,7 @@ class MinimizerProfile:
     odd_defect: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Outcome of a variational solve: eigenvalue, minimizer and diagnostics.
 
@@ -125,6 +126,7 @@ class EigenResult:
     is computed on its first read and kept.  A sign-changing minimizer's
     first-integral constant is 0.5*lam*first_integral_coeffs(
     profile.m_bar, q).t, the formula behind ``branches.branch_point(...).c``.
+    Equality and hashing are by identity, as for the minimizer.
     """
 
     lam: float

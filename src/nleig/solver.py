@@ -1,19 +1,30 @@
 """Variational solver: projected descent for the nonlocal Rayleigh quotient.
 
 Minimizes  Q(u) = ( D(u) + alpha*|S(u)|^(2/q) ) / M(u)  over grid functions,
-restarted once per branch of the minimizer dichotomy: a positive bump for the
-constant-sign branch (alpha <= alpha_q) and an odd sine for the sign-changing
-one (alpha > alpha_q); the smaller quotient wins.  The descent direction is
-the quotient gradient preconditioned by the inverse Dirichlet stiffness
-operator, which keeps the step count mesh-independent; a raw L2 gradient would
-need O(1/h^2) iterations at the default resolution.  That inverse is applied
-in closed form through the discrete Green's function of -u'': a double prefix
-sum of the right-hand side and one weighted correction, no factorization.
-One kernel evaluates each trial point once, returning the quotient and its
-gradient from a single |v|^(q-1) and stencil apply; the accepted trial's
-gradient starts the next step.  What depends on the grid size alone, the
-Green's weights and the normalized start vectors, is built once per n and
-kept read-only.
+once per branch of the minimizer dichotomy, and the smaller quotient wins.
+A constant-sign minimizer is even (symmetric decreasing rearrangement keeps
+M and |S| and lowers D), so that branch is a descent from a positive bump
+that runs on the even half grid.  The sign-changing branch above alpha_q is
+the odd sine, whose value comes by symmetry.
+
+The descent works on w = v[:m], m = (n + 1)//2, which represents the even
+grid function v; for odd n the last entry is the centre node x = 0.  A
+full-grid product of two even vectors is the folded product
+2*a.b - (n mod 2)*a[-1]*b[-1], and D = 2*(sum (w_{i+1} - w_i)^2 + w_0^2)/h for
+either parity.  The stiffness stencil reflects at the last entry: that row
+subtracts w[-1] once more for even n and w[-2] once more for odd n.
+
+The descent direction is the quotient gradient preconditioned by the inverse
+Dirichlet stiffness operator, which keeps the step count mesh-independent; a
+raw L2 gradient would need O(1/h^2) iterations at the default resolution.
+On the half grid that inverse is two accumulates: the flux of an even
+solution vanishes at the centre, so it is the reversed prefix sum of the
+right-hand side (the centre node's own entry halved for odd n), and the
+solution is the prefix sum of the flux.  One kernel evaluates each trial
+point once, returning the quotient and its gradient from a single |w|^(q-1)
+and stencil apply; the accepted trial's gradient starts the next step.  What
+depends on the grid size alone, the half bump start, the odd sine and its
+quotient, is built once per n and kept read-only.
 
 On the constant-sign branch the descent converges linearly with one dominant
 error mode; while the iterate keeps one sign and the last step was a full
@@ -22,18 +33,20 @@ last two unit-step points, which removes that mode.  Sign-changing iterates,
 which sit near the kink S = 0 of alpha*|S|^(2/q), take plain steps.
 
 Work that cannot lower the quotient by the stopping tolerance is skipped.
-An S inside a rounding band counts as the kink S = 0, so the sampled odd
-sine, already the discrete odd minimizer, is a stationary point: the odd
-restart evaluates it once and takes no step.  Backtracking stops before a
-step whose predicted decrease is at most the tolerance, and restarts are
-told apart by the constant-sign test alone.  Nothing is analysed: the
-result's profile and residual are computed on first read.
+The sampled odd sine is the discrete odd minimizer and its S is 0 by
+symmetry, so the odd restart takes its value D/M, the same for every alpha,
+and no step.  Backtracking stops before a step whose predicted decrease is
+at most the tolerance, and restarts are told apart by the constant-sign test
+alone.  A losing restart that reaches the iteration cap is reported by a
+RuntimeWarning.  Nothing is analysed: the result's profile and residual are
+computed on first read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +61,16 @@ from .core import analyze
 _START_TAGS = ("positive_bump", "odd_sine")
 
 # discrete stand-in for the exact zero-average case S = 0, where gamma is 0:
-# odd minimizers keep S of 1e-17 to a few 1e-10, constant-sign ones S near 1
+# constant-sign minimizers keep S near 1
 _GAMMA_ZERO_TOL = 1e-8
 
-# |S| at or below this counts as the kink S = 0 of alpha*|S|^(2/q).  The sampled
-# odd sine carries a rounding residue S of about 1e-17 at n = 4000; odd winners
-# reached by descent keep S of up to a few 1e-10, and their gradient term with
-# it.  Inside the band, on a normalized v with |alpha| <= 2*pi^2, the whole
-# nonlocal term alpha*|S|^(2/q) is at most 2e-13, below _LAMBDA_TOL, so
-# leaving its gradient out moves lambda by less than that.
+# |S| at or below this counts as the kink S = 0 of alpha*|S|^(2/q) in the
+# gradient, where the limit (q < 2) and the subgradient choice (q = 2) are
+# both 0: an iterate crossing S = 0 lands there only by rounding.  The value
+# keeps alpha*|S|^(2/q) as computed, so the band moves no quotient, whatever
+# alpha is; leaving the term's gradient out changes only the direction of
+# the next step.  The odd restart never meets the band: its S is 0 by
+# symmetry, not by computation.
 _S_ROUNDING_BAND = 1e-14
 
 # branch quotients closer than this are reported as a degenerate tie
@@ -67,7 +81,8 @@ _ARMIJO = 1e-4
 # a descent converges once a step lowers the quotient by less than this
 _LAMBDA_TOL = 1e-11
 
-# descent steps per restart; a winner that reaches the cap raises SolverNonconvergence
+# descent steps per restart; a winner that reaches the cap raises
+# SolverNonconvergence, a loser that reaches it a RuntimeWarning
 _MAX_ITERATIONS = 50000
 
 
@@ -102,58 +117,69 @@ class SolverNonconvergence(RuntimeError):
         self.result = result
 
 
-def _dirichlet_solve(r: np.ndarray, h: float) -> np.ndarray:
-    """Solve (2*u_i - u_{i-1} - u_{i+1}) / h^2 = r_i with u_0 = u_{n+1} = 0.
+def _fold(a: np.ndarray, b: np.ndarray, odd: int) -> float:
+    """The full-grid product of two even vectors from their halves a and b."""
+    full = 2.0 * float(a @ b)
+    return full - float(a[-1] * b[-1]) if odd else full
 
-    Discrete Green's function of -u'' as a double prefix sum.  With 1-based
-    i and C_k = sum_{m<=k} sum_{j<=m} r_j (so C_0 = 0, and C_n equals
-    sum_j (n+1-j)*r_j):
 
-        u_i = h^2 * ( i/(n+1) * C_n  -  C_{i-1} )
+def _unfold(w: np.ndarray, n: int) -> np.ndarray:
+    """The n nodal values of the even grid function whose half is w."""
+    return np.concatenate((w, w[::-1][n % 2 :]))
+
+
+def _dirichlet_solve(r: np.ndarray, n: int) -> np.ndarray:
+    """Solve (2*u_i - u_{i-1} - u_{i+1}) / h^2 = r_i, u_0 = u_{n+1} = 0, for even r and u.
+
+    Both are given by their halves.  An even solution has no flux at the
+    centre, so u = h^2 * cumsum(F) with F the reversed cumulative sum of r,
+    less r[-1]/2 for odd n, where r[-1] is the centre node's entry.
     """
-    weights = _grid(r.shape[0])[0]
-    c = np.add.accumulate(r)
-    np.add.accumulate(c, out=c)
-    u = weights * c[-1]
-    u[1:] -= c[:-1]
+    h = 2.0 / (n + 1)
+    f = np.add.accumulate(r[::-1])[::-1]
+    if n % 2:
+        f -= 0.5 * r[-1]
+    u = np.add.accumulate(f)
     u *= h * h
     return u
 
 
-def _quotient(v: np.ndarray, h: float, alpha: float, q: float) -> tuple[float, np.ndarray, float]:
-    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v), with |v|^(q-1) and S."""
-    energy, p, s = quotient_terms(v, h, q)
-    return (energy + alpha * abs(s) ** (2.0 / q)) / (h * float(v @ v)), p, s
+def quotient_and_gradient(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[float, np.ndarray]:
+    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v) of the even v with half w, and its gradient.
 
-
-def quotient_and_gradient(v: np.ndarray, h: float, alpha: float, q: float) -> tuple[float, np.ndarray]:
-    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v) and its gradient in v.
-
-    The gradient carries the nonlocal density 2*alpha*|S|^(2/q-1)*sign(S)*|v|^(q-1).
-    Inside the rounding band |S| <= _S_ROUNDING_BAND it is dropped: there S
-    stands for the kink S = 0, where the limit (q < 2) and the subgradient
-    choice (q = 2) are both 0.  The value keeps alpha*|S|^(2/q) as computed.
+    The gradient is the half of the even gradient in v,
+    2*(stiffness v + alpha*|S|^(2/q-1)*sign(S)*|v|^(q-1) - Q*v).  Inside the
+    rounding band |S| <= _S_ROUNDING_BAND the nonlocal term is dropped:
+    there S stands for the kink S = 0.  The value keeps alpha*|S|^(2/q) as
+    computed.
     """
-    value, p, s = _quotient(v, h, alpha, q)
-    g = apply_stiffness(v, h)
+    h = 2.0 / (n + 1)
+    odd = n % 2
+    d = w[1:] - w[:-1]
+    energy = 2.0 * (float(d @ d) + w[0] * w[0]) / h
+    p = np.abs(w) ** (q - 1.0)
+    s = h * _fold(w, p, odd)
+    value = (energy + alpha * abs(s) ** (2.0 / q)) / (h * _fold(w, w, odd))
+    g = apply_stiffness(w, h)
+    g[-1] -= w[-1 - odd] / (h * h)  # the mirror neighbour of the last entry
     if abs(s) > _S_ROUNDING_BAND:
         p *= alpha * abs(s) ** (2.0 / q - 1.0) * math.copysign(1.0, s)
         g += p
-    g -= value * v
+    g -= value * w
     g *= 2.0
     return value, g
 
 
-def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarray, float, int, int, bool]:
-    """Armijo-backtracked preconditioned descent of the quotient on the unit L2 sphere.
+def _descend(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[np.ndarray, float, int, int, bool]:
+    """Armijo-backtracked preconditioned descent of the quotient on the unit L2 sphere of even functions.
 
-    Returns the iterate, its quotient, the steps taken, the kernel
-    evaluations made and whether the descent converged.
-    ``quotient_and_gradient`` runs once per trial point.  The descent
-    converges when an accepted step lowers the quotient by less than
-    _LAMBDA_TOL, or when backtracking reaches a step whose first-order
-    decrease step*slope is at most _LAMBDA_TOL: such a step could only end the
-    descent, so it is not tried.  A start at the minimum costs one
+    ``w`` is the half of the start.  Returns the half of the iterate, its
+    quotient, the steps taken, the kernel evaluations made and whether the
+    descent converged.  ``quotient_and_gradient`` runs once per trial point.
+    The descent converges when an accepted step lowers the quotient by less
+    than _LAMBDA_TOL, or when backtracking reaches a step whose first-order
+    decrease step*slope is at most _LAMBDA_TOL: such a step could only end
+    the descent, so it is not tried.  A start at the minimum costs one
     evaluation.  At most _MAX_ITERATIONS steps are taken.
 
     On a constant-sign iterate the unit step converges linearly with one
@@ -167,8 +193,10 @@ def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarra
     iterates never extrapolate: near the kink S = 0 of alpha*|S|^(2/q) a
     secant through two sides of it can send the descent astray.
     """
-    u = u / math.sqrt(h * float(u @ u))
-    q_val, g = quotient_and_gradient(u, h, alpha, q)
+    h = 2.0 / (n + 1)
+    odd = n % 2
+    u = w / math.sqrt(h * _fold(w, w, odd))
+    q_val, g = quotient_and_gradient(u, n, alpha, q)
     evaluations = 1
     iterations = 0
     converged = False
@@ -177,26 +205,26 @@ def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarra
     while iterations < _MAX_ITERATIONS:
         # the half factor makes the unit step coincide with inverse iteration
         # on the local problem, which crushes high-frequency error modes
-        d = _dirichlet_solve(g, h)
+        d = _dirichlet_solve(g, n)
         d *= 0.5
-        slope = h * float(g @ d)
+        slope = h * _fold(g, d, odd)
         step = step_init
         accepted = False
         if prev is not None and slope > _LAMBDA_TOL and is_constant_sign(u):
             dd = d - prev[1]
-            gamma = float(d @ dd) / float(dd @ dd)
+            gamma = _fold(d, dd, odd) / _fold(dd, dd, odd)
             # G_k - G_{k-1} = (u_k - u_{k-1}) - (d_k - d_{k-1})
             trial = u - d
             trial -= gamma * ((u - prev[0]) - dd)
-            trial /= math.sqrt(h * float(trial @ trial))
-            q_trial, g_trial = quotient_and_gradient(trial, h, alpha, q)
+            trial /= math.sqrt(h * _fold(trial, trial, odd))
+            q_trial, g_trial = quotient_and_gradient(trial, n, alpha, q)
             evaluations += 1
             accepted = q_trial <= q_val - _ARMIJO * slope
         if not accepted:
             while step * slope > _LAMBDA_TOL:
                 trial = u - step * d
-                trial /= math.sqrt(h * float(trial @ trial))
-                q_trial, g_trial = quotient_and_gradient(trial, h, alpha, q)
+                trial /= math.sqrt(h * _fold(trial, trial, odd))
+                q_trial, g_trial = quotient_and_gradient(trial, n, alpha, q)
                 evaluations += 1
                 if q_trial <= q_val - _ARMIJO * step * slope:
                     break
@@ -215,79 +243,90 @@ def _descend(u: np.ndarray, h: float, alpha: float, q: float) -> tuple[np.ndarra
     return u, q_val, iterations, evaluations, converged
 
 
-def _starts(tag: str, x: np.ndarray) -> np.ndarray:
-    if tag == "positive_bump":
-        return np.sin(np.pi * (x + 1.0) / 2.0)
-    # odd_sine: equals sin(pi*x)
-    return -np.sin(2.0 * np.pi * (x + 1.0) / 2.0)
-
-
-# bounded, since each entry keeps three n-vectors alive
+# bounded, since each entry keeps one n-vector and one half alive
 @functools.lru_cache(maxsize=8)
-def _grid(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Read-only constants of the n-node grid: the Green's weights i/(n+1),
-    i = 1..n, and the L2-normalized start vector of each tag in _START_TAGS."""
+def _grid(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only constants of the n-node grid.
+
+    The half of the positive bump start, L2-normalized in the folded mass;
+    the L2-normalized odd sine; and the sine's quotient D/M, its value for
+    every alpha and q since its S is 0 by symmetry.
+    """
     x = nodes(n)[1:-1]
     h = 2.0 / (n + 1)
-    weights = np.arange(1.0, n + 1) / (n + 1)
-    starts = {tag: _starts(tag, x) for tag in _START_TAGS}
-    for u in starts.values():
-        u /= math.sqrt(h * float(u @ u))
-    for a in (weights, *starts.values()):
+    bump = np.sin(np.pi * (x[: (n + 1) // 2] + 1.0) / 2.0)
+    bump /= math.sqrt(h * _fold(bump, bump, n % 2))
+    sine = -np.sin(2.0 * np.pi * (x + 1.0) / 2.0)  # equals sin(pi*x)
+    sine /= math.sqrt(h * float(sine @ sine))
+    # D/M, the quotient at S = 0; the q given to quotient_terms shapes only S
+    saturation = quotient_terms(sine, h, 2.0)[0] / (h * float(sine @ sine))
+    for a in (bump, sine):
         a.flags.writeable = False
-    return weights, starts
+    return bump, sine, saturation
 
 
 def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> EigenResult:
     """Compute lambda(alpha, q) and a minimizer by projected descent.
 
     By default takes one restart per branch of the dichotomy, a descent from
-    a positive bump and the evaluated odd sine (the exact discrete odd
-    minimizer, 0 steps), and returns the restart with the smallest quotient;
-    when the best constant-sign and best sign-changing quotients agree to
-    within 1e-9 the constant-sign result is reported with the ``degenerate``
-    flag set.  Restarts are classified by the constant-sign test alone
-    (``core.is_constant_sign``) and nothing is analysed: the result's
-    profile and residual are computed on first read.  The winner's values
-    are read-only.  Raises SolverNonconvergence (carrying the result) if the
-    winner hit the iteration cap.
+    a positive bump on the even half grid and the odd sine (the exact
+    discrete odd minimizer, 0 steps, value D/M by symmetry), and returns the
+    restart with the smallest quotient; when the best constant-sign and best
+    sign-changing quotients agree to within 1e-9 the constant-sign result is
+    reported with the ``degenerate`` flag set.  Restarts are classified by
+    the constant-sign test alone (``core.is_constant_sign``) and nothing is
+    analysed: the result's profile and residual are computed on first read.
+    The winner's values are read-only.  Raises SolverNonconvergence
+    (carrying the result) if the winner hit the iteration cap, and warns
+    (RuntimeWarning) for each losing restart that hit it.
     """
     n = opts.n
     h = 2.0 / (n + 1)
-    starts = _grid(n)[1]
+    bump, sine, saturation = _grid(n)
     alpha, q = params.alpha, params.q
-    runs = []
+    runs = []  # (quotient, tag, vector, converged, constant sign)
     total_iterations = total_evaluations = 0
     for tag in opts.starts:
         if tag == "odd_sine":
-            # the sampled sine is the discrete odd minimizer: a descent from it
-            # stops at its first evaluation, so evaluate it instead
-            u = starts[tag].copy()
-            q_val, iters, evals, conv = _quotient(u, h, alpha, q)[0], 0, 1, True
+            # a descent from the sine would stop at its first evaluation
+            runs.append((saturation, tag, sine, True, False))
+            total_evaluations += 1
         else:
-            u, q_val, iters, evals, conv = _descend(starts[tag], h, alpha, q)
-        total_iterations += iters
-        total_evaluations += evals
-        runs.append((q_val, u, conv, is_constant_sign(u)))
+            w, q_val, iters, evals, conv = _descend(bump, n, alpha, q)
+            total_iterations += iters
+            total_evaluations += evals
+            runs.append((q_val, tag, w, conv, is_constant_sign(w)))
 
     runs.sort(key=lambda r: r[0])
     best = runs[0]
-    if not best[2]:
+    if not best[3]:
         # a capped run that ties a converged one to rounding level is no winner
-        near = [r for r in runs if r[2] and r[0] - best[0] <= 10.0 * _LAMBDA_TOL * max(1.0, abs(best[0]))]
+        near = [r for r in runs if r[3] and r[0] - best[0] <= 10.0 * _LAMBDA_TOL * max(1.0, abs(best[0]))]
         if near:
             best = near[0]
     degenerate = False
-    const = [r for r in runs if r[3]]
-    changing = [r for r in runs if not r[3]]
+    const = [r for r in runs if r[4]]
+    changing = [r for r in runs if not r[4]]
     if const and changing and abs(const[0][0] - changing[0][0]) < _TIE_TOL:
         best = const[0]
         degenerate = True
+    for r in runs:
+        if r is not best and not r[3]:
+            warnings.warn(
+                f"losing restart {r[1]} hit the iteration cap {_MAX_ITERATIONS} at "
+                f"(alpha={alpha}, q={q}, n={n})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
-    q_best, v, conv, _ = best  # normalized by the descent
-    s = quotient_terms(v, h, q)[2]
-    if s < 0.0:
-        v, s = -v, -s
+    q_best, tag, v, conv, _ = best  # normalized by the descent
+    if tag == "odd_sine":
+        v, s = v.copy(), 0.0
+    else:
+        s = h * _fold(v, np.abs(v) ** (q - 1.0), n % 2)
+        v = _unfold(v, n)
+        if s < 0.0:
+            v, s = -v, -s
     gamma = s ** (2.0 / q - 1.0) if s > _GAMMA_ZERO_TOL else 0.0
 
     v.flags.writeable = False
@@ -315,12 +354,11 @@ def saturation_reference(n: int, q: float) -> float:
     """Discrete Rayleigh quotient of sampled sin(pi*x): the grid-consistent pi^2.
 
     The q-average of the sine vanishes by odd symmetry, so the value is the
-    pure Dirichlet quotient and is independent of both alpha and q.  It is
-    the quotient of the stored ``odd_sine`` start, the vector the odd
-    restart of ``minimize`` evaluates.
+    pure Dirichlet quotient D/M and is independent of both alpha and q.  It
+    is the value of the ``odd_sine`` restart of ``minimize``.
     """
     if n < 100:
         raise ValueError(f"n must be at least 100, got {n}")
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
-    return _quotient(_grid(n)[1]["odd_sine"], 2.0 / (n + 1), 0.0, q)[0]
+    return _grid(n)[2]

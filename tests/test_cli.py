@@ -281,6 +281,16 @@ def _modules_loaded_by_import(package):
     return out.stdout.strip()
 
 
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["lambda", "--alpha", "3", "--q", "1.5", "--n", "100"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nleig.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "nleig", *argv], env=env, capture_output=True, text=True, check=True)
+    code, expected, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out.stdout) == json.loads(expected)
+
+
 def test_import_loads_no_scipy():
     assert _modules_loaded_by_import("scipy") == "[]"
 

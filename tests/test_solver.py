@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from nleig.solver import (
     SolverOptions,
     _descend,
     _dirichlet_solve,
+    _fold,
     _grid,
     _S_ROUNDING_BAND,
-    _START_TAGS,
-    _starts,
+    _unfold,
     minimize,
     quotient_and_gradient,
     saturation_reference,
@@ -155,91 +156,189 @@ def test_saturation_reference_converges_quadratically():
     assert e2 < e1
 
 
-# --- quotient kernel ---------------------------------------------------------------
+# --- half-grid kernel ---------------------------------------------------------------
+
+SIZES = (100, 101, 4000, 4001)
+
+
+def _even(f, n):
+    """The half w = v[:(n + 1)//2] of f sampled on the n interior nodes."""
+    return GridFunction.from_callable(f, n).values[: (n + 1) // 2]
+
+
+def _half_stiffness(w, n):
+    """The stencil on the half grid, as the kernel applies it: the last row is reflected."""
+    h = 2.0 / (n + 1)
+    out = apply_stiffness(w, h)
+    out[-1] -= w[-1 - n % 2] / h**2
+    return out
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_half_stiffness_is_the_unfolded_stencil(n):
+    w = np.random.default_rng(n).standard_normal((n + 1) // 2)
+    full = apply_stiffness(_unfold(w, n), 2.0 / (n + 1))
+    assert np.allclose(_half_stiffness(w, n), full[: w.size], rtol=0.0, atol=1e-12 * np.abs(full).max())
+
+
+def _half_average(w, n, q):
+    return 2.0 / (n + 1) * _fold(w, np.abs(w) ** (q - 1.0), n % 2)
+
+
+def _balanced_even(n, q):
+    """An even w whose S is positive and zero to rounding.
+
+    S of cos(pi*x/2) + c*cos(3*pi*x/2) falls from positive at c = 0 to
+    negative at c = 10; bisection keeps the positive end.
+    """
+    base = _even(lambda x: np.cos(0.5 * math.pi * x), n)
+    bend = _even(lambda x: np.cos(1.5 * math.pi * x), n)
+    lo, hi = 0.0, 10.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _half_average(base + mid * bend, n, q) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return base + lo * bend
+
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("alpha", [-3.0, 4.0])
 def test_quotient_gradient_matches_finite_differences(q, alpha):
-    n = 100
-    u = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) + 0.4 * np.sin(math.pi * x), n)
-    v, h = u.values, u.h
-    assert q_average(u, q) > 0.1  # S != 0: the nonlocal term enters the gradient
-    value, g = quotient_and_gradient(v, h, alpha, q)
-    assert value == pytest.approx(rayleigh_quotient(u, ProblemParams(alpha, q)), rel=1e-14)
     rng = np.random.default_rng(7)
-    eps = 1e-6
-    for _ in range(3):
-        e = rng.standard_normal(n)
-        fd = (quotient_and_gradient(v + eps * e, h, alpha, q)[0]
-              - quotient_and_gradient(v - eps * e, h, alpha, q)[0]) / (2.0 * eps)
-        # g is the gradient for the mass h*v.v; the Euclidean one is h*g/(h*v.v)
-        exact = float(g @ e) / float(v @ v)
-        assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+    for n in SIZES:
+        w = _even(lambda x: np.cos(0.5 * math.pi * x) + 0.2 * np.cos(1.5 * math.pi * x), n)
+        v = _unfold(w, n)
+        assert np.array_equal(v, v[::-1])
+        assert _fold(w, w, n % 2) == pytest.approx(float(v @ v), rel=1e-14)
+        u = GridFunction(v)
+        assert q_average(u, q) > 0.1  # S != 0: the nonlocal term enters the gradient
+        value, g = quotient_and_gradient(w, n, alpha, q)
+        assert value == pytest.approx(rayleigh_quotient(u, ProblemParams(alpha, q)), rel=1e-14)
+        eps = 1e-6
+        for _ in range(3):
+            e = rng.standard_normal(w.size)
+            fd = (quotient_and_gradient(w + eps * e, n, alpha, q)[0]
+                  - quotient_and_gradient(w - eps * e, n, alpha, q)[0]) / (2.0 * eps)
+            # g is the half of the gradient for the mass h*v.v, and e unfolds
+            # to an even direction, so the full products fold
+            exact = _fold(g, e, n % 2) / _fold(w, w, n % 2)
+            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 @pytest.mark.parametrize("q", [1.5, 1.8, 2.0])
 def test_rounding_level_average_drops_the_nonlocal_gradient(q):
-    # the sampled sine has S = 0 by symmetry; what is left is rounding residue,
-    # which must count as the kink S = 0 rather than as a signed average
-    u = GridFunction.from_callable(lambda x: np.sin(math.pi * x), 4000)
-    v, h = u.values, u.h
-    assert 0.0 < abs(q_average(u, q)) <= _S_ROUNDING_BAND
-    value, g = quotient_and_gradient(v, h, 8.0, q)
-    local = 2.0 * (apply_stiffness(v, h) - value * v)
-    assert np.linalg.norm(g - local) <= 1e-12 * np.linalg.norm(apply_stiffness(v, h))
+    # an even iterate that crosses S = 0 meets a rounding residue there, which
+    # must count as the kink S = 0 rather than as a signed average
+    n = 4000
+    w = _balanced_even(n, q)
+    assert 0.0 < _half_average(w, n, q) <= _S_ROUNDING_BAND
+    value, g = quotient_and_gradient(w, n, 8.0, q)
+    local = 2.0 * (_half_stiffness(w, n) - value * w)
+    assert np.linalg.norm(g - local) <= 1e-12 * np.linalg.norm(_half_stiffness(w, n))
 
 
 def test_small_real_average_keeps_the_nonlocal_gradient():
-    # S of about 1.7e-9 is a real average, of the size odd iterates carry on
-    # their way to the odd minimizer: at q = 2 its term alpha*sign(S)*|v| stays
-    u = GridFunction.from_callable(lambda x: np.sin(math.pi * x) + 1e-9 * np.cos(0.5 * math.pi * x), 4000)
-    v, h, alpha = u.values, u.h, 8.0
-    s = q_average(u, 2.0)
+    # S of about 1.8e-9 is a real average, of the size an iterate carries on
+    # its way across S = 0: at q = 2 its term alpha*sign(S)*|v| stays
+    n, alpha = 4000, 8.0
+    w = _balanced_even(n, 2.0) + 2e-10 * _even(lambda x: np.cos(0.5 * math.pi * x), n)
+    s = q_average(GridFunction(_unfold(w, n)), 2.0)
     assert 1e-9 < s < 1e-8
-    value, g = quotient_and_gradient(v, h, alpha, 2.0)
-    full = 2.0 * (apply_stiffness(v, h) + alpha * np.abs(v) - value * v)
+    value, g = quotient_and_gradient(w, n, alpha, 2.0)
+    full = 2.0 * (_half_stiffness(w, n) + alpha * np.abs(w) - value * w)
     assert np.linalg.norm(g - full) <= 1e-12 * np.linalg.norm(full)
 
 
 # --- descent work -----------------------------------------------------------------
 
-def _counted_descent(v0, alpha, q, n=4000):
-    """Run _descend on the quotient from v0; returns (iterations, evaluations, converged, value)."""
-    _, value, iterations, evaluations, converged = _descend(v0, 2.0 / (n + 1), alpha, q)
+def _counted_descent(w0, alpha, q, n=4000):
+    """Run _descend from the half w0; returns (iterations, evaluations, converged, value)."""
+    _, value, iterations, evaluations, converged = _descend(w0, n, alpha, q)
     return iterations, evaluations, converged, value
 
 
 @pytest.mark.parametrize("alpha,q", [(8.0, 2.0), (5.0, 1.5), (8.8, 1.8)])
 def test_odd_sine_start_above_threshold_is_already_converged(alpha, q):
-    # above alpha_q the sampled sine is the exact discrete odd minimizer
-    x = np.linspace(-1.0, 1.0, 4002)[1:-1]
-    v0 = _starts("odd_sine", x)
-    iterations, evaluations, converged, value = _counted_descent(v0, alpha, q)
-    assert (iterations, evaluations, converged) == (0, 1, True)
-    assert value == saturation_reference(4000, q)
+    # above alpha_q the sampled sine is the exact discrete odd minimizer; its
+    # value by symmetry is here the full quotient bit for bit
+    params = ProblemParams(alpha, q)
+    res = minimize(params, SolverOptions(starts=("odd_sine",)))
+    assert (res.iterations, res.evaluations, res.converged) == (0, 1, True)
+    assert res.lam == saturation_reference(4000, q)
+    assert res.lam == rayleigh_quotient(res.minimizer, params)
 
 
 @pytest.mark.parametrize("n", [100, 4000])
 @pytest.mark.parametrize("alpha", [-50.0, 0.0, 9.0, 2.0 * PI2, 1e6])
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
 def test_odd_restart_is_the_descent_it_replaces(q, alpha, n):
-    # minimize evaluates the stored sine instead of descending from it; the
-    # descent would stop at its first evaluation with the same bits
-    sine = _grid(n)[1]["odd_sine"]
-    u, value, iterations, evaluations, converged = _descend(sine, 2.0 / (n + 1), alpha, q)
-    assert (iterations, evaluations, converged) == (0, 1, True)
-    res = minimize(ProblemParams(alpha, q), SolverOptions(n, starts=("odd_sine",)))
-    assert (res.lam, res.iterations, res.converged) == (value, 0, True)
-    s = quotient_terms(u, 2.0 / (n + 1), q)[2]
-    assert np.array_equal(res.minimizer.values, -u if s < 0.0 else u)
+    # a descent from the stored sine stops at its first evaluation, the full
+    # quotient with the sine's rounding residue S; the restart takes S = 0,
+    # so the two differ by that residue's term alone
+    sine = _grid(n)[1]
+    params = ProblemParams(alpha, q)
+    res = minimize(params, SolverOptions(n, starts=("odd_sine",)))
+    assert (res.lam, res.iterations, res.evaluations, res.converged) == (saturation_reference(n, q), 0, 1, True)
+    assert (res.q_average, res.gamma) == (0.0, 0.0)
+    full = rayleigh_quotient(GridFunction(sine), params)
+    residue = abs(q_average(GridFunction(sine), q)) ** (2.0 / q)
+    assert abs(res.lam - full) <= abs(alpha) * residue + 1e-15 * full
+    assert np.array_equal(res.minimizer.values, sine)
     assert not np.shares_memory(res.minimizer.values, sine)  # a copy, not the stored start
 
 
 @pytest.mark.parametrize("n", [100, 4000, 12345])
 def test_stored_sine_has_rounding_level_average(n):
-    sine = _grid(n)[1]["odd_sine"]
+    sine = _grid(n)[1]
     for q in (1.0, 1.5, 2.0):
         assert abs(quotient_terms(sine, 2.0 / (n + 1), q)[2]) <= _S_ROUNDING_BAND
+
+
+@pytest.mark.parametrize("n", [100, 4000, 4001])
+@pytest.mark.parametrize("q", [1.5, 1.8, 2.0])
+@pytest.mark.parametrize("alpha", [1e2, 1e6, 1e9, 1e12])
+def test_saturated_lambda_does_not_drift_with_alpha(alpha, q, n, monkeypatch):
+    # the losing bump restart at (1e2, 1.5) creeps along the kink S = 0 for
+    # 31 000 to 37 000 steps; a low cap keeps this fast, and a capped loser
+    # must not move lambda
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = minimize(ProblemParams(alpha, q), SolverOptions(n=n))
+    assert res.lam == saturation_reference(n, q)
+    assert all("positive_bump" in str(w.message) for w in caught)
+
+
+def test_capped_losing_restart_is_reported(monkeypatch):
+    # at (50, 1.5, n = 100) the bump restart takes about 4 200 steps and loses
+    # to the odd sine; at a cap of 100 it loses capped, and must say so
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 100)
+    with pytest.warns(RuntimeWarning, match=r"restart positive_bump .* \(alpha=50.0, q=1.5, n=100\)"):
+        res = minimize(ProblemParams(50.0, 1.5), SolverOptions(n=100))
+    assert res.converged
+    assert res.iterations == 100
+    assert res.lam == saturation_reference(100, 1.5)
+
+
+@pytest.mark.parametrize(
+    "alpha,q,n,counts",
+    [
+        (3.0, 1.5, 4000, (4, 6)),
+        (-5.0, 1.2, 4000, (4, 6)),
+        (7.16, 1.947, 4001, (3, 5)),
+        (9.0, 1.5, 101, (6, 8)),
+        (4.99139, 1.0251, 4000, (7, 9)),
+        (-20.0, 1.25, 4000, (9, 11)),
+    ],
+)
+def test_exact_step_and_evaluation_counts(alpha, q, n, counts):
+    # (iterations, evaluations) of minimize, the odd restart counting (0, 1);
+    # a change to the line search or the extrapolation moves them.  At
+    # (-20, 1.25) an Armijo constant of 0.3 instead of 1e-4 gives (10, 20).
+    res = minimize(ProblemParams(alpha, q), SolverOptions(n=n))
+    assert (res.iterations, res.evaluations) == counts
 
 
 @pytest.mark.parametrize(
@@ -248,7 +347,7 @@ def test_stored_sine_has_rounding_level_average(n):
     [(3.0, 1.5, 4), (4.99139, 1.0251, 7), (-5.0, 1.2, 4), (7.16, 1.947, 3)],
 )
 def test_extrapolation_shortens_constant_sign_descents(alpha, q, most):
-    iterations, evaluations, converged, _ = _counted_descent(_grid(4000)[1]["positive_bump"], alpha, q)
+    iterations, evaluations, converged, _ = _counted_descent(_grid(4000)[0], alpha, q)
     assert converged
     assert iterations <= most
     assert evaluations <= 2 * iterations + 1
@@ -257,21 +356,23 @@ def test_extrapolation_shortens_constant_sign_descents(alpha, q, most):
 def test_sign_changing_descent_does_not_extrapolate():
     # the bump restart crosses S = 0 here; secant steps across the kink sent
     # it to the iteration cap, against 18 steps without them
-    iterations, _, converged, _ = _counted_descent(_grid(1200)[1]["positive_bump"], 1000.0, 1.65, n=1200)
+    iterations, _, converged, _ = _counted_descent(_grid(1200)[0], 1000.0, 1.65, n=1200)
     assert converged
     assert iterations <= 50
 
 
 @pytest.mark.parametrize(
     "alpha,q,start",
-    [(2.0 * PI2, 2.0, "sine"), (9.0, 1.5, "winner"), (2.0, 1.5, "winner")],
+    [(2.0, 1.5, "winner"), (-5.0, 1.2, "winner"), (2.0 * PI2, 2.0, "restart")],
 )
 def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, start):
-    if start == "sine":
-        v0 = GridFunction.from_callable(lambda x: np.sin(math.pi * x), 4000).values
+    n = OPTS.n
+    if start == "winner":
+        w0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values[: (n + 1) // 2]
     else:
-        v0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values
-    _, evaluations, converged, _ = _counted_descent(v0, alpha, q)
+        # the end point of the bump restart, which loses to the odd sine here
+        w0 = _descend(_grid(n)[0], n, alpha, q)[0]
+    _, evaluations, converged, _ = _counted_descent(w0, alpha, q)
     assert converged
     assert evaluations <= 2
 
@@ -309,6 +410,15 @@ def test_residual_is_the_euler_lagrange_residual_of_the_result(params, kind):
     assert res.residual == expected  # bit for bit
 
 
+def test_results_compare_and_hash_by_identity():
+    # results hold numpy arrays, which have no single truth value
+    params = ProblemParams(3.0, 1.5)
+    a, b = minimize(params, FAST), minimize(params, FAST)
+    assert a == a and a != b
+    assert a.minimizer == a.minimizer and a.minimizer != b.minimizer
+    assert len({a, b, a.minimizer, b.minimizer}) == 4
+
+
 def test_minimizer_values_are_read_only():
     res = minimize(ProblemParams(3.0, 1.5), FAST)
     with pytest.raises(ValueError):
@@ -321,11 +431,19 @@ def test_minimizer_values_are_read_only():
 def test_evaluations_sum_the_restarts(alpha, q):
     n = OPTS.n
     res = minimize(ProblemParams(alpha, q), OPTS)
-    counts = [_counted_descent(_grid(n)[1][tag], alpha, q, n) for tag in _START_TAGS]
-    assert res.evaluations == sum(c[1] for c in counts)
-    assert res.iterations == sum(c[0] for c in counts)
+    iterations, evaluations, _, _ = _counted_descent(_grid(n)[0], alpha, q, n)
     # the odd restart is evaluated once, not descended
-    assert counts[_START_TAGS.index("odd_sine")][:2] == (0, 1)
+    assert (res.iterations, res.evaluations) == (iterations, evaluations + 1)
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_constant_sign_minimizer_is_even(n):
+    res = minimize(ProblemParams(3.0, 1.5), SolverOptions(n=n))
+    v = res.minimizer.values
+    assert v.size == n
+    assert np.array_equal(v, v[::-1])
+    assert abs(res.minimizer.h * float(v @ v) - 1.0) <= 1e-12
+    assert res.q_average == pytest.approx(q_average(res.minimizer, 1.5), rel=1e-13)
 
 
 def test_losing_odd_restart_below_threshold_stops_at_once():
@@ -336,15 +454,15 @@ def test_losing_odd_restart_below_threshold_stops_at_once():
 
 # --- closed-form Dirichlet solve -------------------------------------------------
 
-@pytest.mark.parametrize("n", [100, 4000])
+@pytest.mark.parametrize("n", [100, 101, 4000, 4001])
 def test_dirichlet_solve_inverts_stiffness(n):
     rng = np.random.default_rng(n)
-    h = 2.0 / (n + 1)
-    u = rng.standard_normal(n)
-    back = _dirichlet_solve(apply_stiffness(u, h), h)
+    m = (n + 1) // 2
+    u = rng.standard_normal(m)
+    back = _dirichlet_solve(_half_stiffness(u, n), n)
     assert np.linalg.norm(back - u) <= 1e-10 * np.linalg.norm(u)
-    r = rng.standard_normal(n)
-    fwd = apply_stiffness(_dirichlet_solve(r, h), h)
+    r = rng.standard_normal(m)
+    fwd = _half_stiffness(_dirichlet_solve(r, n), n)
     assert np.linalg.norm(fwd - r) <= 1e-10 * np.linalg.norm(r)
 
 
@@ -365,28 +483,29 @@ def _thomas_solve(r, h):
 
 
 def test_dirichlet_solve_matches_dense_solve():
-    n = 100
-    h = 2.0 / (n + 1)
-    stiffness = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
-    r = np.random.default_rng(0).standard_normal(n)
-    ref = np.linalg.solve(stiffness, r)
-    assert np.linalg.norm(_dirichlet_solve(r, h) - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert np.linalg.norm(_thomas_solve(r, h) - ref) <= 1e-12 * np.linalg.norm(ref)
-    # the production size, against the tridiagonal elimination
-    n = 4000
-    h = 2.0 / (n + 1)
-    r = np.random.default_rng(1).standard_normal(n)
-    ref = _thomas_solve(r, h)
-    assert np.linalg.norm(_dirichlet_solve(r, h) - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the half solve is the first half of the full solve of the unfolded right-hand side
+    rng = np.random.default_rng(0)
+    for n in (100, 101):
+        h = 2.0 / (n + 1)
+        stiffness = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+        r = rng.standard_normal((n + 1) // 2)
+        ref = np.linalg.solve(stiffness, _unfold(r, n))
+        assert np.linalg.norm(_dirichlet_solve(r, n) - ref[: r.size]) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(_thomas_solve(_unfold(r, n), h) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the production sizes, against the tridiagonal elimination
+    for n in (4000, 4001):
+        r = rng.standard_normal((n + 1) // 2)
+        ref = _thomas_solve(_unfold(r, n), 2.0 / (n + 1))[: r.size]
+        assert np.linalg.norm(_dirichlet_solve(r, n) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 # --- per-grid constants -------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [100, 4000])
 def test_grid_constants_are_read_only(n):
-    weights, starts = _grid(n)
-    assert set(starts) == set(_START_TAGS)
-    for a in (weights, *starts.values()):
+    bump, sine, _ = _grid(n)
+    assert (bump.size, sine.size) == ((n + 1) // 2, n)
+    for a in (bump, sine):
         with pytest.raises(ValueError):
             a[0] = 1.0
         with pytest.raises(ValueError):
