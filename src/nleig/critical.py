@@ -17,6 +17,16 @@ A saturated solve at some alpha therefore proves saturation at every larger
 alpha: the confirming solve just above alpha_q covers the whole top of the
 search window, and 2*pi^2 is solved only if Newton reaches it.
 
+Both searches continue in alpha along the constant-sign branch, a
+predictor-corrector scheme with the descent of ``minimize`` as the
+corrector.  Their first solve descends cold from the positive bump.  Every
+later solve starts its descent from the secant prediction in alpha through
+the last two constant-sign minimizers, w1 + (alpha - alpha1)/(alpha1 -
+alpha0)*(w1 - w0); from the last one while there is only one, or when the
+secant changes sign.  Below alpha_q the winners are constant-sign, so the
+kept pair lies on the branch that Newton follows; a saturated solve returns
+the odd sine, which is not kept.
+
 The target is the sampled sine quotient rather than the analytic pi^2: it
 is what the discrete odd branch saturates at, which cancels the O(h^2)
 discretization bias that would otherwise shift the threshold.
@@ -33,7 +43,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .branches import alpha_zero_exact
-from .core import ProblemParams, is_constant_sign
+from .core import GridFunction, ProblemParams, is_constant_sign
 from .solver import _LAMBDA_TOL, SolverOptions, minimize, saturation_reference
 
 _PI2 = math.pi**2
@@ -87,6 +97,36 @@ def lower_bound(q: float) -> float:
     return 3.0 * _PI2 / 2.0 ** (1.0 + 2.0 / q)
 
 
+def _continued(q: float, opts: SolverOptions):
+    """``minimize`` at fixed q, each solve started from the last constant-sign minimizers.
+
+    Keeps the last two constant-sign minimizers with their alpha (a solve at
+    an alpha already kept replaces it); ``minimize`` reads a start through
+    its left half, the even function it determines.  The first solve starts
+    cold; a later one from the secant prediction through the two kept
+    minimizers, from the last one while only one is kept, and from the last
+    one too when the secant is not of constant sign.  A solve may take other
+    options than ``opts``, but on the same grid.
+    """
+    kept = []  # (alpha, minimizer), oldest first
+
+    def solve(alpha: float, o: SolverOptions = opts):
+        start = kept[-1][1] if kept else None
+        if len(kept) == 2:
+            (a0, u0), (a1, u1) = kept
+            secant = u1.values - u0.values
+            secant *= (alpha - a1) / (a1 - a0)
+            secant += u1.values
+            if is_constant_sign(secant):
+                start = GridFunction(secant)
+        res = minimize(ProblemParams(alpha, q), o, start=start)
+        if is_constant_sign(res.minimizer.values):
+            kept[:] = [k for k in kept[-1:] if k[0] != alpha] + [(alpha, res.minimizer)]
+        return res
+
+    return solve
+
+
 def _newton(solve, alpha, res, target, q, done, bounds):
     """Newton's method on lambda(alpha) = target along the constant-sign branch.
 
@@ -126,8 +166,11 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     then confirm the dichotomy: constant-sign and unsaturated below, saturated
     above; otherwise BracketViolation is raised.  lambda is nondecreasing in
     alpha, so the saturated solve above alpha_q also shows saturation at every
-    larger alpha, 2*pi^2 included.  ``tol`` must lie between 1e-4 and the
-    width of the search window.
+    larger alpha, 2*pi^2 included.  The check at the lower end descends cold
+    from the positive bump; every later solve starts its constant-sign
+    descent from the secant prediction through the last two constant-sign
+    minimizers (the module docstring has the rule).  ``tol`` must lie between
+    1e-4 and the width of the search window.
     """
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
@@ -138,12 +181,13 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     sat = saturation_reference(opts.n, q)
     band = _NOISE_FACTOR * _LAMBDA_TOL
     branch_opts = replace(opts, starts=("positive_bump",))
+    continued = _continued(q, opts)
     calls = 0
 
     def solve(alpha: float, o: SolverOptions = opts):
         nonlocal calls
         calls += 1
-        return minimize(ProblemParams(alpha, q), o)
+        return continued(alpha, o)
 
     def branch(alpha: float):
         # the upper end needs its own full solve only once Newton is clamped there
@@ -187,8 +231,11 @@ def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> f
     """Coupling at which the eigenvalue crosses zero, cross-checked by duality.
 
     Runs Newton's method on lambda(alpha, q) = 0 from alpha = 0, where
-    lambda = pi^2/4 > 0, with the envelope slope.  By concavity the first step
-    lands at or left of the root and the later ones climb to it from the left.
+    lambda = pi^2/4 > 0, with the envelope slope.  The solve at 0 descends
+    cold from the positive bump; each later one starts from the secant
+    prediction through the last two constant-sign minimizers, as in
+    ``alpha_critical``.  By concavity the first step lands at or left of the
+    root and the later ones climb to it from the left.
     It stops once |lambda| <= tol/4 at a solve and the next step is at most
     tol*|alpha|, and returns that step's end point.  Then -alpha must equal the
     dual quotient minimum tau = -``branches.alpha_zero_exact(q)`` to within
@@ -201,9 +248,7 @@ def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> f
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
 
-    def solve(alpha: float):
-        return minimize(ProblemParams(alpha, q), opts)
-
+    solve = _continued(q, opts)
     root = _newton(
         solve, 0.0, solve(0.0), 0.0, q,
         lambda alpha, step, res: abs(res.lam) <= 0.25 * tol and abs(step) <= tol * abs(alpha),

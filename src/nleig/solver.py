@@ -265,24 +265,36 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return bump, sine, saturation
 
 
-def minimize(params: ProblemParams, opts: SolverOptions = SolverOptions()) -> EigenResult:
+def minimize(
+    params: ProblemParams, opts: SolverOptions = SolverOptions(), start: GridFunction | None = None
+) -> EigenResult:
     """Compute lambda(alpha, q) and a minimizer by projected descent.
 
     By default takes one restart per branch of the dichotomy, a descent from
     a positive bump on the even half grid and the odd sine (the exact
     discrete odd minimizer, 0 steps, value D/M by symmetry), and returns the
-    restart with the smallest quotient; when the best constant-sign and best
-    sign-changing quotients agree to within 1e-9 the constant-sign result is
-    reported with the ``degenerate`` flag set.  Restarts are classified by
-    the constant-sign test alone (``core.is_constant_sign``) and nothing is
-    analysed: the result's profile and residual are computed on first read.
-    The winner's values are read-only.  Raises SolverNonconvergence
-    (carrying the result) if the winner hit the iteration cap, and warns
-    (RuntimeWarning) for each losing restart that hit it.
+    restart with the smallest quotient.  ``start``, if given, replaces the
+    positive bump as the start of that descent: only its left half
+    v[:(n + 1)//2] is read, as the even function it determines, so it must
+    have opts.n nodes and be nonzero there (ValueError otherwise).  When the
+    best constant-sign and best sign-changing quotients agree to within 1e-9
+    the constant-sign result is reported with the ``degenerate`` flag set.
+    Restarts are classified by the constant-sign test alone
+    (``core.is_constant_sign``) and nothing is analysed: the result's profile
+    and residual are computed on first read.  The winner's values are
+    read-only.  Raises SolverNonconvergence (carrying the result) if the
+    winner hit the iteration cap, and warns (RuntimeWarning) for each losing
+    restart that hit it.
     """
     n = opts.n
     h = 2.0 / (n + 1)
     bump, sine, saturation = _grid(n)
+    if start is not None:
+        if start.n != n:
+            raise ValueError(f"start must have n = {n} nodes, got {start.n}")
+        bump = start.values[: (n + 1) // 2]
+        if not bump.any():
+            raise ValueError("start must be nonzero on its left half")
     alpha, q = params.alpha, params.q
     runs = []  # (quotient, tag, vector, converged, constant sign)
     total_iterations = total_evaluations = 0

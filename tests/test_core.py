@@ -177,6 +177,19 @@ def test_analyze_cosine():
     assert (neg.max_point, neg.max_value) == (-1.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [100, 101, 4000])
+def test_analyze_recovers_the_vertex_of_a_parabola_between_nodes(n):
+    # a parabola is its own three-point fit, so the refined extremum is the
+    # vertex itself; the nodal maximum is off by O(h) in x and O(h^2) in value
+    h = 2.0 / (n + 1)
+    vertex = 0.1 + 0.37 * h
+    u = GridFunction.from_callable(lambda x: 1.0 - 0.25 * (x - vertex) ** 2, n)
+    prof = analyze(u)
+    assert prof.sign_class == "positive"
+    assert abs(prof.max_point - vertex) <= 1e-12
+    assert abs(prof.max_value - 1.0) <= 1e-12
+
+
 def test_analyze_interior_zero_of_mixed_profile():
     # profile 0.25*(1+cos(pi x)) - sqrt(0.5)*sin(pi x): its root in (0, 1),
     # located independently by bisection on the closed form

@@ -1,12 +1,13 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import nleig.critical as critical
 from nleig import verify
 from nleig.branches import alpha_zero_exact
-from nleig.core import ProblemParams, analyze
+from nleig.core import GridFunction, ProblemParams, analyze, is_constant_sign
 from nleig.critical import (
     BracketViolation,
     DualityMismatch,
@@ -19,6 +20,10 @@ from nleig.solver import SolverOptions, minimize, saturation_reference
 
 PI2 = math.pi**2
 OPTS = SolverOptions()
+
+# constant-sign and sign-changing grid functions for fakes of minimize
+BUMP = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x), 100)
+SINE = GridFunction.from_callable(lambda x: np.sin(math.pi * x), 100)
 
 
 # --- alpha_critical -----------------------------------------------------------
@@ -91,8 +96,8 @@ def test_alpha_critical_rejects_loose_inputs():
     ],
 )
 def test_bracket_violation(monkeypatch, lam_of_alpha, message):
-    def fake_minimize(params, opts):
-        return SimpleNamespace(lam=lam_of_alpha(params.alpha), q_average=1.0)
+    def fake_minimize(params, opts, start=None):
+        return SimpleNamespace(lam=lam_of_alpha(params.alpha), q_average=1.0, minimizer=BUMP)
 
     monkeypatch.setattr(critical, "minimize", fake_minimize)
     with pytest.raises(BracketViolation, match=message):
@@ -123,8 +128,8 @@ def test_search_mechanics(monkeypatch, q):
     tol = 0.04
     calls = []
 
-    def recording_minimize(params, opts):
-        res = minimize(params, opts)
+    def recording_minimize(params, opts, start=None):
+        res = minimize(params, opts, start=start)
         calls.append((params.alpha, opts.starts, res))
         return res
 
@@ -147,19 +152,97 @@ def test_search_mechanics(monkeypatch, q):
     assert abs(full[hi].lam - sat) <= 1e-9
 
 
+def _recorded_search(monkeypatch, q, n, cold=False):
+    # alpha_critical through a minimize that records every call; a cold
+    # search drops the start that the continuation passes
+    calls = []
+
+    def recording_minimize(params, opts, start=None):
+        res = minimize(params, opts, start=None if cold else start)
+        calls.append((params.alpha, opts.starts, start, res))
+        return res
+
+    monkeypatch.setattr(critical, "minimize", recording_minimize)
+    return alpha_critical(q, 0.04, SolverOptions(n=n)), calls
+
+
+@pytest.mark.parametrize("n", [100, 101, 4000, 4001])
+def test_continuation_keeps_the_cold_search(monkeypatch, n):
+    opts = SolverOptions(n=n)
+    for q in (1.0, 1.05, 1.2, 1.35, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0):
+        cold, _ = _recorded_search(monkeypatch, q, n, cold=True)
+        warm, calls = _recorded_search(monkeypatch, q, n)
+        assert abs(warm.alpha_q - cold.alpha_q) <= 1e-8
+        assert warm.solver_calls == cold.solver_calls == len(calls)
+        # only the lower-end check starts cold
+        assert [start is None for _, _, start, _ in calls] == [True] + [False] * (len(calls) - 1)
+        confirming = [(a, r.lam) for a, starts, _, r in calls if starts == opts.starts and a in warm.bracket]
+        assert len(confirming) == 2
+        for alpha, lam in confirming:
+            ref = minimize(ProblemParams(alpha, q), opts).lam
+            assert abs(lam - ref) <= 1e-11 * max(1.0, abs(lam))
+
+
+def test_continuation_descent_steps_are_pinned(monkeypatch):
+    # per solve 5, 4, 2 and 0 steps; every solve of the cold search takes 5
+    _, calls = _recorded_search(monkeypatch, 1.5, 4000)
+    assert sum(r.iterations for *_, r in calls) == 11
+
+
 def test_newton_step_cap(monkeypatch):
     # full solves keep the bracket valid, but the constant-sign branch never
     # reaches saturation: the search must stop at its step cap, not loop
     sat = saturation_reference(100, 1.5)
 
-    def fake_minimize(params, opts):
+    def fake_minimize(params, opts, start=None):
         if opts.starts == ("positive_bump",):
-            return SimpleNamespace(lam=sat - 1.0, q_average=1.0)
-        return SimpleNamespace(lam=sat if params.alpha > 7.0 else sat - 1.0, q_average=1.0)
+            return SimpleNamespace(lam=sat - 1.0, q_average=1.0, minimizer=BUMP)
+        return SimpleNamespace(lam=sat if params.alpha > 7.0 else sat - 1.0, q_average=1.0, minimizer=BUMP)
 
     monkeypatch.setattr(critical, "minimize", fake_minimize)
     with pytest.raises(RuntimeError, match="took more than"):
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
+
+
+def test_lower_confirming_solve_must_be_constant_sign(monkeypatch):
+    # lambda rises with slope 1 to saturation at alpha = 10, so Newton lands
+    # there in one step; the full solve just below returns an unsaturated but
+    # sign-changing minimizer, which breaks the dichotomy
+    sat = saturation_reference(100, 1.5)
+    lo = lower_bound(1.5) - 0.1
+
+    def fake_minimize(params, opts, start=None):
+        lam = min(sat, sat - (10.0 - params.alpha))
+        changing = opts.starts == OPTS.starts and params.alpha > lo
+        return SimpleNamespace(lam=lam, q_average=1.0, minimizer=SINE if changing else BUMP)
+
+    monkeypatch.setattr(critical, "minimize", fake_minimize)
+    with pytest.raises(BracketViolation, match="no unsaturated constant-sign minimizer at alpha = 9.98"):
+        alpha_critical(1.5, 0.04, SolverOptions(n=100))
+
+
+def test_sign_changing_secant_falls_back_to_the_last_minimizer(monkeypatch):
+    # lambda stays 0: the solve at lo and one Newton point return cos and
+    # cos^3, both positive, and Newton is then clamped at 2*pi^2, whose full
+    # solve raises.  The secant through cos and cos^3 is negative near the
+    # ends and positive at 0, so that solve starts from cos^3.
+    minimizers = iter([BUMP, GridFunction(BUMP.values**3)])
+    calls = []
+
+    def fake_minimize(params, opts, start=None):
+        calls.append((params.alpha, start))
+        return SimpleNamespace(lam=0.0, q_average=1.0, minimizer=next(minimizers, BUMP))
+
+    monkeypatch.setattr(critical, "minimize", fake_minimize)
+    with pytest.raises(BracketViolation, match="not saturated at alpha = 19.739"):
+        alpha_critical(1.5, 0.04, SolverOptions(n=100))
+    (a0, s0), (a1, s1), (a2, s2) = calls
+    assert (s0, s1) == (None, BUMP)
+    assert a2 == 2 * PI2
+    cubed = BUMP.values**3
+    secant = cubed + (a2 - a1) / (a1 - a0) * (cubed - BUMP.values)
+    assert not is_constant_sign(secant)
+    assert np.array_equal(s2.values, cubed)
 
 
 # --- alpha_zero and duality -----------------------------------------------------

@@ -213,6 +213,13 @@ def test_gap_positive_inside():
     assert monotonicity_gap(0.5, 1.5, 0.5) > 0.0
 
 
+@pytest.mark.parametrize("m, y", [(0.1, 0.5), (0.5, 0.05), (0.5, 0.9), (0.9, 0.3), (0.99, 0.7)])
+def test_gap_at_q2_has_its_closed_form(m, y):
+    # at q = 2 the factor m^(q-2) is 1 and the y^2 log y terms cancel
+    closed = -(1.0 - y * y) * (1.0 + m * m) * math.log(m)
+    assert abs(monotonicity_gap(m, 2.0, y) - closed) <= 1e-14
+
+
 def test_gap_strictly_decreasing_in_height():
     ys = [k / 101 for k in range(1, 101)]
     vals = [monotonicity_gap(0.5, 1.5, y) for y in ys]

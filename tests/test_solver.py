@@ -337,8 +337,11 @@ def test_exact_step_and_evaluation_counts(alpha, q, n, counts):
     # (iterations, evaluations) of minimize, the odd restart counting (0, 1);
     # a change to the line search or the extrapolation moves them.  At
     # (-20, 1.25) an Armijo constant of 0.3 instead of 1e-4 gives (10, 20).
-    res = minimize(ProblemParams(alpha, q), SolverOptions(n=n))
-    assert (res.iterations, res.evaluations) == counts
+    for res in (
+        minimize(ProblemParams(alpha, q), SolverOptions(n=n)),
+        minimize(ProblemParams(alpha, q), SolverOptions(n=n), start=None),
+    ):
+        assert (res.iterations, res.evaluations) == counts
 
 
 @pytest.mark.parametrize(
@@ -375,6 +378,44 @@ def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, 
     _, evaluations, converged, _ = _counted_descent(w0, alpha, q)
     assert converged
     assert evaluations <= 2
+
+
+@pytest.mark.parametrize("n", [4000, 4001])
+@pytest.mark.parametrize("alpha,q", [(2.0, 1.5), (-5.0, 1.2), (7.16, 1.947)])
+def test_start_at_the_minimizer_costs_at_most_two_evaluations(alpha, q, n):
+    opts = SolverOptions(n=n, starts=("positive_bump",))
+    params = ProblemParams(alpha, q)
+    cold = minimize(params, opts)
+    warm = minimize(params, opts, start=cold.minimizer)
+    assert warm.converged
+    assert warm.evaluations <= 2
+    assert abs(warm.lam - cold.lam) <= 1e-12 * max(1.0, abs(cold.lam))
+
+
+def test_start_is_read_through_its_left_half():
+    # a start is the even function its left half determines: the right half
+    # is never read, and a negative start is the same direction
+    params = ProblemParams(2.0, 1.5)
+    winner = minimize(params, FAST).minimizer
+    ref = minimize(params, FAST, start=winner)
+    left = winner.values.copy()
+    left[FAST.n // 2 :] = 7.0
+    for start in (left, -left):
+        res = minimize(params, FAST, start=GridFunction(start))
+        assert (res.lam, res.iterations, res.evaluations) == (ref.lam, ref.iterations, ref.evaluations)
+
+
+def test_start_must_match_the_grid_and_be_nonzero():
+    params = ProblemParams(2.0, 1.5)
+    with pytest.raises(ValueError, match="n = 1200 nodes, got 1201"):
+        minimize(params, FAST, start=GridFunction(np.ones(1201)))
+    with pytest.raises(ValueError, match="nonzero on its left half"):
+        minimize(params, FAST, start=GridFunction(np.zeros(1200)))
+    # zero on the left half determines the zero function too
+    right = np.zeros(1200)
+    right[600:] = 1.0
+    with pytest.raises(ValueError, match="nonzero on its left half"):
+        minimize(params, FAST, start=GridFunction(right))
 
 
 @pytest.mark.parametrize("alpha", [2.0, 10.0])
