@@ -101,6 +101,7 @@ def _cmd_alpha_crit(args) -> int:
             "saturation_value": _sig12(res.saturation_value),
             "tolerance": _sig12(args.tol),
             "solver_calls": res.solver_calls,
+            "iterations": res.iterations,
         }
     )
     return 0
@@ -205,7 +206,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-10, help="relative quadrature target")
     p.set_defaults(func=_cmd_hfun)
 
-    p = sub.add_parser("alpha-crit", help="critical coupling by Newton on the constant-sign branch")
+    p = sub.add_parser("alpha-crit", help="critical coupling by ascent of the constant-sign threshold, confirmed by two solves")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-2, help="width of the confirmation pair (>= 1e-4)")
     add_solver_args(p)

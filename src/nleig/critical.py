@@ -1,31 +1,25 @@
 """Critical coupling location, zero-eigenvalue duality, interval rescaling.
 
-The paper's dichotomy makes the critical coupling alpha_q the simple root of
-lambda_c(alpha) = pi^2, where lambda_c is the constant-sign branch: below
-alpha_q a constant-sign minimizer wins, above it the odd one with the
-saturated value pi^2.  Both roots here (alpha_q and the zero crossing) are
-found by Newton's method on that branch.  Its slope is free: by the envelope
-theorem d lambda / d alpha = |S|^(2/q) at a normalized minimizer, and every
-solve returns S as ``q_average``.  lambda_c is a minimum of quotients that
-are each affine in alpha, so it is concave: every tangent lies above it, and
-from a point left of the root each Newton step lands left of the root again.
-The iterates climb to the root monotonically and never overshoot.
+The paper's dichotomy puts the critical coupling alpha_q where the
+constant-sign branch lambda_c(alpha) reaches the saturated value: below
+alpha_q a constant-sign minimizer wins, above it the odd one with the value
+pi^2.  Each quotient Q_u(alpha) = (D + alpha*|S|^(2/q))/M is affine and
+nondecreasing in alpha, so lambda_c(alpha) >= sigma holds exactly when
+alpha >= F_sigma(u) = (sigma*M - D)/|S|^(2/q) for every u.  Hence both
+couplings here are maxima of one quotient, found by one ascent
+(``solver.threshold_ascent``): alpha_q = max_u F_sat(u) and the zero
+crossing alpha_0 = max_u F_0(u).  The ascent's value is a certified lower
+bound: F_sigma(u) <= alpha_sigma for every u.
 
-Each quotient is also nondecreasing in alpha (the nonlocal term
-alpha*|S|^(2/q) has slope |S|^(2/q) >= 0), and so is their minimum lambda.
-A saturated solve at some alpha therefore proves saturation at every larger
-alpha: the confirming solve just above alpha_q covers the whole top of the
-search window, and 2*pi^2 is solved only if Newton reaches it.
-
-Both searches continue in alpha along the constant-sign branch, a
-predictor-corrector scheme with the descent of ``minimize`` as the
-corrector.  Their first solve descends cold from the positive bump.  Every
-later solve starts its descent from the secant prediction in alpha through
-the last two constant-sign minimizers, w1 + (alpha - alpha1)/(alpha1 -
-alpha0)*(w1 - w0); from the last one while there is only one, or when the
-secant changes sign.  Below alpha_q the winners are constant-sign, so the
-kept pair lies on the branch that Newton follows; a saturated solve returns
-the odd sine, which is not kept.
+Two full solves at alpha_q -/+ tol/2 then confirm the dichotomy.  lambda is
+nondecreasing in alpha, so the saturated solve above alpha_q shows
+saturation at every larger alpha, up to 2*pi^2.  Both continue in alpha
+along the constant-sign branch, a predictor-corrector scheme with the
+descent of ``minimize`` as the corrector.  The ascent's maximizer is the
+constant-sign minimizer at alpha_q, and the lower solve starts there.  The
+upper solve starts from the secant prediction through the two constant-sign
+minimizers, w1 + (alpha - alpha1)/(alpha1 - alpha0)*(w1 - w0), or from the
+lower one, w1, when the secant changes sign.
 
 The target is the sampled sine quotient rather than the analytic pi^2: it
 is what the discrete odd branch saturates at, which cancels the O(h^2)
@@ -34,23 +28,24 @@ discretization bias that would otherwise shift the threshold.
 At the zero crossing alpha_0 the quotient's numerator vanishes at the
 minimizer, so -alpha_0 is the dual constant min int|w'|^2 / (int|w|^q)^(2/q).
 That constant has a closed form (``branches.alpha_zero_exact``), which checks
-the Newton root up to the grid's O(h^2) bias.
+the ascent's value up to the grid's O(h^2) bias.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .branches import alpha_zero_exact
 from .core import GridFunction, ProblemParams, is_constant_sign
-from .solver import _LAMBDA_TOL, SolverOptions, minimize, saturation_reference
+from .solver import _LAMBDA_TOL, SolverOptions, minimize, saturation_reference, threshold_ascent
 
 _PI2 = math.pi**2
 
 # The paper-level lower bound 3*pi^2/2^(1+2/q) is attained exactly at q = 2,
 # where the O(h^2) discrete threshold sits a hair below it; the margin keeps
-# the lower end of the search valid at every resolution.
+# the lower end of the search window valid at every resolution.  The
+# ascent's value must lie in the window.
 _BRACKET_MARGIN = 0.1
 
 # A descent stops once a step lowers the quotient by less than _LAMBDA_TOL,
@@ -58,11 +53,6 @@ _BRACKET_MARGIN = 0.1
 # (measured: at most 6e-12 at _LAMBDA_TOL = 1e-11).  Eigenvalues within this
 # many _LAMBDA_TOL of the saturation value count as saturated.
 _NOISE_FACTOR = 100.0
-
-# Newton on the concave branch converges quadratically from the left: the
-# searches here solve one to three Newton points.  A run of this many steps
-# means the branch is not concave or the root is not in the bounds.
-_NEWTON_STEPS = 20
 
 
 class BracketViolation(RuntimeError):
@@ -77,19 +67,21 @@ class DualityMismatch(RuntimeError):
 class CriticalResult:
     """Critical coupling at fixed q, with the pair of full solves that confirm it.
 
-    ``bracket`` is (alpha_q - tol/2, alpha_q + tol/2), rounded inward so that
-    its width is at most the search's ``tol``: the full solve at its lower end
-    found a constant-sign, unsaturated minimizer, the one at its upper end a
-    saturated eigenvalue.  ``solver_calls`` counts every ``minimize`` call of the
-    search: the full solve that checks the lower end, the single-restart
-    Newton solves on the constant-sign branch, the two full confirming solves,
-    and a full solve at 2*pi^2 only when a Newton step is clamped there.
+    ``alpha_q`` is the ascent's value, a certified lower bound of the
+    discrete critical coupling.  ``bracket`` is (alpha_q - tol/2, alpha_q +
+    tol/2), rounded inward so that its width is at most the search's
+    ``tol``: the full solve at its lower end found a constant-sign,
+    unsaturated minimizer, the one at its upper end a saturated eigenvalue.
+    ``solver_calls`` counts the ``minimize`` calls of the search, the two
+    confirming solves; ``iterations`` sums the ascent's steps and the steps
+    of those solves, so it holds the ascent's work too.
     """
 
     alpha_q: float
     bracket: tuple[float, float]
     saturation_value: float
     solver_calls: int
+    iterations: int
 
 
 def lower_bound(q: float) -> float:
@@ -97,80 +89,42 @@ def lower_bound(q: float) -> float:
     return 3.0 * _PI2 / 2.0 ** (1.0 + 2.0 / q)
 
 
-def _continued(q: float, opts: SolverOptions):
-    """``minimize`` at fixed q, each solve started from the last constant-sign minimizers.
-
-    Keeps the last two constant-sign minimizers with their alpha (a solve at
-    an alpha already kept replaces it); ``minimize`` reads a start through
-    its left half, the even function it determines.  The first solve starts
-    cold; a later one from the secant prediction through the two kept
-    minimizers, from the last one while only one is kept, and from the last
-    one too when the secant is not of constant sign.  A solve may take other
-    options than ``opts``, but on the same grid.
-    """
-    kept = []  # (alpha, minimizer), oldest first
-
-    def solve(alpha: float, o: SolverOptions = opts):
-        start = kept[-1][1] if kept else None
-        if len(kept) == 2:
-            (a0, u0), (a1, u1) = kept
-            secant = u1.values - u0.values
-            secant *= (alpha - a1) / (a1 - a0)
-            secant += u1.values
-            if is_constant_sign(secant):
-                start = GridFunction(secant)
-        res = minimize(ProblemParams(alpha, q), o, start=start)
-        if is_constant_sign(res.minimizer.values):
-            kept[:] = [k for k in kept[-1:] if k[0] != alpha] + [(alpha, res.minimizer)]
-        return res
-
-    return solve
+def _secant(a0: float, u0: GridFunction, a1: float, u1: GridFunction, alpha: float) -> GridFunction:
+    """The secant prediction at alpha through (a0, u0) and (a1, u1), or u1 when it changes sign."""
+    secant = u1.values - u0.values
+    secant *= (alpha - a1) / (a1 - a0)
+    secant += u1.values
+    return GridFunction(secant) if is_constant_sign(secant) else u1
 
 
-def _newton(solve, alpha, res, target, q, done, bounds):
-    """Newton's method on lambda(alpha) = target along the constant-sign branch.
-
-    ``res`` is the solve at ``alpha``.  Each step uses the envelope slope
-    |S|^(2/q) of the last solve, and its end point is clamped to ``bounds``.
-    The iteration ends when ``done(alpha, step, res)`` holds for the step
-    proposed from the last solve; the returned root is that step's end point,
-    which is not solved.
-    """
-    a, b = bounds
-    for _ in range(_NEWTON_STEPS):
-        step = float(target - res.lam) / abs(res.q_average) ** (2.0 / q)
-        end = min(max(alpha + step, a), b)
-        if done(alpha, step, res):
-            return end
-        alpha, res = end, solve(end)
-    raise RuntimeError(
-        f"Newton's method on the constant-sign branch took more than {_NEWTON_STEPS} "
-        f"steps (q = {q}, alpha = {alpha:.6f}, lambda = {res.lam:.6f})"
-    )
+def _ascend(q: float, sigma: float, n: int):
+    """``threshold_ascent``, which must not reach its iteration cap."""
+    up = threshold_ascent(n, q, sigma)
+    if not up.converged:
+        raise RuntimeError(
+            f"the ascent of the coupling threshold reached its iteration cap after "
+            f"{up.iterations} steps (q = {q}, sigma = {sigma!r}, alpha = {up.alpha:.6f})"
+        )
+    return up
 
 
 def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> CriticalResult:
     """Locate the smallest coupling at which the eigenvalue saturates.
 
-    A full solve first checks that the eigenvalue is unsaturated at the
-    test-function lower bound minus a small margin; "saturated" means
-    lambda >= saturation_reference - a band at the solver's noise level, tied
-    to its stopping tolerance.  Newton's method then runs from there on
-    lambda_c(alpha) = saturation_reference, where each step solves only the
-    constant-sign branch (the ``positive_bump`` restart) and its slope is the
-    envelope derivative |S|^(2/q).  By concavity the iterates increase and
-    stay left of the root; they are clamped at 2*pi^2, and only a Newton point
-    clamped there costs a full solve at 2*pi^2, which must be saturated.  The
-    search stops when the proposed step is at most ``tol`` or a solve lands
-    within the noise band of saturation.  Two full solves at alpha_q -/+ tol/2
-    then confirm the dichotomy: constant-sign and unsaturated below, saturated
-    above; otherwise BracketViolation is raised.  lambda is nondecreasing in
-    alpha, so the saturated solve above alpha_q also shows saturation at every
-    larger alpha, 2*pi^2 included.  The check at the lower end descends cold
-    from the positive bump; every later solve starts its constant-sign
-    descent from the secant prediction through the last two constant-sign
-    minimizers (the module docstring has the rule).  ``tol`` must lie between
-    1e-4 and the width of the search window.
+    The ascent of F_sat from the positive bump (module docstring) returns its
+    value alpha_q, a certified lower bound of the discrete critical coupling,
+    and the constant-sign minimizer there.  alpha_q must lie in the search
+    window [lower_bound(q) - 0.1, 2*pi^2], and the ascent must converge
+    (RuntimeError otherwise).  Two full solves at alpha_q -/+ tol/2 then
+    confirm the dichotomy: constant-sign and unsaturated below, saturated
+    above, where "saturated" means lambda >= saturation_reference - a band at
+    the solver's noise level, tied to its stopping tolerance.  lambda is
+    nondecreasing in alpha, so the solve above also shows saturation at every
+    larger alpha, 2*pi^2 included.  The lower solve starts from the ascent's
+    maximizer, the upper one from the secant through it and the lower
+    minimizer, or from the lower minimizer when that secant changes sign.
+    A window or confirmation failure raises BracketViolation.
+    ``tol`` must lie between 1e-4 and the width of the search window.
     """
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
@@ -180,42 +134,24 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
         raise ValueError(f"tol must lie in [1e-4, {hi - lo!r}] (the search window), got {tol!r}")
     sat = saturation_reference(opts.n, q)
     band = _NOISE_FACTOR * _LAMBDA_TOL
-    branch_opts = replace(opts, starts=("positive_bump",))
-    continued = _continued(q, opts)
-    calls = 0
-
-    def solve(alpha: float, o: SolverOptions = opts):
-        nonlocal calls
-        calls += 1
-        return continued(alpha, o)
-
-    def branch(alpha: float):
-        # the upper end needs its own full solve only once Newton is clamped there
-        if alpha == hi and solve(hi).lam < sat - band:
-            raise BracketViolation(
-                f"bracket violation: eigenvalue not saturated at alpha = {hi:.6f} (q = {q})"
-            )
-        return solve(alpha, branch_opts)
-
-    res_lo = solve(lo)
-    if res_lo.lam >= sat - band:
+    up = _ascend(q, sat, opts.n)
+    alpha_q = up.alpha
+    if not lo <= alpha_q <= hi:
         raise BracketViolation(
-            f"bracket violation: eigenvalue already saturated at alpha = {lo:.6f} (q = {q})"
+            f"bracket violation: the ascent's alpha = {alpha_q:.6f} lies outside the search "
+            f"window [{lo:.6f}, {hi:.6f}] (q = {q})"
         )
-    alpha_q = _newton(
-        branch, lo, res_lo, sat, q,
-        lambda alpha, step, res: abs(step) <= tol or abs(res.lam - sat) <= band,
-        (lo, hi),
-    )
     # a hair inside alpha_q -/+ tol/2, so that the rounded pair is at most tol wide
     half = 0.5 * tol - math.ulp(alpha_q)
     below, above = alpha_q - half, alpha_q + half
-    res_below = solve(below)
+    res_below = minimize(ProblemParams(below, q), opts, start=up.maximizer)
     if not is_constant_sign(res_below.minimizer.values) or res_below.lam >= sat - band:
         raise BracketViolation(
             f"bracket violation: no unsaturated constant-sign minimizer at alpha = {below:.6f} (q = {q})"
         )
-    if solve(above).lam < sat - band:
+    start = _secant(alpha_q, up.maximizer, below, res_below.minimizer, above)
+    res_above = minimize(ProblemParams(above, q), opts, start=start)
+    if res_above.lam < sat - band:
         raise BracketViolation(
             f"bracket violation: eigenvalue not saturated at alpha = {above:.6f} (q = {q})"
         )
@@ -223,38 +159,28 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
         alpha_q=alpha_q,
         bracket=(below, above),
         saturation_value=sat,
-        solver_calls=calls,
+        solver_calls=2,
+        iterations=up.iterations + res_below.iterations + res_above.iterations,
     )
 
 
 def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> float:
     """Coupling at which the eigenvalue crosses zero, cross-checked by duality.
 
-    Runs Newton's method on lambda(alpha, q) = 0 from alpha = 0, where
-    lambda = pi^2/4 > 0, with the envelope slope.  The solve at 0 descends
-    cold from the positive bump; each later one starts from the secant
-    prediction through the last two constant-sign minimizers, as in
-    ``alpha_critical``.  By concavity the first step lands at or left of the
-    root and the later ones climb to it from the left.
-    It stops once |lambda| <= tol/4 at a solve and the next step is at most
-    tol*|alpha|, and returns that step's end point.  Then -alpha must equal the
-    dual quotient minimum tau = -``branches.alpha_zero_exact(q)`` to within
-    (tol + h^2)*tau, h = 2/(n + 1): the h^2 term covers the discretization bias
-    of the discrete minimum (measured below 0.26*h^2*tau).  Raises
-    DualityMismatch on disagreement.
+    The ascent of F_0 = -D/|S|^(2/q) from the positive bump (module
+    docstring) returns alpha_0 = -min_u D/|S|^(2/q), a certified lower bound
+    of the discrete zero crossing; it must converge (RuntimeError
+    otherwise).  Then -alpha_0 must equal the dual quotient minimum tau =
+    -``branches.alpha_zero_exact(q)`` to within (tol + h^2)*tau, h = 2/(n + 1):
+    the h^2 term covers the discretization bias of the discrete minimum
+    (measured below 0.26*h^2*tau).  Raises DualityMismatch on disagreement.
     """
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
 
-    solve = _continued(q, opts)
-    root = _newton(
-        solve, 0.0, solve(0.0), 0.0, q,
-        lambda alpha, step, res: abs(res.lam) <= 0.25 * tol and abs(step) <= tol * abs(alpha),
-        (-math.inf, 0.0),  # lambda(0, q) = pi^2/4 > 0
-    )
-
+    root = _ascend(q, 0.0, opts.n).alpha
     tau = -alpha_zero_exact(q)
     h = 2.0 / (opts.n + 1)
     if abs(tau + root) > (tol + h * h) * tau:

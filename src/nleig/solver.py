@@ -32,6 +32,14 @@ one, each step first tries a depth-1 Anderson (secant) extrapolation of the
 last two unit-step points, which removes that mode.  Sign-changing iterates,
 which sit near the kink S = 0 of alpha*|S|^(2/q), take plain steps.
 
+The same loop ascends the coupling threshold of a constant-sign function,
+F_sigma(u) = (sigma*M - D)/|S|^(2/q).  Each quotient is affine in alpha, so
+Q_u(alpha) >= sigma exactly when alpha >= F_sigma(u): the smallest alpha at
+which lambda_c reaches sigma is max_u F_sigma(u), and every u certifies a
+lower bound of it.  The ascent's step is the descent's with (alpha, Q)
+replaced by (F_sigma(u), sigma), so its unit step is the same inverse
+iteration; trials that leave the constant-sign functions are rejected.
+
 Work that cannot lower the quotient by the stopping tolerance is skipped.
 The sampled odd sine is the discrete odd minimizer and its S is 0 by
 symmetry, so the odd restart takes its value D/M, the same for every alpha,
@@ -48,6 +56,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,13 +179,57 @@ def quotient_and_gradient(w: np.ndarray, n: int, alpha: float, q: float) -> tupl
     return value, g
 
 
-def _descend(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[np.ndarray, float, int, int, bool]:
-    """Armijo-backtracked preconditioned descent of the quotient on the unit L2 sphere of even functions.
+def threshold_and_gradient(w: np.ndarray, n: int, sigma: float, q: float) -> tuple[float, np.ndarray | None, float]:
+    """-F_sigma(v) = (D - sigma*M)/|S|^(2/q) of the even v with half w, its step gradient and slope factor.
 
-    ``w`` is the half of the start.  Returns the half of the iterate, its
-    quotient, the steps taken, the kernel evaluations made and whether the
-    descent converged.  ``quotient_and_gradient`` runs once per trial point.
-    The descent converges when an accepted step lowers the quotient by less
+    The step gradient is the half of the even 2*(stiffness v +
+    F*S^(2/q-1)*v^(q-1) - sigma*v): the quotient's gradient with (alpha, Q)
+    replaced by (F, sigma).  The gradient of -F is that over
+    |S|^(2/q), the slope factor.  F is even in v, so the ascent keeps to
+    positive v: a v that is not of constant sign, or whose S is not above
+    _S_ROUNDING_BAND (a negative v, or S = 0 to rounding), is outside it,
+    with value +inf and no gradient.
+    """
+    h = 2.0 / (n + 1)
+    odd = n % 2
+    p = np.abs(w) ** (q - 1.0)
+    s = h * _fold(w, p, odd)
+    if s <= _S_ROUNDING_BAND or not is_constant_sign(w):
+        return math.inf, None, 1.0
+    d = w[1:] - w[:-1]
+    energy = 2.0 * (float(d @ d) + w[0] * w[0]) / h
+    weight = s ** (2.0 / q)
+    value = (energy - sigma * h * _fold(w, w, odd)) / weight
+    g = apply_stiffness(w, h)
+    g[-1] -= w[-1 - odd] / (h * h)  # the mirror neighbour of the last entry
+    p *= -value * weight / s
+    g += p
+    g -= sigma * w
+    g *= 2.0
+    return value, g, 1.0 / weight
+
+
+def _quotient_kernel(n: int, alpha: float, q: float):
+    """The kernel of the quotient descent: Q, its gradient and slope factor 1."""
+
+    def kernel(w: np.ndarray) -> tuple[float, np.ndarray, float]:
+        value, g = quotient_and_gradient(w, n, alpha, q)
+        return value, g, 1.0
+
+    return kernel
+
+
+def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int, bool]:
+    """Armijo-backtracked preconditioned descent of an objective on the unit L2 sphere of even functions.
+
+    ``w`` is the half of the start.  ``kernel(u)`` returns the objective at
+    the half u, its step gradient g and the factor c that makes c*h*g.d the
+    objective's first-order decrease along d: the quotient's kernel
+    (``_quotient_kernel``) or the threshold's (``threshold_and_gradient``).
+    A trial of objective +inf is rejected.  Returns the half of the iterate,
+    its objective, the steps taken, the kernel evaluations made and whether
+    the descent converged.  The kernel runs once per trial point.  The
+    descent converges when an accepted step lowers the objective by less
     than _LAMBDA_TOL, or when backtracking reaches a step whose first-order
     decrease step*slope is at most _LAMBDA_TOL: such a step could only end
     the descent, so it is not tried.  A start at the minimum costs one
@@ -196,7 +249,7 @@ def _descend(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[np.ndarray,
     h = 2.0 / (n + 1)
     odd = n % 2
     u = w / math.sqrt(h * _fold(w, w, odd))
-    q_val, g = quotient_and_gradient(u, n, alpha, q)
+    q_val, g, rate = kernel(u)
     evaluations = 1
     iterations = 0
     converged = False
@@ -207,7 +260,7 @@ def _descend(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[np.ndarray,
         # on the local problem, which crushes high-frequency error modes
         d = _dirichlet_solve(g, n)
         d *= 0.5
-        slope = h * _fold(g, d, odd)
+        slope = rate * h * _fold(g, d, odd)
         step = step_init
         accepted = False
         if prev is not None and slope > _LAMBDA_TOL and is_constant_sign(u):
@@ -217,14 +270,14 @@ def _descend(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[np.ndarray,
             trial = u - d
             trial -= gamma * ((u - prev[0]) - dd)
             trial /= math.sqrt(h * _fold(trial, trial, odd))
-            q_trial, g_trial = quotient_and_gradient(trial, n, alpha, q)
+            q_trial, g_trial, rate_trial = kernel(trial)
             evaluations += 1
             accepted = q_trial <= q_val - _ARMIJO * slope
         if not accepted:
             while step * slope > _LAMBDA_TOL:
                 trial = u - step * d
                 trial /= math.sqrt(h * _fold(trial, trial, odd))
-                q_trial, g_trial = quotient_and_gradient(trial, n, alpha, q)
+                q_trial, g_trial, rate_trial = kernel(trial)
                 evaluations += 1
                 if q_trial <= q_val - _ARMIJO * step * slope:
                     break
@@ -235,7 +288,7 @@ def _descend(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[np.ndarray,
         step_init = min(1.0, 2.0 * step)  # warm-start the next search
         prev = (u, d) if step == 1.0 else None
         decrease = q_val - q_trial
-        u, q_val, g = trial, q_trial, g_trial
+        u, q_val, g, rate = trial, q_trial, g_trial, rate_trial
         iterations += 1
         if decrease < _LAMBDA_TOL:
             converged = True
@@ -304,7 +357,7 @@ def minimize(
             runs.append((saturation, tag, sine, True, False))
             total_evaluations += 1
         else:
-            w, q_val, iters, evals, conv = _descend(bump, n, alpha, q)
+            w, q_val, iters, evals, conv = _descend(bump, n, _quotient_kernel(n, alpha, q))
             total_iterations += iters
             total_evaluations += evals
             runs.append((q_val, tag, w, conv, is_constant_sign(w)))
@@ -360,6 +413,35 @@ def minimize(
             result,
         )
     return result
+
+
+class ThresholdAscent(NamedTuple):
+    """The largest coupling threshold F_sigma found by ``threshold_ascent``, and where."""
+
+    alpha: float  # F_sigma(maximizer), a lower bound of the smallest alpha with lambda_c >= sigma
+    maximizer: GridFunction  # even, positive, L2-normalized; read-only
+    iterations: int
+    converged: bool
+
+
+def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
+    """Maximize F_sigma(u) = (sigma*M - D)/|S|^(2/q) over even positive u on the n-node grid.
+
+    lambda_c(alpha) >= sigma holds exactly when alpha >= F_sigma(u) for every
+    u, so the maximum is the smallest alpha at which the constant-sign branch
+    reaches sigma, and F_sigma of any iterate is a lower bound of it.  The
+    ascent is ``_descend`` on -F_sigma from the positive bump, with the
+    stopping tolerance _LAMBDA_TOL on the rise of F_sigma and the cap
+    _MAX_ITERATIONS; ``converged`` is False if it hit the cap.  At the
+    maximizer u, the quotient Q_u(alpha) equals sigma: u is a constant-sign
+    minimizer at the returned alpha.
+    """
+    w, value, iterations, _, converged = _descend(
+        _grid(n)[0], n, functools.partial(threshold_and_gradient, n=n, sigma=sigma, q=q)
+    )
+    v = _unfold(w, n)
+    v.flags.writeable = False
+    return ThresholdAscent(-value, GridFunction(v), iterations, converged)
 
 
 def saturation_reference(n: int, q: float) -> float:

@@ -16,7 +16,8 @@ from nleig.critical import (
     lower_bound,
     rescale_lambda,
 )
-from nleig.solver import SolverOptions, minimize, saturation_reference
+from nleig import solver
+from nleig.solver import SolverOptions, ThresholdAscent, minimize, saturation_reference, threshold_ascent
 
 PI2 = math.pi**2
 OPTS = SolverOptions()
@@ -91,8 +92,10 @@ def test_alpha_critical_rejects_loose_inputs():
 @pytest.mark.parametrize(
     "lam_of_alpha, message",
     [
-        (lambda alpha: PI2, "already saturated at alpha"),  # saturated at the lower end
-        (lambda alpha: 0.0, "not saturated at alpha"),  # Newton climbs to the upper end
+        # saturated at the lower confirming solve
+        (lambda alpha: PI2, "no unsaturated constant-sign minimizer at alpha"),
+        # unsaturated at the upper confirming solve
+        (lambda alpha: 0.0, "not saturated at alpha"),
     ],
 )
 def test_bracket_violation(monkeypatch, lam_of_alpha, message):
@@ -101,6 +104,21 @@ def test_bracket_violation(monkeypatch, lam_of_alpha, message):
 
     monkeypatch.setattr(critical, "minimize", fake_minimize)
     with pytest.raises(BracketViolation, match=message):
+        alpha_critical(1.5, 0.04, SolverOptions(n=100))
+
+
+def _fake_ascent(alpha, maximizer=BUMP):
+    return lambda n, q, sigma: ThresholdAscent(alpha, maximizer, 3, True)
+
+
+@pytest.mark.parametrize("alpha", [lower_bound(1.5) - 0.1 - 1e-9, 2 * PI2 + 1e-9, -math.inf, math.nan])
+def test_ascent_outside_the_window_is_a_bracket_violation(monkeypatch, alpha):
+    def no_minimize(params, opts, start=None):
+        raise AssertionError("no confirming solve after a window violation")
+
+    monkeypatch.setattr(critical, "threshold_ascent", _fake_ascent(alpha))
+    monkeypatch.setattr(critical, "minimize", no_minimize)
+    with pytest.raises(BracketViolation, match="outside the search window"):
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
 
 
@@ -119,130 +137,129 @@ def test_critical_coupling_two_grid_order(q):
     assert 3.5 <= ratio <= 4.5
 
 
-# q = 1.2 and 1.3 are the band where the constant-sign restart of a full solve
-# at 2 pi^2 descends thousands of iterations before it loses; saturation there
-# follows from the confirming solve above alpha_q, since lambda is
-# nondecreasing in alpha, so no search solves at 2 pi^2
-@pytest.mark.parametrize("q", [1.0, 1.2, 1.25, 1.3, 1.5, 1.75, 2.0])
-def test_search_mechanics(monkeypatch, q):
-    tol = 0.04
+def _recorded_search(monkeypatch, q, n, tol=0.04):
+    # alpha_critical through a minimize and an ascent that record every call
     calls = []
+    ascents = []
 
     def recording_minimize(params, opts, start=None):
         res = minimize(params, opts, start=start)
-        calls.append((params.alpha, opts.starts, res))
+        calls.append((params.alpha, opts, start, res))
         return res
 
-    monkeypatch.setattr(critical, "minimize", recording_minimize)
-    res = alpha_critical(q, tol, OPTS)
-    assert res.solver_calls == len(calls) <= 6
-    assert all(alpha != 2 * PI2 for alpha, _, _ in calls)
-    assert sum(r.iterations for _, _, r in calls) <= 100
-    newton = [alpha for alpha, starts, _ in calls if starts == ("positive_bump",)]
-    assert newton and all(a <= res.alpha_q for a in newton)
-    assert all(a0 < a1 for a0, a1 in zip(newton, newton[1:]))
-    lo, hi = res.bracket
-    assert hi - lo <= tol
-    assert lo <= res.alpha_q <= hi
-    full = {alpha: r for alpha, starts, r in calls if starts == OPTS.starts}
-    assert lo in full and hi in full
-    sat = res.saturation_value
-    assert full[lo].profile.sign_class != "sign_changing"
-    assert full[lo].lam < sat
-    assert abs(full[hi].lam - sat) <= 1e-9
-
-
-def _recorded_search(monkeypatch, q, n, cold=False):
-    # alpha_critical through a minimize that records every call; a cold
-    # search drops the start that the continuation passes
-    calls = []
-
-    def recording_minimize(params, opts, start=None):
-        res = minimize(params, opts, start=None if cold else start)
-        calls.append((params.alpha, opts.starts, start, res))
-        return res
+    def recording_ascent(n, q, sigma):
+        up = threshold_ascent(n, q, sigma)
+        ascents.append((sigma, up))
+        return up
 
     monkeypatch.setattr(critical, "minimize", recording_minimize)
-    return alpha_critical(q, 0.04, SolverOptions(n=n)), calls
+    monkeypatch.setattr(critical, "threshold_ascent", recording_ascent)
+    return alpha_critical(q, tol, SolverOptions(n=n)), ascents, calls
+
+
+# no search solves at 2 pi^2: saturation there follows from the confirming
+# solve above alpha_q, since lambda is nondecreasing in alpha
+@pytest.mark.parametrize("q", [1.0, 1.2, 1.25, 1.3, 1.5, 1.75, 2.0])
+def test_search_mechanics(monkeypatch, q):
+    tol = 0.04
+    for n in (100, 101, 4000, 4001):
+        res, ascents, calls = _recorded_search(monkeypatch, q, n, tol)
+        sat = saturation_reference(n, q)
+        # one ascent at the saturation value, converged, whose value is alpha_q
+        [(sigma, up)] = ascents
+        assert sigma == sat and up.converged
+        assert res.alpha_q == up.alpha
+        # two full confirming solves, at alpha_q -/+ tol/2 rounded inward
+        assert res.solver_calls == len(calls) == 2
+        lo, hi = res.bracket
+        assert [(a, opts) for a, opts, _, _ in calls] == [(lo, SolverOptions(n=n)), (hi, SolverOptions(n=n))]
+        assert hi - lo <= tol
+        assert lo < res.alpha_q < hi
+        assert abs((hi - lo) - tol) <= 4 * math.ulp(res.alpha_q)
+        assert res.iterations == up.iterations + sum(r.iterations for *_, r in calls)
+        below, above = calls[0][3], calls[1][3]
+        assert below.profile.sign_class != "sign_changing"
+        assert below.lam < sat
+        assert abs(above.lam - sat) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [100, 101, 4000, 4001])
 def test_continuation_keeps_the_cold_search(monkeypatch, n):
+    # the confirming solves start from the ascent's maximizer and from the
+    # secant through it and the lower minimizer; each lambda is a cold one
     opts = SolverOptions(n=n)
     for q in (1.0, 1.05, 1.2, 1.35, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0):
-        cold, _ = _recorded_search(monkeypatch, q, n, cold=True)
-        warm, calls = _recorded_search(monkeypatch, q, n)
-        assert abs(warm.alpha_q - cold.alpha_q) <= 1e-8
-        assert warm.solver_calls == cold.solver_calls == len(calls)
-        # only the lower-end check starts cold
-        assert [start is None for _, _, start, _ in calls] == [True] + [False] * (len(calls) - 1)
-        confirming = [(a, r.lam) for a, starts, _, r in calls if starts == opts.starts and a in warm.bracket]
-        assert len(confirming) == 2
-        for alpha, lam in confirming:
+        res, [(_, up)], calls = _recorded_search(monkeypatch, q, n)
+        (a0, _, s0, r0), (a1, _, s1, r1) = calls
+        assert s0 is up.maximizer
+        secant = up.maximizer.values + (a1 - res.alpha_q) / (a0 - res.alpha_q) * (r0.minimizer.values - up.maximizer.values)
+        if is_constant_sign(secant):
+            assert np.allclose(s1.values, secant, rtol=0.0, atol=1e-12)
+        else:  # at (q, n) = (1, 4000) it dips below 0 next to the ends
+            assert s1 is r0.minimizer
+        for alpha, lam in ((a0, r0.lam), (a1, r1.lam)):
             ref = minimize(ProblemParams(alpha, q), opts).lam
             assert abs(lam - ref) <= 1e-11 * max(1.0, abs(lam))
 
 
-def test_continuation_descent_steps_are_pinned(monkeypatch):
-    # per solve 5, 4, 2 and 0 steps; every solve of the cold search takes 5
-    _, calls = _recorded_search(monkeypatch, 1.5, 4000)
-    assert sum(r.iterations for *_, r in calls) == 11
+def test_search_iterations_are_pinned(monkeypatch):
+    # 5 ascent steps, then 3 and 1 steps in the confirming solves
+    res, [(_, up)], calls = _recorded_search(monkeypatch, 1.5, 4000)
+    assert (up.iterations, [r.iterations for *_, r in calls]) == (5, [3, 1])
+    assert res.iterations == 9
 
 
-def test_newton_step_cap(monkeypatch):
-    # full solves keep the bracket valid, but the constant-sign branch never
-    # reaches saturation: the search must stop at its step cap, not loop
-    sat = saturation_reference(100, 1.5)
+def test_ascent_step_cap(monkeypatch):
+    # the ascent needs about five steps at q = 1.5; capped at two it must
+    # raise, before any confirming solve
+    def no_minimize(params, opts, start=None):
+        raise AssertionError("no confirming solve after a capped ascent")
 
-    def fake_minimize(params, opts, start=None):
-        if opts.starts == ("positive_bump",):
-            return SimpleNamespace(lam=sat - 1.0, q_average=1.0, minimizer=BUMP)
-        return SimpleNamespace(lam=sat if params.alpha > 7.0 else sat - 1.0, q_average=1.0, minimizer=BUMP)
-
-    monkeypatch.setattr(critical, "minimize", fake_minimize)
-    with pytest.raises(RuntimeError, match="took more than"):
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
+    monkeypatch.setattr(critical, "minimize", no_minimize)
+    with pytest.raises(RuntimeError, match="reached its iteration cap after 2 steps"):
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
+    with pytest.raises(RuntimeError, match="reached its iteration cap after 2 steps"):
+        alpha_zero(1.5, 1e-3, SolverOptions(n=100))
 
 
 def test_lower_confirming_solve_must_be_constant_sign(monkeypatch):
-    # lambda rises with slope 1 to saturation at alpha = 10, so Newton lands
-    # there in one step; the full solve just below returns an unsaturated but
+    # the ascent lands at alpha = 10, where lambda rises with slope 1 to
+    # saturation; the full solve just below returns an unsaturated but
     # sign-changing minimizer, which breaks the dichotomy
     sat = saturation_reference(100, 1.5)
-    lo = lower_bound(1.5) - 0.1
 
     def fake_minimize(params, opts, start=None):
         lam = min(sat, sat - (10.0 - params.alpha))
-        changing = opts.starts == OPTS.starts and params.alpha > lo
-        return SimpleNamespace(lam=lam, q_average=1.0, minimizer=SINE if changing else BUMP)
+        return SimpleNamespace(lam=lam, q_average=1.0, minimizer=SINE)
 
+    monkeypatch.setattr(critical, "threshold_ascent", _fake_ascent(10.0))
     monkeypatch.setattr(critical, "minimize", fake_minimize)
     with pytest.raises(BracketViolation, match="no unsaturated constant-sign minimizer at alpha = 9.98"):
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
 
 
 def test_sign_changing_secant_falls_back_to_the_last_minimizer(monkeypatch):
-    # lambda stays 0: the solve at lo and one Newton point return cos and
-    # cos^3, both positive, and Newton is then clamped at 2*pi^2, whose full
-    # solve raises.  The secant through cos and cos^3 is negative near the
-    # ends and positive at 0, so that solve starts from cos^3.
-    minimizers = iter([BUMP, GridFunction(BUMP.values**3)])
+    # the ascent returns cos^3 at alpha = 7 and the lower solve cos; the
+    # secant at the upper solve, about 2*cos^3 - cos, is negative near the
+    # ends and positive at 0, so that solve starts from cos.  lambda stays 0,
+    # so the upper solve is not saturated and raises.
+    cubed = GridFunction(BUMP.values**3)
     calls = []
 
     def fake_minimize(params, opts, start=None):
         calls.append((params.alpha, start))
-        return SimpleNamespace(lam=0.0, q_average=1.0, minimizer=next(minimizers, BUMP))
+        return SimpleNamespace(lam=0.0, q_average=1.0, minimizer=BUMP)
 
+    monkeypatch.setattr(critical, "threshold_ascent", _fake_ascent(7.0, cubed))
     monkeypatch.setattr(critical, "minimize", fake_minimize)
-    with pytest.raises(BracketViolation, match="not saturated at alpha = 19.739"):
+    with pytest.raises(BracketViolation, match="not saturated at alpha = 7.02"):
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
-    (a0, s0), (a1, s1), (a2, s2) = calls
-    assert (s0, s1) == (None, BUMP)
-    assert a2 == 2 * PI2
-    cubed = BUMP.values**3
-    secant = cubed + (a2 - a1) / (a1 - a0) * (cubed - BUMP.values)
+    (a1, s1), (a2, s2) = calls
+    assert s1 is cubed
+    secant = BUMP.values + (a2 - a1) / (a1 - 7.0) * (BUMP.values - cubed.values)
     assert not is_constant_sign(secant)
-    assert np.array_equal(s2.values, cubed)
+    assert s2 is BUMP
 
 
 # --- alpha_zero and duality -----------------------------------------------------

@@ -1,8 +1,11 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nleig.core import (
     GridFunction,
@@ -22,11 +25,14 @@ from nleig.solver import (
     _dirichlet_solve,
     _fold,
     _grid,
+    _quotient_kernel,
     _S_ROUNDING_BAND,
     _unfold,
     minimize,
     quotient_and_gradient,
     saturation_reference,
+    threshold_and_gradient,
+    threshold_ascent,
 )
 
 PI2 = math.pi**2
@@ -255,7 +261,7 @@ def test_small_real_average_keeps_the_nonlocal_gradient():
 
 def _counted_descent(w0, alpha, q, n=4000):
     """Run _descend from the half w0; returns (iterations, evaluations, converged, value)."""
-    _, value, iterations, evaluations, converged = _descend(w0, n, alpha, q)
+    _, value, iterations, evaluations, converged = _descend(w0, n, _quotient_kernel(n, alpha, q))
     return iterations, evaluations, converged, value
 
 
@@ -374,7 +380,7 @@ def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, 
         w0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values[: (n + 1) // 2]
     else:
         # the end point of the bump restart, which loses to the odd sine here
-        w0 = _descend(_grid(n)[0], n, alpha, q)[0]
+        w0 = _descend(_grid(n)[0], n, _quotient_kernel(n, alpha, q))[0]
     _, evaluations, converged, _ = _counted_descent(w0, alpha, q)
     assert converged
     assert evaluations <= 2
@@ -626,3 +632,94 @@ def test_result_carries_the_winners_profile():
     res = minimize(ProblemParams(10.0, 1.5), FAST)
     assert res.profile == analyze(res.minimizer)
     assert res.profile.sign_class == "sign_changing"
+
+
+# --- coupling threshold ascent -------------------------------------------------------
+
+def _threshold(v, q, sigma):
+    """F_sigma(v) = (sigma*M - D)/|S|^(2/q) of the full grid vector v, from core's quotient terms."""
+    h = 2.0 / (v.size + 1)
+    energy, _, s = quotient_terms(v, h, q)
+    return (sigma * h * float(v @ v) - energy) / abs(s) ** (2.0 / q)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sigma", [0.0, 9.8])
+def test_threshold_gradient_matches_finite_differences(q, sigma):
+    rng = np.random.default_rng(11)
+    for n in SIZES:
+        w = _even(lambda x: np.cos(0.5 * math.pi * x) + 0.2 * np.cos(1.5 * math.pi * x), n)
+        w = w * 3.0  # F is scale-invariant, its step gradient is not: off the unit sphere
+        value, g, rate = threshold_and_gradient(w, n, sigma, q)
+        assert -value == pytest.approx(_threshold(_unfold(w, n), q, sigma), rel=1e-13, abs=1e-13)
+        h = 2.0 / (n + 1)
+        assert rate == pytest.approx(1.0 / abs(_half_average(w, n, q)) ** (2.0 / q), rel=1e-14)
+        eps = 1e-6
+        for _ in range(3):
+            e = rng.standard_normal(w.size)
+            fd = (threshold_and_gradient(w + eps * e, n, sigma, q)[0]
+                  - threshold_and_gradient(w - eps * e, n, sigma, q)[0]) / (2.0 * eps)
+            exact = rate * h * _fold(g, e, n % 2)
+            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+def test_threshold_rejects_all_but_positive_points():
+    n = 4000
+    bump = _grid(n)[0]
+    for w in (_balanced_even(n, 1.5), bump - 0.5 * bump.max(), -bump, 1e-20 * bump):
+        assert threshold_and_gradient(w, n, 9.8, 1.5)[:2] == (math.inf, None)
+
+
+@pytest.mark.parametrize("n", [100, 101, 4000])
+def test_threshold_ascent_at_q2_is_the_cosine_in_zero_steps(n):
+    # at q = 2, S = M: F_sat = sat - D/M is largest at the discrete first
+    # eigenvector, the sampled cosine, which is the bump start
+    sat = saturation_reference(n, 2.0)
+    up = threshold_ascent(n, 2.0, sat)
+    assert (up.iterations, up.converged) == (0, True)
+    cosine = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x), n)
+    base = rayleigh_quotient(cosine, ProblemParams(0.0, 2.0))
+    assert abs(up.alpha - (sat - base)) <= 1e-12
+
+
+_ascent = functools.lru_cache(maxsize=None)(threshold_ascent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([100, 101, 1000]),
+    q=st.sampled_from([1.0, 1.3, 1.5, 1.8, 2.0]),
+    power=st.floats(0.5, 3.0),
+    coefficients=st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=4),
+)
+def test_every_positive_even_function_certifies_a_lower_bound(n, q, power, coefficients):
+    # cos(pi*x/2)^power * exp(cosine series): positive and even; F_sigma of
+    # any such u is at most max F_sigma, the ascent's value
+    def f(x):
+        series = sum(b * np.cos(k * math.pi * x) for k, b in enumerate(coefficients, start=1))
+        return np.cos(0.5 * math.pi * x) ** power * np.exp(series)
+
+    v = GridFunction.from_callable(f, n).values
+    v = v + v[::-1]  # even to the last bit
+    for sigma in (saturation_reference(n, q), 0.0):
+        assert _threshold(v, q, sigma) <= _ascent(n, q, sigma).alpha + 1e-9
+
+
+@pytest.mark.parametrize("n", [100, 4000])
+def test_tie_is_degenerate_at_the_ascent_value_only(n):
+    # at the ascent's value the constant-sign branch ties the odd one; a
+    # coupling step that lifts it 1e-7 above saturation breaks the tie
+    q = 1.5
+    sat = saturation_reference(n, q)
+    up = threshold_ascent(n, q, sat)
+    at = minimize(ProblemParams(up.alpha, q), SolverOptions(n=n))
+    assert at.degenerate and at.profile.sign_class == "positive"
+    assert abs(at.lam - sat) <= 1e-10
+    delta = 1e-7 / abs(q_average(up.maximizer, q)) ** (2.0 / q)
+    params = ProblemParams(up.alpha + delta, q)
+    branch = minimize(params, SolverOptions(n=n, starts=("positive_bump",)))
+    assert 5e-8 <= branch.lam - sat <= 2e-7
+    above = minimize(params, SolverOptions(n=n))
+    assert not above.degenerate
+    assert above.lam == sat
+
