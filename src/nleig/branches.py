@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, nodes
+from .core import GridFunction, check_q, nodes
 from .period import (
     DEFAULT_TARGET_REL_ERR,
     arc_densities,
@@ -220,8 +220,7 @@ def alpha_zero_exact(q: float) -> float:
 
     q = 1 gives -3/2 (w = 1 - x^2) and q = 2 gives -pi^2/4.
     """
-    if not 1.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    check_q(q)
     root_c = _beta(1.0 / q, 0.5) / q
     s = 2.0 * _beta(1.0 + 1.0 / q, 0.5) / (q * root_c)
     return -0.5 * q * root_c**2 * s ** (1.0 - 2.0 / q)

@@ -2,8 +2,8 @@
 
 Single evaluations print one JSON object to stdout; scans write plot-ready CSV.
 Exit codes: 0 success, 1 invalid arguments or I/O failure, 2 nonconvergence,
-3 verification failure.  Every solve descends from one start per branch of
-the minimizer dichotomy, so the output is deterministic.
+3 verification failure.  Every solve is one descent from a fixed start
+compared with the stored odd sine, so the output is deterministic.
 """
 
 from __future__ import annotations

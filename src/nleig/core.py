@@ -23,6 +23,16 @@ import numpy as np
 # zero counting ignores sign changes inside the same band.
 SIGN_BAND = 1e-6
 
+# discrete stand-in for the exact zero-average case S = 0, where gamma is 0:
+# constant-sign minimizers keep S near 1
+_GAMMA_ZERO_TOL = 1e-8
+
+
+def check_q(q: float) -> None:
+    """Raise ValueError unless the exponent q lies in [1, 2]; NaN does not."""
+    if not 1.0 <= q <= 2.0:
+        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+
 
 # bounded, since analyze, the solver and the profile rebuild each meet a few grid sizes
 @functools.lru_cache(maxsize=8)
@@ -43,8 +53,7 @@ class ProblemParams:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.q)):
             raise ValueError("alpha and q must be finite")
-        if not 1.0 <= self.q <= 2.0:
-            raise ValueError(f"q must lie in [1, 2], got {self.q!r}")
+        check_q(self.q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,15 +126,17 @@ class EigenResult:
 
     ``minimizer`` is L2-normalized with ``q_average`` = S >= 0, and its
     values are read-only, so the derived values below cannot drift from the
-    solve.  ``gamma`` is S^(2/q-1), or 0 for a zero-average minimizer.
-    ``iterations`` sums the descent steps of every restart and
-    ``evaluations`` their quotient evaluations (an evaluated start counts 1).
+    solve.  ``iterations`` counts the steps of the one descent and
+    ``evaluations`` its quotient evaluations plus 1 for the odd sine, whose
+    value is evaluated, not descended.
 
-    ``profile`` (``analyze(minimizer)``) and ``residual`` (the RMS residual
-    of -u'' + alpha*gamma*|u|^(q-1) = lam*u on the grid) are derived: each
-    is computed on its first read and kept.  A sign-changing minimizer's
-    first-integral constant is 0.5*lam*first_integral_coeffs(
-    profile.m_bar, q).t, the formula behind ``branches.branch_point(...).c``.
+    ``gamma`` (S^(2/q-1), or 0 for a zero-average minimizer: S at most
+    _GAMMA_ZERO_TOL), ``profile`` (``analyze(minimizer)``) and ``residual``
+    (the RMS residual of -u'' + alpha*gamma*|u|^(q-1) = lam*u on the grid)
+    are derived: each is computed on its first read and kept.  A
+    sign-changing minimizer's first-integral constant is
+    0.5*lam*first_integral_coeffs(profile.m_bar, q).t, the formula behind
+    ``branches.branch_point(...).c``.
     Equality and hashing are by identity, as for the minimizer.
     """
 
@@ -133,11 +144,15 @@ class EigenResult:
     minimizer: GridFunction
     params: ProblemParams
     q_average: float
-    gamma: float
     iterations: int
     evaluations: int
     converged: bool = True
     degenerate: bool = False
+
+    @functools.cached_property
+    def gamma(self) -> float:
+        s = self.q_average
+        return s ** (2.0 / self.params.q - 1.0) if s > _GAMMA_ZERO_TOL else 0.0
 
     @functools.cached_property
     def profile(self) -> MinimizerProfile:
@@ -173,8 +188,7 @@ def quotient_terms(v: np.ndarray, h: float, q: float) -> tuple[float, np.ndarray
 
 def q_average(u: GridFunction, q: float) -> float:
     """Signed average int |u|^(q-1) u dx by the composite trapezoid rule."""
-    if not 1.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    check_q(q)
     return quotient_terms(u.values, u.h, q)[2]
 
 

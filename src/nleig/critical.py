@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .branches import alpha_zero_exact
-from .core import GridFunction, ProblemParams, is_constant_sign
+from .core import GridFunction, ProblemParams, check_q, is_constant_sign
 from .solver import _LAMBDA_TOL, SolverOptions, minimize, saturation_reference, threshold_ascent
 
 _PI2 = math.pi**2
@@ -97,17 +97,6 @@ def _secant(a0: float, u0: GridFunction, a1: float, u1: GridFunction, alpha: flo
     return GridFunction(secant) if is_constant_sign(secant) else u1
 
 
-def _ascend(q: float, sigma: float, n: int):
-    """``threshold_ascent``, which must not reach its iteration cap."""
-    up = threshold_ascent(n, q, sigma)
-    if not up.converged:
-        raise RuntimeError(
-            f"the ascent of the coupling threshold reached its iteration cap after "
-            f"{up.iterations} steps (q = {q}, sigma = {sigma!r}, alpha = {up.alpha:.6f})"
-        )
-    return up
-
-
 def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> CriticalResult:
     """Locate the smallest coupling at which the eigenvalue saturates.
 
@@ -126,15 +115,14 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     A window or confirmation failure raises BracketViolation.
     ``tol`` must lie between 1e-4 and the width of the search window.
     """
-    if not 1.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    check_q(q)
     lo = lower_bound(q) - _BRACKET_MARGIN
     hi = 2.0 * _PI2
     if not 1e-4 <= tol <= hi - lo:
         raise ValueError(f"tol must lie in [1e-4, {hi - lo!r}] (the search window), got {tol!r}")
     sat = saturation_reference(opts.n, q)
     band = _NOISE_FACTOR * _LAMBDA_TOL
-    up = _ascend(q, sat, opts.n)
+    up = threshold_ascent(opts.n, q, sat)
     alpha_q = up.alpha
     if not lo <= alpha_q <= hi:
         raise BracketViolation(
@@ -175,12 +163,11 @@ def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> f
     the h^2 term covers the discretization bias of the discrete minimum
     (measured below 0.26*h^2*tau).  Raises DualityMismatch on disagreement.
     """
-    if not 1.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    check_q(q)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
 
-    root = _ascend(q, 0.0, opts.n).alpha
+    root = threshold_ascent(opts.n, q, 0.0).alpha
     tau = -alpha_zero_exact(q)
     h = 2.0 / (opts.n + 1)
     if abs(tau + root) > (tol + h * h) * tau:

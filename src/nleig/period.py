@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_q
 from .quadrature import QuadResult, integrate_endpoint_singular
 
 DEFAULT_TARGET_REL_ERR = 1e-10
@@ -44,8 +45,7 @@ class FirstIntegralCoeffs:
 def _check_mq(m: float, q: float) -> None:
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"m must lie in [0, 1], got {m!r}")
-    if not 1.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    check_q(q)
 
 
 def first_integral_coeffs(m: float, q: float) -> FirstIntegralCoeffs:
@@ -167,8 +167,7 @@ def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_E
 def _check_mq_open(m: float, q: float) -> None:
     if not 0.0 < m < 1.0:
         raise ValueError(f"m must lie strictly inside (0, 1), got {m!r}")
-    if not 1.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    check_q(q)
 
 
 def monotonicity_gap(m: float, q: float, y: float) -> float:

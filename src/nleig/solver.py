@@ -1,11 +1,11 @@
 """Variational solver: projected descent for the nonlocal Rayleigh quotient.
 
-Minimizes  Q(u) = ( D(u) + alpha*|S(u)|^(2/q) ) / M(u)  over grid functions,
-once per branch of the minimizer dichotomy, and the smaller quotient wins.
+Minimizes  Q(u) = ( D(u) + alpha*|S(u)|^(2/q) ) / M(u)  over grid functions.
+The minimizer dichotomy leaves two candidates, and the smaller quotient wins.
 A constant-sign minimizer is even (symmetric decreasing rearrangement keeps
-M and |S| and lowers D), so that branch is a descent from a positive bump
+M and |S| and lowers D), so that branch is one descent from a positive bump
 that runs on the even half grid.  The sign-changing branch above alpha_q is
-the odd sine, whose value comes by symmetry.
+the odd sine, whose value D/M comes by symmetry and is stored per grid.
 
 The descent works on w = v[:m], m = (n + 1)//2, which represents the even
 grid function v; for odd n the last entry is the centre node x = 0.  A
@@ -22,7 +22,9 @@ solution vanishes at the centre, so it is the reversed prefix sum of the
 right-hand side (the centre node's own entry halved for odd n), and the
 solution is the prefix sum of the flux.  One kernel evaluates each trial
 point once, returning the quotient and its gradient from a single |w|^(q-1)
-and stencil apply; the accepted trial's gradient starts the next step.  What
+and stencil apply; the accepted trial's gradient starts the next step.  The
+quotient's kernel and the threshold's share the half-grid energy and stencil
+(``_half_energy_and_stiffness``).  What
 depends on the grid size alone, the half bump start, the odd sine and its
 quotient, is built once per n and kept read-only.
 
@@ -42,12 +44,11 @@ iteration; trials that leave the constant-sign functions are rejected.
 
 Work that cannot lower the quotient by the stopping tolerance is skipped.
 The sampled odd sine is the discrete odd minimizer and its S is 0 by
-symmetry, so the odd restart takes its value D/M, the same for every alpha,
-and no step.  Backtracking stops before a step whose predicted decrease is
-at most the tolerance, and restarts are told apart by the constant-sign test
-alone.  A losing restart that reaches the iteration cap is reported by a
-RuntimeWarning.  Nothing is analysed: the result's profile and residual are
-computed on first read.
+symmetry, so it takes its value D/M, the same for every alpha, and no step.
+Backtracking stops before a step whose predicted decrease is at most the
+tolerance.  A descent that reaches the iteration cap and loses to the sine
+is reported by a RuntimeWarning.  Nothing is analysed: the result's gamma,
+profile and residual are computed on first read.
 """
 
 from __future__ import annotations
@@ -60,26 +61,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EigenResult, GridFunction, ProblemParams, apply_stiffness, is_constant_sign, nodes
+from .core import EigenResult, GridFunction, ProblemParams, apply_stiffness, check_q, is_constant_sign, nodes
 from .core import quotient_terms
 
 # Not called here (EigenResult.profile calls core.analyze); the name stays
 # because perfbench/tracing.py counts analyze calls by rebinding it.
 from .core import analyze
 
-_START_TAGS = ("positive_bump", "odd_sine")
-
-# discrete stand-in for the exact zero-average case S = 0, where gamma is 0:
-# constant-sign minimizers keep S near 1
-_GAMMA_ZERO_TOL = 1e-8
-
 # |S| at or below this counts as the kink S = 0 of alpha*|S|^(2/q) in the
 # gradient, where the limit (q < 2) and the subgradient choice (q = 2) are
 # both 0: an iterate crossing S = 0 lands there only by rounding.  The value
 # keeps alpha*|S|^(2/q) as computed, so the band moves no quotient, whatever
 # alpha is; leaving the term's gradient out changes only the direction of
-# the next step.  The odd restart never meets the band: its S is 0 by
-# symmetry, not by computation.
+# the next step.  The odd sine never meets the band: its S is 0 by symmetry,
+# not by computation.
 _S_ROUNDING_BAND = 1e-14
 
 # branch quotients closer than this are reported as a degenerate tie
@@ -90,36 +85,28 @@ _ARMIJO = 1e-4
 # a descent converges once a step lowers the quotient by less than this
 _LAMBDA_TOL = 1e-11
 
-# descent steps per restart; a winner that reaches the cap raises
+# descent steps per call; a winner that reaches the cap raises
 # SolverNonconvergence, a loser that reaches it a RuntimeWarning
 _MAX_ITERATIONS = 50000
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Interior grid size and the restarts to descend from.
+    """Interior grid size, at least 100.
 
-    ``starts`` is a nonempty subset of ("positive_bump", "odd_sine"); one
-    restart per branch of the dichotomy by default.  The stopping tolerance
-    and the iteration cap are the module constants _LAMBDA_TOL and
-    _MAX_ITERATIONS.
+    The stopping tolerance and the iteration cap are the module constants
+    _LAMBDA_TOL and _MAX_ITERATIONS.
     """
 
     n: int = 4000
-    starts: tuple[str, ...] = _START_TAGS
 
     def __post_init__(self):
         if self.n < 100:
             raise ValueError(f"n must be at least 100, got {self.n}")
-        starts = tuple(self.starts)
-        object.__setattr__(self, "starts", starts)
-        unknown = set(starts) - set(_START_TAGS)
-        if unknown or not starts:
-            raise ValueError(f"starts must be a nonempty subset of {_START_TAGS}, got {starts}")
 
 
 class SolverNonconvergence(RuntimeError):
-    """Raised when the winning restart hits the iteration cap; carries the result."""
+    """Raised when the winning descent hits the iteration cap; carries the result."""
 
     def __init__(self, message: str, result: EigenResult):
         super().__init__(message)
@@ -153,8 +140,22 @@ def _dirichlet_solve(r: np.ndarray, n: int) -> np.ndarray:
     return u
 
 
-def quotient_and_gradient(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[float, np.ndarray]:
-    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v) of the even v with half w, and its gradient.
+def _half_energy_and_stiffness(w: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+    """The Dirichlet energy D of the even v with half w, and the half of stiffness v.
+
+    The stencil's last row reflects: its mirror neighbour is w[-1] for even n
+    and w[-2] for odd n.
+    """
+    h = 2.0 / (n + 1)
+    d = w[1:] - w[:-1]
+    energy = 2.0 * (float(d @ d) + w[0] * w[0]) / h
+    g = apply_stiffness(w, h)
+    g[-1] -= w[-1 - n % 2] / (h * h)
+    return energy, g
+
+
+def quotient_and_gradient(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[float, np.ndarray, float]:
+    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v) of the even v with half w, its gradient and slope factor 1.
 
     The gradient is the half of the even gradient in v,
     2*(stiffness v + alpha*|S|^(2/q-1)*sign(S)*|v|^(q-1) - Q*v).  Inside the
@@ -164,19 +165,16 @@ def quotient_and_gradient(w: np.ndarray, n: int, alpha: float, q: float) -> tupl
     """
     h = 2.0 / (n + 1)
     odd = n % 2
-    d = w[1:] - w[:-1]
-    energy = 2.0 * (float(d @ d) + w[0] * w[0]) / h
+    energy, g = _half_energy_and_stiffness(w, n)
     p = np.abs(w) ** (q - 1.0)
     s = h * _fold(w, p, odd)
     value = (energy + alpha * abs(s) ** (2.0 / q)) / (h * _fold(w, w, odd))
-    g = apply_stiffness(w, h)
-    g[-1] -= w[-1 - odd] / (h * h)  # the mirror neighbour of the last entry
     if abs(s) > _S_ROUNDING_BAND:
         p *= alpha * abs(s) ** (2.0 / q - 1.0) * math.copysign(1.0, s)
         g += p
     g -= value * w
     g *= 2.0
-    return value, g
+    return value, g, 1.0
 
 
 def threshold_and_gradient(w: np.ndarray, n: int, sigma: float, q: float) -> tuple[float, np.ndarray | None, float]:
@@ -196,27 +194,14 @@ def threshold_and_gradient(w: np.ndarray, n: int, sigma: float, q: float) -> tup
     s = h * _fold(w, p, odd)
     if s <= _S_ROUNDING_BAND or not is_constant_sign(w):
         return math.inf, None, 1.0
-    d = w[1:] - w[:-1]
-    energy = 2.0 * (float(d @ d) + w[0] * w[0]) / h
+    energy, g = _half_energy_and_stiffness(w, n)
     weight = s ** (2.0 / q)
     value = (energy - sigma * h * _fold(w, w, odd)) / weight
-    g = apply_stiffness(w, h)
-    g[-1] -= w[-1 - odd] / (h * h)  # the mirror neighbour of the last entry
     p *= -value * weight / s
     g += p
     g -= sigma * w
     g *= 2.0
     return value, g, 1.0 / weight
-
-
-def _quotient_kernel(n: int, alpha: float, q: float):
-    """The kernel of the quotient descent: Q, its gradient and slope factor 1."""
-
-    def kernel(w: np.ndarray) -> tuple[float, np.ndarray, float]:
-        value, g = quotient_and_gradient(w, n, alpha, q)
-        return value, g, 1.0
-
-    return kernel
 
 
 def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int, bool]:
@@ -225,7 +210,7 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
     ``w`` is the half of the start.  ``kernel(u)`` returns the objective at
     the half u, its step gradient g and the factor c that makes c*h*g.d the
     objective's first-order decrease along d: the quotient's kernel
-    (``_quotient_kernel``) or the threshold's (``threshold_and_gradient``).
+    (``quotient_and_gradient``) or the threshold's (``threshold_and_gradient``).
     A trial of objective +inf is rejected.  Returns the half of the iterate,
     its objective, the steps taken, the kernel evaluations made and whether
     the descent converged.  The kernel runs once per trial point.  The
@@ -323,21 +308,21 @@ def minimize(
 ) -> EigenResult:
     """Compute lambda(alpha, q) and a minimizer by projected descent.
 
-    By default takes one restart per branch of the dichotomy, a descent from
-    a positive bump on the even half grid and the odd sine (the exact
-    discrete odd minimizer, 0 steps, value D/M by symmetry), and returns the
-    restart with the smallest quotient.  ``start``, if given, replaces the
-    positive bump as the start of that descent: only its left half
+    Descends once on the even half grid from the positive bump, or from
+    ``start`` if given, and compares the result with the stored value D/M of
+    the odd sine (the exact discrete odd minimizer, by symmetry), which
+    counts as one evaluation and no step.  Of ``start`` only the left half
     v[:(n + 1)//2] is read, as the even function it determines, so it must
-    have opts.n nodes and be nonzero there (ValueError otherwise).  When the
-    best constant-sign and best sign-changing quotients agree to within 1e-9
-    the constant-sign result is reported with the ``degenerate`` flag set.
-    Restarts are classified by the constant-sign test alone
-    (``core.is_constant_sign``) and nothing is analysed: the result's profile
-    and residual are computed on first read.  The winner's values are
-    read-only.  Raises SolverNonconvergence (carrying the result) if the
-    winner hit the iteration cap, and warns (RuntimeWarning) for each losing
-    restart that hit it.
+    have opts.n nodes and be nonzero there (ValueError otherwise).
+
+    The descent wins when it is constant-sign and within _TIE_TOL of the
+    sine, with the ``degenerate`` flag set, and when its quotient is at most
+    the sine's, unless it hit the iteration cap within
+    10*_LAMBDA_TOL*max(1, |lambda|) of the sine; otherwise the sine wins.
+    Nothing is analysed: the result's gamma, profile and residual are
+    computed on first read.  The winner's values are read-only.  Raises
+    SolverNonconvergence (carrying the result) if the winning descent hit
+    the iteration cap, and warns (RuntimeWarning) if a losing one did.
     """
     n = opts.n
     h = 2.0 / (n + 1)
@@ -349,64 +334,39 @@ def minimize(
         if not bump.any():
             raise ValueError("start must be nonzero on its left half")
     alpha, q = params.alpha, params.q
-    runs = []  # (quotient, tag, vector, converged, constant sign)
-    total_iterations = total_evaluations = 0
-    for tag in opts.starts:
-        if tag == "odd_sine":
-            # a descent from the sine would stop at its first evaluation
-            runs.append((saturation, tag, sine, True, False))
-            total_evaluations += 1
-        else:
-            w, q_val, iters, evals, conv = _descend(bump, n, _quotient_kernel(n, alpha, q))
-            total_iterations += iters
-            total_evaluations += evals
-            runs.append((q_val, tag, w, conv, is_constant_sign(w)))
-
-    runs.sort(key=lambda r: r[0])
-    best = runs[0]
-    if not best[3]:
-        # a capped run that ties a converged one to rounding level is no winner
-        near = [r for r in runs if r[3] and r[0] - best[0] <= 10.0 * _LAMBDA_TOL * max(1.0, abs(best[0]))]
-        if near:
-            best = near[0]
-    degenerate = False
-    const = [r for r in runs if r[4]]
-    changing = [r for r in runs if not r[4]]
-    if const and changing and abs(const[0][0] - changing[0][0]) < _TIE_TOL:
-        best = const[0]
-        degenerate = True
-    for r in runs:
-        if r is not best and not r[3]:
+    kernel = functools.partial(quotient_and_gradient, n=n, alpha=alpha, q=q)
+    w, lam, iterations, evaluations, converged = _descend(bump, n, kernel)
+    evaluations += 1  # the sine's, evaluated rather than descended
+    degenerate = bool(abs(lam - saturation) < _TIE_TOL) and is_constant_sign(w)
+    # a capped descent that ties the sine to rounding level is no winner
+    capped_tie = not converged and saturation - lam <= 10.0 * _LAMBDA_TOL * max(1.0, abs(lam))
+    if degenerate or (lam <= saturation and not capped_tie):
+        s = h * _fold(w, np.abs(w) ** (q - 1.0), n % 2)
+        v = _unfold(w, n)
+        if s < 0.0:
+            v, s = -v, -s
+    else:
+        if not converged:
             warnings.warn(
-                f"losing restart {r[1]} hit the iteration cap {_MAX_ITERATIONS} at "
+                f"losing restart positive_bump hit the iteration cap {_MAX_ITERATIONS} at "
                 f"(alpha={alpha}, q={q}, n={n})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    q_best, tag, v, conv, _ = best  # normalized by the descent
-    if tag == "odd_sine":
-        v, s = v.copy(), 0.0
-    else:
-        s = h * _fold(v, np.abs(v) ** (q - 1.0), n % 2)
-        v = _unfold(v, n)
-        if s < 0.0:
-            v, s = -v, -s
-    gamma = s ** (2.0 / q - 1.0) if s > _GAMMA_ZERO_TOL else 0.0
+        lam, v, s, converged = saturation, sine.copy(), 0.0, True
 
     v.flags.writeable = False
     result = EigenResult(
-        lam=q_best,
+        lam=lam,
         minimizer=GridFunction(v),
         params=params,
         q_average=s,
-        gamma=gamma,
-        iterations=total_iterations,
-        evaluations=total_evaluations,
-        converged=conv,
+        iterations=iterations,
+        evaluations=evaluations,
+        converged=converged,
         degenerate=degenerate,
     )
-    if not conv:
+    if not converged:
         raise SolverNonconvergence(
             f"nonconverged: iteration cap {_MAX_ITERATIONS} hit at "
             f"(alpha={alpha}, q={q})",
@@ -421,7 +381,6 @@ class ThresholdAscent(NamedTuple):
     alpha: float  # F_sigma(maximizer), a lower bound of the smallest alpha with lambda_c >= sigma
     maximizer: GridFunction  # even, positive, L2-normalized; read-only
     iterations: int
-    converged: bool
 
 
 def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
@@ -432,16 +391,21 @@ def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
     reaches sigma, and F_sigma of any iterate is a lower bound of it.  The
     ascent is ``_descend`` on -F_sigma from the positive bump, with the
     stopping tolerance _LAMBDA_TOL on the rise of F_sigma and the cap
-    _MAX_ITERATIONS; ``converged`` is False if it hit the cap.  At the
+    _MAX_ITERATIONS; it raises RuntimeError if it hits the cap.  At the
     maximizer u, the quotient Q_u(alpha) equals sigma: u is a constant-sign
     minimizer at the returned alpha.
     """
     w, value, iterations, _, converged = _descend(
         _grid(n)[0], n, functools.partial(threshold_and_gradient, n=n, sigma=sigma, q=q)
     )
+    if not converged:
+        raise RuntimeError(
+            f"the ascent of the coupling threshold reached its iteration cap after "
+            f"{iterations} steps (q = {q}, sigma = {sigma!r}, alpha = {-value:.6f})"
+        )
     v = _unfold(w, n)
     v.flags.writeable = False
-    return ThresholdAscent(-value, GridFunction(v), iterations, converged)
+    return ThresholdAscent(-value, GridFunction(v), iterations)
 
 
 def saturation_reference(n: int, q: float) -> float:
@@ -449,10 +413,9 @@ def saturation_reference(n: int, q: float) -> float:
 
     The q-average of the sine vanishes by odd symmetry, so the value is the
     pure Dirichlet quotient D/M and is independent of both alpha and q.  It
-    is the value of the ``odd_sine`` restart of ``minimize``.
+    is the odd sine's value in ``minimize``.
     """
     if n < 100:
         raise ValueError(f"n must be at least 100, got {n}")
-    if not 1.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [1, 2], got {q!r}")
+    check_q(q)
     return _grid(n)[2]

@@ -80,7 +80,6 @@ def test_lambda_nonconvergence_exits_2(capsys, monkeypatch):
         minimizer=GridFunction(np.sin(np.pi * np.linspace(-1, 1, 202)[1:-1])),
         params=ProblemParams(0.0, 1.5),
         q_average=0.0,
-        gamma=0.0,
         iterations=7,
         evaluations=8,
         converged=False,

@@ -1,3 +1,4 @@
+import functools
 import math
 from types import SimpleNamespace
 
@@ -72,9 +73,12 @@ def test_threshold_dichotomy(crit):
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
 def test_branch_coexistence_at_threshold(crit, q):
     aq = crit(q).alpha_q
-    res_pos = minimize(ProblemParams(aq, q), SolverOptions(starts=("positive_bump",)))
-    res_odd = minimize(ProblemParams(aq, q), SolverOptions(starts=("odd_sine",)))
-    assert abs(res_pos.lam - res_odd.lam) <= 10 * 0.04 * PI2
+    # the constant-sign branch's value, by the descent alone, against the odd sine's
+    n = OPTS.n
+    kernel = functools.partial(solver.quotient_and_gradient, n=n, alpha=aq, q=q)
+    lam_pos = solver._descend(solver._grid(n)[0], n, kernel)[1]
+    lam_odd = saturation_reference(n, q)
+    assert abs(lam_pos - lam_odd) <= 10 * 0.04 * PI2
 
 
 def test_alpha_critical_rejects_loose_inputs():
@@ -108,7 +112,7 @@ def test_bracket_violation(monkeypatch, lam_of_alpha, message):
 
 
 def _fake_ascent(alpha, maximizer=BUMP):
-    return lambda n, q, sigma: ThresholdAscent(alpha, maximizer, 3, True)
+    return lambda n, q, sigma: ThresholdAscent(alpha, maximizer, 3)
 
 
 @pytest.mark.parametrize("alpha", [lower_bound(1.5) - 0.1 - 1e-9, 2 * PI2 + 1e-9, -math.inf, math.nan])
@@ -165,9 +169,9 @@ def test_search_mechanics(monkeypatch, q):
     for n in (100, 101, 4000, 4001):
         res, ascents, calls = _recorded_search(monkeypatch, q, n, tol)
         sat = saturation_reference(n, q)
-        # one ascent at the saturation value, converged, whose value is alpha_q
+        # one ascent at the saturation value (converged, or it raises), whose value is alpha_q
         [(sigma, up)] = ascents
-        assert sigma == sat and up.converged
+        assert sigma == sat
         assert res.alpha_q == up.alpha
         # two full confirming solves, at alpha_q -/+ tol/2 rounded inward
         assert res.solver_calls == len(calls) == 2

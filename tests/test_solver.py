@@ -25,7 +25,7 @@ from nleig.solver import (
     _dirichlet_solve,
     _fold,
     _grid,
-    _quotient_kernel,
+    _half_energy_and_stiffness,
     _S_ROUNDING_BAND,
     _unfold,
     minimize,
@@ -94,7 +94,7 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
     # at nonzero coupling the bump start needs more than two descent steps
     monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
     with pytest.raises(SolverNonconvergence) as info:
-        minimize(ProblemParams(3.0, 1.5), SolverOptions(n=400, starts=("positive_bump",)))
+        minimize(ProblemParams(3.0, 1.5), SolverOptions(n=400))
     res = info.value.result
     assert not res.converged
     assert res.minimizer.n == 400
@@ -102,22 +102,18 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
 
 @pytest.mark.parametrize("q", [1.4, 1.5, 1.6, 1.7])
 def test_top_of_bracket_converges_quickly_to_the_odd_sine_branch(q):
-    # alpha = 2*pi^2 is the upper end of the critical search; here the odd
-    # start settles within a few dozen steps and the bump start loses
+    # alpha = 2*pi^2 is the upper end of the critical search; here the bump
+    # descent settles within a few dozen steps and loses to the odd sine
     params = ProblemParams(2.0 * PI2, q)
     res = minimize(params, OPTS)
     assert res.converged
     assert res.iterations <= 100
-    assert res.lam == minimize(params, SolverOptions(starts=("odd_sine",))).lam
+    assert res.lam == saturation_reference(OPTS.n, q)
 
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(n=50)
-    with pytest.raises(ValueError):
-        SolverOptions(starts=("bad_tag",))
-    with pytest.raises(ValueError):
-        SolverOptions(starts=())
 
 
 # --- Euler-Lagrange residual --------------------------------------------------------
@@ -127,8 +123,9 @@ def test_residual_small_at_poincare_minimizer():
     assert res.residual < 1e-3 * res.lam
 
 
-# at (6.34, 1.25) the odd winner keeps S = 2.4e-10, the largest seen in a scan
-# of q in [1.02, 1.98] x alpha in [5, 2*pi^2]; gamma must still read 0
+# at (6.34, 1.25) the odd winner once kept S = 2.4e-10, the largest seen in a
+# scan of q in [1.02, 1.98] x alpha in [5, 2*pi^2]; it now takes S = 0 by
+# symmetry, and gamma must read 0
 @pytest.mark.parametrize("alpha,q", [(10.0, 2.0), (9.0, 1.8), (7.0, 1.5), (6.34, 1.25)])
 def test_residual_small_on_saturated_branch_with_zero_gamma(alpha, q):
     res = minimize(ProblemParams(alpha, q), OPTS)
@@ -173,18 +170,19 @@ def _even(f, n):
 
 
 def _half_stiffness(w, n):
-    """The stencil on the half grid, as the kernel applies it: the last row is reflected."""
-    h = 2.0 / (n + 1)
-    out = apply_stiffness(w, h)
-    out[-1] -= w[-1 - n % 2] / h**2
-    return out
+    """The stencil on the half grid, as the kernels apply it: the last row is reflected."""
+    return _half_energy_and_stiffness(w, n)[1]
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_half_stiffness_is_the_unfolded_stencil(n):
     w = np.random.default_rng(n).standard_normal((n + 1) // 2)
-    full = apply_stiffness(_unfold(w, n), 2.0 / (n + 1))
-    assert np.allclose(_half_stiffness(w, n), full[: w.size], rtol=0.0, atol=1e-12 * np.abs(full).max())
+    h = 2.0 / (n + 1)
+    v = _unfold(w, n)
+    full = apply_stiffness(v, h)
+    energy, stiffness = _half_energy_and_stiffness(w, n)
+    assert np.allclose(stiffness, full[: w.size], rtol=0.0, atol=1e-12 * np.abs(full).max())
+    assert energy == pytest.approx(quotient_terms(v, h, 2.0)[0], rel=1e-13)
 
 
 def _half_average(w, n, q):
@@ -220,7 +218,8 @@ def test_quotient_gradient_matches_finite_differences(q, alpha):
         assert _fold(w, w, n % 2) == pytest.approx(float(v @ v), rel=1e-14)
         u = GridFunction(v)
         assert q_average(u, q) > 0.1  # S != 0: the nonlocal term enters the gradient
-        value, g = quotient_and_gradient(w, n, alpha, q)
+        value, g, rate = quotient_and_gradient(w, n, alpha, q)
+        assert rate == 1.0
         assert value == pytest.approx(rayleigh_quotient(u, ProblemParams(alpha, q)), rel=1e-14)
         eps = 1e-6
         for _ in range(3):
@@ -240,7 +239,7 @@ def test_rounding_level_average_drops_the_nonlocal_gradient(q):
     n = 4000
     w = _balanced_even(n, q)
     assert 0.0 < _half_average(w, n, q) <= _S_ROUNDING_BAND
-    value, g = quotient_and_gradient(w, n, 8.0, q)
+    value, g, _ = quotient_and_gradient(w, n, 8.0, q)
     local = 2.0 * (_half_stiffness(w, n) - value * w)
     assert np.linalg.norm(g - local) <= 1e-12 * np.linalg.norm(_half_stiffness(w, n))
 
@@ -252,28 +251,38 @@ def test_small_real_average_keeps_the_nonlocal_gradient():
     w = _balanced_even(n, 2.0) + 2e-10 * _even(lambda x: np.cos(0.5 * math.pi * x), n)
     s = q_average(GridFunction(_unfold(w, n)), 2.0)
     assert 1e-9 < s < 1e-8
-    value, g = quotient_and_gradient(w, n, alpha, 2.0)
+    value, g, _ = quotient_and_gradient(w, n, alpha, 2.0)
     full = 2.0 * (_half_stiffness(w, n) + alpha * np.abs(w) - value * w)
     assert np.linalg.norm(g - full) <= 1e-12 * np.linalg.norm(full)
 
 
 # --- descent work -----------------------------------------------------------------
 
+def _quotient_descent(w0, alpha, q, n=4000):
+    """_descend of the quotient from the half w0: (half, value, iterations, evaluations, converged)."""
+    return _descend(w0, n, functools.partial(quotient_and_gradient, n=n, alpha=alpha, q=q))
+
+
 def _counted_descent(w0, alpha, q, n=4000):
     """Run _descend from the half w0; returns (iterations, evaluations, converged, value)."""
-    _, value, iterations, evaluations, converged = _descend(w0, n, _quotient_kernel(n, alpha, q))
+    _, value, iterations, evaluations, converged = _quotient_descent(w0, alpha, q, n)
     return iterations, evaluations, converged, value
 
 
 @pytest.mark.parametrize("alpha,q", [(8.0, 2.0), (5.0, 1.5), (8.8, 1.8)])
 def test_odd_sine_start_above_threshold_is_already_converged(alpha, q):
-    # above alpha_q the sampled sine is the exact discrete odd minimizer; its
-    # value by symmetry is here the full quotient bit for bit
+    # the sampled sine is the exact discrete odd minimizer; its value by
+    # symmetry is here the full quotient bit for bit.  It takes no step: a
+    # minimize costs the bump descent and one evaluation of the sine
     params = ProblemParams(alpha, q)
-    res = minimize(params, SolverOptions(starts=("odd_sine",)))
-    assert (res.iterations, res.evaluations, res.converged) == (0, 1, True)
-    assert res.lam == saturation_reference(4000, q)
-    assert res.lam == rayleigh_quotient(res.minimizer, params)
+    sat = saturation_reference(4000, q)
+    assert sat == rayleigh_quotient(GridFunction(_grid(4000)[1]), params)
+    res = minimize(params, OPTS)
+    iterations, evaluations, _, value = _counted_descent(_grid(4000)[0], alpha, q)
+    assert (res.iterations, res.evaluations, res.converged) == (iterations, evaluations + 1, True)
+    assert res.lam == min(value, sat)
+    if res.lam == sat:  # above alpha_q
+        assert res.lam == rayleigh_quotient(res.minimizer, params)
 
 
 @pytest.mark.parametrize("n", [100, 4000])
@@ -281,18 +290,22 @@ def test_odd_sine_start_above_threshold_is_already_converged(alpha, q):
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
 def test_odd_restart_is_the_descent_it_replaces(q, alpha, n):
     # a descent from the stored sine stops at its first evaluation, the full
-    # quotient with the sine's rounding residue S; the restart takes S = 0,
-    # so the two differ by that residue's term alone
-    sine = _grid(n)[1]
+    # quotient with the sine's rounding residue S; the stored value takes
+    # S = 0, so the two differ by that residue's term alone
+    _, sine, stored = _grid(n)
     params = ProblemParams(alpha, q)
-    res = minimize(params, SolverOptions(n, starts=("odd_sine",)))
-    assert (res.lam, res.iterations, res.evaluations, res.converged) == (saturation_reference(n, q), 0, 1, True)
-    assert (res.q_average, res.gamma) == (0.0, 0.0)
+    assert saturation_reference(n, q) == stored
     full = rayleigh_quotient(GridFunction(sine), params)
     residue = abs(q_average(GridFunction(sine), q)) ** (2.0 / q)
-    assert abs(res.lam - full) <= abs(alpha) * residue + 1e-15 * full
-    assert np.array_equal(res.minimizer.values, sine)
-    assert not np.shares_memory(res.minimizer.values, sine)  # a copy, not the stored start
+    assert abs(stored - full) <= abs(alpha) * residue + 1e-15 * full
+    # above alpha_q the sine wins, as a copy with S = 0 (the bump descent at
+    # alpha = 1e6 and q = 1 runs to the cap, so that point is left out)
+    if alpha in (9.0, 2.0 * PI2):
+        res = minimize(params, SolverOptions(n))
+        assert (res.lam, res.converged) == (stored, True)
+        assert (res.q_average, res.gamma) == (0.0, 0.0)
+        assert np.array_equal(res.minimizer.values, sine)
+        assert not np.shares_memory(res.minimizer.values, sine)  # a copy, not the stored start
 
 
 @pytest.mark.parametrize("n", [100, 4000, 12345])
@@ -328,6 +341,27 @@ def test_capped_losing_restart_is_reported(monkeypatch):
     assert res.lam == saturation_reference(100, 1.5)
 
 
+def test_capped_descent_that_ties_the_sine_loses(monkeypatch):
+    # a capped, sign-changing descent within 10*_LAMBDA_TOL*max(1, |lambda|)
+    # of the sine ties it to rounding level and loses, with a warning; one
+    # further below wins, and its cap raises
+    n = 100
+    sat = saturation_reference(n, 1.5)
+    bump = _grid(n)[0]
+    changing = bump - 0.5 * bump.max()
+    for gap, wins in ((1e-12, False), (1e-6, True)):
+        monkeypatch.setattr(solver, "_descend", lambda w, n, kernel: (changing, sat - gap, 100, 150, False))
+        if wins:
+            with pytest.raises(SolverNonconvergence) as info:
+                minimize(ProblemParams(50.0, 1.5), SolverOptions(n=n))
+            assert info.value.result.lam == sat - gap
+        else:
+            with pytest.warns(RuntimeWarning, match="losing restart positive_bump") as record:
+                res = minimize(ProblemParams(50.0, 1.5), SolverOptions(n=n))
+            assert len(record) == 1
+            assert (res.lam, res.converged, res.degenerate, res.q_average) == (sat, True, False, 0.0)
+
+
 @pytest.mark.parametrize(
     "alpha,q,n,counts",
     [
@@ -340,7 +374,7 @@ def test_capped_losing_restart_is_reported(monkeypatch):
     ],
 )
 def test_exact_step_and_evaluation_counts(alpha, q, n, counts):
-    # (iterations, evaluations) of minimize, the odd restart counting (0, 1);
+    # (iterations, evaluations) of minimize, the odd sine counting (0, 1);
     # a change to the line search or the extrapolation moves them.  At
     # (-20, 1.25) an Armijo constant of 0.3 instead of 1e-4 gives (10, 20).
     for res in (
@@ -380,7 +414,7 @@ def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, 
         w0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values[: (n + 1) // 2]
     else:
         # the end point of the bump restart, which loses to the odd sine here
-        w0 = _descend(_grid(n)[0], n, _quotient_kernel(n, alpha, q))[0]
+        w0 = _quotient_descent(_grid(n)[0], alpha, q, n)[0]
     _, evaluations, converged, _ = _counted_descent(w0, alpha, q)
     assert converged
     assert evaluations <= 2
@@ -389,12 +423,13 @@ def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, 
 @pytest.mark.parametrize("n", [4000, 4001])
 @pytest.mark.parametrize("alpha,q", [(2.0, 1.5), (-5.0, 1.2), (7.16, 1.947)])
 def test_start_at_the_minimizer_costs_at_most_two_evaluations(alpha, q, n):
-    opts = SolverOptions(n=n, starts=("positive_bump",))
+    opts = SolverOptions(n=n)
     params = ProblemParams(alpha, q)
     cold = minimize(params, opts)
+    assert cold.q_average > 0.0  # the bump descent wins
     warm = minimize(params, opts, start=cold.minimizer)
     assert warm.converged
-    assert warm.evaluations <= 2
+    assert warm.evaluations - 1 <= 2  # the sine's evaluation aside
     assert abs(warm.lam - cold.lam) <= 1e-12 * max(1.0, abs(cold.lam))
 
 
@@ -479,7 +514,7 @@ def test_evaluations_sum_the_restarts(alpha, q):
     n = OPTS.n
     res = minimize(ProblemParams(alpha, q), OPTS)
     iterations, evaluations, _, _ = _counted_descent(_grid(n)[0], alpha, q, n)
-    # the odd restart is evaluated once, not descended
+    # the odd sine is evaluated once, not descended
     assert (res.iterations, res.evaluations) == (iterations, evaluations + 1)
 
 
@@ -494,8 +529,8 @@ def test_constant_sign_minimizer_is_even(n):
 
 
 def test_losing_odd_restart_below_threshold_stops_at_once():
-    # at (-50, 1.75) the odd start, with S = 0, is a critical point of the
-    # quotient that loses to the bump: its restart must stop at once
+    # at (-50, 1.75) the odd sine, with S = 0, is a critical point of the
+    # quotient that loses to the bump: it must cost no descent steps
     assert minimize(ProblemParams(-50.0, 1.75), OPTS).iterations <= 50
 
 
@@ -676,7 +711,7 @@ def test_threshold_ascent_at_q2_is_the_cosine_in_zero_steps(n):
     # eigenvector, the sampled cosine, which is the bump start
     sat = saturation_reference(n, 2.0)
     up = threshold_ascent(n, 2.0, sat)
-    assert (up.iterations, up.converged) == (0, True)
+    assert up.iterations == 0
     cosine = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x), n)
     base = rayleigh_quotient(cosine, ProblemParams(0.0, 2.0))
     assert abs(up.alpha - (sat - base)) <= 1e-12
@@ -717,8 +752,8 @@ def test_tie_is_degenerate_at_the_ascent_value_only(n):
     assert abs(at.lam - sat) <= 1e-10
     delta = 1e-7 / abs(q_average(up.maximizer, q)) ** (2.0 / q)
     params = ProblemParams(up.alpha + delta, q)
-    branch = minimize(params, SolverOptions(n=n, starts=("positive_bump",)))
-    assert 5e-8 <= branch.lam - sat <= 2e-7
+    branch = _counted_descent(_grid(n)[0], params.alpha, q, n)[3]
+    assert 5e-8 <= branch - sat <= 2e-7
     above = minimize(params, SolverOptions(n=n))
     assert not above.degenerate
     assert above.lam == sat
