@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, check_q, nodes
+from .core import GridFunction, check_n, check_q, nodes
 from .period import (
     DEFAULT_TARGET_REL_ERR,
     arc_densities,
@@ -123,8 +123,7 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     """
     if not 0.0 < m <= 1.0:
         raise ValueError(f"m must lie in (0, 1], got {m!r}")
-    if n < 100:
-        raise ValueError(f"n must be at least 100, got {n}")
+    check_n(n)
     pos, neg = arc_densities(_PTS_U2, _PTS_LN_Y, m, q)
     pos_cum = _arc_cumulative(pos)  # distance from the max toward y = 0
     neg_cum = _arc_cumulative(neg)  # distance from the min toward y = 0

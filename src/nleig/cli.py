@@ -206,7 +206,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-10, help="relative quadrature target")
     p.set_defaults(func=_cmd_hfun)
 
-    p = sub.add_parser("alpha-crit", help="critical coupling by ascent of the constant-sign threshold, confirmed by two solves")
+    p = sub.add_parser("alpha-crit", help="critical coupling by ascent of the constant-sign threshold, confirmed by one solve")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-2, help="width of the confirmation pair (>= 1e-4)")
     add_solver_args(p)
@@ -245,10 +245,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,12 @@ def check_q(q: float) -> None:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
 
 
+def check_n(n: int) -> None:
+    """Raise ValueError unless the interior grid size n is at least 100."""
+    if n < 100:
+        raise ValueError(f"n must be at least 100, got {n}")
+
+
 # bounded, since analyze, the solver and the profile rebuild each meet a few grid sizes
 @functools.lru_cache(maxsize=8)
 def nodes(n: int) -> np.ndarray:

@@ -11,15 +11,12 @@ couplings here are maxima of one quotient, found by one ascent
 crossing alpha_0 = max_u F_0(u).  The ascent's value is a certified lower
 bound: F_sigma(u) <= alpha_sigma for every u.
 
-Two full solves at alpha_q -/+ tol/2 then confirm the dichotomy.  lambda is
-nondecreasing in alpha, so the saturated solve above alpha_q shows
-saturation at every larger alpha, up to 2*pi^2.  Both continue in alpha
-along the constant-sign branch, a predictor-corrector scheme with the
-descent of ``minimize`` as the corrector.  The ascent's maximizer is the
-constant-sign minimizer at alpha_q, and the lower solve starts there.  The
-upper solve starts from the secant prediction through the two constant-sign
-minimizers, w1 + (alpha - alpha1)/(alpha1 - alpha0)*(w1 - w0), or from the
-lower one, w1, when the secant changes sign.
+The ascent's maximizer u certifies the lower end of the dichotomy without a
+solve: Q_u(alpha_q) = sat, so below alpha_q the constant-sign u gives
+lambda(alpha_q - d) <= Q_u(alpha_q - d) = sat - d*|S(u)|^(2/q)/M(u) < sat.
+One full solve at alpha_q + tol/2, started from u, confirms the upper end.
+lambda is nondecreasing in alpha, so its saturation there shows saturation
+at every larger alpha, up to 2*pi^2.
 
 The target is the sampled sine quotient rather than the analytic pi^2: it
 is what the discrete odd branch saturates at, which cancels the O(h^2)
@@ -37,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .branches import alpha_zero_exact
-from .core import GridFunction, ProblemParams, check_q, is_constant_sign
+from .core import ProblemParams, check_q, is_constant_sign, rayleigh_quotient
 from .solver import _LAMBDA_TOL, SolverOptions, minimize, saturation_reference, threshold_ascent
 
 _PI2 = math.pi**2
@@ -65,16 +62,16 @@ class DualityMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class CriticalResult:
-    """Critical coupling at fixed q, with the pair of full solves that confirm it.
+    """Critical coupling at fixed q, with the bracket that confirms it.
 
     ``alpha_q`` is the ascent's value, a certified lower bound of the
     discrete critical coupling.  ``bracket`` is (alpha_q - tol/2, alpha_q +
     tol/2), rounded inward so that its width is at most the search's
-    ``tol``: the full solve at its lower end found a constant-sign,
-    unsaturated minimizer, the one at its upper end a saturated eigenvalue.
-    ``solver_calls`` counts the ``minimize`` calls of the search, the two
-    confirming solves; ``iterations`` sums the ascent's steps and the steps
-    of those solves, so it holds the ascent's work too.
+    ``tol``: at its lower end the ascent's constant-sign maximizer has a
+    quotient below saturation, at its upper end a full solve found a
+    saturated eigenvalue.  ``solver_calls`` counts the ``minimize`` calls of
+    the search, the one confirming solve; ``iterations`` sums the ascent's
+    steps and that solve's, so it holds the ascent's work too.
     """
 
     alpha_q: float
@@ -89,14 +86,6 @@ def lower_bound(q: float) -> float:
     return 3.0 * _PI2 / 2.0 ** (1.0 + 2.0 / q)
 
 
-def _secant(a0: float, u0: GridFunction, a1: float, u1: GridFunction, alpha: float) -> GridFunction:
-    """The secant prediction at alpha through (a0, u0) and (a1, u1), or u1 when it changes sign."""
-    secant = u1.values - u0.values
-    secant *= (alpha - a1) / (a1 - a0)
-    secant += u1.values
-    return GridFunction(secant) if is_constant_sign(secant) else u1
-
-
 def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> CriticalResult:
     """Locate the smallest coupling at which the eigenvalue saturates.
 
@@ -104,15 +93,15 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     value alpha_q, a certified lower bound of the discrete critical coupling,
     and the constant-sign minimizer there.  alpha_q must lie in the search
     window [lower_bound(q) - 0.1, 2*pi^2], and the ascent must converge
-    (RuntimeError otherwise).  Two full solves at alpha_q -/+ tol/2 then
-    confirm the dichotomy: constant-sign and unsaturated below, saturated
-    above, where "saturated" means lambda >= saturation_reference - a band at
-    the solver's noise level, tied to its stopping tolerance.  lambda is
-    nondecreasing in alpha, so the solve above also shows saturation at every
-    larger alpha, 2*pi^2 included.  The lower solve starts from the ascent's
-    maximizer, the upper one from the secant through it and the lower
-    minimizer, or from the lower minimizer when that secant changes sign.
-    A window or confirmation failure raises BracketViolation.
+    (RuntimeError otherwise).  The dichotomy is then confirmed at alpha_q
+    -/+ tol/2: below, the maximizer must be constant-sign with a quotient
+    under saturation, which bounds lambda there without a solve; above, one
+    full solve started from the maximizer must be saturated.  "Saturated"
+    means lambda >= saturation_reference - a band at the solver's noise
+    level, tied to its stopping tolerance.  lambda is nondecreasing in
+    alpha, so the solve above also shows saturation at every larger alpha,
+    2*pi^2 included.  A window or confirmation failure raises
+    BracketViolation.
     ``tol`` must lie between 1e-4 and the width of the search window.
     """
     check_q(q)
@@ -132,13 +121,12 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     # a hair inside alpha_q -/+ tol/2, so that the rounded pair is at most tol wide
     half = 0.5 * tol - math.ulp(alpha_q)
     below, above = alpha_q - half, alpha_q + half
-    res_below = minimize(ProblemParams(below, q), opts, start=up.maximizer)
-    if not is_constant_sign(res_below.minimizer.values) or res_below.lam >= sat - band:
+    u = up.maximizer
+    if not is_constant_sign(u.values) or rayleigh_quotient(u, ProblemParams(below, q)) >= sat - band:
         raise BracketViolation(
             f"bracket violation: no unsaturated constant-sign minimizer at alpha = {below:.6f} (q = {q})"
         )
-    start = _secant(alpha_q, up.maximizer, below, res_below.minimizer, above)
-    res_above = minimize(ProblemParams(above, q), opts, start=start)
+    res_above = minimize(ProblemParams(above, q), opts, start=u)
     if res_above.lam < sat - band:
         raise BracketViolation(
             f"bracket violation: eigenvalue not saturated at alpha = {above:.6f} (q = {q})"
@@ -147,8 +135,8 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
         alpha_q=alpha_q,
         bracket=(below, above),
         saturation_value=sat,
-        solver_calls=2,
-        iterations=up.iterations + res_below.iterations + res_above.iterations,
+        solver_calls=1,
+        iterations=up.iterations + res_above.iterations,
     )
 
 

@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EigenResult, GridFunction, ProblemParams, apply_stiffness, check_q, is_constant_sign, nodes
+from .core import EigenResult, GridFunction, ProblemParams, apply_stiffness, check_n, check_q, is_constant_sign, nodes
 from .core import quotient_terms
 
 # Not called here (EigenResult.profile calls core.analyze); the name stays
@@ -101,8 +101,7 @@ class SolverOptions:
     n: int = 4000
 
     def __post_init__(self):
-        if self.n < 100:
-            raise ValueError(f"n must be at least 100, got {self.n}")
+        check_n(self.n)
 
 
 class SolverNonconvergence(RuntimeError):
@@ -415,7 +414,6 @@ def saturation_reference(n: int, q: float) -> float:
     pure Dirichlet quotient D/M and is independent of both alpha and q.  It
     is the odd sine's value in ``minimize``.
     """
-    if n < 100:
-        raise ValueError(f"n must be at least 100, got {n}")
+    check_n(n)
     check_q(q)
     return _grid(n)[2]

@@ -123,8 +123,8 @@ def test_alpha_crit(capsys):
     rec = json.loads(out)
     assert abs(rec["alpha_q"] - 0.75 * PI2) <= 0.5
     assert rec["bracket"][0] <= rec["alpha_q"] <= rec["bracket"][1]
-    # at q = 2 the ascent and both confirming solves start at their optimum
-    assert (rec["solver_calls"], rec["iterations"]) == (2, 0)
+    # at q = 2 the ascent and the one confirming solve start at their optimum
+    assert (rec["solver_calls"], rec["iterations"]) == (1, 0)
 
 
 def test_alpha_crit_rejects_tol_wider_than_the_search(capsys):

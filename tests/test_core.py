@@ -16,7 +16,8 @@ from nleig.core import (
     q_average,
     rayleigh_quotient,
 )
-from nleig.solver import SolverOptions, minimize
+from nleig.branches import reconstruct_profile
+from nleig.solver import SolverOptions, minimize, saturation_reference
 
 PI = math.pi
 N = 4000
@@ -142,6 +143,24 @@ def test_q_average_odd_in_u_property(values, q):
 def test_q_average_rejects_bad_exponent():
     with pytest.raises(ValueError):
         q_average(grid_cos(100), 2.5)
+
+
+# --- grid size ---------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: SolverOptions(n=n),
+        lambda n: saturation_reference(n, 1.5),
+        lambda n: reconstruct_profile(0.5, 1.5, n),
+    ],
+    ids=["SolverOptions", "saturation_reference", "reconstruct_profile"],
+)
+def test_grid_size_rule_is_shared(make):
+    # every entry point that takes n applies core.check_n: 100 is the smallest grid
+    make(100)
+    with pytest.raises(ValueError, match="n must be at least 100, got 99"):
+        make(99)
 
 
 # --- analyze -----------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import nleig.critical as critical
 from nleig import verify
 from nleig.branches import alpha_zero_exact
-from nleig.core import GridFunction, ProblemParams, analyze, is_constant_sign
+from nleig.core import GridFunction, ProblemParams, analyze, is_constant_sign, rayleigh_quotient
 from nleig.critical import (
     BracketViolation,
     DualityMismatch,
@@ -23,9 +23,12 @@ from nleig.solver import SolverOptions, ThresholdAscent, minimize, saturation_re
 PI2 = math.pi**2
 OPTS = SolverOptions()
 
-# constant-sign and sign-changing grid functions for fakes of minimize
+# constant-sign and sign-changing maximizers for fake ascents: the bump, and
+# the bump with its last node negated, which changes sign far outside the
+# roundoff band but keeps its quotient at q = 1.5 below saturation up to
+# alpha = 5.98 (by 0.11)
 BUMP = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x), 100)
-SINE = GridFunction.from_callable(lambda x: np.sin(math.pi * x), 100)
+DIPPED = GridFunction(np.append(BUMP.values[:-1], -BUMP.values[-1]))
 
 
 # --- alpha_critical -----------------------------------------------------------
@@ -93,26 +96,39 @@ def test_alpha_critical_rejects_loose_inputs():
             alpha_critical(1.5, tol, OPTS)
 
 
+def _fake_ascent(alpha, maximizer=BUMP):
+    return lambda n, q, sigma: ThresholdAscent(alpha, maximizer, 3)
+
+
 @pytest.mark.parametrize(
-    "lam_of_alpha, message",
+    "ascent, message",
     [
-        # saturated at the lower confirming solve
-        (lambda alpha: PI2, "no unsaturated constant-sign minimizer at alpha"),
-        # unsaturated at the upper confirming solve
-        (lambda alpha: 0.0, "not saturated at alpha"),
+        # the bump's quotient at alpha = 9.98 lies far above saturation
+        (_fake_ascent(10.0), "no unsaturated constant-sign minimizer at alpha"),
+        # a sign-changing maximizer cannot certify the lower end, even below saturation
+        pytest.param(
+            _fake_ascent(6.0, DIPPED),
+            "no unsaturated constant-sign minimizer at alpha = 5.98",
+            id="sign-changing maximizer",
+        ),
+        # the bump certifies alpha = 5.98; the upper solve, lambda = 0, is unsaturated
+        (_fake_ascent(6.0), "not saturated at alpha"),
     ],
 )
-def test_bracket_violation(monkeypatch, lam_of_alpha, message):
-    def fake_minimize(params, opts, start=None):
-        return SimpleNamespace(lam=lam_of_alpha(params.alpha), q_average=1.0, minimizer=BUMP)
+def test_bracket_violation(monkeypatch, ascent, message):
+    starts = []
 
+    def fake_minimize(params, opts, start=None):
+        starts.append(start)
+        return SimpleNamespace(lam=0.0, q_average=1.0, minimizer=BUMP)
+
+    monkeypatch.setattr(critical, "threshold_ascent", ascent)
     monkeypatch.setattr(critical, "minimize", fake_minimize)
     with pytest.raises(BracketViolation, match=message):
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
-
-
-def _fake_ascent(alpha, maximizer=BUMP):
-    return lambda n, q, sigma: ThresholdAscent(alpha, maximizer, 3)
+    # the lower end is certified without a solve; the upper end is solved
+    # from the ascent's maximizer
+    assert starts == ([BUMP] if message.startswith("not saturated") else [])
 
 
 @pytest.mark.parametrize("alpha", [lower_bound(1.5) - 0.1 - 1e-9, 2 * PI2 + 1e-9, -math.inf, math.nan])
@@ -173,44 +189,41 @@ def test_search_mechanics(monkeypatch, q):
         [(sigma, up)] = ascents
         assert sigma == sat
         assert res.alpha_q == up.alpha
-        # two full confirming solves, at alpha_q -/+ tol/2 rounded inward
-        assert res.solver_calls == len(calls) == 2
+        # one full confirming solve, at alpha_q + tol/2 rounded inward, from the maximizer
+        assert res.solver_calls == len(calls) == 1
         lo, hi = res.bracket
-        assert [(a, opts) for a, opts, _, _ in calls] == [(lo, SolverOptions(n=n)), (hi, SolverOptions(n=n))]
+        [(a, opts, start, above)] = calls
+        assert (a, opts) == (hi, SolverOptions(n=n))
+        assert start is up.maximizer
         assert hi - lo <= tol
         assert lo < res.alpha_q < hi
         assert abs((hi - lo) - tol) <= 4 * math.ulp(res.alpha_q)
-        assert res.iterations == up.iterations + sum(r.iterations for *_, r in calls)
-        below, above = calls[0][3], calls[1][3]
-        assert below.profile.sign_class != "sign_changing"
-        assert below.lam < sat
+        assert res.iterations == up.iterations + above.iterations
+        # the maximizer certifies the lower end: constant-sign, quotient below saturation
+        assert is_constant_sign(up.maximizer.values)
+        assert rayleigh_quotient(up.maximizer, ProblemParams(lo, q)) < sat
         assert abs(above.lam - sat) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [100, 101, 4000, 4001])
 def test_continuation_keeps_the_cold_search(monkeypatch, n):
-    # the confirming solves start from the ascent's maximizer and from the
-    # secant through it and the lower minimizer; each lambda is a cold one
+    # the confirming solve starts from the ascent's maximizer; its lambda is a
+    # cold one, and the maximizer's quotient bounds the cold lambda at the lower end
     opts = SolverOptions(n=n)
     for q in (1.0, 1.05, 1.2, 1.35, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0):
-        res, [(_, up)], calls = _recorded_search(monkeypatch, q, n)
-        (a0, _, s0, r0), (a1, _, s1, r1) = calls
-        assert s0 is up.maximizer
-        secant = up.maximizer.values + (a1 - res.alpha_q) / (a0 - res.alpha_q) * (r0.minimizer.values - up.maximizer.values)
-        if is_constant_sign(secant):
-            assert np.allclose(s1.values, secant, rtol=0.0, atol=1e-12)
-        else:  # at (q, n) = (1, 4000) it dips below 0 next to the ends
-            assert s1 is r0.minimizer
-        for alpha, lam in ((a0, r0.lam), (a1, r1.lam)):
-            ref = minimize(ProblemParams(alpha, q), opts).lam
-            assert abs(lam - ref) <= 1e-11 * max(1.0, abs(lam))
+        res, [(_, up)], [(alpha, _, _, above)] = _recorded_search(monkeypatch, q, n)
+        lam = above.lam
+        assert abs(lam - minimize(ProblemParams(alpha, q), opts).lam) <= 1e-11 * max(1.0, abs(lam))
+        lo = res.bracket[0]
+        lam_lo = minimize(ProblemParams(lo, q), opts).lam
+        assert lam_lo <= rayleigh_quotient(up.maximizer, ProblemParams(lo, q)) + 1e-11 * max(1.0, abs(lam_lo))
 
 
 def test_search_iterations_are_pinned(monkeypatch):
-    # 5 ascent steps, then 3 and 1 steps in the confirming solves
+    # 5 ascent steps, then 3 steps in the confirming solve
     res, [(_, up)], calls = _recorded_search(monkeypatch, 1.5, 4000)
-    assert (up.iterations, [r.iterations for *_, r in calls]) == (5, [3, 1])
-    assert res.iterations == 9
+    assert (up.iterations, [r.iterations for *_, r in calls]) == (5, [3])
+    assert res.iterations == 8
 
 
 def test_ascent_step_cap(monkeypatch):
@@ -225,45 +238,6 @@ def test_ascent_step_cap(monkeypatch):
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
     with pytest.raises(RuntimeError, match="reached its iteration cap after 2 steps"):
         alpha_zero(1.5, 1e-3, SolverOptions(n=100))
-
-
-def test_lower_confirming_solve_must_be_constant_sign(monkeypatch):
-    # the ascent lands at alpha = 10, where lambda rises with slope 1 to
-    # saturation; the full solve just below returns an unsaturated but
-    # sign-changing minimizer, which breaks the dichotomy
-    sat = saturation_reference(100, 1.5)
-
-    def fake_minimize(params, opts, start=None):
-        lam = min(sat, sat - (10.0 - params.alpha))
-        return SimpleNamespace(lam=lam, q_average=1.0, minimizer=SINE)
-
-    monkeypatch.setattr(critical, "threshold_ascent", _fake_ascent(10.0))
-    monkeypatch.setattr(critical, "minimize", fake_minimize)
-    with pytest.raises(BracketViolation, match="no unsaturated constant-sign minimizer at alpha = 9.98"):
-        alpha_critical(1.5, 0.04, SolverOptions(n=100))
-
-
-def test_sign_changing_secant_falls_back_to_the_last_minimizer(monkeypatch):
-    # the ascent returns cos^3 at alpha = 7 and the lower solve cos; the
-    # secant at the upper solve, about 2*cos^3 - cos, is negative near the
-    # ends and positive at 0, so that solve starts from cos.  lambda stays 0,
-    # so the upper solve is not saturated and raises.
-    cubed = GridFunction(BUMP.values**3)
-    calls = []
-
-    def fake_minimize(params, opts, start=None):
-        calls.append((params.alpha, start))
-        return SimpleNamespace(lam=0.0, q_average=1.0, minimizer=BUMP)
-
-    monkeypatch.setattr(critical, "threshold_ascent", _fake_ascent(7.0, cubed))
-    monkeypatch.setattr(critical, "minimize", fake_minimize)
-    with pytest.raises(BracketViolation, match="not saturated at alpha = 7.02"):
-        alpha_critical(1.5, 0.04, SolverOptions(n=100))
-    (a1, s1), (a2, s2) = calls
-    assert s1 is cubed
-    secant = BUMP.values + (a2 - a1) / (a1 - 7.0) * (BUMP.values - cubed.values)
-    assert not is_constant_sign(secant)
-    assert s2 is BUMP
 
 
 # --- alpha_zero and duality -----------------------------------------------------
