@@ -175,6 +175,28 @@ def test_half_period_near_divergent_corner_raises(tol):
     assert info.value.best.evaluations >= 1
 
 
+# half_period(m, q, 1e-13) by the float64 tanh-sinh rule that preceded the
+# graded Gauss-Legendre rule, at q = 1, 1.2, 1.5, 1.8, 1.95, 1.99, 2
+_PINNED_QS = (1.0, 1.2, 1.5, 1.8, 1.95, 1.99, 2.0)
+_PINNED_HALF_PERIODS = {
+    1e-12: (3.141592653589793, 3.9269862391954105, 6.281460564519307, 15.219644102435899, 42.78415066258214, 103.18305289901585, 1110720734540.7024),
+    1e-09: (3.1415926535897936, 3.9269182636055167, 6.273485857717622, 14.728684997650968, 38.33850717505119, 89.5305528984951, 1110720735.6503124),
+    1e-06: (3.1415926535897936, 3.9258401715543476, 6.228550737639106, 13.714192893621377, 32.38416050869084, 72.692157167435, 1110721.8452608816),
+    0.001: (3.141592653589793, 3.9070564915240875, 5.959344775796968, 11.383032235603402, 23.372700978411892, 48.727175972871485, 1111.8320111897197),
+    0.1: (3.141592653589794, 3.6252710102303927, 4.68323341379717, 6.731909079867593, 9.53503701894153, 11.479116910030694, 12.278865755115222),
+    0.5: (3.141592653589793, 3.219949167616604, 3.3698845698919824, 3.5640464514430965, 3.682185374808829, 3.716640373989252, 3.725470599673538),
+    0.9: (3.141592653589793, 3.1435364626932842, 3.147136655053142, 3.1514497002355144, 3.1538468829828563, 3.1545117402939997, 3.1546796054657698),
+    1.0: (3.141592653589793, 3.141592653589793, 3.141592653589793, 3.141592653589793, 3.141592653589793, 3.141592653589793, 3.141592653589793),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_PINNED_HALF_PERIODS))
+def test_half_period_matches_pinned_values(m):
+    for q, pinned in zip(_PINNED_QS, _PINNED_HALF_PERIODS[m]):
+        value = half_period(m, q, 1e-13).value
+        assert abs(value - pinned) <= 1e-13 * pinned, (m, q, value)
+
+
 def test_arc_densities_match_the_radicals():
     # the cancellation-free radicands against the direct first-integral form:
     # dx/du = 2u / pos_arc_radical(y) and 2mu / neg_arc_radical(y), y = 1 - u^2
