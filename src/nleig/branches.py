@@ -23,49 +23,52 @@ from .period import (
     first_integral_coeffs,
     half_period,
 )
+from .quadrature import GAUSS_NODES, gauss_panels
 
 _PI2 = math.pi**2
 
 # Graded mesh of the arclength accumulation on the square-root variable u in
 # [0, 1] of each arc: panels of width c0 = 1/512 in the complement c = 1 - u
 # down to c = c0, then geometric panels [c0*2^-(k+1), c0*2^-k] for k < 60, which
-# resolve the y^(-q/2) end of the positive arc at u -> 1 as m -> 0 (hp-style
-# grading, Schwab 1998).  Each panel carries 8 Gauss-Legendre nodes.  The
+# resolve the y^(-q/2) end of the positive arc at u -> 1 as m -> 0.  Nodes and
+# half-widths come from ``quadrature.gauss_panels``, the helper of the graded
+# Gauss-Legendre rule behind ``half_period``, so both place 8 nodes per panel
+# by their complements in one code path.  The table is finer than that rule's
+# geometric panels alone: the rebuild interpolates between its points.  The
 # geometry is fixed, so it is built once; the arrays are read-only because
 # every rebuild shares them.
-_GL_ORDER = 8
 _C0 = 1.0 / 512
 _GEOMETRIC_PANELS = 60
 
 
 def _graded_geometry() -> tuple[np.ndarray, ...]:
-    """u^2 and ln y at the Gauss nodes, panel half-widths, increment matrix, y at all points.
+    """u^2 and ln y at the Gauss nodes, panel half-widths, partial-integral matrix, y at all points.
 
     Nodes are placed by their complements c, taken from the panel edges, so
     that c keeps full relative accuracy at u -> 1.  "All points" are the panel
     edges and Gauss nodes in order of increasing u: edge, its 8 nodes, next
-    edge, ..., last edge.  Row j of the (8, 9) increment matrix maps the value
-    at node j to its share of the integrals of the degree-7 interpolant over
-    [-1, xi_0], [xi_0, xi_1], ..., [xi_7, 1] of the reference panel; each row
-    sums to the Gauss weight of its node.
+    edge, ..., last edge.  Row j of the (8, 9) partial-integral matrix maps
+    the value at node j to its share of the integrals of the degree-7
+    interpolant over [-1, xi_0], [-1, xi_1], ..., [-1, xi_7], [-1, 1] of the
+    reference panel; its last column holds the Gauss weights.  The
+    half-widths are repeated over those 9 columns.
     """
     legendre = np.polynomial.legendre
     c_edges = np.concatenate((np.arange(1.0, 0.0, -_C0), _C0 * 0.5 ** np.arange(1, _GEOMETRIC_PANELS + 1)))
-    half = 0.5 * (c_edges[:-1] - c_edges[1:])[:, None]
-    nodes, _ = legendre.leggauss(_GL_ORDER)
-    pts_c = 0.5 * (c_edges[:-1] + c_edges[1:])[:, None] - half * nodes
+    pts_c, half = gauss_panels(c_edges)
     u2, ln_y = arc_variables(1.0 - pts_c, pts_c)
-    lagrange = np.linalg.inv(legendre.legvander(nodes, _GL_ORDER - 1))  # column j: basis l_j
+    lagrange = np.linalg.inv(legendre.legvander(GAUSS_NODES, GAUSS_NODES.size - 1))  # column j: basis l_j
     primitive = legendre.legint(lagrange, lbnd=-1.0)
-    increments = np.diff(legendre.legval(np.append(nodes, 1.0), primitive), axis=1, prepend=0.0)
+    partials = legendre.legval(np.append(GAUSS_NODES, 1.0), primitive)
     c_all = np.append(np.column_stack((c_edges[:-1], pts_c)).ravel(), c_edges[-1])
-    geometry = (u2, ln_y, half, increments, c_all * (2.0 - c_all))  # y = 1 - u^2 = c*(2 - c)
+    half = np.repeat(half, partials.shape[1], axis=1)
+    geometry = (u2, ln_y, half, partials, c_all * (2.0 - c_all))  # y = 1 - u^2 = c*(2 - c)
     for a in geometry:
         a.setflags(write=False)
     return geometry
 
 
-_PTS_U2, _PTS_LN_Y, _HALF, _INCREMENTS, _Y_ALL = _graded_geometry()
+_PTS_U2, _PTS_LN_Y, _HALF, _PARTIALS, _Y_ALL = _graded_geometry()
 
 
 @dataclass(frozen=True)
@@ -98,65 +101,52 @@ def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_
 
 
 def _arc_cumulative(density: np.ndarray) -> np.ndarray:
-    """Cumulative integral of an arclength density sampled at the Gauss nodes of the graded panels.
+    """Cumulative integral of arclength densities sampled at the Gauss nodes of the graded panels.
 
-    The returned array has one entry per edge and node of the panels, in order
-    of increasing u, starting at 0 and ending at the integral over (0, 1).
+    ``density`` holds one density of shape (panels, 8), or a stack of them
+    along leading axes.  Each returned row has one entry per edge and node of
+    the panels, in order of increasing u, starting at 0 and ending at the
+    integral over (0, 1).  One product gives the integrals from each panel's
+    left edge; only the panel totals are then accumulated, as offsets.
     """
-    steps = (density @ _INCREMENTS) * _HALF
-    out = np.empty(steps.size + 1)
-    out[0] = 0.0
-    np.cumsum(steps.ravel(), out=out[1:])
+    within = (density @ _PARTIALS) * _HALF
+    ends = np.cumsum(within[..., -1], axis=-1)
+    within[..., 1:, :] += ends[..., :-1, None]
+    out = np.zeros(within.shape[:-2] + (within.shape[-2] * within.shape[-1] + 1,))
+    out[..., 1:] = within.reshape(within.shape[:-2] + (-1,))
     return out
 
 
 def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     """Rebuild the sign-changing profile of depth m on (-1, 1) from its first integral.
 
-    The arclength maps x(y) on the rising and falling arcs are accumulated in
-    the square-root variables y = 1 - u^2 (positive arc) and |y| = m*(1 - v^2)
-    (negative arc), where the densities (``period.arc_densities``) are
-    smooth, then inverted by piecewise-linear interpolation on the edges and
-    Gauss nodes of the graded panels.  The positive arc is anchored first:
-    the profile rises from x = -1, crosses zero once, and dips to -m before
-    x = 1.
+    The arclength maps of the two arcs are accumulated together, each from
+    its extremum, in the square-root variables y = 1 - u^2 (positive arc)
+    and |y| = m*(1 - v^2) (negative arc), where the densities
+    (``period.arc_densities``) are smooth.  A node x is then placed by its
+    distance |x - x_ext|*half_period from the extremum x_ext of its arc and
+    inverted by piecewise-linear interpolation on the ascending tables of
+    the edges and Gauss nodes of the graded panels.  The positive arc is
+    anchored first: the profile rises from 0 at x = -1 to its maximum 1,
+    crosses zero once, and dips to -m before x = 1.
     """
     if not 0.0 < m <= 1.0:
         raise ValueError(f"m must lie in (0, 1], got {m!r}")
     check_n(n)
-    pos, neg = arc_densities(_PTS_U2, _PTS_LN_Y, m, q)
-    pos_cum = _arc_cumulative(pos)  # distance from the max toward y = 0
-    neg_cum = _arc_cumulative(neg)  # distance from the min toward y = 0
+    pos_cum, neg_cum = _arc_cumulative(np.stack(arc_densities(_PTS_U2, _PTS_LN_Y, m, q)))
     len_pos = pos_cum[-1]
-    len_neg = neg_cum[-1]
-    period = len_pos + len_neg  # equals half_period(m, q)
-    lam_sqrt = period
-
-    # map: arclength from the zero end -> height on the positive arc
-    s_pos = (len_pos - pos_cum)[::-1]
-    y_pos = _Y_ALL[::-1]
-    # map: arclength from the zero end -> depth on the negative arc
-    s_neg = (len_neg - neg_cum)[::-1]
-    w_neg = m * y_pos
-
-    zero = -1.0 + 2.0 * len_pos / period
+    period = len_pos + neg_cum[-1]  # equals half_period(m, q)
     max_point = -1.0 + len_pos / period
-    min_point = zero + len_neg / period
+    zero = -1.0 + 2.0 * len_pos / period
+    min_point = 1.0 - neg_cum[-1] / period
 
     x = nodes(n)[1:-1]
-    # x is sorted: the cut points split it at max_point <= zero <= min_point
-    i_max, i_zero, i_min = np.searchsorted(x, (max_point, zero, min_point), side="right")
-    s = np.empty_like(x)
-    s[:i_max] = x[:i_max] + 1.0
-    s[i_max:i_zero] = zero - x[i_max:i_zero]
-    s[i_zero:i_min] = x[i_zero:i_min] - zero
-    s[i_min:] = 1.0 - x[i_min:]
-    s *= lam_sqrt
-
+    i_zero = np.searchsorted(x, zero, side="right")  # x is sorted: the positive arc ends at the zero
     values = np.empty_like(x)
-    # np.interp holds the end values outside [0, len], which clamps the arcs
-    values[:i_zero] = np.interp(s[:i_zero], s_pos, y_pos)
-    values[i_zero:] = -np.interp(s[i_zero:], s_neg, w_neg)
+    # np.interp holds the end values beyond the tables, which clamps the arcs at y = 0
+    values[:i_zero] = np.interp(np.abs(x[:i_zero] - max_point) * period, pos_cum, _Y_ALL)
+    values[i_zero:] = np.interp(np.abs(x[i_zero:] - min_point) * period, neg_cum, _Y_ALL)
+    values[i_zero:] *= -m
     return GridFunction(values)
 
 

@@ -203,7 +203,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("hfun", help="half-period integral of the sign-changing branch")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10, help="relative quadrature target")
+    p.add_argument("--tol", type=float, default=1e-10, help="relative target of the graded Gauss-Legendre rule, in [1e-14, 1e-4]")
     p.set_defaults(func=_cmd_hfun)
 
     p = sub.add_parser("alpha-crit", help="critical coupling by ascent of the constant-sign threshold, confirmed by one solve")

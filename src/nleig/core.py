@@ -132,9 +132,10 @@ class EigenResult:
 
     ``minimizer`` is L2-normalized with ``q_average`` = S >= 0, and its
     values are read-only, so the derived values below cannot drift from the
-    solve.  ``iterations`` counts the steps of the one descent and
+    solve.  ``iterations`` counts the steps of the descent and
     ``evaluations`` its quotient evaluations plus 1 for the odd sine, whose
-    value is evaluated, not descended.
+    value is evaluated, not descended; above 2*pi^2 the descent runs at
+    2*pi^2, and again at alpha in the fallback of ``solver.minimize``.
 
     ``gamma`` (S^(2/q-1), or 0 for a zero-average minimizer: S at most
     _GAMMA_ZERO_TOL), ``profile`` (``analyze(minimizer)``) and ``residual``

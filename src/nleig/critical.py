@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .branches import alpha_zero_exact
 from .core import ProblemParams, check_q, is_constant_sign, rayleigh_quotient
-from .solver import _LAMBDA_TOL, SolverOptions, minimize, saturation_reference, threshold_ascent
+from .solver import _LAMBDA_TOL, ALPHA_TOP, SolverOptions, minimize, saturation_reference, threshold_ascent
 
 _PI2 = math.pi**2
 
@@ -92,7 +92,7 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     The ascent of F_sat from the positive bump (module docstring) returns its
     value alpha_q, a certified lower bound of the discrete critical coupling,
     and the constant-sign minimizer there.  alpha_q must lie in the search
-    window [lower_bound(q) - 0.1, 2*pi^2], and the ascent must converge
+    window [lower_bound(q) - 0.1, ALPHA_TOP = 2*pi^2], and the ascent must converge
     (RuntimeError otherwise).  The dichotomy is then confirmed at alpha_q
     -/+ tol/2: below, the maximizer must be constant-sign with a quotient
     under saturation, which bounds lambda there without a solve; above, one
@@ -106,7 +106,7 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     """
     check_q(q)
     lo = lower_bound(q) - _BRACKET_MARGIN
-    hi = 2.0 * _PI2
+    hi = ALPHA_TOP
     if not 1e-4 <= tol <= hi - lo:
         raise ValueError(f"tol must lie in [1e-4, {hi - lo!r}] (the search window), got {tol!r}")
     sat = saturation_reference(opts.n, q)

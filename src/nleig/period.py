@@ -107,8 +107,9 @@ def arc_variables(u, c) -> tuple[np.ndarray, np.ndarray]:
     where u^2 would underflow.
     """
     u2 = np.maximum(u * u, 1e-200)
-    with np.errstate(divide="ignore"):  # log1p(-1) where u rounds to 1; that branch is not taken
-        ln_y = np.where(u < 0.5, np.log1p(-u2), np.log(c * (1.0 + u)))
+    ln_y = np.log(c * (1.0 + u))
+    near = u < 0.5
+    ln_y[near] = np.log1p(-u2[near])
     return u2, ln_y
 
 
@@ -142,16 +143,20 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> QuadResult:
-    """Evaluate the half-period integral by float64 tanh-sinh quadrature.
+    """Evaluate the half-period integral by the graded Gauss-Legendre rule of ``quadrature``.
 
     Both arcs are integrated together in their square-root variables (see
-    ``arc_densities``), where the integrand is finite at the extrema u = 0.
+    ``arc_densities``), where the integrand is finite at the extrema u = 0;
+    the rule grades toward u = 1 only, which is all this integrand needs.
     What remains singular is the positive arc at u = 1 (y = 0) as m -> 0,
-    where the density grows like y^(-q/2); the quadrature resolves it through
-    the complement c = 1 - u.  (m, q) = (0, 2) diverges and raises ValueError;
-    for m = 0 with q close to 2 the tail below y ~ 1e-275 stops being
-    negligible and the quadrature raises QuadratureNonconvergence.  Returns
-    the quadrature's value, error estimate and count of density evaluations.
+    where the density grows like y^(-q/2); the rule resolves it through the
+    complement c = 1 - u on geometric panels.  (m, q) = (0, 2) diverges and
+    raises ValueError; for m = 0 with q close to 2 the tail below the
+    deepest panel, c ~ 1e-301, stops being negligible and the rule raises
+    QuadratureNonconvergence.  Returns the rule's value, error estimate and
+    count of density evaluations; the density is called once per round of
+    the rule, which is once in all for m in [0.05, 1] at targets down to
+    1e-13.
     """
     _check_mq(m, q)
     if m == 0.0 and q == 2.0:

@@ -47,8 +47,11 @@ The sampled odd sine is the discrete odd minimizer and its S is 0 by
 symmetry, so it takes its value D/M, the same for every alpha, and no step.
 Backtracking stops before a step whose predicted decrease is at most the
 tolerance.  A descent that reaches the iteration cap and loses to the sine
-is reported by a RuntimeWarning.  Nothing is analysed: the result's gamma,
-profile and residual are computed on first read.
+is reported by a RuntimeWarning.  Above 2*pi^2 (ALPHA_TOP) the descent runs
+at 2*pi^2: every quotient is nondecreasing in alpha, so a sine that wins
+there wins above it, and the descent never creeps along the kink S = 0 at
+a large alpha.  Nothing is analysed: the result's gamma, profile and
+residual are computed on first read.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ _LAMBDA_TOL = 1e-11
 # descent steps per call; a winner that reaches the cap raises
 # SolverNonconvergence, a loser that reaches it a RuntimeWarning
 _MAX_ITERATIONS = 50000
+
+# Above this coupling ``minimize`` descends at it instead (module docstring):
+# at alpha = 1e6, q = 1 a descent at alpha runs to the cap, at 2*pi^2 it
+# converges in at most about 141 steps.  Also the top of alpha_critical's
+# search window.
+ALPHA_TOP = 2.0 * math.pi**2
 
 
 @dataclass(frozen=True)
@@ -302,6 +311,19 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return bump, sine, saturation
 
 
+def _descent_wins(w: np.ndarray, lam: float, converged: bool, saturation: float) -> tuple[bool, bool]:
+    """Whether a descent ending at half w with quotient lam beats the sine's value, and whether it ties it.
+
+    A constant-sign result within _TIE_TOL of the sine wins as a degenerate
+    tie; otherwise a result at or below the sine wins unless it hit the
+    iteration cap within 10*_LAMBDA_TOL*max(1, |lam|) of it.
+    """
+    degenerate = bool(abs(lam - saturation) < _TIE_TOL) and is_constant_sign(w)
+    # a capped descent that ties the sine to rounding level is no winner
+    capped_tie = not converged and saturation - lam <= 10.0 * _LAMBDA_TOL * max(1.0, abs(lam))
+    return degenerate or (lam <= saturation and not capped_tie), degenerate
+
+
 def minimize(
     params: ProblemParams, opts: SolverOptions = SolverOptions(), start: GridFunction | None = None
 ) -> EigenResult:
@@ -318,6 +340,11 @@ def minimize(
     sine, with the ``degenerate`` flag set, and when its quotient is at most
     the sine's, unless it hit the iteration cap within
     10*_LAMBDA_TOL*max(1, |lambda|) of the sine; otherwise the sine wins.
+    Above alpha = ALPHA_TOP = 2*pi^2 the descent runs at ALPHA_TOP: lambda is
+    nondecreasing in alpha, so if the sine wins there it wins at alpha, and
+    the result is the sine with ``params`` (alpha, q) and the steps taken at
+    ALPHA_TOP.  If the descent wins at ALPHA_TOP, it runs again at alpha, and
+    the result counts the steps and evaluations of both descents.
     Nothing is analysed: the result's gamma, profile and residual are
     computed on first read.  The winner's values are read-only.  Raises
     SolverNonconvergence (carrying the result) if the winning descent hit
@@ -333,13 +360,20 @@ def minimize(
         if not bump.any():
             raise ValueError("start must be nonzero on its left half")
     alpha, q = params.alpha, params.q
-    kernel = functools.partial(quotient_and_gradient, n=n, alpha=alpha, q=q)
-    w, lam, iterations, evaluations, converged = _descend(bump, n, kernel)
+    w, lam, iterations, evaluations, converged = _descend(
+        bump, n, functools.partial(quotient_and_gradient, n=n, alpha=min(alpha, ALPHA_TOP), q=q)
+    )
+    wins, degenerate = _descent_wins(w, lam, converged, saturation)
+    if wins and alpha > ALPHA_TOP:
+        # the descent beat the sine at ALPHA_TOP, which decides nothing at alpha
+        w, lam, steps, evals, converged = _descend(
+            bump, n, functools.partial(quotient_and_gradient, n=n, alpha=alpha, q=q)
+        )
+        iterations += steps
+        evaluations += evals
+        wins, degenerate = _descent_wins(w, lam, converged, saturation)
     evaluations += 1  # the sine's, evaluated rather than descended
-    degenerate = bool(abs(lam - saturation) < _TIE_TOL) and is_constant_sign(w)
-    # a capped descent that ties the sine to rounding level is no winner
-    capped_tie = not converged and saturation - lam <= 10.0 * _LAMBDA_TOL * max(1.0, abs(lam))
-    if degenerate or (lam <= saturation and not capped_tie):
+    if wins:
         s = h * _fold(w, np.abs(w) ** (q - 1.0), n % 2)
         v = _unfold(w, n)
         if s < 0.0:

@@ -124,6 +124,18 @@ def test_q2_profile_matches_closed_form(m):
     assert np.abs(u.values - exact).max() <= 6e-8
 
 
+@pytest.mark.parametrize("m, q", [(1e-9, 1.05), (1e-3, 1.9), (0.3, 1.5), (0.9, 1.95), (1.0, 2.0)])
+def test_arc_cumulative_matches_the_running_sum(m, q):
+    # the panel-offset accumulation against one running sum of the
+    # sub-interval increments over all edges and nodes
+    increments = np.diff(branches._PARTIALS, axis=1, prepend=0.0)
+    for density in arc_densities(branches._PTS_U2, branches._PTS_LN_Y, m, q):
+        running = np.concatenate(([0.0], np.cumsum((density @ increments) * branches._HALF[:, :1])))
+        cumulative = branches._arc_cumulative(density)
+        assert np.all(np.diff(cumulative) >= 0.0)
+        assert np.abs(cumulative - running).max() <= 1e-14 * running[-1]
+
+
 def _negative_arc_width(m, q):
     """Width 2*len_neg/half_period of the negative arc, from quadrature alone."""
     res = integrate_endpoint_singular(lambda u, c: arc_densities(*arc_variables(u, c), m, q)[1], 1e-13)
@@ -158,7 +170,24 @@ def test_profile_edge_cases(m, q, n):
 
 
 def _reconstruct_profile_by_masks(m, q, n):
-    """reconstruct_profile as it was with four boolean masks over the nodes, kept as a reference."""
+    """reconstruct_profile with a boolean mask over the nodes in place of its cut point, kept as a reference."""
+    pos, neg = arc_densities(branches._PTS_U2, branches._PTS_LN_Y, m, q)
+    pos_cum = branches._arc_cumulative(pos)
+    neg_cum = branches._arc_cumulative(neg)
+    period = pos_cum[-1] + neg_cum[-1]
+    max_point = -1.0 + pos_cum[-1] / period
+    zero = -1.0 + 2.0 * pos_cum[-1] / period
+    min_point = 1.0 - neg_cum[-1] / period
+    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    values = np.empty_like(x)
+    pos_mask = x <= zero
+    values[pos_mask] = np.interp(np.abs(x[pos_mask] - max_point) * period, pos_cum, branches._Y_ALL)
+    values[~pos_mask] = -m * np.interp(np.abs(x[~pos_mask] - min_point) * period, neg_cum, branches._Y_ALL)
+    return values
+
+
+def _reconstruct_profile_by_four_pieces(m, q, n):
+    """reconstruct_profile as it was: arclength measured from the zero ends of both arcs on reversed tables."""
     pos, neg = arc_densities(branches._PTS_U2, branches._PTS_LN_Y, m, q)
     pos_cum = branches._arc_cumulative(pos)
     neg_cum = branches._arc_cumulative(neg)
@@ -167,26 +196,14 @@ def _reconstruct_profile_by_masks(m, q, n):
     s_pos = (len_pos - pos_cum)[::-1]
     y_pos = branches._Y_ALL[::-1]
     s_neg = (len_neg - neg_cum)[::-1]
-    w_neg = m * y_pos
     zero = -1.0 + 2.0 * len_pos / period
     max_point = -1.0 + len_pos / period
     min_point = zero + len_neg / period
     x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-    s = np.empty_like(x)
-    left = x <= max_point
-    s[left] = x[left] + 1.0
-    mid = (~left) & (x <= zero)
-    s[mid] = zero - x[mid]
-    down = (x > zero) & (x <= min_point)
-    s[down] = x[down] - zero
-    right = x > min_point
-    s[right] = 1.0 - x[right]
-    s *= period
-    values = np.empty_like(x)
-    pos_mask = x <= zero
-    values[pos_mask] = np.interp(s[pos_mask], s_pos, y_pos)
-    values[~pos_mask] = -np.interp(s[~pos_mask], s_neg, w_neg)
-    return values
+    s = np.select(
+        [x <= max_point, x <= zero, x <= min_point], [x + 1.0, zero - x, x - zero], 1.0 - x
+    ) * period
+    return np.where(x <= zero, np.interp(s, s_pos, y_pos), -np.interp(s, s_neg, m * y_pos))
 
 
 @pytest.mark.parametrize("n", [100, 101, 4000])
@@ -197,8 +214,20 @@ def test_profile_cut_points_match_the_masks(m, q, n):
     assert reconstruct_profile(m, q, n).values.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n", [101, 4000])
+@pytest.mark.parametrize("q", [1.0, 1.5, 1.95, 2.0])
+@pytest.mark.parametrize("m", [1e-9, 1e-3, 0.05, 0.3, 0.7, 0.9, 1.0])
+def test_profile_matches_the_four_piece_assembly(m, q, n):
+    # measuring from each extremum instead of from the zero ends moves the
+    # profile by rounding only (at most 7.3e-16 on this grid)
+    ref = _reconstruct_profile_by_four_pieces(m, q, n)
+    values = reconstruct_profile(m, q, n).values
+    assert np.abs(values - ref).max() <= 1e-14
+    assert np.array_equal(values < 0.0, ref < 0.0)
+
+
 def test_profile_geometry_is_read_only():
-    for name in ("_PTS_U2", "_PTS_LN_Y", "_Y_ALL", "_HALF", "_INCREMENTS"):
+    for name in ("_PTS_U2", "_PTS_LN_Y", "_Y_ALL", "_HALF", "_PARTIALS"):
         with pytest.raises(ValueError):
             getattr(branches, name)[0] = 0.0
 

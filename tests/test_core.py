@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nleig.core import (
     SIGN_BAND,
+    EigenResult,
     GridFunction,
     ProblemParams,
     _part_symmetry_defect,
@@ -350,3 +351,12 @@ def test_part_reflection_by_index_shift_matches_interp(n):
     for part in parts:
         for center in centers:
             assert abs(_part_symmetry_defect(part, float(center)) - _interp_defect(part, float(center))) <= 1e-13
+
+
+@pytest.mark.parametrize("s, gamma", [(1e-5, 1e-5 ** (1.0 / 3.0)), (1e-8, 0.0), (0.0, 0.0)])
+def test_gamma_of_a_small_average(s, gamma):
+    # gamma = S^(2/q - 1), with q = 1.5 the cube root of S; only S at or
+    # below 1e-8 stands for the zero average of an odd minimizer
+    u = grid_sin()
+    res = EigenResult(lam=PI**2, minimizer=u, params=ProblemParams(10.0, 1.5), q_average=s, iterations=0, evaluations=1)
+    assert res.gamma == pytest.approx(gamma, rel=1e-14, abs=0.0)

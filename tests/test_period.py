@@ -19,7 +19,8 @@ from nleig.period import (
     offset_positivity_margin,
     pos_arc_radical,
 )
-from nleig.quadrature import QuadratureNonconvergence
+from nleig import period
+from nleig.quadrature import QuadratureNonconvergence, integrate_endpoint_singular
 
 PI = math.pi
 MS = [k / 10 for k in range(1, 10)]
@@ -169,7 +170,7 @@ def test_half_period_q2_closed_form_as_depth_vanishes(m, tol):
 def test_half_period_near_divergent_corner_raises(tol):
     # at m = 0 the integral is pi/(2-q) = 100*pi, but y^(-q/2) leaves a tail
     # beyond the reach of float64 nodes; it must not come back as a value,
-    # not even at the loosest target, where the level differences settle
+    # not even at the loosest target, where the rule difference settles
     with pytest.raises(QuadratureNonconvergence) as info:
         half_period(0.0, 1.99, tol)
     assert info.value.best.evaluations >= 1
@@ -195,6 +196,21 @@ def test_half_period_matches_pinned_values(m):
     for q, pinned in zip(_PINNED_QS, _PINNED_HALF_PERIODS[m]):
         value = half_period(m, q, 1e-13).value
         assert abs(value - pinned) <= 1e-13 * pinned, (m, q, value)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("m", [0.05, 0.5, 0.95])
+def test_half_period_calls_its_density_once(m, q, tol, monkeypatch):
+    # one round of the graded rule: the density runs once, on all its nodes
+    calls = []
+
+    def counted(f, target):
+        return integrate_endpoint_singular(lambda u, c: calls.append(u.size) or f(u, c), target)
+
+    monkeypatch.setattr(period, "integrate_endpoint_singular", counted)
+    res = half_period(m, q, tol)
+    assert calls == [res.evaluations]
 
 
 def test_arc_densities_match_the_radicals():

@@ -19,8 +19,11 @@ def test_inverse_sqrt_right_endpoint():
 
 
 def test_inverse_sqrt_left_endpoint():
-    res = integrate_endpoint_singular(lambda x, c: 1 / x**0.5, 1e-12)
-    assert abs(res.value - 2.0) <= 2e-12
+    # the rule grades toward x = 1 only: a singularity at x = 0 is not
+    # resolved, and must not come back as a value
+    with pytest.raises(QuadratureNonconvergence) as info:
+        integrate_endpoint_singular(lambda x, c: 1 / x**0.5, 1e-12)
+    assert abs(info.value.best.value - 2.0) > 1e-12
 
 
 def test_strong_right_endpoint_singularity():
@@ -28,6 +31,13 @@ def test_strong_right_endpoint_singularity():
     # itself rounds to 1.0: only the complement c resolves it
     res = integrate_endpoint_singular(lambda x, c: c**-0.9, 1e-12)
     assert abs(res.value - 10.0) <= 1e-12
+
+
+def test_smooth_integrand_takes_one_call():
+    calls = []
+    res = integrate_endpoint_singular(lambda x, c: calls.append(x.size) or np.exp(x), 1e-14)
+    assert calls == [res.evaluations]
+    assert abs(res.value - math.expm1(1.0)) <= 1e-14 * math.expm1(1.0)
 
 
 def test_constant():
@@ -85,9 +95,13 @@ def test_nonconvergence_carries_best_estimate():
 
 
 def test_unresolved_tail_raises():
-    # c**-0.99 integrates to 100, but about 0.1 of it lies closer than 1e-304
-    # to x = 1, beyond the last node.  At this target the level differences
-    # settle on the truncated sum (99.909), so only the tail check catches it.
-    with pytest.raises(QuadratureNonconvergence) as info:
-        integrate_endpoint_singular(lambda x, c: c**-0.99, 1e-6)
-    assert info.value.best.evaluations >= 1
+    # c**-0.99 integrates to 100, but about 0.1 of it lies below the deepest
+    # panel, c < 2**-1000 ~ 1e-301.  The rule difference settles on the
+    # truncated sum (99.90), so only the tail bound catches it, and at 1e-4
+    # only with its factor 1/(1 - a) = 100: c0*f(c0) alone is about 1e-3,
+    # within the target's 0.01
+    for target in (1e-6, 1e-4):
+        with pytest.raises(QuadratureNonconvergence) as info:
+            integrate_endpoint_singular(lambda x, c: c**-0.99, target)
+        assert info.value.best.evaluations >= 1
+        assert 99.8 < info.value.best.value < 99.95

@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -256,6 +257,18 @@ def test_small_real_average_keeps_the_nonlocal_gradient():
     assert np.linalg.norm(g - full) <= 1e-12 * np.linalg.norm(full)
 
 
+def test_average_of_1e_11_keeps_the_nonlocal_gradient():
+    # |S| of about 1e-11 lies three orders above the rounding band and two
+    # below the 1.8e-9 above: at q = 2 the term alpha*sign(S)*|v| still stays
+    n, alpha = 4000, 8.0
+    w = _balanced_even(n, 2.0) + 1.2e-12 * _even(lambda x: np.cos(0.5 * math.pi * x), n)
+    s = _half_average(w, n, 2.0)
+    assert 5e-12 < s < 5e-11
+    value, g, _ = quotient_and_gradient(w, n, alpha, 2.0)
+    full = 2.0 * (_half_stiffness(w, n) + alpha * np.abs(w) - value * w)
+    assert np.linalg.norm(g - full) <= 1e-12 * np.linalg.norm(full)
+
+
 # --- descent work -----------------------------------------------------------------
 
 def _quotient_descent(w0, alpha, q, n=4000):
@@ -298,14 +311,22 @@ def test_odd_restart_is_the_descent_it_replaces(q, alpha, n):
     full = rayleigh_quotient(GridFunction(sine), params)
     residue = abs(q_average(GridFunction(sine), q)) ** (2.0 / q)
     assert abs(stored - full) <= abs(alpha) * residue + 1e-15 * full
-    # above alpha_q the sine wins, as a copy with S = 0 (the bump descent at
-    # alpha = 1e6 and q = 1 runs to the cap, so that point is left out)
-    if alpha in (9.0, 2.0 * PI2):
+    # above alpha_q the sine wins, as a copy with S = 0
+    if alpha >= 9.0:
         res = minimize(params, SolverOptions(n))
         assert (res.lam, res.converged) == (stored, True)
         assert (res.q_average, res.gamma) == (0.0, 0.0)
         assert np.array_equal(res.minimizer.values, sine)
         assert not np.shares_memory(res.minimizer.values, sine)  # a copy, not the stored start
+
+
+@pytest.mark.parametrize("n", [100, 101, 1200, 4000, 4001])
+def test_saturation_is_the_discrete_sine_eigenvalue(n):
+    # the sampled sin(pi*x) is an eigenvector of the Dirichlet stencil, with
+    # eigenvalue (4/h^2)*sin^2(pi*h/2), h = 2/(n + 1)
+    closed = (n + 1) ** 2 * math.sin(math.pi / (n + 1)) ** 2
+    for q in (1.0, 1.5, 2.0):
+        assert abs(saturation_reference(n, q) - closed) <= 1e-14 * closed
 
 
 @pytest.mark.parametrize("n", [100, 4000, 12345])
@@ -316,29 +337,59 @@ def test_stored_sine_has_rounding_level_average(n):
 
 
 @pytest.mark.parametrize("n", [100, 4000, 4001])
-@pytest.mark.parametrize("q", [1.5, 1.8, 2.0])
-@pytest.mark.parametrize("alpha", [1e2, 1e6, 1e9, 1e12])
-def test_saturated_lambda_does_not_drift_with_alpha(alpha, q, n, monkeypatch):
-    # the losing bump restart at (1e2, 1.5) creeps along the kink S = 0 for
-    # 31 000 to 37 000 steps; a low cap keeps this fast, and a capped loser
-    # must not move lambda
-    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 200)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+@pytest.mark.parametrize("q", [1.0, 1.5, 1.8, 2.0])
+@pytest.mark.parametrize("alpha", [50.0, 1e2, 1e6, 1e9, 1e12])
+def test_saturated_lambda_does_not_drift_with_alpha(alpha, q, n):
+    # a bump descent at alpha itself creeps along the kink S = 0: for 31 000
+    # to 37 000 steps at (1e2, 1.5), to the 50 000-step cap (3 to 6 s) at
+    # (1e6, 1); every alpha here descends at 2*pi^2 instead, in at most 60
+    # steps, and loses to the sine
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = minimize(ProblemParams(alpha, q), SolverOptions(n=n))
+    assert time.perf_counter() - start < 0.1
     assert res.lam == saturation_reference(n, q)
-    assert all("positive_bump" in str(w.message) for w in caught)
+    assert (res.params, res.converged, res.degenerate) == (ProblemParams(alpha, q), True, False)
+    top = _quotient_descent(_grid(n)[0], solver.ALPHA_TOP, q, n)
+    assert (res.iterations, res.evaluations) == (top[2], top[3] + 1)
+
+
+@pytest.mark.parametrize("margin", [1.0, -1.0])
+def test_descent_that_wins_at_the_top_falls_back_to_alpha(margin, monkeypatch):
+    # never seen, so faked: a descent below the sine at 2*pi^2 decides nothing
+    # at a larger alpha, which is then descended itself
+    n, alpha = 100, 50.0
+    sat = saturation_reference(n, 1.5)
+    seen = []
+
+    def fake(w, n, kernel):
+        seen.append(kernel.keywords["alpha"])
+        return _grid(n)[0], sat - margin * len(seen), 3, 4, True
+
+    monkeypatch.setattr(solver, "_descend", fake)
+    res = minimize(ProblemParams(alpha, 1.5), SolverOptions(n=n))
+    if margin > 0.0:  # wins at the top, then at alpha
+        assert seen == [solver.ALPHA_TOP, alpha]
+        assert (res.lam, res.iterations, res.evaluations) == (sat - 2.0, 6, 9)
+        assert np.array_equal(res.minimizer.values, _unfold(_grid(n)[0], n))
+    else:  # loses at the top: the sine, with the steps taken there
+        assert seen == [solver.ALPHA_TOP]
+        assert (res.lam, res.iterations, res.evaluations) == (sat, 3, 5)
+    assert res.params == ProblemParams(alpha, 1.5)
 
 
 def test_capped_losing_restart_is_reported(monkeypatch):
-    # at (50, 1.5, n = 100) the bump restart takes about 4 200 steps and loses
-    # to the odd sine; at a cap of 100 it loses capped, and must say so
-    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 100)
-    with pytest.warns(RuntimeWarning, match=r"restart positive_bump .* \(alpha=50.0, q=1.5, n=100\)"):
-        res = minimize(ProblemParams(50.0, 1.5), SolverOptions(n=100))
-    assert res.converged
-    assert res.iterations == 100
-    assert res.lam == saturation_reference(100, 1.5)
+    # at q = 1.5, n = 100 the bump restart loses to the odd sine after 7 steps
+    # at alpha = 15 and 8 steps at 2*pi^2, where alpha = 50 descends; at a
+    # cap of 5 it loses capped, and must say so, naming the alpha asked for
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 5)
+    for alpha in (15.0, 50.0):
+        with pytest.warns(RuntimeWarning, match=rf"restart positive_bump .* \(alpha={alpha}, q=1.5, n=100\)"):
+            res = minimize(ProblemParams(alpha, 1.5), SolverOptions(n=100))
+        assert res.converged
+        assert res.iterations == 5
+        assert res.lam == saturation_reference(100, 1.5)
 
 
 def test_capped_descent_that_ties_the_sine_loses(monkeypatch):
