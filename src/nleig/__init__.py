@@ -20,8 +20,14 @@ from .core import (
     q_average,
     rayleigh_quotient,
 )
-from .quadrature import QuadResult, QuadratureNonconvergence, integrate_endpoint_singular
-from .period import FirstIntegralCoeffs, first_integral_coeffs, half_period
+from .period import (
+    FirstIntegralCoeffs,
+    QuadResult,
+    QuadratureNonconvergence,
+    first_integral_coeffs,
+    half_period,
+    integrate_endpoint_singular,
+)
 from .solver import SolverNonconvergence, SolverOptions, minimize, saturation_reference
 from .branches import (
     BranchPoint,

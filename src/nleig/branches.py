@@ -18,12 +18,13 @@ import numpy as np
 from .core import GridFunction, check_n, check_q, nodes
 from .period import (
     DEFAULT_TARGET_REL_ERR,
+    GAUSS_NODES,
     arc_densities,
     arc_variables,
     first_integral_coeffs,
+    gauss_panels,
     half_period,
 )
-from .quadrature import GAUSS_NODES, gauss_panels
 
 _PI2 = math.pi**2
 
@@ -31,7 +32,7 @@ _PI2 = math.pi**2
 # [0, 1] of each arc: panels of width c0 = 1/512 in the complement c = 1 - u
 # down to c = c0, then geometric panels [c0*2^-(k+1), c0*2^-k] for k < 60, which
 # resolve the y^(-q/2) end of the positive arc at u -> 1 as m -> 0.  Nodes and
-# half-widths come from ``quadrature.gauss_panels``, the helper of the graded
+# half-widths come from ``period.gauss_panels``, the helper of the graded
 # Gauss-Legendre rule behind ``half_period``, so both place 8 nodes per panel
 # by their complements in one code path.  The table is finer than that rule's
 # geometric panels alone: the rebuild interpolates between its points.  The

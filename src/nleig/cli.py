@@ -17,8 +17,7 @@ import numpy as np
 from . import verify
 from .core import EigenResult, ProblemParams, nodes
 from .critical import BracketViolation, alpha_critical
-from .period import half_period
-from .quadrature import QuadratureNonconvergence
+from .period import QuadratureNonconvergence, half_period
 from .solver import SolverNonconvergence, SolverOptions, minimize
 
 CSV_HEADER = "alpha,q,lambda,sign_class,q_average,m_bar,odd_defect,residual,iterations"

@@ -1,4 +1,4 @@
-"""Half-period integral of the sign-changing branch and its study functions.
+"""Half-period integral of the sign-changing branch, its quadrature rule and its study functions.
 
 A sign-changing minimizer normalized to max 1 and min -m satisfies the first
 integral  (y')^2 = lambda * [1 - z*(1 - |y|^(q-1) y) - y^2]  with
@@ -17,17 +17,50 @@ where both integrand terms carry an inverse-square-root singularity at y = 1.
 accumulates).  The value is pi on the whole q = 1 line and at m = 1, and
 exceeds pi strictly for m < 1, q > 1; the auxiliary functions at the bottom
 certify the strict monotonicity of the integrand in q that drives that bound.
+
+What stays singular in u is the positive arc at u = 1 (y = 0) as m -> 0,
+where the density grows like y^(-q/2).  ``integrate_endpoint_singular``
+integrates over (0, 1) integrands that may blow up like an inverse power
+c**-a, a < 1, of the complement c = 1 - x at the right endpoint x = 1 and
+are smooth everywhere else, x = 0 included, by a graded composite
+Gauss-Legendre rule.  The mesh is graded toward x = 1 only, as in the
+hp-graded meshes of Schwab (1998): geometric panels [2**-(k+1), 2**-k] in c
+for k < depth, each with 8 Gauss-Legendre nodes.  Every panel has the same
+width relative to its distance from the singularity, so a power of c is
+resolved as finely on the last panel as on the first.  An integrand singular
+at x = 0 is not resolved and raises QuadratureNonconvergence.
+
+One round calls the integrand once, on the nodes of two rules: the panels
+cut into ``split`` equal parts, and the panels cut into 2*``split``.  It
+returns the sum of the finer rule, whose error estimate is its difference
+from the coarser sum.  The part of the integral below the innermost node c0
+is bounded by c0*|f(c0)|/(1 - a), with the exponent a of f ~ c**-a taken from
+the two innermost nodes; it must be negligible too.  A round that fails
+refines: the depth doubles from 64 while the tail bound fails, up to 1000
+panels, and ``split`` doubles from 1 while the estimate fails, up to 8; a
+non-finite integrand value enters the sums as 0 and fails the estimate.  A
+round that only deepens evaluates the new panels alone and adds their sums.
+Past either cap the rule raises QuadratureNonconvergence with the last
+round's estimate.
+
+Everything runs in float64 on numpy arrays.  Near x = 1 the abscissa itself
+rounds to 1.0 long before the weighted contributions are negligible, so the
+integrand is handed the complement as well: it is called as ``f(x, c)``
+with c placed from the panel edges, which keeps full relative accuracy down
+to the deepest panel, c ~ 1e-301.  An integrand must form its right-endpoint
+factors from ``c`` (never from ``1 - x``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import check_q
-from .quadrature import QuadResult, integrate_endpoint_singular
 
 DEFAULT_TARGET_REL_ERR = 1e-10
 
@@ -53,48 +86,6 @@ def first_integral_coeffs(m: float, q: float) -> FirstIntegralCoeffs:
     _check_mq(m, q)
     mq = m**q
     return FirstIntegralCoeffs(z=(1.0 - m * m) / (1.0 + mq), t=(mq + m * m) / (1.0 + mq), m=m, q=q)
-
-
-def pos_arc_radical(m: float, q: float, y: float) -> float:
-    """sqrt(1 - z*(1 - y^q) - y^2), the slope factor on the positive arc.
-
-    Bounded above by sqrt(1 - y^2) for every admissible (m, q).
-    """
-    co = first_integral_coeffs(m, q)
-    r = co.t + co.z * y**q - y * y
-    return math.sqrt(_guard_radicand(r))
-
-
-def neg_arc_radical(m: float, q: float, y: float) -> float:
-    """sqrt(1 - z*(1 + m^q y^q) - m^2 y^2), the slope factor on the negative arc.
-
-    Bounded below by m*sqrt(1 - y^2) for every admissible (m, q).
-    """
-    co = first_integral_coeffs(m, q)
-    r = co.t - co.z * m**q * y**q - (m * y) ** 2
-    return math.sqrt(_guard_radicand(r))
-
-
-def _guard_radicand(r: float) -> float:
-    if r <= -1e-14:
-        raise ValueError(f"integrand domain violation: radicand {r:.3e} is negative")
-    return max(r, 0.0)
-
-
-def integrand(m: float, q: float, y: float) -> float:
-    """The half-period integrand 1/pos_arc_radical + m/neg_arc_radical.
-
-    Finite for 0 <= y < 1; tends to +inf as y -> 1 where both radicands vanish.
-    """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"y must lie in [0, 1], got {y!r}")
-    fi = pos_arc_radical(m, q, y)
-    fii = neg_arc_radical(m, q, y)
-    first = 1.0 / fi if fi > 0.0 else math.inf
-    if m == 0.0:
-        return first
-    second = m / fii if fii > 0.0 else math.inf
-    return first + second
 
 
 def arc_variables(u, c) -> tuple[np.ndarray, np.ndarray]:
@@ -142,21 +133,174 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
     return pos, neg
 
 
+def integrand(m: float, q: float, y: float) -> float:
+    """The half-period integrand of the module docstring at height y.
+
+    Formed from ``arc_densities`` as (pos + neg)/(2u) at u = sqrt(1 - y),
+    since dy = -2u du.  Finite for 0 <= y < 1 when m > 0; +inf at y = 1,
+    where both radicands vanish, and at y = 0 when m = 0.  Elsewhere y = 0
+    is evaluated at the smallest positive float, where ln y is finite:
+    (2 - q)*ln y would be 0*(-inf) at q = 2.
+    """
+    _check_mq(m, q)
+    if not 0.0 <= y <= 1.0:
+        raise ValueError(f"y must lie in [0, 1], got {y!r}")
+    if y == 1.0 or (y == 0.0 and m == 0.0):
+        return math.inf
+    pos, neg = arc_densities(1.0 - y, math.log(max(y, math.ulp(0.0))), m, q)
+    return float(pos + neg) / (2.0 * math.sqrt(1.0 - y))
+
+
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+_DEPTH = 64
+# the deepest panel edge, 2**-1000 ~ 9e-302, keeps c and c**-1 normal and finite
+_MAX_DEPTH = 1000
+_MAX_SPLIT = 8
+
+_MIN_TARGET = 1e-14
+_MAX_TARGET = 1e-4
+
+
+@dataclass(frozen=True)
+class QuadResult:
+    """Value of an integral together with its convergence diagnostics.
+
+    ``error_estimate`` is the absolute difference between the two rules of
+    the last round; ``evaluations`` counts integrand values.
+    """
+
+    value: float
+    error_estimate: float
+    evaluations: int
+
+
+class QuadratureNonconvergence(RuntimeError):
+    """Raised when refinement fails to converge; carries the best estimate."""
+
+    def __init__(self, message: str, best: QuadResult):
+        super().__init__(message)
+        self.best = best
+
+
+def gauss_panels(c_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complements c of the Gauss-Legendre nodes on the panels between successive edges, and the half-widths.
+
+    ``c_edges`` descend in c, so the panels ascend in x = 1 - c.  Row i of the
+    (panels, 8) node array holds c = mid_i - half_i*xi_j for the ascending
+    reference nodes xi_j, so the nodes ascend in x within a panel too; the
+    weight of node j is half_i*GAUSS_WEIGHTS[j].  Half-widths come as a
+    (panels, 1) column.
+    """
+    half = 0.5 * (c_edges[:-1] - c_edges[1:])[:, None]
+    return 0.5 * (c_edges[:-1] + c_edges[1:])[:, None] - half * GAUSS_NODES, half
+
+
+def _geometric_edges(first: int, depth: int, split: int) -> np.ndarray:
+    """Edges of the panels [2**-(k+1), 2**-k], first <= k < depth, each cut into ``split`` equal parts, descending in c."""
+    top = 0.5 ** np.arange(first, depth)
+    cuts = top[:, None] * (1.0 - 0.5 * np.arange(split) / split)
+    return np.append(cuts.ravel(), 0.5**depth)
+
+
+# bounded: a round's panels and split take a few values each, and the
+# largest table, (0, 1000, 8), holds 192 000 nodes
+@functools.lru_cache(maxsize=8)
+def _round_nodes(first: int, depth: int, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Abscissae x, complements c and weights on the panels first <= k < depth, the coarse rule's nodes first.
+
+    The coarse rule cuts each geometric panel into ``split`` parts, the fine
+    rule into 2*``split``; the fine rule's last two nodes are the innermost.
+    The arrays are read-only: the cache shares them.
+    """
+    cs, ws = [], []
+    for parts in (split, 2 * split):
+        c, half = gauss_panels(_geometric_edges(first, depth, parts))
+        cs.append(c.ravel())
+        ws.append((half * GAUSS_WEIGHTS).ravel())
+    c = np.concatenate(cs)
+    nodes = (1.0 - c, c, np.concatenate(ws))
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
+def _tail_bound(c0: float, f0: float, c1: float, f1: float) -> float:
+    """Integral over (0, c0) of the power c**-a through (c0, f0) and (c1, f1), c0 < c1; +inf unless a < 1."""
+    if f0 == 0.0:
+        return 0.0
+    if f1 == 0.0:
+        return math.inf
+    a = (math.log(abs(f0)) - math.log(abs(f1))) / math.log(c1 / c0)
+    return c0 * abs(f0) / (1.0 - a) if a < 1.0 else math.inf
+
+
+def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResult:
+    """Integrate ``f(x, c)`` over (0, 1) by the graded Gauss-Legendre rule of the module docstring.
+
+    ``f`` takes float64 arrays of abscissae x and complements c = 1 - x and
+    returns an array (or a scalar) of values.  ``target_rel_err``, in
+    [1e-14, 1e-4], bounds both the rule difference and the tail bound
+    relative to the value.  Returns the finer rule's sum of the first round
+    that meets it; raises QuadratureNonconvergence, whose ``.best`` holds
+    the last round's estimate, when no round does.
+    """
+    if not (_MIN_TARGET <= target_rel_err <= _MAX_TARGET):
+        raise ValueError(
+            f"target_rel_err must lie in [{_MIN_TARGET:g}, {_MAX_TARGET:g}], "
+            f"got {target_rel_err:g}"
+        )
+    tail_floor = 1e-300
+    first, depth, split = 0, _DEPTH, 1
+    value = coarse = 0.0  # sums over the panels k < first
+    evals = 0
+    while True:
+        x, c, w = _round_nodes(first, depth, split)
+        terms = w * f(x, c)
+        evals += x.size
+        cut = GAUSS_NODES.size * (depth - first) * split
+        fine_sum, coarse_sum = float(terms[cut:].sum()), float(terms[:cut].sum())
+        resolved = math.isfinite(fine_sum + coarse_sum)
+        if not resolved:
+            terms = np.where(np.isfinite(terms), terms, 0.0)
+            fine_sum, coarse_sum = float(terms[cut:].sum()), float(terms[:cut].sum())
+        value += fine_sum
+        coarse += coarse_sum
+        diff = abs(value - coarse)
+        tail = _tail_bound(c[-1], float(terms[-1] / w[-1]), c[-2], float(terms[-2] / w[-2]))
+        tol = target_rel_err * (abs(value) + tail_floor)
+        deep = tail <= tol
+        fine = resolved and diff <= tol
+        if deep and fine:
+            return QuadResult(value, diff, evals)
+        if (not deep and depth == _MAX_DEPTH) or (not fine and split == _MAX_SPLIT):
+            break
+        if fine:  # only the new panels remain to be summed
+            first = depth
+        else:
+            split *= 2
+            first, value, coarse = 0, 0.0, 0.0
+        if not deep:
+            depth = min(2 * depth, _MAX_DEPTH)
+    unresolved = "" if resolved else ", non-finite integrand values"
+    raise QuadratureNonconvergence(
+        f"quadrature nonconvergence: rule difference {diff:.3e}, tail bound {tail:.3e}{unresolved} "
+        f"at depth {depth}, split {split} (target {target_rel_err:g})",
+        QuadResult(value, diff, evals),
+    )
+
+
 def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> QuadResult:
-    """Evaluate the half-period integral by the graded Gauss-Legendre rule of ``quadrature``.
+    """Evaluate the half-period integral by ``integrate_endpoint_singular`` (see the module docstring).
 
     Both arcs are integrated together in their square-root variables (see
-    ``arc_densities``), where the integrand is finite at the extrema u = 0;
-    the rule grades toward u = 1 only, which is all this integrand needs.
-    What remains singular is the positive arc at u = 1 (y = 0) as m -> 0,
-    where the density grows like y^(-q/2); the rule resolves it through the
-    complement c = 1 - u on geometric panels.  (m, q) = (0, 2) diverges and
-    raises ValueError; for m = 0 with q close to 2 the tail below the
-    deepest panel, c ~ 1e-301, stops being negligible and the rule raises
-    QuadratureNonconvergence.  Returns the rule's value, error estimate and
-    count of density evaluations; the density is called once per round of
-    the rule, which is once in all for m in [0.05, 1] at targets down to
-    1e-13.
+    ``arc_densities``), where the integrand is finite at the extrema u = 0.
+    (m, q) = (0, 2) diverges and raises ValueError; for m = 0 with q close
+    to 2 the tail below the deepest panel, c ~ 1e-301, stops being
+    negligible and the rule raises QuadratureNonconvergence.  Returns the
+    rule's value, error estimate and count of density evaluations; the
+    density is called once per round of the rule, which is once in all for
+    m in [0.05, 1] at targets down to 1e-13.
     """
     _check_mq(m, q)
     if m == 0.0 and q == 2.0:

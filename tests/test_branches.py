@@ -13,8 +13,7 @@ from nleig.branches import (
     reconstruct_profile,
 )
 from nleig.core import ProblemParams, analyze, q_average, rayleigh_quotient
-from nleig.period import arc_densities, arc_variables, first_integral_coeffs, half_period
-from nleig.quadrature import integrate_endpoint_singular
+from nleig.period import arc_densities, arc_variables, first_integral_coeffs, half_period, integrate_endpoint_singular
 
 PI = math.pi
 PI2 = math.pi**2

@@ -117,6 +117,14 @@ def test_hfun_divergent_exits_1(capsys):
     assert "divergent" in err
 
 
+def test_hfun_nonconvergence_exits_2(capsys):
+    # at m = 0 the tail of y^(-q/2) below the deepest panel is not negligible near q = 2
+    code, out, err = run(capsys, ["hfun", "--m", "0", "--q", "1.99"])
+    assert code == 2
+    assert out == ""
+    assert "quadrature nonconvergence" in err
+
+
 def test_alpha_crit(capsys):
     code, out, _ = run(capsys, ["alpha-crit", "--q", "2", "--tol", "0.5", "--n", "600"])
     assert code == 0
@@ -290,6 +298,12 @@ def test_module_entry_point_prints_what_main_prints(capsys):
     code, expected, _ = run(capsys, argv)
     assert code == 0
     assert json.loads(out.stdout) == json.loads(expected)
+
+
+def test_import_loads_exactly_the_package_modules():
+    # every module imported adds to the start-up time; a new one must show up here
+    expected = ["nleig", "nleig.branches", "nleig.cli", "nleig.core", "nleig.critical", "nleig.period", "nleig.solver", "nleig.verify"]
+    assert _modules_loaded_by_import("nleig") == str(expected)
 
 
 def test_import_loads_no_scipy():

@@ -8,19 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nleig.period import (
+    QuadratureNonconvergence,
     arc_densities,
     arc_variables,
     first_integral_coeffs,
     half_period,
     integrand,
+    integrate_endpoint_singular,
     log_bound_offset,
     monotonicity_gap,
-    neg_arc_radical,
     offset_positivity_margin,
-    pos_arc_radical,
 )
 from nleig import period
-from nleig.quadrature import QuadratureNonconvergence, integrate_endpoint_singular
 
 PI = math.pi
 MS = [k / 10 for k in range(1, 10)]
@@ -106,17 +105,15 @@ def test_integrand_strictly_increasing_in_q_on_grid():
 
 
 def test_arc_radical_bounds_on_grid():
+    # the radical bounds sqrt(1-z(1-y^q)-y^2) <= sqrt(1-y^2) <= sqrt(1-z(1+m^q y^q)-m^2 y^2)/m
+    # in the densities dx/du = 2u/radical: pos(u) >= 2/sqrt(2-u^2) >= neg(u)
+    u = np.sqrt(1.0 - np.array(YS))
+    circ = 2.0 / np.sqrt(2.0 - u * u)
     for m in MS:
         for q in (1.0, 1.5, 2.0):
-            for y in YS:
-                circ = math.sqrt(1.0 - y * y)
-                assert pos_arc_radical(m, q, y) <= circ + 1e-15
-                assert neg_arc_radical(m, q, y) >= m * circ - 1e-15
-
-
-def test_arc_radical_domain_guard():
-    with pytest.raises(ValueError, match="domain violation"):
-        pos_arc_radical(0.5, 1.5, 1.2)
+            pos, neg = arc_densities(*arc_variables(u, 1.0 - u), m, q)
+            assert np.all(pos >= circ * (1 - 1e-15))
+            assert np.all(neg <= circ * (1 + 1e-15))
 
 
 def test_integrand_rejects_height_out_of_range():
@@ -215,15 +212,19 @@ def test_half_period_calls_its_density_once(m, q, tol, monkeypatch):
 
 def test_arc_densities_match_the_radicals():
     # the cancellation-free radicands against the direct first-integral form:
-    # dx/du = 2u / pos_arc_radical(y) and 2mu / neg_arc_radical(y), y = 1 - u^2
+    # dx/du = 2u / sqrt(1 - z(1 - y^q) - y^2) and 2mu / sqrt(1 - z(1 + m^q y^q) - m^2 y^2),
+    # y = 1 - u^2
     u = np.array([0.2, 0.6, 0.9])
     for m in (0.3, 0.7):
         for q in (1.0, 1.3, 1.8, 2.0):
+            co = first_integral_coeffs(m, q)
             pos, neg = arc_densities(*arc_variables(u, 1.0 - u), m, q)
             for k, uk in enumerate(u):
                 y = 1.0 - uk * uk
-                assert abs(pos[k] - 2 * uk / pos_arc_radical(m, q, y)) <= 1e-12 * pos[k]
-                assert abs(neg[k] - 2 * m * uk / neg_arc_radical(m, q, y)) <= 1e-12 * neg[k]
+                pos_radical = math.sqrt(co.t + co.z * y**q - y * y)
+                neg_radical = math.sqrt(co.t - co.z * m**q * y**q - (m * y) ** 2)
+                assert abs(pos[k] - 2 * uk / pos_radical) <= 1e-12 * pos[k]
+                assert abs(neg[k] - 2 * m * uk / neg_radical) <= 1e-12 * neg[k]
 
 
 def test_half_period_exceeds_pi_with_margin():
@@ -237,6 +238,109 @@ def test_half_period_value_vs_error_invariant():
     for m, q in ((0.3, 1.0), (1.0, 1.8), (0.6, 1.4)):
         hv = half_period(m, q)
         assert hv.value >= PI - hv.error_estimate
+
+
+# --- the graded Gauss-Legendre rule --------------------------------------------
+
+def test_inverse_sqrt_both_factors():
+    res = integrate_endpoint_singular(lambda x, c: 1 / (c * (1 + x)) ** 0.5, 1e-12)
+    assert abs(res.value - math.pi / 2) <= 1e-12 * math.pi / 2
+    assert res.error_estimate >= 0.0
+    assert res.evaluations >= 1
+
+
+def test_inverse_sqrt_right_endpoint():
+    res = integrate_endpoint_singular(lambda x, c: 1 / c**0.5, 1e-12)
+    assert abs(res.value - 2.0) <= 2e-12
+
+
+def test_inverse_sqrt_left_endpoint():
+    # the rule grades toward x = 1 only: a singularity at x = 0 is not
+    # resolved, and must not come back as a value
+    with pytest.raises(QuadratureNonconvergence) as info:
+        integrate_endpoint_singular(lambda x, c: 1 / x**0.5, 1e-12)
+    assert abs(info.value.best.value - 2.0) > 1e-12
+
+
+def test_strong_right_endpoint_singularity():
+    # c**-0.9 puts almost all of its weight within 1e-10 of x = 1, where x
+    # itself rounds to 1.0: only the complement c resolves it
+    res = integrate_endpoint_singular(lambda x, c: c**-0.9, 1e-12)
+    assert abs(res.value - 10.0) <= 1e-12
+
+
+def test_smooth_integrand_takes_one_call():
+    calls = []
+    res = integrate_endpoint_singular(lambda x, c: calls.append(x.size) or np.exp(x), 1e-14)
+    assert calls == [res.evaluations]
+    assert abs(res.value - math.expm1(1.0)) <= 1e-14 * math.expm1(1.0)
+
+
+def test_constant():
+    res = integrate_endpoint_singular(lambda x, c: 1.0, 1e-14)
+    assert abs(res.value - 1.0) <= 1e-14
+
+
+def test_target_range_validated():
+    for bad in (1e-15, 1e-3, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            integrate_endpoint_singular(lambda x, c: 1.0, bad)
+
+
+def test_linearity():
+    target = 1e-10
+    f = lambda x, c: x * x
+    g = lambda x, c: 1 / (1 + x)
+    combined = integrate_endpoint_singular(lambda x, c: 2 * f(x, c) + 3 * g(x, c), target)
+    fi = integrate_endpoint_singular(f, target)
+    gi = integrate_endpoint_singular(g, target)
+    assert abs(combined.value - (2 * fi.value + 3 * gi.value)) <= 10 * target * abs(combined.value)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x, c: 1 / (c * (1 + x)) ** 0.5,
+        lambda x, c: 1 / c**0.5,
+        lambda x, c: 1.0,
+    ],
+)
+def test_error_estimate_shrinks_with_extra_levels(f):
+    # tightening the target forces extra halvings; the reported inter-level
+    # difference must not grow
+    estimates = [
+        integrate_endpoint_singular(f, target).error_estimate
+        for target in (1e-5, 1e-7, 1e-9, 1e-11)
+    ]
+    assert all(b <= a for a, b in zip(estimates, estimates[1:]))
+    evaluations = [
+        integrate_endpoint_singular(f, target).evaluations
+        for target in (1e-5, 1e-11)
+    ]
+    assert evaluations[1] >= evaluations[0]
+
+
+def test_nonconvergence_carries_best_estimate():
+    with pytest.raises(QuadratureNonconvergence) as info:
+        # deliberately divergent: near x = 0, 1/x**2 overflows or divides by zero
+        with np.errstate(divide="ignore", over="ignore"):
+            integrate_endpoint_singular(lambda x, c: 1 / x**2, 1e-6)
+    best = info.value.best
+    assert best.evaluations >= 1
+    assert best.error_estimate > 0.0
+
+
+def test_unresolved_tail_raises():
+    # c**-0.99 integrates to 100, but about 0.1 of it lies below the deepest
+    # panel, c < 2**-1000 ~ 1e-301.  The rule difference settles on the
+    # truncated sum (99.90), so only the tail bound catches it, and at 1e-4
+    # only with its factor 1/(1 - a) = 100: c0*f(c0) alone is about 1e-3,
+    # within the target's 0.01
+    for target in (1e-6, 1e-4):
+        with pytest.raises(QuadratureNonconvergence) as info:
+            integrate_endpoint_singular(lambda x, c: c**-0.99, target)
+        assert info.value.best.evaluations >= 1
+        assert 99.8 < info.value.best.value < 99.95
 
 
 # --- monotonicity study functions ----------------------------------------------
