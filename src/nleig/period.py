@@ -117,19 +117,22 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
     ``u2`` and ``ln_y`` come from ``arc_variables``, z and t from
     ``first_integral_coeffs``.  Both radicands are sums of non-negative terms,
     so nothing cancels: the expm1 quotients tend to 2 - q and q as u -> 0.
-    Integrating pos + neg over (0, 1) gives half_period(m, q).  At m = 0, neg
-    is 0 and y^q is factored out of r, where it would underflow to a zero
+    Integrating pos + neg over (0, 1) gives half_period(m, q).  m^q is
+    factored out of s as p = m^(2-q), which lies in [m, 1]: neg =
+    2*sqrt(p)/sqrt(p*(1+y) + z*quot) neither underflows nor overflows as
+    m -> 0, and is 0 at m = 0.  Where t underflows to 0 (m = 0 included, and
+    then z = 1), y^q is factored out of r, where it would underflow to a zero
     radicand as y -> 0.
     """
     co = first_integral_coeffs(m, q)
     pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
-    if m == 0.0:  # t = 0, z = 1
-        pos = 2.0 * np.exp(-0.5 * q * ln_y) / np.sqrt(pos_quot)
-        return pos, np.zeros_like(pos)
     one_y = 2.0 - u2  # 1 + y
-    pos = 2.0 / np.sqrt(co.t * one_y + co.z * np.exp(q * ln_y) * pos_quot)
-    neg_quot = -np.expm1(q * ln_y) / u2
-    neg = 2.0 * m / np.sqrt(m * m * one_y + co.z * m**q * neg_quot)
+    if co.t == 0.0:
+        pos = 2.0 * np.exp(-0.5 * q * ln_y) / np.sqrt(pos_quot)
+    else:
+        pos = 2.0 / np.sqrt(co.t * one_y + co.z * np.exp(q * ln_y) * pos_quot)
+    p = m ** (2.0 - q)
+    neg = 2.0 * math.sqrt(p) / np.sqrt(p * one_y + co.z * (-np.expm1(q * ln_y) / u2))
     return pos, neg
 
 

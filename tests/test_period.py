@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -153,6 +154,18 @@ def test_half_period_zero_depth_closed_form():
 def test_half_period_divergent_case():
     with pytest.raises(ValueError, match="divergent"):
         half_period(0.0, 2.0)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.8, 1.9])
+@pytest.mark.parametrize("m", [1e-200, 1e-300, 5e-324])
+def test_half_period_at_underflowing_depth_is_the_zero_depth_value(m, q):
+    # m^2 and m^q underflow (and m^(q-2) overflows at 5e-324, q = 1): the
+    # densities must stay finite and warning-free and reach pi/(2-q)
+    closed = PI / (2 - q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hv = half_period(m, q)
+    assert abs(hv.value - closed) <= 1e-9 * closed
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
