@@ -111,18 +111,16 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
     the positive arc and |y| = m*(1 - u^2) on the negative arc, so that the
     inverse-square-root singularity at each extremum (u = 0) disappears:
 
-        pos(u) = 2 / sqrt(r(u)),   r(u) = t*(1+y) + z*y^q*(-expm1((2-q)*ln y))/u^2,
-        neg(u) = 2m / sqrt(s(u)),  s(u) = m^2*(1+y) + z*m^q*(-expm1(q*ln y))/u^2.
+        pos(u) = 2 / sqrt(r(u)),          r(u) = t*(1+y) + z*y^q*(-expm1((2-q)*ln y))/u^2,
+        neg(u) = 2*sqrt(p) / sqrt(s(u)),  s(u) = p*(1+y) + z*(-expm1(q*ln y))/u^2,  p = m^(2-q).
 
     ``u2`` and ``ln_y`` come from ``arc_variables``, z and t from
     ``first_integral_coeffs``.  Both radicands are sums of non-negative terms,
     so nothing cancels: the expm1 quotients tend to 2 - q and q as u -> 0.
-    Integrating pos + neg over (0, 1) gives half_period(m, q).  m^q is
-    factored out of s as p = m^(2-q), which lies in [m, 1]: neg =
-    2*sqrt(p)/sqrt(p*(1+y) + z*quot) neither underflows nor overflows as
-    m -> 0, and is 0 at m = 0.  Where t underflows to 0 (m = 0 included, and
-    then z = 1), y^q is factored out of r, where it would underflow to a zero
-    radicand as y -> 0.
+    Integrating pos + neg over (0, 1) gives half_period(m, q).  p lies in
+    [m, 1], so neg neither underflows nor overflows as m -> 0, and is 0 at
+    m = 0.  Where t underflows to 0 (and z = 1), y^q is factored out of r,
+    where it would underflow to a zero radicand as y -> 0.
     """
     co = first_integral_coeffs(m, q)
     pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
@@ -137,18 +135,16 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def integrand(m: float, q: float, y: float) -> float:
-    """The half-period integrand of the module docstring at height y.
+    """The half-period integrand of the module docstring: (pos + neg)/(2u) from ``arc_densities``, u = sqrt(1 - y).
 
-    Formed from ``arc_densities`` as (pos + neg)/(2u) at u = sqrt(1 - y),
-    since dy = -2u du.  Finite for 0 <= y < 1 when m > 0; +inf at y = 1,
-    where both radicands vanish, and at y = 0 when m = 0.  Elsewhere y = 0
-    is evaluated at the smallest positive float, where ln y is finite:
-    (2 - q)*ln y would be 0*(-inf) at q = 2.
+    +inf where the positive radicand vanishes: at y = 1, and when m = 0 also
+    at y = 0 and, for q = 2, everywhere.  Elsewhere y = 0 is taken as the
+    smallest positive float, which keeps (2 - q)*ln y finite at q = 2.
     """
     _check_mq(m, q)
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"y must lie in [0, 1], got {y!r}")
-    if y == 1.0 or (y == 0.0 and m == 0.0):
+    if y == 1.0 or (m == 0.0 and (y == 0.0 or q == 2.0)):
         return math.inf
     pos, neg = arc_densities(1.0 - y, math.log(max(y, math.ulp(0.0))), m, q)
     return float(pos + neg) / (2.0 * math.sqrt(1.0 - y))
@@ -296,14 +292,11 @@ def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResul
 def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> QuadResult:
     """Evaluate the half-period integral by ``integrate_endpoint_singular`` (see the module docstring).
 
-    Both arcs are integrated together in their square-root variables (see
-    ``arc_densities``), where the integrand is finite at the extrema u = 0.
     (m, q) = (0, 2) diverges and raises ValueError; for m = 0 with q close
     to 2 the tail below the deepest panel, c ~ 1e-301, stops being
-    negligible and the rule raises QuadratureNonconvergence.  Returns the
-    rule's value, error estimate and count of density evaluations; the
-    density is called once per round of the rule, which is once in all for
-    m in [0.05, 1] at targets down to 1e-13.
+    negligible and the rule raises QuadratureNonconvergence.  The density
+    is called once per round of the rule, which is once in all for m in
+    [0.05, 1] at targets down to 1e-13.
     """
     _check_mq(m, q)
     if m == 0.0 and q == 2.0:

@@ -117,6 +117,12 @@ def test_arc_radical_bounds_on_grid():
             assert np.all(neg <= circ * (1 + 1e-15))
 
 
+def test_integrand_is_infinite_where_the_positive_radicand_vanishes():
+    assert integrand(0.5, 1.5, 1.0) == math.inf
+    assert integrand(0.0, 1.5, 0.0) == math.inf
+    assert integrand(0.0, 2.0, 0.5) == math.inf  # (m, q) = (0, 2): at every height
+
+
 def test_integrand_rejects_height_out_of_range():
     with pytest.raises(ValueError):
         integrand(0.5, 1.5, -0.2)
