@@ -165,7 +165,7 @@ def test_half_period_divergent_case():
 @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.8, 1.9])
 @pytest.mark.parametrize("m", [1e-200, 1e-300, 5e-324])
 def test_half_period_at_underflowing_depth_is_the_zero_depth_value(m, q):
-    # m^2 and m^q underflow (and m^(q-2) overflows at 5e-324, q = 1): the
+    # m^2 and m^q underflow, and m^(q-2) would overflow at (5e-324, 1): the
     # densities must stay finite and warning-free and reach pi/(2-q)
     closed = PI / (2 - q)
     with warnings.catch_warnings():
