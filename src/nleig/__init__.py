@@ -32,7 +32,6 @@ from .solver import SolverNonconvergence, SolverOptions, minimize, saturation_re
 from .branches import (
     BranchPoint,
     branch_point,
-    eigenvalue_from_depth,
     q1_coupling_of_eigenvalue,
     q1_flat_family,
     q1_positive_profile,
@@ -69,7 +68,6 @@ __all__ = [
     "saturation_reference",
     "BranchPoint",
     "branch_point",
-    "eigenvalue_from_depth",
     "q1_coupling_of_eigenvalue",
     "q1_flat_family",
     "q1_positive_profile",

@@ -87,16 +87,16 @@ class BranchPoint:
     c: float
 
 
-def eigenvalue_from_depth(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> float:
-    """Eigenvalue of the sign-changing branch at depth m: half_period(m, q)^2."""
+def _check_depth(m: float) -> None:
+    """Raise ValueError unless the depth m of a sign-changing profile lies in (0, 1]; NaN does not."""
     if not 0.0 < m <= 1.0:
         raise ValueError(f"m must lie in (0, 1], got {m!r}")
-    return half_period(m, q, target_rel_err).value ** 2
 
 
 def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> BranchPoint:
-    """Assemble the branch data (eigenvalue, gamma*alpha, first-integral constant)."""
-    lam = eigenvalue_from_depth(m, q, target_rel_err)
+    """Assemble the branch data: eigenvalue half_period(m, q)^2, gamma*alpha, first-integral constant."""
+    _check_depth(m)
+    lam = half_period(m, q, target_rel_err).value ** 2
     co = first_integral_coeffs(m, q)
     return BranchPoint(q=q, m_bar=m, lam=lam, gamma_alpha=0.5 * q * lam * co.z, c=0.5 * lam * co.t)
 
@@ -131,8 +131,7 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     anchored first: the profile rises from 0 at x = -1 to its maximum 1,
     crosses zero once, and dips to -m before x = 1.
     """
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"m must lie in (0, 1], got {m!r}")
+    _check_depth(m)
     check_n(n)
     pos_cum, neg_cum = _arc_cumulative(np.stack(arc_densities(_PTS_U2, _PTS_LN_Y, m, q)))
     len_pos = pos_cum[-1]

@@ -17,8 +17,8 @@ import numpy as np
 from . import verify
 from .core import EigenResult, ProblemParams, nodes
 from .critical import BracketViolation, alpha_critical
-from .period import QuadratureNonconvergence, half_period
-from .solver import SolverNonconvergence, SolverOptions, minimize
+from .period import DEFAULT_TARGET_REL_ERR, QuadratureNonconvergence, half_period
+from .solver import SolverNonconvergence, SolverOptions, minimize, saturation_reference
 
 CSV_HEADER = "alpha,q,lambda,sign_class,q_average,m_bar,odd_defect,residual,iterations"
 
@@ -70,11 +70,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_hfun(args) -> int:
-    try:
-        hv = half_period(args.m, args.q, args.tol)
-    except QuadratureNonconvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    hv = half_period(args.m, args.q, args.tol)
     _emit_json(
         {
             "m": _sig12(args.m),
@@ -87,17 +83,13 @@ def _cmd_hfun(args) -> int:
 
 
 def _cmd_alpha_crit(args) -> int:
-    try:
-        res = alpha_critical(args.q, args.tol, SolverOptions(n=args.n))
-    except (SolverNonconvergence, BracketViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    res = alpha_critical(args.q, args.tol, SolverOptions(n=args.n))
     _emit_json(
         {
             "q": _sig12(args.q),
             "alpha_q": _sig12(res.alpha_q),
             "bracket": [_sig12(res.bracket[0]), _sig12(res.bracket[1])],
-            "saturation_value": _sig12(res.saturation_value),
+            "saturation_value": _sig12(saturation_reference(args.n, args.q)),
             "tolerance": _sig12(args.tol),
             "solver_calls": res.solver_calls,
             "iterations": res.iterations,
@@ -191,7 +183,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_args(p):
-        p.add_argument("--n", type=int, default=4000, help="interior grid nodes (default 4000)")
+        p.add_argument("--n", type=int, default=SolverOptions.n, help="interior grid nodes (default %(default)s)")
 
     p = sub.add_parser("lambda", help="single eigenvalue evaluation")
     p.add_argument("--alpha", type=float, required=True)
@@ -202,7 +194,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("hfun", help="half-period integral of the sign-changing branch")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10, help="relative target of the graded Gauss-Legendre rule, in [1e-14, 1e-4]")
+    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_REL_ERR, help="relative target of the graded Gauss-Legendre rule, in [1e-14, 1e-4]")
     p.set_defaults(func=_cmd_hfun)
 
     p = sub.add_parser("alpha-crit", help="critical coupling by ascent of the constant-sign threshold, confirmed by one solve")
@@ -247,6 +239,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (SolverNonconvergence, BracketViolation, QuadratureNonconvergence) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -132,10 +132,10 @@ class EigenResult:
 
     ``minimizer`` is L2-normalized with ``q_average`` = S >= 0, and its
     values are read-only, so the derived values below cannot drift from the
-    solve.  ``iterations`` counts the steps of the descent and
-    ``evaluations`` its quotient evaluations plus 1 for the odd sine, whose
-    value is evaluated, not descended; above 2*pi^2 the descent runs at
-    2*pi^2, and again at alpha in the fallback of ``solver.minimize``.
+    solve.  ``iterations`` counts the descent steps of ``solver.minimize``
+    (its docstring says at which couplings it descends) and ``evaluations``
+    their quotient evaluations plus 1 for the odd sine, whose value is
+    evaluated, not descended.
 
     ``gamma`` (S^(2/q-1), or 0 for a zero-average minimizer: S at most
     _GAMMA_ZERO_TOL), ``profile`` (``analyze(minimizer)``) and ``residual``
@@ -180,8 +180,8 @@ def apply_stiffness(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def quotient_terms(v: np.ndarray, h: float, q: float) -> tuple[float, np.ndarray, float]:
-    """Dirichlet energy D, power p = |v|^(q-1) and signed q-average S = h*sum(v*p).
+def quotient_terms(v: np.ndarray, h: float, q: float) -> tuple[float, float]:
+    """Dirichlet energy D and signed q-average S = h*sum(v*|v|^(q-1)).
 
     D comes from one first-difference vector plus the two zero endpoint
     differences; the algebraically equal v . (stiffness v) cancels at the
@@ -189,14 +189,13 @@ def quotient_terms(v: np.ndarray, h: float, q: float) -> tuple[float, np.ndarray
     """
     d = v[1:] - v[:-1]
     energy = (float(d @ d) + v[0] * v[0] + v[-1] * v[-1]) / h
-    p = np.abs(v) ** (q - 1.0)
-    return energy, p, h * float(v @ p)
+    return energy, h * float(v @ np.abs(v) ** (q - 1.0))
 
 
 def q_average(u: GridFunction, q: float) -> float:
     """Signed average int |u|^(q-1) u dx by the composite trapezoid rule."""
     check_q(q)
-    return quotient_terms(u.values, u.h, q)[2]
+    return quotient_terms(u.values, u.h, q)[1]
 
 
 def _euler_lagrange_residual(
@@ -214,7 +213,7 @@ def rayleigh_quotient(u: GridFunction, params: ProblemParams) -> float:
     mass = u.h * float(u.values @ u.values)  # trapezoid rule; the endpoints contribute 0
     if mass == 0.0:
         raise ValueError("degenerate input: u is identically zero")
-    energy, _, s = quotient_terms(u.values, u.h, params.q)
+    energy, s = quotient_terms(u.values, u.h, params.q)
     return (energy + params.alpha * abs(s) ** (2.0 / params.q)) / mass
 
 

@@ -76,7 +76,6 @@ class CriticalResult:
 
     alpha_q: float
     bracket: tuple[float, float]
-    saturation_value: float
     solver_calls: int
     iterations: int
 
@@ -93,7 +92,7 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     value alpha_q, a certified lower bound of the discrete critical coupling,
     and the constant-sign minimizer there.  alpha_q must lie in the search
     window [lower_bound(q) - 0.1, ALPHA_TOP = 2*pi^2], and the ascent must converge
-    (RuntimeError otherwise).  The dichotomy is then confirmed at alpha_q
+    (SolverNonconvergence otherwise).  The dichotomy is then confirmed at alpha_q
     -/+ tol/2: below, the maximizer must be constant-sign with a quotient
     under saturation, which bounds lambda there without a solve; above, one
     full solve started from the maximizer must be saturated.  "Saturated"
@@ -134,31 +133,27 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     return CriticalResult(
         alpha_q=alpha_q,
         bracket=(below, above),
-        saturation_value=sat,
         solver_calls=1,
         iterations=up.iterations + res_above.iterations,
     )
 
 
-def alpha_zero(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> float:
+def alpha_zero(q: float, opts: SolverOptions = SolverOptions()) -> float:
     """Coupling at which the eigenvalue crosses zero, cross-checked by duality.
 
     The ascent of F_0 = -D/|S|^(2/q) from the positive bump (module
     docstring) returns alpha_0 = -min_u D/|S|^(2/q), a certified lower bound
-    of the discrete zero crossing; it must converge (RuntimeError
+    of the discrete zero crossing; it must converge (SolverNonconvergence
     otherwise).  Then -alpha_0 must equal the dual quotient minimum tau =
-    -``branches.alpha_zero_exact(q)`` to within (tol + h^2)*tau, h = 2/(n + 1):
-    the h^2 term covers the discretization bias of the discrete minimum
-    (measured below 0.26*h^2*tau).  Raises DualityMismatch on disagreement.
+    -``branches.alpha_zero_exact(q)`` to within h^2*tau, h = 2/(n + 1), which
+    covers the discretization bias of the discrete minimum (measured below
+    0.26*h^2*tau).  Raises DualityMismatch on disagreement.
     """
     check_q(q)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-
     root = threshold_ascent(opts.n, q, 0.0).alpha
     tau = -alpha_zero_exact(q)
     h = 2.0 / (opts.n + 1)
-    if abs(tau + root) > (tol + h * h) * tau:
+    if abs(tau + root) > h * h * tau:
         raise DualityMismatch(
             f"duality mismatch at q = {q}: zero crossing at alpha = {root:.8f} "
             f"but dual quotient minimum is {tau:.8f}"

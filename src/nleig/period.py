@@ -71,8 +71,6 @@ class FirstIntegralCoeffs:
 
     z: float
     t: float
-    m: float
-    q: float
 
 
 def _check_mq(m: float, q: float) -> None:
@@ -85,7 +83,7 @@ def first_integral_coeffs(m: float, q: float) -> FirstIntegralCoeffs:
     """Evaluate z(m, q) and its complement t, formed without cancellation as m -> 0."""
     _check_mq(m, q)
     mq = m**q
-    return FirstIntegralCoeffs(z=(1.0 - m * m) / (1.0 + mq), t=(mq + m * m) / (1.0 + mq), m=m, q=q)
+    return FirstIntegralCoeffs(z=(1.0 - m * m) / (1.0 + mq), t=(mq + m * m) / (1.0 + mq))
 
 
 def arc_variables(u, c) -> tuple[np.ndarray, np.ndarray]:

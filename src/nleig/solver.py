@@ -114,9 +114,9 @@ class SolverOptions:
 
 
 class SolverNonconvergence(RuntimeError):
-    """Raised when the winning descent hits the iteration cap; carries the result."""
+    """Raised when the winning descent or the threshold ascent hits the iteration cap; carries its result."""
 
-    def __init__(self, message: str, result: EigenResult):
+    def __init__(self, message: str, result: EigenResult | ThresholdAscent):
         super().__init__(message)
         self.result = result
 
@@ -424,21 +424,23 @@ def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
     reaches sigma, and F_sigma of any iterate is a lower bound of it.  The
     ascent is ``_descend`` on -F_sigma from the positive bump, with the
     stopping tolerance _LAMBDA_TOL on the rise of F_sigma and the cap
-    _MAX_ITERATIONS; it raises RuntimeError if it hits the cap.  At the
-    maximizer u, the quotient Q_u(alpha) equals sigma: u is a constant-sign
-    minimizer at the returned alpha.
+    _MAX_ITERATIONS; at the cap it raises SolverNonconvergence, carrying the
+    ascent.  At the maximizer u, the quotient Q_u(alpha) equals sigma: u is
+    a constant-sign minimizer at the returned alpha.
     """
     w, value, iterations, _, converged = _descend(
         _grid(n)[0], n, functools.partial(threshold_and_gradient, n=n, sigma=sigma, q=q)
     )
-    if not converged:
-        raise RuntimeError(
-            f"the ascent of the coupling threshold reached its iteration cap after "
-            f"{iterations} steps (q = {q}, sigma = {sigma!r}, alpha = {-value:.6f})"
-        )
     v = _unfold(w, n)
     v.flags.writeable = False
-    return ThresholdAscent(-value, GridFunction(v), iterations)
+    ascent = ThresholdAscent(-value, GridFunction(v), iterations)
+    if not converged:
+        raise SolverNonconvergence(
+            f"the ascent of the coupling threshold reached its iteration cap after "
+            f"{iterations} steps (q = {q}, sigma = {float(sigma)!r}, alpha = {-value:.6f})",
+            ascent,
+        )
+    return ascent
 
 
 def saturation_reference(n: int, q: float) -> float:

@@ -40,18 +40,14 @@ class CriterionResult:
     detail: str
 
 
-def _opts() -> SolverOptions:
-    return SolverOptions(n=_N)
-
-
 @lru_cache(maxsize=None)
 def _solve(alpha: float, q: float) -> EigenResult:
-    return minimize(ProblemParams(alpha, q), _opts())
+    return minimize(ProblemParams(alpha, q), SolverOptions(n=_N))
 
 
 @lru_cache(maxsize=None)
 def _crit(q: float):
-    return alpha_critical(q, _CRIT_TOL, _opts())
+    return alpha_critical(q, _CRIT_TOL, SolverOptions(n=_N))
 
 
 def _c1_poincare_baseline():
@@ -128,11 +124,11 @@ def _c4_critical_constants():
     for q, exact in ((1.0, 0.5 * _PI2), (2.0, 0.75 * _PI2)):
         res = _crit(q)
         rel = abs(res.alpha_q - exact) / exact
-        details.append(f"q={q}: alpha={res.alpha_q:.5f} rel={rel:.1e} calls={res.solver_calls}")
+        details.append(f"q={q}: alpha={res.alpha_q:.5f} rel={rel:.1e} iterations={res.iterations}")
         if rel > 1e-2:
             fails.append(f"alpha_critical({q}) rel dev {rel:.1e} > 1e-2")
-        if res.solver_calls > 25:
-            fails.append(f"alpha_critical({q}) used {res.solver_calls} > 25 solver calls")
+        if res.iterations > 50:  # measured at most 13, at q = 1, on q in [1, 2]
+            fails.append(f"alpha_critical({q}) took {res.iterations} > 50 iterations")
     return not fails, "; ".join(fails + details) if fails else "; ".join(details)
 
 
@@ -227,7 +223,7 @@ def _c10_duality():
     for q in (1.0, 1.5, 2.0):
         exact = alpha_zero_exact(q)
         try:
-            root = alpha_zero(q, 1e-3, _opts())
+            root = alpha_zero(q, SolverOptions(n=_N))
         except DualityMismatch as exc:
             fails.append(str(exc))
             continue
@@ -243,7 +239,7 @@ def _c11_rescaling():
     worst = 0.0
     dists = []
     for q, alpha, exact in ((2.0, 1.0, (_PI2 / 4.0 + 4.0) / 4.0), (1.0, 0.5, _q1_branch_root(4.0) / 4.0)):
-        rel = abs(rescale_lambda(-2.0, 2.0, alpha, q, _opts()) - exact) / exact
+        rel = abs(rescale_lambda(-2.0, 2.0, alpha, q, SolverOptions(n=_N)) - exact) / exact
         worst = max(worst, rel)
         dists.append(f"q={q}: rel {rel:.1e}")
     return worst <= 1e-6, "rescaled (-2,2) lambda vs closed forms (tol 1e-6): " + "; ".join(dists)

@@ -6,7 +6,6 @@ import pytest
 from nleig import branches
 from nleig.branches import (
     branch_point,
-    eigenvalue_from_depth,
     q1_coupling_of_eigenvalue,
     q1_flat_family,
     q1_positive_profile,
@@ -19,32 +18,35 @@ PI = math.pi
 PI2 = math.pi**2
 
 
-# --- eigenvalue from depth -------------------------------------------------------
+# --- branch eigenvalue at depth m ------------------------------------------------
 
 def test_unit_depth_gives_pi_squared():
-    assert abs(eigenvalue_from_depth(1.0, 1.5) - PI2) <= 1e-8
+    assert abs(branch_point(1.0, 1.5).lam - PI2) <= 1e-8
 
 
 def test_half_depth_q2_matches_closed_form():
     closed = (0.5 * PI * math.sqrt(0.625) * 3.0) ** 2
-    assert abs(eigenvalue_from_depth(0.5, 2.0) - closed) <= 1e-8 * closed
+    assert abs(branch_point(0.5, 2.0).lam - closed) <= 1e-8 * closed
 
 
 def test_near_unit_depth_continuity():
-    lam = eigenvalue_from_depth(0.999, 1.2)
+    lam = branch_point(0.999, 1.2).lam
     assert lam >= PI2 - 1e-9
     assert lam <= PI2 * (1.0 + 1e-3)
 
 
 def test_depth_range_validation():
-    with pytest.raises(ValueError):
-        eigenvalue_from_depth(0.0, 1.5)
+    for m in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"m must lie in \(0, 1\]"):
+            branch_point(m, 1.5)
+        with pytest.raises(ValueError, match=r"m must lie in \(0, 1\]"):
+            reconstruct_profile(m, 1.5, 100)
 
 
 def test_eigenvalue_exceeds_pi_squared_below_unit_depth():
     for q in (1.25, 1.75):
         for m in [k / 10 for k in range(1, 10)]:
-            assert eigenvalue_from_depth(m, q) > PI2
+            assert branch_point(m, q).lam > PI2
 
 
 # --- profile reconstruction ------------------------------------------------------
@@ -62,7 +64,7 @@ def test_unit_depth_profile_is_sine():
 def test_profile_satisfies_first_integral():
     m, q = 0.6, 1.5
     u = reconstruct_profile(m, q, 4000)
-    lam = eigenvalue_from_depth(m, q)
+    lam = branch_point(m, q).lam
     z = first_integral_coeffs(m, q).z
     v = np.concatenate(([0.0], u.values, [0.0]))
     slope = (v[2:] - v[:-2]) / (2.0 * u.h)

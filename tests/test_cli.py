@@ -11,8 +11,9 @@ import pytest
 import nleig
 import nleig.cli as cli
 from nleig.core import EigenResult, GridFunction, ProblemParams, analyze
+from nleig import solver
 from nleig.critical import BracketViolation
-from nleig.solver import SolverNonconvergence
+from nleig.solver import SolverNonconvergence, saturation_reference
 
 PI2 = math.pi**2
 
@@ -129,8 +130,11 @@ def test_alpha_crit(capsys):
     code, out, _ = run(capsys, ["alpha-crit", "--q", "2", "--tol", "0.5", "--n", "600"])
     assert code == 0
     rec = json.loads(out)
+    assert set(rec) == {"q", "alpha_q", "bracket", "saturation_value", "tolerance", "solver_calls", "iterations"}
     assert abs(rec["alpha_q"] - 0.75 * PI2) <= 0.5
     assert rec["bracket"][0] <= rec["alpha_q"] <= rec["bracket"][1]
+    assert rec["saturation_value"] == cli._sig12(saturation_reference(600, 2.0))
+    assert (rec["q"], rec["tolerance"]) == (2.0, 0.5)
     # at q = 2 the ascent and the one confirming solve start at their optimum
     assert (rec["solver_calls"], rec["iterations"]) == (1, 0)
 
@@ -155,6 +159,17 @@ def test_alpha_crit_failed_search_exits_2(capsys, monkeypatch, exc):
     assert code == 2
     assert out == ""
     assert err == f"error: {exc}\n"
+
+
+def test_alpha_crit_capped_ascent_exits_2(capsys, monkeypatch):
+    # the ascent needs about five steps at q = 1.5; capped at two it fails
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
+    code, out, err = run(capsys, ["alpha-crit", "--q", "1.5", "--n", "100"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the ascent of the coupling threshold reached its iteration cap after 2 steps")
+    # sigma, the saturation value, prints as a plain number
+    assert f"sigma = {float(saturation_reference(100, 1.5))!r}," in err
 
 
 # --- profile -----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from nleig.critical import (
     rescale_lambda,
 )
 from nleig import solver
-from nleig.solver import SolverOptions, ThresholdAscent, minimize, saturation_reference, threshold_ascent
+from nleig.solver import SolverNonconvergence, SolverOptions, ThresholdAscent, minimize, saturation_reference, threshold_ascent
 
 PI2 = math.pi**2
 OPTS = SolverOptions()
@@ -234,10 +234,12 @@ def test_ascent_step_cap(monkeypatch):
 
     monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
     monkeypatch.setattr(critical, "minimize", no_minimize)
-    with pytest.raises(RuntimeError, match="reached its iteration cap after 2 steps"):
+    with pytest.raises(SolverNonconvergence, match="reached its iteration cap after 2 steps") as info:
         alpha_critical(1.5, 0.04, SolverOptions(n=100))
-    with pytest.raises(RuntimeError, match="reached its iteration cap after 2 steps"):
-        alpha_zero(1.5, 1e-3, SolverOptions(n=100))
+    assert isinstance(info.value.result, ThresholdAscent)
+    assert info.value.result.iterations == 2
+    with pytest.raises(SolverNonconvergence, match="reached its iteration cap after 2 steps"):
+        alpha_zero(1.5, SolverOptions(n=100))
 
 
 # --- alpha_zero and duality -----------------------------------------------------
@@ -245,20 +247,20 @@ def test_ascent_step_cap(monkeypatch):
 def test_zero_crossing_q2_matches_poincare_shift():
     # on the q = 2 constant-sign branch lambda = pi^2/4 + alpha, so the zero
     # crossing sits at -pi^2/4
-    a0 = alpha_zero(2.0, 1e-3, OPTS)
+    a0 = alpha_zero(2.0, OPTS)
     assert abs(a0 + PI2 / 4) <= 1e-3 * PI2 / 4
 
 
 def test_zero_crossing_q1_matches_parabola_oracle():
     # the dual quotient at q = 1 is minimized by 1 - x^2, giving exactly 3/2
-    a0 = alpha_zero(1.0, 1e-3, OPTS)
+    a0 = alpha_zero(1.0, OPTS)
     assert abs(a0 + 1.5) <= 1e-3 * 1.5
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5])
 def test_zero_crossing_root_quality(q):
     tol = 1e-3
-    a0 = alpha_zero(q, tol, OPTS)
+    a0 = alpha_zero(q, OPTS)
     assert a0 < 0.0
     lam = minimize(ProblemParams(a0, q), OPTS).lam
     assert -tol < lam < tol
@@ -273,22 +275,34 @@ def test_alpha_zero_exact_closed_values():
 @pytest.mark.parametrize("q", [1.25, 1.5, 1.75])
 def test_zero_crossing_matches_closed_form(q):
     exact = alpha_zero_exact(q)
-    assert abs(alpha_zero(q, 1e-3, OPTS) - exact) <= 5e-7 * abs(exact)
+    assert abs(alpha_zero(q, OPTS) - exact) <= 5e-7 * abs(exact)
 
 
-@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+@pytest.mark.parametrize("n", [100, 101])
 @pytest.mark.parametrize("q", [1.0, 1.1, 1.5, 2.0])
-def test_zero_crossing_band_covers_the_coarse_grid_bias(q, tol):
+def test_zero_crossing_band_covers_the_coarse_grid_bias(q, n):
     # at n = 100 the discrete root sits up to 9.8e-5 (relative, q = 1) off the
-    # closed form: inside tol = 1e-3, and at tol = 1e-6 only inside the h^2
-    # term of the band (3.9e-4)
-    assert alpha_zero(q, tol, SolverOptions(n=100)) < 0.0
+    # closed form, a quarter of the band h^2 = 3.9e-4
+    assert alpha_zero(q, SolverOptions(n=n)) < 0.0
+
+
+@pytest.mark.parametrize("shift", [-2.0, 2.0])
+@pytest.mark.parametrize("q", [1.0, 1.1, 1.5, 2.0])
+def test_zero_crossing_two_band_widths_off_is_a_mismatch(monkeypatch, q, shift):
+    # the band h^2*tau is tight: a closed form moved by 2*h^2 relative, twice
+    # the band and eight times the bias, lies outside it
+    n = 100
+    h = 2.0 / (n + 1)
+    exact = alpha_zero_exact(q)
+    monkeypatch.setattr(critical, "alpha_zero_exact", lambda q: (1.0 + shift * h * h) * exact)
+    with pytest.raises(DualityMismatch, match=f"duality mismatch at q = {q}"):
+        alpha_zero(q, SolverOptions(n=n))
 
 
 def test_zero_crossing_off_the_closed_form_is_a_mismatch(monkeypatch):
     monkeypatch.setattr(critical, "alpha_zero_exact", lambda q: 1.01 * alpha_zero_exact(q))
     with pytest.raises(DualityMismatch, match="duality mismatch at q = 1.5"):
-        alpha_zero(1.5, 1e-3, SolverOptions(n=100))
+        alpha_zero(1.5, SolverOptions(n=100))
 
 
 # --- rescaling -------------------------------------------------------------------
