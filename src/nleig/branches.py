@@ -74,14 +74,12 @@ _PTS_U2, _PTS_LN_Y, _HALF, _PARTIALS, _Y_ALL = _graded_geometry()
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """Sign-changing branch data at depth m_bar: eigenvalue and first-integral constants.
+    """Sign-changing branch data at depth m: eigenvalue and first-integral constants.
 
     ``gamma_alpha`` stores the coupling-free product gamma*alpha =
-    (q*lam/2)*z(m_bar, q); ``c`` is the first-integral constant (lam/2)*t(m_bar, q).
+    (q*lam/2)*z(m, q); ``c`` is the first-integral constant (lam/2)*t(m, q).
     """
 
-    q: float
-    m_bar: float
     lam: float
     gamma_alpha: float
     c: float
@@ -98,7 +96,7 @@ def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_
     _check_depth(m)
     lam = half_period(m, q, target_rel_err).value ** 2
     co = first_integral_coeffs(m, q)
-    return BranchPoint(q=q, m_bar=m, lam=lam, gamma_alpha=0.5 * q * lam * co.z, c=0.5 * lam * co.t)
+    return BranchPoint(lam=lam, gamma_alpha=0.5 * q * lam * co.z, c=0.5 * lam * co.t)
 
 
 def _arc_cumulative(density: np.ndarray) -> np.ndarray:

@@ -101,17 +101,16 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class MinimizerProfile:
-    """Shape measurements of a grid function (zeros, extrema, symmetry defects).
+    """Shape measurements of a grid function: zeros, extrema, sign class, odd defect.
 
     Sign-changing inputs are reported in the orientation where the dominant
     hump is positive (ties broken so the maximum comes first); ``m_bar`` is
     |min|/max in that orientation, in [0, 1].  Constant-sign inputs keep
     their sign and have ``m_bar`` = 0; the extremum on their zero side (a
     positive input's minimum, a negative input's maximum) is the endpoint -1
-    with value 0, unless a roundoff-band undershoot goes past 0.  Defects are
-    relative L2 distances: each sign part against its reflection about its
-    own extremum, and the whole function against its odd reflection about the
-    midpoint.
+    with value 0, unless a roundoff-band undershoot goes past 0.
+    ``odd_defect`` is the relative L2 distance between the function and its
+    odd reflection about the midpoint.
     """
 
     sign_class: str  # "positive" | "negative" | "sign_changing"
@@ -121,8 +120,6 @@ class MinimizerProfile:
     min_point: float
     min_value: float
     m_bar: float
-    positive_part_symmetry_defect: float
-    negative_part_symmetry_defect: float
     odd_defect: float
 
 
@@ -234,34 +231,6 @@ def _refine_extremum(xp: np.ndarray, vp: np.ndarray, i: int) -> tuple[float, flo
     return x + offset, b - (c - a) ** 2 / (8.0 * curv)
 
 
-def _part_symmetry_defect(part: np.ndarray, center: float) -> float:
-    """Relative L2 distance between a sign part and its reflection about `center`.
-
-    ``part`` holds the values at all N = n + 2 nodes, zero pads included;
-    outside [-1, 1] the reflection is 0.  The nodes are uniform, so the
-    mirror of node i is the fractional index k - i, k = 2*(center + 1)/h,
-    and the reflection interpolates linearly between the nodes k0 - i and
-    k0 + 1 - i, k0 = floor(k), with weights 1 - f and f, f = k - k0.  Read
-    off the reversed part r (r[j] = part[N - 1 - j]), these are two shifted
-    slices, r[i + s] and r[i + s - 1] with s = N - 1 - k0: no search.
-    """
-    norm = math.sqrt(float(part @ part))
-    if norm == 0.0:
-        return 0.0
-    size = part.size
-    k = (center + 1.0) * (size - 1)
-    k0 = math.floor(k)
-    f = k - k0
-    rev = part[::-1]
-    diff = part.copy()
-    s = size - 1 - k0
-    for shift, weight in ((s, 1.0 - f), (s - 1, f)):
-        lo, hi = max(0, -shift), min(size, size - shift)
-        if lo < hi:
-            diff[lo:hi] -= weight * rev[lo + shift : hi + shift]
-    return math.sqrt(float(diff @ diff)) / norm
-
-
 def _keeps_sign(vmax: float, vmin: float) -> bool:
     amax = max(vmax, -vmin)
     return vmin * vmax > -SIGN_BAND * amax * amax
@@ -273,7 +242,7 @@ def is_constant_sign(v: np.ndarray) -> bool:
 
 
 def analyze(u: GridFunction) -> MinimizerProfile:
-    """Locate zeros, extrema, sign class and symmetry defects of a grid function.
+    """Locate zeros, extrema, sign class and odd defect of a grid function.
 
     Zeros are interior sign changes (linearly interpolated, ignoring crossings
     inside the constant-sign roundoff band); extrema come from a 3-point
@@ -326,10 +295,6 @@ def analyze(u: GridFunction) -> MinimizerProfile:
     else:
         m_bar = 0.0
 
-    # a part whose extremum is the pad 0 is zero throughout, with defect 0
-    pos_defect = _part_symmetry_defect(np.maximum(wp, 0.0), max_point) if ip_max else 0.0
-    neg_defect = _part_symmetry_defect(np.minimum(wp, 0.0), min_point) if ip_min else 0.0
-
     odd = w + w[::-1]
     odd_defect = math.sqrt(float(odd @ odd)) / math.sqrt(float(v @ v))
 
@@ -341,7 +306,5 @@ def analyze(u: GridFunction) -> MinimizerProfile:
         min_point=min_point,
         min_value=min_value,
         m_bar=m_bar,
-        positive_part_symmetry_defect=pos_defect,
-        negative_part_symmetry_defect=neg_defect,
         odd_defect=odd_defect,
     )

@@ -117,14 +117,18 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
     so nothing cancels: the expm1 quotients tend to 2 - q and q as u -> 0.
     Integrating pos + neg over (0, 1) gives half_period(m, q).  p lies in
     [m, 1], so neg neither underflows nor overflows as m -> 0, and is 0 at
-    m = 0.  Where t underflows to 0 (and z = 1), y^q is factored out of r,
-    where it would underflow to a zero radicand as y -> 0.
+    m = 0.  Where t is subnormal or underflows to 0 (and z = 1), r is formed
+    in logs, from ln t and q*ln y, since t and y^q would lose their digits
+    or underflow to a zero radicand.
     """
     co = first_integral_coeffs(m, q)
     pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
     one_y = 2.0 - u2  # 1 + y
-    if co.t == 0.0:
-        pos = 2.0 * np.exp(-0.5 * q * ln_y) / np.sqrt(pos_quot)
+    if co.t < np.finfo(float).tiny:
+        # ln t = q*ln m + log1p(m^(2-q)) - log1p(m^q); ln 0 = -inf at m = 0 and for the quotient at q = 2
+        with np.errstate(divide="ignore"):
+            ln_t = q * np.log(m) + math.log1p(m ** (2.0 - q)) - math.log1p(m**q)
+            pos = 2.0 * np.exp(-0.5 * np.logaddexp(ln_t + np.log(one_y), q * ln_y + np.log(pos_quot)))
     else:
         pos = 2.0 / np.sqrt(co.t * one_y + co.z * np.exp(q * ln_y) * pos_quot)
     p = m ** (2.0 - q)

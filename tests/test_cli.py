@@ -105,11 +105,13 @@ def test_hfun_value(capsys):
 
 
 def test_hfun_small_depth_tight_tolerance(capsys):
-    m = 1e-6
-    code, out, _ = run(capsys, ["hfun", "--m", "1e-6", "--q", "2", "--tol", "1e-13"])
-    assert code == 0
-    closed = 0.5 * math.pi * math.sqrt((1 + m * m) / 2) * (1 / m + 1)
-    assert abs(json.loads(out)["value"] - closed) <= 1e-12 * closed
+    # at m = 1e-170 the coefficient t ~ 2*m^2 of the first integral underflows
+    for arg in ("1e-6", "1e-170"):
+        code, out, _ = run(capsys, ["hfun", "--m", arg, "--q", "2", "--tol", "1e-13"])
+        assert code == 0
+        m = float(arg)
+        closed = 0.5 * math.pi * math.sqrt((1 + m * m) / 2) * (1 / m + 1)
+        assert abs(json.loads(out)["value"] - closed) <= 1e-12 * closed
 
 
 def test_hfun_divergent_exits_1(capsys):

@@ -175,7 +175,7 @@ def test_half_period_at_underflowing_depth_is_the_zero_depth_value(m, q):
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
-@pytest.mark.parametrize("m", [1e-2, 1e-4, 1e-6, 1e-9])
+@pytest.mark.parametrize("m", [1e-2, 1e-4, 1e-6, 1e-9, 1e-160, 1e-170, 1e-200, 1e-300])
 def test_half_period_q2_closed_form_as_depth_vanishes(m, tol):
     closed = 0.5 * PI * math.sqrt((1 + m * m) / 2) * (1 / m + 1)
     hv = half_period(m, 2.0, tol)

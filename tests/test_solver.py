@@ -702,8 +702,7 @@ def test_sign_dichotomy_of_converged_minimizers(lam_table):
             prof = analyze(r.minimizer)
             if prof.sign_class == "sign_changing":
                 assert len(prof.zeros) == 1
-                assert prof.positive_part_symmetry_defect < 1e-3
-                assert prof.negative_part_symmetry_defect < 1e-3
+                assert prof.odd_defect < 1e-3
 
 
 def test_saturated_minimizer_is_sine_for_q_above_one():
