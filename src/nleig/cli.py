@@ -99,6 +99,8 @@ def _cmd_alpha_crit(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.out == "-":
+        raise ValueError("profile prints its JSON record on stdout, so --out must name a file, not -")
     result = _solve(args.alpha, args.q, SolverOptions(n=args.n))
     u = result.minimizer
     xs = nodes(u.n)
@@ -206,7 +208,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("profile", help="solve and export the minimizer profile as CSV")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", required=True, help="output CSV path; not - (the JSON record goes to stdout)")
     add_solver_args(p)
     p.set_defaults(func=_cmd_profile)
 

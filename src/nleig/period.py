@@ -119,14 +119,14 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
     [m, 1], so neg neither underflows nor overflows as m -> 0, and is 0 at
     m = 0.  Where t is subnormal or underflows to 0 (and z = 1), r is formed
     in logs, from ln t and q*ln y, since t and y^q would lose their digits
-    or underflow to a zero radicand.
+    or underflow to a zero radicand; a pos beyond float64 (q = 2) is +inf.
     """
     co = first_integral_coeffs(m, q)
     pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
     one_y = 2.0 - u2  # 1 + y
     if co.t < np.finfo(float).tiny:
         # ln t = q*ln m + log1p(m^(2-q)) - log1p(m^q); ln 0 = -inf at m = 0 and for the quotient at q = 2
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             ln_t = q * np.log(m) + math.log1p(m ** (2.0 - q)) - math.log1p(m**q)
             pos = 2.0 * np.exp(-0.5 * np.logaddexp(ln_t + np.log(one_y), q * ln_y + np.log(pos_quot)))
     else:
@@ -161,6 +161,9 @@ _MAX_SPLIT = 8
 
 _MIN_TARGET = 1e-14
 _MAX_TARGET = 1e-4
+
+# q = 2 depths below this are refused: the half period, about 1.11/m, overflows the rule's sums below m = 1.24e-308
+_Q2_MIN_DEPTH = 2e-308
 
 
 @dataclass(frozen=True)
@@ -294,15 +297,18 @@ def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResul
 def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> QuadResult:
     """Evaluate the half-period integral by ``integrate_endpoint_singular`` (see the module docstring).
 
-    (m, q) = (0, 2) diverges and raises ValueError; for m = 0 with q close
-    to 2 the tail below the deepest panel, c ~ 1e-301, stops being
-    negligible and the rule raises QuadratureNonconvergence.  The density
-    is called once per round of the rule, which is once in all for m in
-    [0.05, 1] at targets down to 1e-13.
+    (m, q) = (0, 2) diverges and raises ValueError, and so does q = 2 with
+    0 < m < 2e-308, where the value, about 1.11/m, overflows the rule's
+    float64 sums.  For m = 0 with q close to 2 the tail below the deepest
+    panel, c ~ 1e-301, stops being negligible and the rule raises
+    QuadratureNonconvergence.  The density is called once per round of the
+    rule, which is once in all for m in [0.05, 1] at targets down to 1e-13.
     """
     _check_mq(m, q)
     if m == 0.0 and q == 2.0:
         raise ValueError("divergent: the half-period integral is +inf at (m, q) = (0, 2)")
+    if q == 2.0 and m < _Q2_MIN_DEPTH:
+        raise ValueError(f"the half period, about 1.11/m, overflows float64 at q = 2 for m below {_Q2_MIN_DEPTH:g}, got m = {m!r}")
 
     def density(u, c):
         pos, neg = arc_densities(*arc_variables(u, c), m, q)

@@ -11,22 +11,20 @@ The descent works on w = v[:m], m = (n + 1)//2, which represents the even
 grid function v; for odd n the last entry is the centre node x = 0.  A
 full-grid product of two even vectors is the folded product
 2*a.b - (n mod 2)*a[-1]*b[-1], and D = 2*(sum (w_{i+1} - w_i)^2 + w_0^2)/h for
-either parity.  The stiffness stencil reflects at the last entry: that row
-subtracts w[-1] once more for even n and w[-2] once more for odd n.
+either parity.
 
-The descent direction is the quotient gradient preconditioned by the inverse
-Dirichlet stiffness operator, which keeps the step count mesh-independent; a
-raw L2 gradient would need O(1/h^2) iterations at the default resolution.
-On the half grid that inverse is two accumulates: the flux of an even
-solution vanishes at the centre, so it is the reversed prefix sum of the
-right-hand side (the centre node's own entry halved for odd n), and the
-solution is the prefix sum of the flux.  One kernel evaluates each trial
-point once, returning the quotient and its gradient from a single |w|^(q-1)
-and stencil apply; the accepted trial's gradient starts the next step.  The
-quotient's kernel and the threshold's share the half-grid energy and stencil
-(``_half_energy_and_stiffness``).  What
-depends on the grid size alone, the half bump start, the odd sine and its
-quotient, is built once per n and kept read-only.
+The descent direction is the quotient gradient 2*(K v + r), with K the
+Dirichlet stiffness and r the residual of the nonlocal and mass terms,
+preconditioned by K^-1, which keeps the step count mesh-independent (a raw
+L2 gradient would need O(1/h^2) iterations).  The step is d = v + K^-1 r, so
+the solver solves with K and never applies it.  On the half grid K^-1 is two
+accumulates: the flux of an even solution vanishes at the centre, so it is
+the reversed prefix sum of the right-hand side (the centre node's own entry
+halved for odd n), and the solution is the prefix sum of the flux.  One
+kernel evaluates each trial point once, returning the quotient and its
+residual; the accepted trial's residual starts the next step.  What depends
+on the grid size alone, the half bump start, the odd sine and its quotient,
+is built once per n and kept read-only.
 
 On the constant-sign branch the descent converges linearly with one dominant
 error mode; while the iterate keeps one sign and the last step was a full
@@ -64,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EigenResult, GridFunction, ProblemParams, apply_stiffness, check_n, check_q, is_constant_sign, nodes
+from .core import EigenResult, GridFunction, ProblemParams, check_n, check_q, is_constant_sign, nodes
 from .core import quotient_terms
 
 # Not called here (EigenResult.profile calls core.analyze); the name stays
@@ -72,10 +70,10 @@ from .core import quotient_terms
 from .core import analyze
 
 # |S| at or below this counts as the kink S = 0 of alpha*|S|^(2/q) in the
-# gradient, where the limit (q < 2) and the subgradient choice (q = 2) are
+# residual, where the limit (q < 2) and the subgradient choice (q = 2) are
 # both 0: an iterate crossing S = 0 lands there only by rounding.  The value
 # keeps alpha*|S|^(2/q) as computed, so the band moves no quotient, whatever
-# alpha is; leaving the term's gradient out changes only the direction of
+# alpha is; leaving the term's residual out changes only the direction of
 # the next step.  The odd sine never meets the band: its S is 0 by symmetry,
 # not by computation.
 _S_ROUNDING_BAND = 1e-14
@@ -148,53 +146,42 @@ def _dirichlet_solve(r: np.ndarray, n: int) -> np.ndarray:
     return u
 
 
-def _half_energy_and_stiffness(w: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """The Dirichlet energy D of the even v with half w, and the half of stiffness v.
-
-    The stencil's last row reflects: its mirror neighbour is w[-1] for even n
-    and w[-2] for odd n.
-    """
+def _half_energy(w: np.ndarray, n: int) -> float:
+    """The Dirichlet energy D = h * v.(K v) of the even v with half w."""
     h = 2.0 / (n + 1)
     d = w[1:] - w[:-1]
-    energy = 2.0 * (float(d @ d) + w[0] * w[0]) / h
-    g = apply_stiffness(w, h)
-    g[-1] -= w[-1 - n % 2] / (h * h)
-    return energy, g
+    return 2.0 * (float(d @ d) + w[0] * w[0]) / h
 
 
-def quotient_and_gradient(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[float, np.ndarray, float]:
-    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v) of the even v with half w, its gradient and slope factor 1.
+def quotient_and_residual(w: np.ndarray, n: int, alpha: float, q: float) -> tuple[float, np.ndarray, float]:
+    """The quotient Q(v) = (D + alpha*|S|^(2/q)) / (h*v.v) of the even v with half w, its residual and slope factor 1.
 
-    The gradient is the half of the even gradient in v,
-    2*(stiffness v + alpha*|S|^(2/q-1)*sign(S)*|v|^(q-1) - Q*v).  Inside the
-    rounding band |S| <= _S_ROUNDING_BAND the nonlocal term is dropped:
-    there S stands for the kink S = 0.  The value keeps alpha*|S|^(2/q) as
-    computed.
+    The residual is the half of r = alpha*|S|^(2/q-1)*sign(S)*|v|^(q-1) - Q*v,
+    and the gradient in v is 2*(K v + r).  Inside the rounding band |S| <=
+    _S_ROUNDING_BAND the nonlocal term is dropped: there S stands for the
+    kink S = 0.  The value keeps alpha*|S|^(2/q) as computed.
     """
     h = 2.0 / (n + 1)
     odd = n % 2
-    energy, g = _half_energy_and_stiffness(w, n)
     p = np.abs(w) ** (q - 1.0)
     s = h * _fold(w, p, odd)
-    value = (energy + alpha * abs(s) ** (2.0 / q)) / (h * _fold(w, w, odd))
+    value = (_half_energy(w, n) + alpha * abs(s) ** (2.0 / q)) / (h * _fold(w, w, odd))
+    r = -value * w
     if abs(s) > _S_ROUNDING_BAND:
         p *= alpha * abs(s) ** (2.0 / q - 1.0) * math.copysign(1.0, s)
-        g += p
-    g -= value * w
-    g *= 2.0
-    return value, g, 1.0
+        r += p
+    return value, r, 1.0
 
 
-def threshold_and_gradient(w: np.ndarray, n: int, sigma: float, q: float) -> tuple[float, np.ndarray | None, float]:
-    """-F_sigma(v) = (D - sigma*M)/|S|^(2/q) of the even v with half w, its step gradient and slope factor.
+def threshold_and_residual(w: np.ndarray, n: int, sigma: float, q: float) -> tuple[float, np.ndarray | None, float]:
+    """-F_sigma(v) = (D - sigma*M)/|S|^(2/q) of the even v with half w, its step residual and slope factor.
 
-    The step gradient is the half of the even 2*(stiffness v +
-    F*S^(2/q-1)*v^(q-1) - sigma*v): the quotient's gradient with (alpha, Q)
-    replaced by (F, sigma).  The gradient of -F is that over
-    |S|^(2/q), the slope factor.  F is even in v, so the ascent keeps to
-    positive v: a v that is not of constant sign, or whose S is not above
-    _S_ROUNDING_BAND (a negative v, or S = 0 to rounding), is outside it,
-    with value +inf and no gradient.
+    The step residual is the half of the even r = F*S^(2/q-1)*v^(q-1) -
+    sigma*v: the quotient's residual with (alpha, Q) replaced by (F, sigma).
+    The gradient of -F is 2*(K v + r) over |S|^(2/q), the slope factor.  F
+    is even in v, so the ascent keeps to positive v: a v that is not of
+    constant sign, or whose S is not above _S_ROUNDING_BAND (a negative v,
+    or S = 0 to rounding), is outside it, with value +inf and no residual.
     """
     h = 2.0 / (n + 1)
     odd = n % 2
@@ -202,36 +189,37 @@ def threshold_and_gradient(w: np.ndarray, n: int, sigma: float, q: float) -> tup
     s = h * _fold(w, p, odd)
     if s <= _S_ROUNDING_BAND or not is_constant_sign(w):
         return math.inf, None, 1.0
-    energy, g = _half_energy_and_stiffness(w, n)
     weight = s ** (2.0 / q)
-    value = (energy - sigma * h * _fold(w, w, odd)) / weight
+    value = (_half_energy(w, n) - sigma * h * _fold(w, w, odd)) / weight
     p *= -value * weight / s
-    g += p
-    g -= sigma * w
-    g *= 2.0
-    return value, g, 1.0 / weight
+    p -= sigma * w
+    return value, p, 1.0 / weight
 
 
 def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int, bool]:
     """Armijo-backtracked preconditioned descent of an objective on the unit L2 sphere of even functions.
 
     ``w`` is the half of the start.  ``kernel(u)`` returns the objective at
-    the half u, its step gradient g and the factor c that makes c*h*g.d the
-    objective's first-order decrease along d: the quotient's kernel
-    (``quotient_and_gradient``) or the threshold's (``threshold_and_gradient``).
-    A trial of objective +inf is rejected.  Returns the half of the iterate,
-    its objective, the steps taken, the kernel evaluations made and whether
-    the descent converged.  The kernel runs once per trial point.  The
-    descent converges when an accepted step lowers the objective by less
-    than _LAMBDA_TOL, or when backtracking reaches a step whose first-order
-    decrease step*slope is at most _LAMBDA_TOL: such a step could only end
-    the descent, so it is not tried.  A start at the minimum costs one
-    evaluation.  At most _MAX_ITERATIONS steps are taken.
+    the half u, its step residual r and the factor c that makes 2c*(K u + r)
+    the objective's gradient: the quotient's kernel (``quotient_and_residual``)
+    or the threshold's (``threshold_and_residual``).  The step d = u + K^-1 r
+    is that gradient preconditioned by K^-1/(2c), and its first-order
+    decrease, the slope, is 2c*h*d.(K d) = 2c*D(d).  The unit step, to
+    -K^-1 r, is inverse iteration on the local problem, which crushes
+    high-frequency error modes.  A trial of objective +inf is rejected.
+    Returns the half of the iterate, its objective, the steps taken, the
+    kernel evaluations made and whether the descent converged.  The kernel
+    runs once per trial point.  The descent converges when an accepted step
+    lowers the objective by less than _LAMBDA_TOL, or when backtracking
+    reaches a step whose first-order decrease step*slope is at most
+    _LAMBDA_TOL: such a step could only end the descent, so it is not tried.
+    A start at the minimum costs one evaluation.  At most _MAX_ITERATIONS
+    steps are taken.
 
     On a constant-sign iterate the unit step converges linearly with one
     dominant error mode, which a depth-1 Anderson (secant) extrapolation
     removes (Walker & Ni 2011).  With G_k = u_k - d_k the unit-step point
-    and d_k the scaled preconditioned gradient, the step first tries
+    and d_k the step, each step first tries
     G_k - gamma*(G_k - G_{k-1}), gamma = d_k.(d_k - d_{k-1}) / |d_k - d_{k-1}|^2,
     and keeps it under the unit step's Armijo test; otherwise the line
     search runs as without it, at the cost of one more evaluation.  The
@@ -242,18 +230,16 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
     h = 2.0 / (n + 1)
     odd = n % 2
     u = w / math.sqrt(h * _fold(w, w, odd))
-    q_val, g, rate = kernel(u)
+    q_val, r, rate = kernel(u)
     evaluations = 1
     iterations = 0
     converged = False
     step_init = 1.0
     prev = None  # (u, d) of the last iterate that a unit or extrapolated step left
     while iterations < _MAX_ITERATIONS:
-        # the half factor makes the unit step coincide with inverse iteration
-        # on the local problem, which crushes high-frequency error modes
-        d = _dirichlet_solve(g, n)
-        d *= 0.5
-        slope = rate * h * _fold(g, d, odd)
+        d = _dirichlet_solve(r, n)
+        d += u
+        slope = rate * 2.0 * _half_energy(d, n)
         step = step_init
         accepted = False
         if prev is not None and slope > _LAMBDA_TOL and is_constant_sign(u):
@@ -263,14 +249,14 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
             trial = u - d
             trial -= gamma * ((u - prev[0]) - dd)
             trial /= math.sqrt(h * _fold(trial, trial, odd))
-            q_trial, g_trial, rate_trial = kernel(trial)
+            q_trial, r_trial, rate_trial = kernel(trial)
             evaluations += 1
             accepted = q_trial <= q_val - _ARMIJO * slope
         if not accepted:
             while step * slope > _LAMBDA_TOL:
                 trial = u - step * d
                 trial /= math.sqrt(h * _fold(trial, trial, odd))
-                q_trial, g_trial, rate_trial = kernel(trial)
+                q_trial, r_trial, rate_trial = kernel(trial)
                 evaluations += 1
                 if q_trial <= q_val - _ARMIJO * step * slope:
                     break
@@ -281,7 +267,7 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
         step_init = min(1.0, 2.0 * step)  # warm-start the next search
         prev = (u, d) if step == 1.0 else None
         decrease = q_val - q_trial
-        u, q_val, g, rate = trial, q_trial, g_trial, rate_trial
+        u, q_val, r, rate = trial, q_trial, r_trial, rate_trial
         iterations += 1
         if decrease < _LAMBDA_TOL:
             converged = True
@@ -361,13 +347,13 @@ def minimize(
             raise ValueError("start must be nonzero on its left half")
     alpha, q = params.alpha, params.q
     w, lam, iterations, evaluations, converged = _descend(
-        bump, n, functools.partial(quotient_and_gradient, n=n, alpha=min(alpha, ALPHA_TOP), q=q)
+        bump, n, functools.partial(quotient_and_residual, n=n, alpha=min(alpha, ALPHA_TOP), q=q)
     )
     wins, degenerate = _descent_wins(w, lam, converged, saturation)
     if wins and alpha > ALPHA_TOP:
         # the descent beat the sine at ALPHA_TOP, which decides nothing at alpha
         w, lam, steps, evals, converged = _descend(
-            bump, n, functools.partial(quotient_and_gradient, n=n, alpha=alpha, q=q)
+            bump, n, functools.partial(quotient_and_residual, n=n, alpha=alpha, q=q)
         )
         iterations += steps
         evaluations += evals
@@ -429,7 +415,7 @@ def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
     a constant-sign minimizer at the returned alpha.
     """
     w, value, iterations, _, converged = _descend(
-        _grid(n)[0], n, functools.partial(threshold_and_gradient, n=n, sigma=sigma, q=q)
+        _grid(n)[0], n, functools.partial(threshold_and_residual, n=n, sigma=sigma, q=q)
     )
     v = _unfold(w, n)
     v.flags.writeable = False

@@ -120,6 +120,13 @@ def test_hfun_divergent_exits_1(capsys):
     assert "divergent" in err
 
 
+@pytest.mark.parametrize("m", ["1e-308", "5e-324"])
+def test_hfun_overflowing_q2_depth_exits_1(capsys, m):
+    code, out, err = run(capsys, ["hfun", "--m", m, "--q", "2"])
+    assert (code, out) == (1, "")
+    assert "overflows float64" in err
+
+
 def test_hfun_nonconvergence_exits_2(capsys):
     # at m = 0 the tail of y^(-q/2) below the deepest panel is not negligible near q = 2
     code, out, err = run(capsys, ["hfun", "--m", "0", "--q", "1.99"])
@@ -201,6 +208,15 @@ def test_profile_unwritable_path_exits_1(capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_profile_rejects_stdout_as_csv_path(capsys, tmp_path, monkeypatch):
+    # the JSON record owns stdout, so "-" is refused, not written as a file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["profile", "--alpha", "0", "--q", "1.5", "--out", "-", "--n", "500"])
+    assert (code, out) == (1, "")
+    assert "--out must name a file" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- scan ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_branch_coexistence_at_threshold(crit, q):
     aq = crit(q).alpha_q
     # the constant-sign branch's value, by the descent alone, against the odd sine's
     n = OPTS.n
-    kernel = functools.partial(solver.quotient_and_gradient, n=n, alpha=aq, q=q)
+    kernel = functools.partial(solver.quotient_and_residual, n=n, alpha=aq, q=q)
     lam_pos = solver._descend(solver._grid(n)[0], n, kernel)[1]
     lam_odd = saturation_reference(n, q)
     assert abs(lam_pos - lam_odd) <= 10 * 0.04 * PI2

@@ -175,11 +175,25 @@ def test_half_period_at_underflowing_depth_is_the_zero_depth_value(m, q):
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
-@pytest.mark.parametrize("m", [1e-2, 1e-4, 1e-6, 1e-9, 1e-160, 1e-170, 1e-200, 1e-300])
+@pytest.mark.parametrize("m", [1e-2, 1e-4, 1e-6, 1e-9, 1e-160, 1e-170, 1e-200, 1e-300, 1e-307, 2e-308])
 def test_half_period_q2_closed_form_as_depth_vanishes(m, tol):
     closed = 0.5 * PI * math.sqrt((1 + m * m) / 2) * (1 / m + 1)
     hv = half_period(m, 2.0, tol)
     assert abs(hv.value - closed) <= 10 * tol * closed
+
+
+@pytest.mark.parametrize("m", [1e-308, 7e-309, 6.5e-309, 6.2e-309, 5e-324])
+def test_half_period_q2_rejects_a_depth_whose_value_overflows(m):
+    # the half period is about 1.11/m: below m = 2e-308 the rule's sums would
+    # overflow, so the depth is refused before the rule runs, and the
+    # integrand returns its value or +inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows float64"):
+            half_period(m, 2.0)
+        for y in (0.0, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0):
+            value = integrand(m, 2.0, y)
+            assert value > 1e307 or value == math.inf
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-4])

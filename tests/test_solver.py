@@ -26,13 +26,13 @@ from nleig.solver import (
     _dirichlet_solve,
     _fold,
     _grid,
-    _half_energy_and_stiffness,
+    _half_energy,
     _S_ROUNDING_BAND,
     _unfold,
     minimize,
-    quotient_and_gradient,
+    quotient_and_residual,
     saturation_reference,
-    threshold_and_gradient,
+    threshold_and_residual,
     threshold_ascent,
 )
 
@@ -171,8 +171,13 @@ def _even(f, n):
 
 
 def _half_stiffness(w, n):
-    """The stencil on the half grid, as the kernels apply it: the last row is reflected."""
-    return _half_energy_and_stiffness(w, n)[1]
+    """The half of K v for the even v with half w, by core's full-grid stencil."""
+    return apply_stiffness(_unfold(w, n), 2.0 / (n + 1))[: w.size]
+
+
+def _half_gradient(w, n, r):
+    """The half of the gradient 2*(K v + r) that a kernel's residual r stands for."""
+    return 2.0 * (_half_stiffness(w, n) + r)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -180,10 +185,10 @@ def test_half_stiffness_is_the_unfolded_stencil(n):
     w = np.random.default_rng(n).standard_normal((n + 1) // 2)
     h = 2.0 / (n + 1)
     v = _unfold(w, n)
-    full = apply_stiffness(v, h)
-    energy, stiffness = _half_energy_and_stiffness(w, n)
-    assert np.allclose(stiffness, full[: w.size], rtol=0.0, atol=1e-12 * np.abs(full).max())
+    energy = _half_energy(w, n)
     assert energy == pytest.approx(quotient_terms(v, h, 2.0)[0], rel=1e-13)
+    # D = h*v.(K v), the identity that makes the descent's slope 2*D(d)
+    assert energy == pytest.approx(h * float(v @ apply_stiffness(v, h)), rel=1e-12)
 
 
 def _half_average(w, n, q):
@@ -219,14 +224,15 @@ def test_quotient_gradient_matches_finite_differences(q, alpha):
         assert _fold(w, w, n % 2) == pytest.approx(float(v @ v), rel=1e-14)
         u = GridFunction(v)
         assert q_average(u, q) > 0.1  # S != 0: the nonlocal term enters the gradient
-        value, g, rate = quotient_and_gradient(w, n, alpha, q)
+        value, r, rate = quotient_and_residual(w, n, alpha, q)
+        g = _half_gradient(w, n, r)
         assert rate == 1.0
         assert value == pytest.approx(rayleigh_quotient(u, ProblemParams(alpha, q)), rel=1e-14)
         eps = 1e-6
         for _ in range(3):
             e = rng.standard_normal(w.size)
-            fd = (quotient_and_gradient(w + eps * e, n, alpha, q)[0]
-                  - quotient_and_gradient(w - eps * e, n, alpha, q)[0]) / (2.0 * eps)
+            fd = (quotient_and_residual(w + eps * e, n, alpha, q)[0]
+                  - quotient_and_residual(w - eps * e, n, alpha, q)[0]) / (2.0 * eps)
             # g is the half of the gradient for the mass h*v.v, and e unfolds
             # to an even direction, so the full products fold
             exact = _fold(g, e, n % 2) / _fold(w, w, n % 2)
@@ -240,7 +246,8 @@ def test_rounding_level_average_drops_the_nonlocal_gradient(q):
     n = 4000
     w = _balanced_even(n, q)
     assert 0.0 < _half_average(w, n, q) <= _S_ROUNDING_BAND
-    value, g, _ = quotient_and_gradient(w, n, 8.0, q)
+    value, r, _ = quotient_and_residual(w, n, 8.0, q)
+    g = _half_gradient(w, n, r)
     local = 2.0 * (_half_stiffness(w, n) - value * w)
     assert np.linalg.norm(g - local) <= 1e-12 * np.linalg.norm(_half_stiffness(w, n))
 
@@ -252,7 +259,8 @@ def test_small_real_average_keeps_the_nonlocal_gradient():
     w = _balanced_even(n, 2.0) + 2e-10 * _even(lambda x: np.cos(0.5 * math.pi * x), n)
     s = q_average(GridFunction(_unfold(w, n)), 2.0)
     assert 1e-9 < s < 1e-8
-    value, g, _ = quotient_and_gradient(w, n, alpha, 2.0)
+    value, r, _ = quotient_and_residual(w, n, alpha, 2.0)
+    g = _half_gradient(w, n, r)
     full = 2.0 * (_half_stiffness(w, n) + alpha * np.abs(w) - value * w)
     assert np.linalg.norm(g - full) <= 1e-12 * np.linalg.norm(full)
 
@@ -264,7 +272,8 @@ def test_average_of_1e_11_keeps_the_nonlocal_gradient():
     w = _balanced_even(n, 2.0) + 1.2e-12 * _even(lambda x: np.cos(0.5 * math.pi * x), n)
     s = _half_average(w, n, 2.0)
     assert 5e-12 < s < 5e-11
-    value, g, _ = quotient_and_gradient(w, n, alpha, 2.0)
+    value, r, _ = quotient_and_residual(w, n, alpha, 2.0)
+    g = _half_gradient(w, n, r)
     full = 2.0 * (_half_stiffness(w, n) + alpha * np.abs(w) - value * w)
     assert np.linalg.norm(g - full) <= 1e-12 * np.linalg.norm(full)
 
@@ -273,7 +282,7 @@ def test_average_of_1e_11_keeps_the_nonlocal_gradient():
 
 def _quotient_descent(w0, alpha, q, n=4000):
     """_descend of the quotient from the half w0: (half, value, iterations, evaluations, converged)."""
-    return _descend(w0, n, functools.partial(quotient_and_gradient, n=n, alpha=alpha, q=q))
+    return _descend(w0, n, functools.partial(quotient_and_residual, n=n, alpha=alpha, q=q))
 
 
 def _counted_descent(w0, alpha, q, n=4000):
@@ -599,20 +608,21 @@ def test_dirichlet_solve_inverts_stiffness(n):
     assert np.linalg.norm(fwd - r) <= 1e-10 * np.linalg.norm(r)
 
 
-def _thomas_solve(r, h):
-    """Reference: forward elimination and back substitution on tridiag(-1, 2, -1) u = h^2 r."""
+def _thomas_solve(r, h, dtype=np.float64):
+    """Reference: forward elimination and back substitution on tridiag(-1, 2, -1) u = h^2 r, in dtype."""
     n = len(r)
-    diag = [2.0] * n
-    rhs = [h * h * float(ri) for ri in r]
+    h = dtype(h)
+    diag = np.full(n, dtype(2.0))
+    rhs = h * h * np.asarray(r, dtype=dtype)
     for i in range(1, n):
         m = -1.0 / diag[i - 1]
         diag[i] += m
         rhs[i] -= m * rhs[i - 1]
-    u = [0.0] * n
+    u = np.zeros(n, dtype=dtype)
     u[-1] = rhs[-1] / diag[-1]
     for i in range(n - 2, -1, -1):
         u[i] = (rhs[i] + u[i + 1]) / diag[i]
-    return np.array(u)
+    return u
 
 
 def test_dirichlet_solve_matches_dense_solve():
@@ -630,6 +640,36 @@ def test_dirichlet_solve_matches_dense_solve():
         r = rng.standard_normal((n + 1) // 2)
         ref = _thomas_solve(_unfold(r, n), 2.0 / (n + 1))[: r.size]
         assert np.linalg.norm(_dirichlet_solve(r, n) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _full_step(u, r, n):
+    """The half of the full-grid solution d of K d = K v + r, for the even v and r with halves u and r.
+
+    K v + r is formed and solved in long double: at n = 4000 the float64
+    product K v alone carries about cond(K)*eps = 4e-12 of relative error
+    into d, above the bound the step is held to.
+    """
+    h = 2.0 / (n + 1)
+    v = _unfold(u, n).astype(np.longdouble)
+    kv = 2.0 * v
+    kv[:-1] -= v[1:]
+    kv[1:] -= v[:-1]
+    kv /= np.longdouble(h) ** 2
+    return _thomas_solve(kv + _unfold(r, n), h, np.longdouble)[: u.size]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_step_is_the_solve_of_the_gradient(n):
+    # the descent's step u + K^-1 r is K^-1 of the half gradient (K u + r),
+    # for both kernels, on the bump start and on a rough positive even w
+    m = (n + 1) // 2
+    sigma = saturation_reference(n, 1.5)
+    for w in (_grid(n)[0], np.random.default_rng(n).uniform(0.5, 1.5, m)):
+        for kernel in (quotient_and_residual(w, n, 4.0, 1.5), threshold_and_residual(w, n, sigma, 1.5)):
+            r = kernel[1]
+            d = _dirichlet_solve(r, n) + w
+            ref = _full_step(w, r, n)
+            assert float(np.linalg.norm(d - ref)) <= 1e-12 * float(np.linalg.norm(ref))
 
 
 # --- per-grid constants -------------------------------------------------------------
@@ -735,15 +775,16 @@ def test_threshold_gradient_matches_finite_differences(q, sigma):
     for n in SIZES:
         w = _even(lambda x: np.cos(0.5 * math.pi * x) + 0.2 * np.cos(1.5 * math.pi * x), n)
         w = w * 3.0  # F is scale-invariant, its step gradient is not: off the unit sphere
-        value, g, rate = threshold_and_gradient(w, n, sigma, q)
+        value, r, rate = threshold_and_residual(w, n, sigma, q)
+        g = _half_gradient(w, n, r)
         assert -value == pytest.approx(_threshold(_unfold(w, n), q, sigma), rel=1e-13, abs=1e-13)
         h = 2.0 / (n + 1)
         assert rate == pytest.approx(1.0 / abs(_half_average(w, n, q)) ** (2.0 / q), rel=1e-14)
         eps = 1e-6
         for _ in range(3):
             e = rng.standard_normal(w.size)
-            fd = (threshold_and_gradient(w + eps * e, n, sigma, q)[0]
-                  - threshold_and_gradient(w - eps * e, n, sigma, q)[0]) / (2.0 * eps)
+            fd = (threshold_and_residual(w + eps * e, n, sigma, q)[0]
+                  - threshold_and_residual(w - eps * e, n, sigma, q)[0]) / (2.0 * eps)
             exact = rate * h * _fold(g, e, n % 2)
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
@@ -752,7 +793,7 @@ def test_threshold_rejects_all_but_positive_points():
     n = 4000
     bump = _grid(n)[0]
     for w in (_balanced_even(n, 1.5), bump - 0.5 * bump.max(), -bump, 1e-20 * bump):
-        assert threshold_and_gradient(w, n, 9.8, 1.5)[:2] == (math.inf, None)
+        assert threshold_and_residual(w, n, 9.8, 1.5)[:2] == (math.inf, None)
 
 
 @pytest.mark.parametrize("n", [100, 101, 4000])
