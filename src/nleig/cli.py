@@ -36,8 +36,25 @@ def _sig12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def _sig3(value: float) -> float:
+    """Round a float to 3 significant digits, as many as a residual has determined."""
+    return float(f"{value:.3g}")
+
+
 def _emit_json(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the header and the rows to path, or to stdout for -; floats take 12 significant digits."""
+    handle = sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+    try:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    finally:
+        if handle is not sys.stdout:
+            handle.close()
 
 
 def _solve(alpha: float, q: float, opts: SolverOptions) -> EigenResult:
@@ -57,7 +74,7 @@ def _lambda_record(result: EigenResult, alpha: float, q: float, n: int) -> dict:
         "sign_class": result.profile.sign_class,
         "q_average": _sig12(result.q_average),
         "gamma": _sig12(result.gamma),
-        "residual": _sig12(result.residual),
+        "residual": _sig3(result.residual),
         "iterations": result.iterations,
         "converged": result.converged,
     }
@@ -103,12 +120,7 @@ def _cmd_profile(args) -> int:
         raise ValueError("profile prints its JSON record on stdout, so --out must name a file, not -")
     result = _solve(args.alpha, args.q, SolverOptions(n=args.n))
     u = result.minimizer
-    xs = nodes(u.n)
-    ys = np.concatenate(([0.0], u.values, [0.0]))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("x,y\n")
-        for xv, yv in zip(xs, ys):
-            handle.write(f"{_sig12(xv):.12g},{_sig12(yv):.12g}\n")
+    _write_csv(args.out, "x,y", zip(nodes(u.n).tolist(), [0.0, *u.values.tolist(), 0.0]))
     prof = result.profile
     record = _lambda_record(result, args.alpha, args.q, args.n)
     record.update(
@@ -121,22 +133,6 @@ def _cmd_profile(args) -> int:
     )
     _emit_json(record)
     return 0 if result.converged else 2
-
-
-def _scan_row(result: EigenResult, alpha: float, q: float) -> str:
-    prof = result.profile
-    fields = (
-        f"{_sig12(alpha):.12g}",
-        f"{_sig12(q):.12g}",
-        f"{_sig12(result.lam):.12g}",
-        prof.sign_class,
-        f"{_sig12(result.q_average):.12g}",
-        f"{_sig12(prof.m_bar):.12g}",
-        f"{_sig12(prof.odd_defect):.12g}",
-        f"{_sig12(result.residual):.12g}",
-        str(result.iterations),
-    )
-    return ",".join(fields)
 
 
 def _cmd_scan(args) -> int:
@@ -153,16 +149,11 @@ def _cmd_scan(args) -> int:
     for q in map(float, qs):
         for alpha in map(float, alphas):
             result = _solve(alpha, q, opts)
-            rows.append(_scan_row(result, alpha, q))
+            prof = result.profile
+            rows.append((alpha, q, result.lam, prof.sign_class, result.q_average, prof.m_bar, prof.odd_defect,
+                         _sig3(result.residual), result.iterations))
             converged = converged and result.converged
-    handle = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    try:
-        handle.write(CSV_HEADER + "\n")
-        for line in rows:
-            handle.write(line + "\n")
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    _write_csv(args.out, CSV_HEADER, rows)
     return 0 if converged else 2
 
 

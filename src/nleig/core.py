@@ -129,15 +129,18 @@ class EigenResult:
 
     ``minimizer`` is L2-normalized with ``q_average`` = S >= 0, and its
     values are read-only, so the derived values below cannot drift from the
-    solve.  ``iterations`` counts the descent steps of ``solver.minimize``
-    (its docstring says at which couplings it descends) and ``evaluations``
-    their quotient evaluations plus 1 for the odd sine, whose value is
-    evaluated, not descended.
+    solve.  ``iterations`` counts the steps of the one descent of
+    ``solver.minimize``, at min(alpha, 2*pi^2), and ``evaluations`` its
+    quotient evaluations plus 1 for the odd sine, whose value is evaluated,
+    not descended.
 
     ``gamma`` (S^(2/q-1), or 0 for a zero-average minimizer: S at most
     _GAMMA_ZERO_TOL), ``profile`` (``analyze(minimizer)``) and ``residual``
     (the RMS residual of -u'' + alpha*gamma*|u|^(q-1) = lam*u on the grid)
-    are derived: each is computed on its first read and kept.  A
+    are derived: each is computed on its first read and kept.  The residual
+    has a rounding floor of about 2.2e-16*(n + 1)^2, the stencil's terms
+    4/h^2 times the unit roundoff, so only its leading digits are
+    determined: a saturated sine or an alpha = 0 solve sits at that floor.  A
     sign-changing minimizer's first-integral constant is
     0.5*lam*first_integral_coeffs(profile.m_bar, q).t, the formula behind
     ``branches.branch_point(...).c``.

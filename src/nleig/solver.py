@@ -45,11 +45,13 @@ The sampled odd sine is the discrete odd minimizer and its S is 0 by
 symmetry, so it takes its value D/M, the same for every alpha, and no step.
 Backtracking stops before a step whose predicted decrease is at most the
 tolerance.  A descent that reaches the iteration cap and loses to the sine
-is reported by a RuntimeWarning.  Above 2*pi^2 (ALPHA_TOP) the descent runs
-at 2*pi^2: every quotient is nondecreasing in alpha, so a sine that wins
-there wins above it, and the descent never creeps along the kink S = 0 at
-a large alpha.  Nothing is analysed: the result's gamma, profile and
-residual are computed on first read.
+is reported by a RuntimeWarning.  Every solve is one descent, at
+min(alpha, 2*pi^2) (ALPHA_TOP).  2*pi^2 lies above alpha_q for every q, so
+by the dichotomy the sine wins there (tests/test_dichotomy.py checks that
+no even descent comes near it), and every quotient is nondecreasing in
+alpha, so the sine wins above it too; the descent never creeps along the
+kink S = 0 at a large alpha.  Nothing is analysed: the result's gamma,
+profile and residual are computed on first read.
 """
 
 from __future__ import annotations
@@ -297,19 +299,6 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return bump, sine, saturation
 
 
-def _descent_wins(w: np.ndarray, lam: float, converged: bool, saturation: float) -> tuple[bool, bool]:
-    """Whether a descent ending at half w with quotient lam beats the sine's value, and whether it ties it.
-
-    A constant-sign result within _TIE_TOL of the sine wins as a degenerate
-    tie; otherwise a result at or below the sine wins unless it hit the
-    iteration cap within 10*_LAMBDA_TOL*max(1, |lam|) of it.
-    """
-    degenerate = bool(abs(lam - saturation) < _TIE_TOL) and is_constant_sign(w)
-    # a capped descent that ties the sine to rounding level is no winner
-    capped_tie = not converged and saturation - lam <= 10.0 * _LAMBDA_TOL * max(1.0, abs(lam))
-    return degenerate or (lam <= saturation and not capped_tie), degenerate
-
-
 def minimize(
     params: ProblemParams, opts: SolverOptions = SolverOptions(), start: GridFunction | None = None
 ) -> EigenResult:
@@ -322,19 +311,18 @@ def minimize(
     v[:(n + 1)//2] is read, as the even function it determines, so it must
     have opts.n nodes and be nonzero there (ValueError otherwise).
 
-    The descent wins when it is constant-sign and within _TIE_TOL of the
-    sine, with the ``degenerate`` flag set, and when its quotient is at most
-    the sine's, unless it hit the iteration cap within
-    10*_LAMBDA_TOL*max(1, |lambda|) of the sine; otherwise the sine wins.
-    Above alpha = ALPHA_TOP = 2*pi^2 the descent runs at ALPHA_TOP: lambda is
-    nondecreasing in alpha, so if the sine wins there it wins at alpha, and
-    the result is the sine with ``params`` (alpha, q) and the steps taken at
-    ALPHA_TOP.  If the descent wins at ALPHA_TOP, it runs again at alpha, and
-    the result counts the steps and evaluations of both descents.
-    Nothing is analysed: the result's gamma, profile and residual are
-    computed on first read.  The winner's values are read-only.  Raises
-    SolverNonconvergence (carrying the result) if the winning descent hit
-    the iteration cap, and warns (RuntimeWarning) if a losing one did.
+    The descent runs at min(alpha, ALPHA_TOP), ALPHA_TOP = 2*pi^2.  It wins
+    when it is constant-sign and within _TIE_TOL of the sine, with the
+    ``degenerate`` flag set, and when its quotient is at most the sine's,
+    unless it hit the iteration cap within 10*_LAMBDA_TOL*max(1, |lambda|)
+    of the sine; otherwise the sine wins.  Above ALPHA_TOP the sine wins at
+    ALPHA_TOP, beyond alpha_q (module docstring), and lambda is
+    nondecreasing in alpha, so the result is the sine with ``params``
+    (alpha, q) and the steps taken at ALPHA_TOP.  Nothing is analysed: the
+    result's gamma, profile and residual are computed on first read.  The
+    winner's values are read-only.  Raises SolverNonconvergence (carrying
+    the result) if the winning descent hit the iteration cap, and warns
+    (RuntimeWarning) if a losing one did.
     """
     n = opts.n
     h = 2.0 / (n + 1)
@@ -349,17 +337,11 @@ def minimize(
     w, lam, iterations, evaluations, converged = _descend(
         bump, n, functools.partial(quotient_and_residual, n=n, alpha=min(alpha, ALPHA_TOP), q=q)
     )
-    wins, degenerate = _descent_wins(w, lam, converged, saturation)
-    if wins and alpha > ALPHA_TOP:
-        # the descent beat the sine at ALPHA_TOP, which decides nothing at alpha
-        w, lam, steps, evals, converged = _descend(
-            bump, n, functools.partial(quotient_and_residual, n=n, alpha=alpha, q=q)
-        )
-        iterations += steps
-        evaluations += evals
-        wins, degenerate = _descent_wins(w, lam, converged, saturation)
     evaluations += 1  # the sine's, evaluated rather than descended
-    if wins:
+    degenerate = bool(abs(lam - saturation) < _TIE_TOL) and is_constant_sign(w)
+    # a capped descent that ties the sine to rounding level is no winner
+    capped_tie = not converged and saturation - lam <= 10.0 * _LAMBDA_TOL * max(1.0, abs(lam))
+    if degenerate or (lam <= saturation and not capped_tie):
         s = h * _fold(w, np.abs(w) ** (q - 1.0), n % 2)
         v = _unfold(w, n)
         if s < 0.0:

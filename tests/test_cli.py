@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import nleig.cli as cli
 from nleig.core import EigenResult, GridFunction, ProblemParams, analyze
 from nleig import solver
 from nleig.critical import BracketViolation
-from nleig.solver import SolverNonconvergence, saturation_reference
+from nleig.solver import SolverNonconvergence, minimize, saturation_reference
 
 PI2 = math.pi**2
 
@@ -301,6 +302,77 @@ def test_one_analyze_per_lambda_command_and_scan_point(capsys, monkeypatch):
     ]
     assert run(capsys, scan)[0] == 0
     assert len(calls) == 3 * 2
+
+
+# --- golden outputs -------------------------------------------------------------------
+
+GOLDEN_SCAN = [
+    "scan",
+    "--alpha-min", "0", "--alpha-max", "15", "--alpha-count", "4",
+    "--q-min", "1.2", "--q-max", "1.8", "--q-count", "3",
+    "--n", "200",
+]
+
+GOLDEN = {
+    ("lambda", "--alpha", "3", "--q", "1.5", "--n", "400"): (
+        '{"alpha": 3.0, "converged": true, "gamma": 1.0340800004, "iterations": 4, "lambda": 5.91278123986, '
+        '"n": 400, "q": 1.5, "q_average": 1.10576392257, "residual": 1.09e-06, "sign_class": "positive"}\n'
+    ),
+    ("lambda", "--alpha", "12", "--q", "1.7", "--n", "400"): (
+        '{"alpha": 12.0, "converged": true, "gamma": 0.0, "iterations": 5, "lambda": 9.86940247802, '
+        '"n": 400, "q": 1.7, "q_average": 0.0, "residual": 1.65e-11, "sign_class": "sign_changing"}\n'
+    ),
+    ("alpha-crit", "--q", "1.5", "--n", "400"): (
+        '{"alpha_q": 6.48021362535, "bracket": [6.47521362535, 6.48521362535], "iterations": 7, "q": 1.5, '
+        '"saturation_value": 9.86940247802, "solver_calls": 1, "tolerance": 0.01}\n'
+    ),
+    ("hfun", "--m", "0.3", "--q", "1.7"): (
+        '{"error_estimate": 2.6645352591e-15, "m": 0.3, "q": 1.7, "value": 4.13816755315}\n'
+    ),
+    (*GOLDEN_SCAN, "--out", "-"): (
+        "alpha,q,lambda,sign_class,q_average,m_bar,odd_defect,residual,iterations\n"
+        "0,1.2,2.46735087034,positive,1.20140942388,0,2,1.38e-12,0\n"
+        "5,1.2,9.05359791505,positive,1.15322623296,0,2,1.92e-06,6\n"
+        "10,1.2,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,12\n"
+        "15,1.2,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,20\n"
+        "0,1.5,2.46735087034,positive,1.11283479787,0,2,1.38e-12,0\n"
+        "5,1.5,8.19229673719,positive,1.10033989721,0,2,8.93e-07,5\n"
+        "10,1.5,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,6\n"
+        "15,1.5,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,7\n"
+        "0,1.8,2.46735087034,positive,1.04097057035,0,2,1.38e-12,0\n"
+        "5,1.8,7.6912917618,positive,1.03944697967,0,2,3.73e-07,4\n"
+        "10,1.8,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,4\n"
+        "15,1.8,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: " ".join(argv[:3]))
+def test_golden_stdout(capsys, argv):
+    assert run(capsys, list(argv)) == (0, GOLDEN[argv], "")
+
+
+def test_golden_profile_csv(capsys, tmp_path):
+    out_path = tmp_path / "profile.csv"
+    assert run(capsys, ["profile", "--alpha", "3", "--q", "1.5", "--n", "400", "--out", str(out_path)])[0] == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "d61a46d20bf6cfa0cd6cb7741d4d22b9b3ca3ace67fffdb6608efa999e12fc7d"
+
+
+def test_scan_writes_the_same_bytes_to_a_file_and_to_stdout(capsys, tmp_path):
+    out_path = tmp_path / "scan.csv"
+    assert run(capsys, [*GOLDEN_SCAN, "--out", str(out_path)]) == (0, "", "")
+    assert out_path.read_text(encoding="utf-8") == run(capsys, [*GOLDEN_SCAN, "--out", "-"])[1]
+
+
+def test_residual_is_printed_to_3_digits(capsys):
+    # only the residual's leading digits are determined (EigenResult)
+    res = minimize(ProblemParams(5.0, 1.5), solver.SolverOptions(n=200))
+    _, out, _ = run(capsys, ["lambda", "--alpha", "5", "--q", "1.5", "--n", "200"])
+    assert json.loads(out)["residual"] == float(f"{res.residual:.3g}")
+    scan = ["scan", "--alpha-min", "5", "--alpha-max", "5", "--alpha-count", "1"]
+    _, out, _ = run(capsys, scan + ["--q-min", "1.5", "--q-max", "1.5", "--q-count", "1", "--n", "200", "--out", "-"])
+    assert out.splitlines()[1].split(",")[7] == f"{res.residual:.3g}" == "8.93e-07"
 
 
 # --- verify ---------------------------------------------------------------------------

@@ -364,28 +364,23 @@ def test_saturated_lambda_does_not_drift_with_alpha(alpha, q, n):
     assert (res.iterations, res.evaluations) == (top[2], top[3] + 1)
 
 
-@pytest.mark.parametrize("margin", [1.0, -1.0])
-def test_descent_that_wins_at_the_top_falls_back_to_alpha(margin, monkeypatch):
-    # never seen, so faked: a descent below the sine at 2*pi^2 decides nothing
-    # at a larger alpha, which is then descended itself
-    n, alpha = 100, 50.0
-    sat = saturation_reference(n, 1.5)
+@pytest.mark.parametrize("n", [100, 101])
+@pytest.mark.parametrize("alpha", [-5.0, 3.0, 2.0 * PI2, 50.0, 1e6])
+def test_minimize_descends_once(alpha, n, monkeypatch):
+    # every solve is one descent, at min(alpha, 2*pi^2), from the bump or
+    # from a start, whichever branch wins
     seen = []
 
-    def fake(w, n, kernel):
+    def counted(w, n, kernel):
         seen.append(kernel.keywords["alpha"])
-        return _grid(n)[0], sat - margin * len(seen), 3, 4, True
+        return _descend(w, n, kernel)
 
-    monkeypatch.setattr(solver, "_descend", fake)
-    res = minimize(ProblemParams(alpha, 1.5), SolverOptions(n=n))
-    if margin > 0.0:  # wins at the top, then at alpha
-        assert seen == [solver.ALPHA_TOP, alpha]
-        assert (res.lam, res.iterations, res.evaluations) == (sat - 2.0, 6, 9)
-        assert np.array_equal(res.minimizer.values, _unfold(_grid(n)[0], n))
-    else:  # loses at the top: the sine, with the steps taken there
-        assert seen == [solver.ALPHA_TOP]
-        assert (res.lam, res.iterations, res.evaluations) == (sat, 3, 5)
-    assert res.params == ProblemParams(alpha, 1.5)
+    monkeypatch.setattr(solver, "_descend", counted)
+    mixed = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) + 0.3 * np.cos(1.5 * math.pi * x), n)
+    for start in (None, mixed):
+        seen.clear()
+        minimize(ProblemParams(alpha, 1.5), SolverOptions(n), start=start)
+        assert seen == [min(alpha, solver.ALPHA_TOP)]
 
 
 def test_capped_losing_restart_is_reported(monkeypatch):
