@@ -100,38 +100,41 @@ def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_
 
 
 def _arc_cumulative(density: np.ndarray) -> np.ndarray:
-    """Cumulative integral of arclength densities sampled at the Gauss nodes of the graded panels.
+    """Cumulative integral of one arclength density sampled at the Gauss nodes of the graded panels.
 
-    ``density`` holds one density of shape (panels, 8), or a stack of them
-    along leading axes.  Each returned row has one entry per edge and node of
-    the panels, in order of increasing u, starting at 0 and ending at the
-    integral over (0, 1).  One product gives the integrals from each panel's
-    left edge; only the panel totals are then accumulated, as offsets.
+    ``density`` has shape (panels, 8).  The returned table has one entry per
+    edge and node of the panels, in order of increasing u, starting at 0 and
+    ending at the integral over (0, 1).  One product, written into the table,
+    gives the integrals from each panel's left edge; only the panel totals
+    are then accumulated, as offsets.
     """
-    within = (density @ _PARTIALS) * _HALF
-    ends = np.cumsum(within[..., -1], axis=-1)
-    within[..., 1:, :] += ends[..., :-1, None]
-    out = np.zeros(within.shape[:-2] + (within.shape[-2] * within.shape[-1] + 1,))
-    out[..., 1:] = within.reshape(within.shape[:-2] + (-1,))
+    out = np.empty(density.shape[0] * _PARTIALS.shape[1] + 1)
+    out[0] = 0.0
+    within = out[1:].reshape(density.shape[0], -1)
+    np.matmul(density, _PARTIALS, out=within)
+    within *= _HALF
+    ends = np.add.accumulate(within[:-1, -1])
+    within[1:] += ends[:, None]
     return out
 
 
 def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     """Rebuild the sign-changing profile of depth m on (-1, 1) from its first integral.
 
-    The arclength maps of the two arcs are accumulated together, each from
-    its extremum, in the square-root variables y = 1 - u^2 (positive arc)
-    and |y| = m*(1 - v^2) (negative arc), where the densities
-    (``period.arc_densities``) are smooth.  A node x is then placed by its
-    distance |x - x_ext|*half_period from the extremum x_ext of its arc and
-    inverted by piecewise-linear interpolation on the ascending tables of
-    the edges and Gauss nodes of the graded panels.  The positive arc is
-    anchored first: the profile rises from 0 at x = -1 to its maximum 1,
-    crosses zero once, and dips to -m before x = 1.
+    The arclength map of each arc is accumulated from its extremum, in the
+    square-root variables y = 1 - u^2 (positive arc) and |y| = m*(1 - v^2)
+    (negative arc), where the densities (``period.arc_densities``) are
+    smooth.  A node x is then placed by its distance |x - x_ext|*half_period
+    from the extremum x_ext of its arc and inverted by piecewise-linear
+    interpolation on the ascending tables of the edges and Gauss nodes of
+    the graded panels.  The positive arc is anchored first: the profile
+    rises from 0 at x = -1 to its maximum 1, crosses zero once, and dips to
+    -m before x = 1.
     """
     _check_depth(m)
     check_n(n)
-    pos_cum, neg_cum = _arc_cumulative(np.stack(arc_densities(_PTS_U2, _PTS_LN_Y, m, q)))
+    pos, neg = arc_densities(_PTS_U2, _PTS_LN_Y, m, q)
+    pos_cum, neg_cum = _arc_cumulative(pos), _arc_cumulative(neg)
     len_pos = pos_cum[-1]
     period = len_pos + neg_cum[-1]  # equals half_period(m, q)
     max_point = -1.0 + len_pos / period
@@ -140,10 +143,16 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
 
     x = nodes(n)[1:-1]
     i_zero = np.searchsorted(x, zero, side="right")  # x is sorted: the positive arc ends at the zero
+    # arclength from the extremum of each node's arc
+    s = np.empty_like(x)
+    np.subtract(x[:i_zero], max_point, out=s[:i_zero])
+    np.subtract(x[i_zero:], min_point, out=s[i_zero:])
+    np.abs(s, out=s)
+    s *= period
     values = np.empty_like(x)
     # np.interp holds the end values beyond the tables, which clamps the arcs at y = 0
-    values[:i_zero] = np.interp(np.abs(x[:i_zero] - max_point) * period, pos_cum, _Y_ALL)
-    values[i_zero:] = np.interp(np.abs(x[i_zero:] - min_point) * period, neg_cum, _Y_ALL)
+    values[:i_zero] = np.interp(s[:i_zero], pos_cum, _Y_ALL)
+    values[i_zero:] = np.interp(s[i_zero:], neg_cum, _Y_ALL)
     values[i_zero:] *= -m
     return GridFunction(values)
 

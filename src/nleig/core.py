@@ -77,7 +77,7 @@ class GridFunction:
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         if v.ndim != 1 or v.size < 3:
             raise ValueError("a grid function needs at least 3 interior nodes")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("nodal values must be finite")
         object.__setattr__(self, "values", v)
 

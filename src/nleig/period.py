@@ -14,9 +14,12 @@ eigenvalue equals the square of
 where both integrand terms carry an inverse-square-root singularity at y = 1.
 ``half_period`` removes it with the square-root variable y = 1 - u^2
 (``arc_densities``, the densities ``branches.reconstruct_profile`` also
-accumulates).  The value is pi on the whole q = 1 line and at m = 1, and
-exceeds pi strictly for m < 1, q > 1; the auxiliary functions at the bottom
-certify the strict monotonicity of the integrand in q that drives that bound.
+accumulates).  The arc variables u^2 and ln y depend on the nodes alone, so
+they are computed once per node table of the rule and shared by every call;
+only the densities are formed for each (m, q).  The value is pi on the whole
+q = 1 line and at m = 1, and exceeds pi strictly for m < 1, q > 1; the
+auxiliary functions at the bottom certify the strict monotonicity of the
+integrand in q that drives that bound.
 
 What stays singular in u is the positive arc at u = 1 (y = 0) as m -> 0,
 where the density grows like y^(-q/2).  ``integrate_endpoint_singular``
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,6 +67,9 @@ import numpy as np
 from .core import check_q
 
 DEFAULT_TARGET_REL_ERR = 1e-10
+
+# below the smallest normal float, t has lost digits and the positive radicand is formed in logs
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ def arc_variables(u, c) -> tuple[np.ndarray, np.ndarray]:
     return u2, ln_y
 
 
-def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+def arc_densities(u2: np.ndarray, ln_y: np.ndarray, m: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Arclength densities dx/du of the positive and the negative arc, at unit eigenvalue.
 
     The arcs are parametrized in their square-root variables, y = 1 - u^2 on
@@ -112,27 +119,57 @@ def arc_densities(u2, ln_y, m: float, q: float) -> tuple[np.ndarray, np.ndarray]
         pos(u) = 2 / sqrt(r(u)),          r(u) = t*(1+y) + z*y^q*(-expm1((2-q)*ln y))/u^2,
         neg(u) = 2*sqrt(p) / sqrt(s(u)),  s(u) = p*(1+y) + z*(-expm1(q*ln y))/u^2,  p = m^(2-q).
 
-    ``u2`` and ``ln_y`` come from ``arc_variables``, z and t from
-    ``first_integral_coeffs``.  Both radicands are sums of non-negative terms,
-    so nothing cancels: the expm1 quotients tend to 2 - q and q as u -> 0.
-    Integrating pos + neg over (0, 1) gives half_period(m, q).  p lies in
-    [m, 1], so neg neither underflows nor overflows as m -> 0, and is 0 at
-    m = 0.  Where t is subnormal or underflows to 0 (and z = 1), r is formed
-    in logs, from ln t and q*ln y, since t and y^q would lose their digits
-    or underflow to a zero radicand; a pos beyond float64 (q = 2) is +inf.
+    ``u2`` and ``ln_y`` are float64 arrays from ``arc_variables``, z and t
+    come from ``first_integral_coeffs``.  Both radicands are sums of
+    non-negative terms, so nothing cancels: the expm1 quotients tend to 2 - q
+    and q as u -> 0.  Integrating pos + neg over (0, 1) gives half_period(m, q).
+    p lies in [m, 1], so neg neither underflows nor overflows as m -> 0, and
+    is 0 at m = 0.  Where t is subnormal or underflows to 0 (and z = 1), r is
+    formed in logs, from ln t and q*ln y, since t and y^q would lose their
+    digits or underflow to a zero radicand; a pos beyond float64 (q = 2) is +inf.
+
+    The densities are formed in place, in four buffers the size of ``u2``,
+    with the operations of the formulas above in their order, each negated
+    quotient entering by a subtraction, so they keep their bits; q*ln y is
+    formed once for both arcs.
     """
     co = first_integral_coeffs(m, q)
-    pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
-    one_y = 2.0 - u2  # 1 + y
-    if co.t < np.finfo(float).tiny:
+    q_ln_y = np.multiply(q, ln_y)
+    # the expm1 quotients are kept negated, expm1(a*ln y)/u^2, and subtracted:
+    # a - b is a + (-b) in float64, so each radicand keeps its bits
+    pos = np.multiply(2.0 - q, ln_y)
+    np.expm1(pos, out=pos)
+    pos /= u2
+    one_y = np.subtract(2.0, u2)  # 1 + y
+    if co.t < _TINY:
         # ln t = q*ln m + log1p(m^(2-q)) - log1p(m^q); ln 0 = -inf at m = 0 and for the quotient at q = 2
         with np.errstate(divide="ignore", over="ignore"):
             ln_t = q * np.log(m) + math.log1p(m ** (2.0 - q)) - math.log1p(m**q)
-            pos = 2.0 * np.exp(-0.5 * np.logaddexp(ln_t + np.log(one_y), q * ln_y + np.log(pos_quot)))
+            np.negative(pos, out=pos)
+            np.log(pos, out=pos)
+            pos += q_ln_y
+            term = np.log(one_y)
+            term += ln_t
+            np.logaddexp(term, pos, out=pos)
+            pos *= -0.5
+            np.exp(pos, out=pos)
+            pos *= 2.0
     else:
-        pos = 2.0 / np.sqrt(co.t * one_y + co.z * np.exp(q * ln_y) * pos_quot)
+        term = np.exp(q_ln_y)
+        term *= co.z
+        pos *= term
+        np.multiply(co.t, one_y, out=term)
+        np.subtract(term, pos, out=pos)
+        np.sqrt(pos, out=pos)
+        np.divide(2.0, pos, out=pos)
     p = m ** (2.0 - q)
-    neg = 2.0 * math.sqrt(p) / np.sqrt(p * one_y + co.z * (-np.expm1(q * ln_y) / u2))
+    neg = np.expm1(q_ln_y, out=q_ln_y)
+    neg /= u2
+    neg *= co.z
+    one_y *= p
+    np.subtract(one_y, neg, out=neg)
+    np.sqrt(neg, out=neg)
+    np.divide(2.0 * math.sqrt(p), neg, out=neg)
     return pos, neg
 
 
@@ -148,8 +185,8 @@ def integrand(m: float, q: float, y: float) -> float:
         raise ValueError(f"y must lie in [0, 1], got {y!r}")
     if y == 1.0 or (m == 0.0 and (y == 0.0 or q == 2.0)):
         return math.inf
-    pos, neg = arc_densities(1.0 - y, math.log(max(y, math.ulp(0.0))), m, q)
-    return float(pos + neg) / (2.0 * math.sqrt(1.0 - y))
+    pos, neg = arc_densities(np.array([1.0 - y]), np.array([math.log(max(y, math.ulp(0.0)))]), m, q)
+    return float(pos[0] + neg[0]) / (2.0 * math.sqrt(1.0 - y))
 
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -209,7 +246,10 @@ def _geometric_edges(first: int, depth: int, split: int) -> np.ndarray:
 
 # bounded: a round's panels and split take a few values each, and the
 # largest table, (0, 1000, 8), holds 192 000 nodes
-@functools.lru_cache(maxsize=8)
+_NODE_TABLES = 8
+
+
+@functools.lru_cache(maxsize=_NODE_TABLES)
 def _round_nodes(first: int, depth: int, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Abscissae x, complements c and weights on the panels first <= k < depth, the coarse rule's nodes first.
 
@@ -227,6 +267,27 @@ def _round_nodes(first: int, depth: int, split: int) -> tuple[np.ndarray, np.nda
     for a in nodes:
         a.setflags(write=False)
     return nodes
+
+
+# u^2 and ln y at the nodes of the node tables of ``_round_nodes``, least
+# recently used first, keyed by the id of the table's complements; each entry
+# holds the arrays it was computed from, so that a recycled id cannot alias a table
+_ARC_VARIABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_ARC_VARIABLES_LOCK = threading.Lock()
+
+
+def _table_arc_variables(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``arc_variables(u, c)``, computed once per node table and read-only, for at most ``_NODE_TABLES`` tables."""
+    with _ARC_VARIABLES_LOCK:
+        entry = _ARC_VARIABLES.pop(id(c), None)
+        if entry is None or entry[0] is not u or entry[1] is not c:
+            entry = (u, c, *arc_variables(u, c))
+            for a in entry[2:]:
+                a.setflags(write=False)
+            if len(_ARC_VARIABLES) == _NODE_TABLES:
+                del _ARC_VARIABLES[next(iter(_ARC_VARIABLES))]
+        _ARC_VARIABLES[id(c)] = entry
+    return entry[2], entry[3]
 
 
 def _tail_bound(c0: float, f0: float, c1: float, f1: float) -> float:
@@ -303,6 +364,8 @@ def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_E
     panel, c ~ 1e-301, stops being negligible and the rule raises
     QuadratureNonconvergence.  The density is called once per round of the
     rule, which is once in all for m in [0.05, 1] at targets down to 1e-13.
+    It reads u^2 and ln y at the round's nodes from a cache that computes
+    them once per node table, and forms only the densities of (m, q).
     """
     _check_mq(m, q)
     if m == 0.0 and q == 2.0:
@@ -311,8 +374,9 @@ def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_E
         raise ValueError(f"the half period, about 1.11/m, overflows float64 at q = 2 for m below {_Q2_MIN_DEPTH:g}, got m = {m!r}")
 
     def density(u, c):
-        pos, neg = arc_densities(*arc_variables(u, c), m, q)
-        return pos + neg
+        pos, neg = arc_densities(*_table_arc_variables(u, c), m, q)
+        pos += neg
+        return pos
 
     return integrate_endpoint_singular(density, target_rel_err)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ def test_grid_function_validation():
         GridFunction(np.array([1.0, 2.0]))  # too few nodes
     with pytest.raises(ValueError):
         GridFunction(np.array([1.0, np.nan, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_grid_function_rejects_a_non_finite_value_at_any_node(bad, where):
+    v = np.ones(5)
+    v[where] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(v)
+
+
+def test_grid_function_accepts_values_whose_sum_overflows():
+    # the finite check looks at each value: a sum of three 1e308 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(GridFunction([1e308] * 3).values, [1e308] * 3)
 
 
 def test_problem_params_validation():

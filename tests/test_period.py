@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -20,7 +22,7 @@ from nleig.period import (
     monotonicity_gap,
     offset_positivity_margin,
 )
-from nleig import period
+from nleig import branches, period
 
 PI = math.pi
 MS = [k / 10 for k in range(1, 10)]
@@ -258,6 +260,134 @@ def test_arc_densities_match_the_radicals():
                 neg_radical = math.sqrt(co.t - co.z * m**q * y**q - (m * y) ** 2)
                 assert abs(pos[k] - 2 * uk / pos_radical) <= 1e-12 * pos[k]
                 assert abs(neg[k] - 2 * m * uk / neg_radical) <= 1e-12 * neg[k]
+
+
+def _arc_densities_reference(u2, ln_y, m, q):
+    """arc_densities written as expressions, one temporary per operation: the bit-level reference for the in-place form."""
+    co = first_integral_coeffs(m, q)
+    pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
+    one_y = 2.0 - u2
+    if co.t < np.finfo(float).tiny:
+        with np.errstate(divide="ignore", over="ignore"):
+            ln_t = q * np.log(m) + math.log1p(m ** (2.0 - q)) - math.log1p(m**q)
+            pos = 2.0 * np.exp(-0.5 * np.logaddexp(ln_t + np.log(one_y), q * ln_y + np.log(pos_quot)))
+    else:
+        pos = 2.0 / np.sqrt(co.t * one_y + co.z * np.exp(q * ln_y) * pos_quot)
+    p = m ** (2.0 - q)
+    neg = 2.0 * math.sqrt(p) / np.sqrt(p * one_y + co.z * (-np.expm1(q * ln_y) / u2))
+    return pos, neg
+
+
+def _integrand_reference(m, q, y):
+    """integrand on scalars through the expression form, kept as a bit-level reference."""
+    if y == 1.0 or (m == 0.0 and (y == 0.0 or q == 2.0)):
+        return math.inf
+    pos, neg = _arc_densities_reference(1.0 - y, math.log(max(y, math.ulp(0.0))), m, q)
+    return float(pos + neg) / (2.0 * math.sqrt(1.0 - y))
+
+
+_REFERENCE_MS = (0.0, 1e-300, 1e-160, 1e-9, 0.05, 0.5, 1.0)
+_REFERENCE_QS = (1.0, 1.5, 1.99, 2.0)
+
+
+def _node_tables():
+    x, c, _ = period._round_nodes(0, 64, 1)
+    return {"rebuild": (branches._PTS_U2, branches._PTS_LN_Y), "rule": arc_variables(x, c)}
+
+
+@pytest.mark.parametrize("table", ["rebuild", "rule"])
+@pytest.mark.parametrize("q", _REFERENCE_QS)
+@pytest.mark.parametrize("m", _REFERENCE_MS)
+def test_arc_densities_in_place_match_the_expression_form(m, q, table):
+    # m <= 1e-160 takes the log path (t below the smallest normal float);
+    # (0, 2) gives pos = +inf and neg = 0 at every node
+    u2, ln_y = _node_tables()[table]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = arc_densities(u2, ln_y, m, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = _arc_densities_reference(u2, ln_y, m, q)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes(), (m, q, table)
+
+
+@pytest.mark.parametrize("q", _REFERENCE_QS)
+@pytest.mark.parametrize("m", _REFERENCE_MS)
+def test_integrand_matches_the_expression_form(m, q):
+    for y in (0.0, 1e-300, 0.3, 0.999999):
+        assert integrand(m, q, y).hex() == _integrand_reference(m, q, y).hex(), (m, q, y)
+
+
+def test_cached_arc_variables_are_read_only():
+    period.half_period(0.5, 1.5)
+    x, c, _ = period._round_nodes(0, 64, 1)
+    u2, ln_y = period._table_arc_variables(x, c)
+    for a in (u2, ln_y):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    want_u2, want_ln_y = arc_variables(x, c)
+    assert u2.tobytes() == want_u2.tobytes() and ln_y.tobytes() == want_ln_y.tobytes()
+
+
+def test_arc_variable_cache_holds_no_more_tables_than_the_rule():
+    bound = period._round_nodes.cache_info().maxsize
+    tables = [period._round_nodes(first, first + 4, 1) for first in range(2 * bound)]
+    for x, c, _ in tables:
+        period._table_arc_variables(x, c)
+        assert len(period._ARC_VARIABLES) <= bound
+    # the cache keeps the most recent tables, each with the arrays it was computed from
+    assert [entry[1] for entry in period._ARC_VARIABLES.values()] == [c for _, c, _ in tables[-bound:]]
+
+
+@pytest.mark.parametrize(
+    "m, q, tol",
+    [
+        (0.5, 1.5, 1e-10),  # one round
+        (1e-9, 1.9, 1e-13),  # split and deepened
+        (1e-12, 1.9, 1e-10),  # deepened: the new panels alone
+        (1e-6, 1.5, 1e-13),  # split
+        (0.0, 1.9, 1e-10),  # five rounds, down to the deepest panel
+    ],
+)
+def test_half_period_is_the_same_with_the_caches_cleared_and_filled(m, q, tol):
+    period._round_nodes.cache_clear()
+    period._ARC_VARIABLES.clear()
+    cold = half_period(m, q, tol)
+    assert 0 < len(period._ARC_VARIABLES) <= period._round_nodes.cache_info().currsize
+    warm = half_period(m, q, tol)
+    assert (warm.value.hex(), warm.error_estimate.hex(), warm.evaluations) == (
+        cold.value.hex(), cold.error_estimate.hex(), cold.evaluations)
+
+
+def test_arc_variable_cache_is_shared_safely_between_threads():
+    # more threads than cores, each running through more node tables than the
+    # cache holds, so that lookups, insertions and evictions interleave
+    cases = [(1e-12, 1.9, 1e-10), (1e-6, 1.5, 1e-13), (0.0, 1.9, 1e-10), (0.0, 1.9, 1e-13), (0.5, 1.5, 1e-10)]
+    serial = [half_period(*case) for case in cases]
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(5):
+                results.append([half_period(*case) for case in cases])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [serial] * 20
+    assert len(period._ARC_VARIABLES) <= period._round_nodes.cache_info().maxsize
 
 
 def test_half_period_exceeds_pi_with_margin():
