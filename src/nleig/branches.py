@@ -21,6 +21,7 @@ from .period import (
     GAUSS_NODES,
     arc_densities,
     arc_variables,
+    check_finite_half_period,
     first_integral_coeffs,
     gauss_panels,
     half_period,
@@ -94,7 +95,11 @@ def _check_depth(m: float) -> None:
 def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> BranchPoint:
     """Assemble the branch data: eigenvalue half_period(m, q)^2, gamma*alpha, first-integral constant."""
     _check_depth(m)
-    lam = half_period(m, q, target_rel_err).value ** 2
+    value = half_period(m, q, target_rel_err).value
+    try:
+        lam = value**2
+    except OverflowError:  # at q = 2, about (1.11/m)^2, for m below about 8.3e-155
+        raise ValueError(f"the eigenvalue half_period^2 overflows float64 at (m, q) = ({m!r}, {q!r})") from None
     co = first_integral_coeffs(m, q)
     return BranchPoint(lam=lam, gamma_alpha=0.5 * q * lam * co.z, c=0.5 * lam * co.t)
 
@@ -133,6 +138,7 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     """
     _check_depth(m)
     check_n(n)
+    check_finite_half_period(m, q)
     pos, neg = arc_densities(_PTS_U2, _PTS_LN_Y, m, q)
     pos_cum, neg_cum = _arc_cumulative(pos), _arc_cumulative(neg)
     len_pos = pos_cum[-1]

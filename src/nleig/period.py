@@ -14,24 +14,21 @@ eigenvalue equals the square of
 where both integrand terms carry an inverse-square-root singularity at y = 1.
 ``half_period`` removes it with the square-root variable y = 1 - u^2
 (``arc_densities``, the densities ``branches.reconstruct_profile`` also
-accumulates).  The arc variables u^2 and ln y depend on the nodes alone, so
-they are computed once per node table of the rule and shared by every call;
-only the densities are formed for each (m, q).  The value is pi on the whole
-q = 1 line and at m = 1, and exceeds pi strictly for m < 1, q > 1; the
-auxiliary functions at the bottom certify the strict monotonicity of the
-integrand in q that drives that bound.
+accumulates).  The value is pi on the whole q = 1 line and at m = 1, and
+exceeds pi strictly for m < 1, q > 1; the auxiliary functions at the bottom
+certify the strict monotonicity of the integrand in q that drives that bound.
 
 What stays singular in u is the positive arc at u = 1 (y = 0) as m -> 0,
 where the density grows like y^(-q/2).  ``integrate_endpoint_singular``
-integrates over (0, 1) integrands that may blow up like an inverse power
-c**-a, a < 1, of the complement c = 1 - x at the right endpoint x = 1 and
-are smooth everywhere else, x = 0 included, by a graded composite
-Gauss-Legendre rule.  The mesh is graded toward x = 1 only, as in the
+integrates over u in (0, 1) integrands that may blow up like an inverse
+power c**-a, a < 1, of the complement c = 1 - u at the right endpoint u = 1
+and are smooth everywhere else, u = 0 included, by a graded composite
+Gauss-Legendre rule.  The mesh is graded toward u = 1 only, as in the
 hp-graded meshes of Schwab (1998): geometric panels [2**-(k+1), 2**-k] in c
 for k < depth, each with 8 Gauss-Legendre nodes.  Every panel has the same
 width relative to its distance from the singularity, so a power of c is
 resolved as finely on the last panel as on the first.  An integrand singular
-at x = 0 is not resolved and raises QuadratureNonconvergence.
+at u = 0 is not resolved and raises QuadratureNonconvergence.
 
 One round calls the integrand once, on the nodes of two rules: the panels
 cut into ``split`` equal parts, and the panels cut into 2*``split``.  It
@@ -46,19 +43,18 @@ round that only deepens evaluates the new panels alone and adds their sums.
 Past either cap the rule raises QuadratureNonconvergence with the last
 round's estimate.
 
-Everything runs in float64 on numpy arrays.  Near x = 1 the abscissa itself
-rounds to 1.0 long before the weighted contributions are negligible, so the
-integrand is handed the complement as well: it is called as ``f(x, c)``
-with c placed from the panel edges, which keeps full relative accuracy down
-to the deepest panel, c ~ 1e-301.  An integrand must form its right-endpoint
-factors from ``c`` (never from ``1 - x``).
+Everything runs in float64 on numpy arrays.  The rule calls its integrand as
+``f(u2, ln_y)``, with the arc variables u^2 and ln y, y = 1 - u^2, that each
+of its node tables carries, computed once by ``arc_variables``.  Near u = 1,
+u itself rounds to 1.0 long before the weighted contributions are
+negligible, so the nodes are placed by their complements c = 1 - u, and ln y
+is formed from c: it keeps full relative accuracy down to c ~ 1e-301.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -250,12 +246,14 @@ _NODE_TABLES = 8
 
 
 @functools.lru_cache(maxsize=_NODE_TABLES)
-def _round_nodes(first: int, depth: int, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Abscissae x, complements c and weights on the panels first <= k < depth, the coarse rule's nodes first.
+def _round_nodes(first: int, depth: int, split: int) -> tuple[np.ndarray, ...]:
+    """u^2, ln y, complements c and weights on the panels first <= k < depth, the coarse rule's nodes first.
 
     The coarse rule cuts each geometric panel into ``split`` parts, the fine
     rule into 2*``split``; the fine rule's last two nodes are the innermost.
-    The arrays are read-only: the cache shares them.
+    u^2 and ln y, the arguments of the integrand ``f(u2, ln_y)``, are
+    ``arc_variables(1 - c, c)``; c serves the tail bound.  The arrays are
+    read-only: the cache shares them.
     """
     cs, ws = [], []
     for parts in (split, 2 * split):
@@ -263,31 +261,10 @@ def _round_nodes(first: int, depth: int, split: int) -> tuple[np.ndarray, np.nda
         cs.append(c.ravel())
         ws.append((half * GAUSS_WEIGHTS).ravel())
     c = np.concatenate(cs)
-    nodes = (1.0 - c, c, np.concatenate(ws))
+    nodes = (*arc_variables(1.0 - c, c), c, np.concatenate(ws))
     for a in nodes:
         a.setflags(write=False)
     return nodes
-
-
-# u^2 and ln y at the nodes of the node tables of ``_round_nodes``, least
-# recently used first, keyed by the id of the table's complements; each entry
-# holds the arrays it was computed from, so that a recycled id cannot alias a table
-_ARC_VARIABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-_ARC_VARIABLES_LOCK = threading.Lock()
-
-
-def _table_arc_variables(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``arc_variables(u, c)``, computed once per node table and read-only, for at most ``_NODE_TABLES`` tables."""
-    with _ARC_VARIABLES_LOCK:
-        entry = _ARC_VARIABLES.pop(id(c), None)
-        if entry is None or entry[0] is not u or entry[1] is not c:
-            entry = (u, c, *arc_variables(u, c))
-            for a in entry[2:]:
-                a.setflags(write=False)
-            if len(_ARC_VARIABLES) == _NODE_TABLES:
-                del _ARC_VARIABLES[next(iter(_ARC_VARIABLES))]
-        _ARC_VARIABLES[id(c)] = entry
-    return entry[2], entry[3]
 
 
 def _tail_bound(c0: float, f0: float, c1: float, f1: float) -> float:
@@ -301,14 +278,14 @@ def _tail_bound(c0: float, f0: float, c1: float, f1: float) -> float:
 
 
 def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResult:
-    """Integrate ``f(x, c)`` over (0, 1) by the graded Gauss-Legendre rule of the module docstring.
+    """Integrate ``f(u2, ln_y)`` over u in (0, 1) by the graded Gauss-Legendre rule of the module docstring.
 
-    ``f`` takes float64 arrays of abscissae x and complements c = 1 - x and
-    returns an array (or a scalar) of values.  ``target_rel_err``, in
-    [1e-14, 1e-4], bounds both the rule difference and the tail bound
-    relative to the value.  Returns the finer rule's sum of the first round
-    that meets it; raises QuadratureNonconvergence, whose ``.best`` holds
-    the last round's estimate, when no round does.
+    ``f`` takes read-only float64 arrays of u^2 and ln y, y = 1 - u^2, at the
+    rule's nodes and returns an array (or a scalar) of values.
+    ``target_rel_err``, in [1e-14, 1e-4], bounds both the rule difference
+    and the tail bound relative to the value.  Returns the finer rule's sum
+    of the first round that meets it; raises QuadratureNonconvergence, whose
+    ``.best`` holds the last round's estimate, when no round does.
     """
     if not (_MIN_TARGET <= target_rel_err <= _MAX_TARGET):
         raise ValueError(
@@ -320,9 +297,9 @@ def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResul
     value = coarse = 0.0  # sums over the panels k < first
     evals = 0
     while True:
-        x, c, w = _round_nodes(first, depth, split)
-        terms = w * f(x, c)
-        evals += x.size
+        u2, ln_y, c, w = _round_nodes(first, depth, split)
+        terms = w * f(u2, ln_y)
+        evals += c.size
         cut = GAUSS_NODES.size * (depth - first) * split
         fine_sum, coarse_sum = float(terms[cut:].sum()), float(terms[:cut].sum())
         resolved = math.isfinite(fine_sum + coarse_sum)
@@ -355,6 +332,15 @@ def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResul
     )
 
 
+def check_finite_half_period(m: float, q: float) -> None:
+    """Raise ValueError unless 0 <= m <= 1, 1 <= q <= 2 and half_period(m, q) is finite in float64."""
+    _check_mq(m, q)
+    if m == 0.0 and q == 2.0:
+        raise ValueError("divergent: the half-period integral is +inf at (m, q) = (0, 2)")
+    if q == 2.0 and m < _Q2_MIN_DEPTH:
+        raise ValueError(f"the half period, about 1.11/m, overflows float64 at q = 2 for m below {_Q2_MIN_DEPTH:g}, got m = {m!r}")
+
+
 def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> QuadResult:
     """Evaluate the half-period integral by ``integrate_endpoint_singular`` (see the module docstring).
 
@@ -363,18 +349,13 @@ def half_period(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_E
     float64 sums.  For m = 0 with q close to 2 the tail below the deepest
     panel, c ~ 1e-301, stops being negligible and the rule raises
     QuadratureNonconvergence.  The density is called once per round of the
-    rule, which is once in all for m in [0.05, 1] at targets down to 1e-13.
-    It reads u^2 and ln y at the round's nodes from a cache that computes
-    them once per node table, and forms only the densities of (m, q).
+    rule, which is once in all for m in [0.05, 1] at targets down to 1e-13;
+    the rule calls it as ``f(u2, ln_y)``, so it forms only the densities.
     """
-    _check_mq(m, q)
-    if m == 0.0 and q == 2.0:
-        raise ValueError("divergent: the half-period integral is +inf at (m, q) = (0, 2)")
-    if q == 2.0 and m < _Q2_MIN_DEPTH:
-        raise ValueError(f"the half period, about 1.11/m, overflows float64 at q = 2 for m below {_Q2_MIN_DEPTH:g}, got m = {m!r}")
+    check_finite_half_period(m, q)
 
-    def density(u, c):
-        pos, neg = arc_densities(*_table_arc_variables(u, c), m, q)
+    def density(u2, ln_y):
+        pos, neg = arc_densities(u2, ln_y, m, q)
         pos += neg
         return pos
 

@@ -394,8 +394,12 @@ def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
     stopping tolerance _LAMBDA_TOL on the rise of F_sigma and the cap
     _MAX_ITERATIONS; at the cap it raises SolverNonconvergence, carrying the
     ascent.  At the maximizer u, the quotient Q_u(alpha) equals sigma: u is
-    a constant-sign minimizer at the returned alpha.
+    a constant-sign minimizer at the returned alpha.  sigma must be finite.
     """
+    check_n(n)
+    check_q(q)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
     w, value, iterations, _, converged = _descend(
         _grid(n)[0], n, functools.partial(threshold_and_residual, n=n, sigma=sigma, q=q)
     )

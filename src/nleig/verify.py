@@ -125,8 +125,8 @@ def _c4_critical_constants():
         res = _crit(q)
         rel = abs(res.alpha_q - exact) / exact
         details.append(f"q={q}: alpha={res.alpha_q:.5f} rel={rel:.1e} iterations={res.iterations}")
-        if rel > 1e-2:
-            fails.append(f"alpha_critical({q}) rel dev {rel:.1e} > 1e-2")
+        if rel > 1e-5:  # measured 2.1e-7 at q = 1 and 2.6e-7 at q = 2
+            fails.append(f"alpha_critical({q}) rel dev {rel:.1e} > 1e-5")
         if res.iterations > 50:  # measured at most 13, at q = 1, on q in [1, 2]
             fails.append(f"alpha_critical({q}) took {res.iterations} > 50 iterations")
     return not fails, "; ".join(fails + details) if fails else "; ".join(details)

@@ -12,7 +12,7 @@ from nleig.branches import (
     reconstruct_profile,
 )
 from nleig.core import ProblemParams, analyze, q_average, rayleigh_quotient
-from nleig.period import arc_densities, arc_variables, first_integral_coeffs, half_period, integrate_endpoint_singular
+from nleig.period import arc_densities, first_integral_coeffs, half_period, integrate_endpoint_singular
 
 PI = math.pi
 PI2 = math.pi**2
@@ -41,6 +41,29 @@ def test_depth_range_validation():
             branch_point(m, 1.5)
         with pytest.raises(ValueError, match=r"m must lie in \(0, 1\]"):
             reconstruct_profile(m, 1.5, 100)
+
+
+@pytest.mark.parametrize("m", [1e-160, 1e-300])
+def test_branch_point_refuses_an_eigenvalue_that_overflows(m):
+    # at q = 2 the half period, about 1.11/m, is finite, but its square is not
+    with pytest.raises(ValueError, match="overflows float64"):
+        branch_point(m, 2.0)
+
+
+def test_branch_point_keeps_the_smallest_depth_whose_eigenvalue_is_finite():
+    lam = branch_point(1e-154, 2.0).lam
+    assert math.isfinite(lam) and lam > 1e307
+
+
+@pytest.mark.parametrize("m", [1e-308, 5e-324])
+def test_profile_refuses_a_q2_depth_whose_half_period_overflows(m):
+    # the same refusal, with the same message, as half_period's
+    with pytest.raises(ValueError) as profile_info:
+        reconstruct_profile(m, 2.0, 100)
+    with pytest.raises(ValueError) as period_info:
+        half_period(m, 2.0)
+    assert str(profile_info.value) == str(period_info.value)
+    assert "overflows float64" in str(profile_info.value)
 
 
 def test_eigenvalue_exceeds_pi_squared_below_unit_depth():
@@ -139,7 +162,7 @@ def test_arc_cumulative_matches_the_running_sum(m, q):
 
 def _negative_arc_width(m, q):
     """Width 2*len_neg/half_period of the negative arc, from quadrature alone."""
-    res = integrate_endpoint_singular(lambda u, c: arc_densities(*arc_variables(u, c), m, q)[1], 1e-13)
+    res = integrate_endpoint_singular(lambda u2, ln_y: arc_densities(u2, ln_y, m, q)[1], 1e-13)
     return 2.0 * res.value / half_period(m, q, 1e-13).value
 
 

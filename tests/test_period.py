@@ -238,7 +238,7 @@ def test_half_period_calls_its_density_once(m, q, tol, monkeypatch):
     calls = []
 
     def counted(f, target):
-        return integrate_endpoint_singular(lambda u, c: calls.append(u.size) or f(u, c), target)
+        return integrate_endpoint_singular(lambda u2, ln_y: calls.append(u2.size) or f(u2, ln_y), target)
 
     monkeypatch.setattr(period, "integrate_endpoint_singular", counted)
     res = half_period(m, q, tol)
@@ -291,8 +291,8 @@ _REFERENCE_QS = (1.0, 1.5, 1.99, 2.0)
 
 
 def _node_tables():
-    x, c, _ = period._round_nodes(0, 64, 1)
-    return {"rebuild": (branches._PTS_U2, branches._PTS_LN_Y), "rule": arc_variables(x, c)}
+    u2, ln_y, _, _ = period._round_nodes(0, 64, 1)
+    return {"rebuild": (branches._PTS_U2, branches._PTS_LN_Y), "rule": (u2, ln_y)}
 
 
 @pytest.mark.parametrize("table", ["rebuild", "rule"])
@@ -321,23 +321,13 @@ def test_integrand_matches_the_expression_form(m, q):
 
 def test_cached_arc_variables_are_read_only():
     period.half_period(0.5, 1.5)
-    x, c, _ = period._round_nodes(0, 64, 1)
-    u2, ln_y = period._table_arc_variables(x, c)
-    for a in (u2, ln_y):
+    table = period._round_nodes(0, 64, 1)
+    for a in table:
         with pytest.raises(ValueError):
             a[0] = 0.0
-    want_u2, want_ln_y = arc_variables(x, c)
+    u2, ln_y, c, _ = table
+    want_u2, want_ln_y = arc_variables(1.0 - c, c)
     assert u2.tobytes() == want_u2.tobytes() and ln_y.tobytes() == want_ln_y.tobytes()
-
-
-def test_arc_variable_cache_holds_no_more_tables_than_the_rule():
-    bound = period._round_nodes.cache_info().maxsize
-    tables = [period._round_nodes(first, first + 4, 1) for first in range(2 * bound)]
-    for x, c, _ in tables:
-        period._table_arc_variables(x, c)
-        assert len(period._ARC_VARIABLES) <= bound
-    # the cache keeps the most recent tables, each with the arrays it was computed from
-    assert [entry[1] for entry in period._ARC_VARIABLES.values()] == [c for _, c, _ in tables[-bound:]]
 
 
 @pytest.mark.parametrize(
@@ -352,9 +342,8 @@ def test_arc_variable_cache_holds_no_more_tables_than_the_rule():
 )
 def test_half_period_is_the_same_with_the_caches_cleared_and_filled(m, q, tol):
     period._round_nodes.cache_clear()
-    period._ARC_VARIABLES.clear()
     cold = half_period(m, q, tol)
-    assert 0 < len(period._ARC_VARIABLES) <= period._round_nodes.cache_info().currsize
+    assert period._round_nodes.cache_info().currsize > 0
     warm = half_period(m, q, tol)
     assert (warm.value.hex(), warm.error_estimate.hex(), warm.evaluations) == (
         cold.value.hex(), cold.error_estimate.hex(), cold.evaluations)
@@ -387,7 +376,6 @@ def test_arc_variable_cache_is_shared_safely_between_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [serial] * 20
-    assert len(period._ARC_VARIABLES) <= period._round_nodes.cache_info().maxsize
 
 
 def test_half_period_exceeds_pi_with_margin():
@@ -404,57 +392,66 @@ def test_half_period_value_vs_error_invariant():
 
 
 # --- the graded Gauss-Legendre rule --------------------------------------------
+# The rule integrates f(u2, ln_y) over u in (0, 1), y = 1 - u^2; with t = u^2,
+# int_0^1 y^(-a) du = B(1/2, 1 - a)/2.
+
+def _half_beta(a):
+    return 0.5 * math.exp(math.lgamma(0.5) + math.lgamma(1.0 - a) - math.lgamma(1.5 - a))
+
 
 def test_inverse_sqrt_both_factors():
-    res = integrate_endpoint_singular(lambda x, c: 1 / (c * (1 + x)) ** 0.5, 1e-12)
+    # y^(-1/2) = 1/sqrt((1 - u)(1 + u)) integrates to arcsin(1)
+    res = integrate_endpoint_singular(lambda u2, ln_y: np.exp(-0.5 * ln_y), 1e-12)
     assert abs(res.value - math.pi / 2) <= 1e-12 * math.pi / 2
     assert res.error_estimate >= 0.0
     assert res.evaluations >= 1
 
 
 def test_inverse_sqrt_right_endpoint():
-    res = integrate_endpoint_singular(lambda x, c: 1 / c**0.5, 1e-12)
+    # sqrt(1 + u) * y^(-1/2) = (1 - u)^(-1/2)
+    res = integrate_endpoint_singular(lambda u2, ln_y: np.sqrt(1.0 + np.sqrt(u2)) * np.exp(-0.5 * ln_y), 1e-12)
     assert abs(res.value - 2.0) <= 2e-12
 
 
 def test_inverse_sqrt_left_endpoint():
-    # the rule grades toward x = 1 only: a singularity at x = 0 is not
+    # the rule grades toward u = 1 only: u^(-1/2), singular at u = 0, is not
     # resolved, and must not come back as a value
     with pytest.raises(QuadratureNonconvergence) as info:
-        integrate_endpoint_singular(lambda x, c: 1 / x**0.5, 1e-12)
+        integrate_endpoint_singular(lambda u2, ln_y: u2**-0.25, 1e-12)
     assert abs(info.value.best.value - 2.0) > 1e-12
 
 
 def test_strong_right_endpoint_singularity():
-    # c**-0.9 puts almost all of its weight within 1e-10 of x = 1, where x
-    # itself rounds to 1.0: only the complement c resolves it
-    res = integrate_endpoint_singular(lambda x, c: c**-0.9, 1e-12)
-    assert abs(res.value - 10.0) <= 1e-12
+    # y^(-0.9) puts a tenth of its weight within 1e-10 of u = 1 and 2 % below
+    # c = 1e-16, where u itself rounds to 1.0: only ln y, formed from the
+    # complement, resolves it
+    res = integrate_endpoint_singular(lambda u2, ln_y: np.exp(-0.9 * ln_y), 1e-12)
+    assert abs(res.value - _half_beta(0.9)) <= 1e-12 * _half_beta(0.9)
 
 
 def test_smooth_integrand_takes_one_call():
     calls = []
-    res = integrate_endpoint_singular(lambda x, c: calls.append(x.size) or np.exp(x), 1e-14)
+    res = integrate_endpoint_singular(lambda u2, ln_y: calls.append(u2.size) or np.exp(np.sqrt(u2)), 1e-14)
     assert calls == [res.evaluations]
     assert abs(res.value - math.expm1(1.0)) <= 1e-14 * math.expm1(1.0)
 
 
 def test_constant():
-    res = integrate_endpoint_singular(lambda x, c: 1.0, 1e-14)
+    res = integrate_endpoint_singular(lambda u2, ln_y: 1.0, 1e-14)
     assert abs(res.value - 1.0) <= 1e-14
 
 
 def test_target_range_validated():
     for bad in (1e-15, 1e-3, 0.0, -1.0):
         with pytest.raises(ValueError):
-            integrate_endpoint_singular(lambda x, c: 1.0, bad)
+            integrate_endpoint_singular(lambda u2, ln_y: 1.0, bad)
 
 
 def test_linearity():
     target = 1e-10
-    f = lambda x, c: x * x
-    g = lambda x, c: 1 / (1 + x)
-    combined = integrate_endpoint_singular(lambda x, c: 2 * f(x, c) + 3 * g(x, c), target)
+    f = lambda u2, ln_y: u2
+    g = lambda u2, ln_y: 1 / (1 + np.sqrt(u2))
+    combined = integrate_endpoint_singular(lambda u2, ln_y: 2 * f(u2, ln_y) + 3 * g(u2, ln_y), target)
     fi = integrate_endpoint_singular(f, target)
     gi = integrate_endpoint_singular(g, target)
     assert abs(combined.value - (2 * fi.value + 3 * gi.value)) <= 10 * target * abs(combined.value)
@@ -463,9 +460,9 @@ def test_linearity():
 @pytest.mark.parametrize(
     "f",
     [
-        lambda x, c: 1 / (c * (1 + x)) ** 0.5,
-        lambda x, c: 1 / c**0.5,
-        lambda x, c: 1.0,
+        lambda u2, ln_y: np.exp(-0.5 * ln_y),
+        lambda u2, ln_y: np.sqrt(1.0 + np.sqrt(u2)) * np.exp(-0.5 * ln_y),
+        lambda u2, ln_y: 1.0,
     ],
 )
 def test_error_estimate_shrinks_with_extra_levels(f):
@@ -484,26 +481,26 @@ def test_error_estimate_shrinks_with_extra_levels(f):
 
 
 def test_nonconvergence_carries_best_estimate():
+    # deliberately divergent: 1/u^2 is not integrable at u = 0
     with pytest.raises(QuadratureNonconvergence) as info:
-        # deliberately divergent: near x = 0, 1/x**2 overflows or divides by zero
-        with np.errstate(divide="ignore", over="ignore"):
-            integrate_endpoint_singular(lambda x, c: 1 / x**2, 1e-6)
+        integrate_endpoint_singular(lambda u2, ln_y: 1 / u2, 1e-6)
     best = info.value.best
     assert best.evaluations >= 1
     assert best.error_estimate > 0.0
 
 
 def test_unresolved_tail_raises():
-    # c**-0.99 integrates to 100, but about 0.1 of it lies below the deepest
-    # panel, c < 2**-1000 ~ 1e-301.  The rule difference settles on the
-    # truncated sum (99.90), so only the tail bound catches it, and at 1e-4
-    # only with its factor 1/(1 - a) = 100: c0*f(c0) alone is about 1e-3,
-    # within the target's 0.01
+    # y^(-0.99) integrates to B(1/2, 0.01)/2 ~ 50.69, but about 0.049 of it
+    # lies below the deepest panel, c < 2**-1000 ~ 1e-301.  The rule
+    # difference settles on the truncated sum, so only the tail bound catches
+    # it, and at 1e-4 only with its factor 1/(1 - a) = 100: c0*f(c0) alone is
+    # about 5e-4, within the target's 0.005
+    closed = _half_beta(0.99)
     for target in (1e-6, 1e-4):
         with pytest.raises(QuadratureNonconvergence) as info:
-            integrate_endpoint_singular(lambda x, c: c**-0.99, target)
+            integrate_endpoint_singular(lambda u2, ln_y: np.exp(-0.99 * ln_y), target)
         assert info.value.best.evaluations >= 1
-        assert 99.8 < info.value.best.value < 99.95
+        assert 0.04 < closed - info.value.best.value < 0.06
 
 
 # --- monotonicity study functions ----------------------------------------------

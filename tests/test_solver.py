@@ -803,6 +803,23 @@ def test_threshold_ascent_at_q2_is_the_cosine_in_zero_steps(n):
     assert abs(up.alpha - (sat - base)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "n, q, sigma, match",
+    [
+        (4000, math.nan, 9.0, "q must lie in"),
+        (4000, 2.5, 9.0, "q must lie in"),
+        (99, 1.5, 9.0, "n must be at least 100"),
+        (4000, 1.5, math.nan, "sigma must be finite"),
+        (4000, 1.5, math.inf, "sigma must be finite"),
+    ],
+)
+def test_threshold_ascent_checks_its_inputs(n, q, sigma, match):
+    # a NaN q or sigma would otherwise come back as a NaN alpha from a
+    # "converged" 0-step ascent
+    with pytest.raises(ValueError, match=match):
+        threshold_ascent(n, q, sigma)
+
+
 _ascent = functools.lru_cache(maxsize=None)(threshold_ascent)
 
 
