@@ -33,6 +33,7 @@ from .branches import (
     BranchPoint,
     branch_point,
     q1_coupling_of_eigenvalue,
+    q1_eigenvalue_of_coupling,
     q1_flat_family,
     q1_positive_profile,
     reconstruct_profile,
@@ -69,6 +70,7 @@ __all__ = [
     "BranchPoint",
     "branch_point",
     "q1_coupling_of_eigenvalue",
+    "q1_eigenvalue_of_coupling",
     "q1_flat_family",
     "q1_positive_profile",
     "reconstruct_profile",

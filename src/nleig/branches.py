@@ -25,6 +25,7 @@ from .period import (
     first_integral_coeffs,
     gauss_panels,
     half_period,
+    tail_bound,
 )
 
 _PI2 = math.pi**2
@@ -38,13 +39,16 @@ _PI2 = math.pi**2
 # by their complements in one code path.  The table is finer than that rule's
 # geometric panels alone: the rebuild interpolates between its points.  The
 # geometry is fixed, so it is built once; the arrays are read-only because
-# every rebuild shares them.
+# every rebuild shares them.  The table stops at c = c0*2^-60 ~ 1.7e-21:
+# ``reconstruct_profile`` refuses a depth whose positive arc has a tail below
+# it above _TAIL_LIMIT of the period.
 _C0 = 1.0 / 512
 _GEOMETRIC_PANELS = 60
+_TAIL_LIMIT = 1e-8
 
 
 def _graded_geometry() -> tuple[np.ndarray, ...]:
-    """u^2 and ln y at the Gauss nodes, panel half-widths, partial-integral matrix, y at all points.
+    """u^2 and ln y at the Gauss nodes, half-widths, partial-integral matrix, y at all points, c of the last panel.
 
     Nodes are placed by their complements c, taken from the panel edges, so
     that c keeps full relative accuracy at u -> 1.  "All points" are the panel
@@ -53,7 +57,8 @@ def _graded_geometry() -> tuple[np.ndarray, ...]:
     the value at node j to its share of the integrals of the degree-7
     interpolant over [-1, xi_0], [-1, xi_1], ..., [-1, xi_7], [-1, 1] of the
     reference panel; its last column holds the Gauss weights.  The
-    half-widths are repeated over those 9 columns.
+    half-widths are repeated over those 9 columns.  The complements c of the
+    last panel's nodes descend, so the last is the innermost node's.
     """
     legendre = np.polynomial.legendre
     c_edges = np.concatenate((np.arange(1.0, 0.0, -_C0), _C0 * 0.5 ** np.arange(1, _GEOMETRIC_PANELS + 1)))
@@ -64,13 +69,13 @@ def _graded_geometry() -> tuple[np.ndarray, ...]:
     partials = legendre.legval(np.append(GAUSS_NODES, 1.0), primitive)
     c_all = np.append(np.column_stack((c_edges[:-1], pts_c)).ravel(), c_edges[-1])
     half = np.repeat(half, partials.shape[1], axis=1)
-    geometry = (u2, ln_y, half, partials, c_all * (2.0 - c_all))  # y = 1 - u^2 = c*(2 - c)
+    geometry = (u2, ln_y, half, partials, c_all * (2.0 - c_all), pts_c[-1])  # y = 1 - u^2 = c*(2 - c)
     for a in geometry:
         a.setflags(write=False)
     return geometry
 
 
-_PTS_U2, _PTS_LN_Y, _HALF, _PARTIALS, _Y_ALL = _graded_geometry()
+_PTS_U2, _PTS_LN_Y, _HALF, _PARTIALS, _Y_ALL, _C_LAST = _graded_geometry()
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,10 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     interpolation on the ascending tables of the edges and Gauss nodes of
     the graded panels.  The positive arc is anchored first: the profile
     rises from 0 at x = -1 to its maximum 1, crosses zero once, and dips to
-    -m before x = 1.
+    -m before x = 1.  Raises ValueError where the tables stop short of the
+    positive arc's y^(-q/2) end: when ``period.tail_bound`` puts its part
+    below the innermost node above 1e-8 of the period (m below about 1e-15
+    for q near 2).
     """
     _check_depth(m)
     check_n(n)
@@ -143,6 +151,12 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     pos_cum, neg_cum = _arc_cumulative(pos), _arc_cumulative(neg)
     len_pos = pos_cum[-1]
     period = len_pos + neg_cum[-1]  # equals half_period(m, q)
+    tail = tail_bound(float(_C_LAST[-1]), float(pos[-1, -1]), float(_C_LAST[-2]), float(pos[-1, -2]))
+    if not tail <= _TAIL_LIMIT * period:
+        raise ValueError(
+            f"the rebuild's tables cannot resolve depth m = {m!r} at q = {q!r}: the bound on the "
+            f"positive arc's tail below them is {tail / period:.1e} of the half period (limit {_TAIL_LIMIT:g})"
+        )
     max_point = -1.0 + len_pos / period
     zero = -1.0 + 2.0 * len_pos / period
     min_point = 1.0 - neg_cum[-1] / period
@@ -175,6 +189,24 @@ def q1_coupling_of_eigenvalue(lam: float) -> float:
         raise ValueError(f"lam must lie strictly inside (pi^2/4, pi^2), got {lam!r}")
     root = math.sqrt(lam)
     return lam * root / (2.0 * root - 2.0 * math.tan(root))
+
+
+def q1_eigenvalue_of_coupling(alpha: float) -> float:
+    """Eigenvalue of the q = 1 constant-sign branch at coupling alpha, the inverse of ``q1_coupling_of_eigenvalue``.
+
+    Valid for 0 < alpha < pi^2/2.  The coupling map is strictly increasing
+    on (pi^2/4, pi^2), so bisection brackets the eigenvalue to 1e-12.
+    """
+    if not 0.0 < alpha < 0.5 * _PI2:
+        raise ValueError(f"alpha must lie strictly inside (0, pi^2/2), got {alpha!r}")
+    lo, hi = _PI2 / 4.0 + 1e-9, _PI2 - 1e-9
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if q1_coupling_of_eigenvalue(mid) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def q1_positive_profile(lam: float, n: int) -> GridFunction:

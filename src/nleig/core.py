@@ -27,6 +27,12 @@ SIGN_BAND = 1e-6
 # constant-sign minimizers keep S near 1
 _GAMMA_ZERO_TOL = 1e-8
 
+# analyze, rayleigh_quotient and q_average rescale a grid function whose
+# max|v| lies outside this range by a power of two, which is exact in binary,
+# before they form products: squares and sums of n squares then stay normal
+# and finite.  Inside it the values are used as given.
+_NORMAL_SCALE = (2.0**-256, 2.0**256)
+
 
 def check_q(q: float) -> None:
     """Raise ValueError unless the exponent q lies in [1, 2]; NaN does not."""
@@ -180,22 +186,50 @@ def apply_stiffness(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def quotient_terms(v: np.ndarray, h: float, q: float) -> tuple[float, float]:
-    """Dirichlet energy D and signed q-average S = h*sum(v*|v|^(q-1)).
+def dirichlet_energy(v: np.ndarray, h: float) -> float:
+    """Dirichlet energy D = int |v'|^2 dx by first differences through the zero endpoint values.
 
     D comes from one first-difference vector plus the two zero endpoint
     differences; the algebraically equal v . (stiffness v) cancels at the
     1e-12 level, which is enough to upset a line search comparing values.
     """
     d = v[1:] - v[:-1]
-    energy = (float(d @ d) + v[0] * v[0] + v[-1] * v[-1]) / h
-    return energy, h * float(v @ np.abs(v) ** (q - 1.0))
+    return (float(d @ d) + v[0] * v[0] + v[-1] * v[-1]) / h
+
+
+def signed_average(v: np.ndarray, h: float, q: float) -> float:
+    """Signed q-average S = h*sum(v*|v|^(q-1)) of nodal values v."""
+    return h * float(v @ np.abs(v) ** (q - 1.0))
+
+
+def _scale_exponent(amax: float) -> int:
+    """0 if max|v| = amax is 0 or lies in _NORMAL_SCALE, else the e that puts amax*2^-e in [1/2, 1)."""
+    if amax == 0.0 or _NORMAL_SCALE[0] <= amax <= _NORMAL_SCALE[1]:
+        return 0
+    return math.frexp(amax)[1]
+
+
+def _normal_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v*2^-e and e, with e = _scale_exponent(max|v|): v itself inside the normal scale."""
+    e = _scale_exponent(float(np.abs(v).max()))
+    return (np.ldexp(v, -e) if e else v), e
 
 
 def q_average(u: GridFunction, q: float) -> float:
-    """Signed average int |u|^(q-1) u dx by the composite trapezoid rule."""
+    """Signed average int |u|^(q-1) u dx by the composite trapezoid rule.
+
+    Outside the normal scale the average is formed from u*2^-e and scaled
+    back by 2^(e*q); a value beyond float64 raises ValueError.
+    """
     check_q(q)
-    return quotient_terms(u.values, u.h, q)[1]
+    v, e = _normal_scaled(u.values)
+    s = signed_average(v, u.h, q)
+    if e:
+        try:
+            s = math.ldexp(s * 2.0 ** (e * q % 1.0), math.floor(e * q))
+        except OverflowError:
+            raise ValueError(f"the q-average overflows float64 (q = {q!r}, max|u| about 2^{e})") from None
+    return s
 
 
 def _euler_lagrange_residual(
@@ -209,12 +243,16 @@ def _euler_lagrange_residual(
 
 
 def rayleigh_quotient(u: GridFunction, params: ProblemParams) -> float:
-    """( D(u) + alpha*|S(u)|^(2/q) ) / int u^2, exactly invariant under u -> c*u."""
-    mass = u.h * float(u.values @ u.values)  # trapezoid rule; the endpoints contribute 0
+    """( D(u) + alpha*|S(u)|^(2/q) ) / int u^2, exactly invariant under u -> c*u.
+
+    Outside the normal scale it is formed from u*2^-e, which it equals.
+    """
+    v = _normal_scaled(u.values)[0]
+    mass = u.h * float(v @ v)  # trapezoid rule; the endpoints contribute 0
     if mass == 0.0:
         raise ValueError("degenerate input: u is identically zero")
-    energy, s = quotient_terms(u.values, u.h, params.q)
-    return (energy + params.alpha * abs(s) ** (2.0 / params.q)) / mass
+    s = signed_average(v, u.h, params.q)
+    return (dirichlet_energy(v, u.h) + params.alpha * abs(s) ** (2.0 / params.q)) / mass
 
 
 def _refine_extremum(xp: np.ndarray, vp: np.ndarray, i: int) -> tuple[float, float]:
@@ -249,7 +287,9 @@ def analyze(u: GridFunction) -> MinimizerProfile:
 
     Zeros are interior sign changes (linearly interpolated, ignoring crossings
     inside the constant-sign roundoff band); extrema come from a 3-point
-    quadratic fit around the nodal argmax/argmin.
+    quadratic fit around the nodal argmax/argmin.  Outside the normal scale
+    the function is analysed as u*2^-e, and only max_value and min_value are
+    scaled back.
     """
     v = u.values
     i_max, i_min = int(v.argmax()), int(v.argmin())
@@ -257,6 +297,10 @@ def analyze(u: GridFunction) -> MinimizerProfile:
     amax = max(vmax, -vmin)
     if amax == 0.0:
         raise ValueError("degenerate input: u is identically zero")
+    e = _scale_exponent(amax)
+    if e:
+        v = np.ldexp(v, -e)
+        vmax, vmin, amax = math.ldexp(vmax, -e), math.ldexp(vmin, -e), math.ldexp(amax, -e)
     constant_sign = _keeps_sign(vmax, vmin)
 
     flip = False
@@ -300,6 +344,8 @@ def analyze(u: GridFunction) -> MinimizerProfile:
 
     odd = w + w[::-1]
     odd_defect = math.sqrt(float(odd @ odd)) / math.sqrt(float(v @ v))
+    if e:
+        max_value, min_value = math.ldexp(max_value, e), math.ldexp(min_value, e)
 
     return MinimizerProfile(
         sign_class=sign_class,

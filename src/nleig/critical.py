@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .branches import alpha_zero_exact
 from .core import ProblemParams, check_q, is_constant_sign, rayleigh_quotient
-from .solver import _LAMBDA_TOL, ALPHA_TOP, SolverOptions, minimize, saturation_reference, threshold_ascent
+from .solver import ALPHA_TOP, SATURATION_BAND, SolverOptions, minimize, saturation_reference, threshold_ascent
 
 _PI2 = math.pi**2
 
@@ -44,12 +44,6 @@ _PI2 = math.pi**2
 # the lower end of the search window valid at every resolution.  The
 # ascent's value must lie in the window.
 _BRACKET_MARGIN = 0.1
-
-# A descent stops once a step lowers the quotient by less than _LAMBDA_TOL,
-# which leaves lambda above the discrete minimum by up to a few _LAMBDA_TOL
-# (measured: at most 6e-12 at _LAMBDA_TOL = 1e-11).  Eigenvalues within this
-# many _LAMBDA_TOL of the saturation value count as saturated.
-_NOISE_FACTOR = 100.0
 
 
 class BracketViolation(RuntimeError):
@@ -96,8 +90,8 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     -/+ tol/2: below, the maximizer must be constant-sign with a quotient
     under saturation, which bounds lambda there without a solve; above, one
     full solve started from the maximizer must be saturated.  "Saturated"
-    means lambda >= saturation_reference - a band at the solver's noise
-    level, tied to its stopping tolerance.  lambda is nondecreasing in
+    means lambda >= saturation_reference - ``solver.SATURATION_BAND``, the
+    band within which ``minimize`` reports a tie.  lambda is nondecreasing in
     alpha, so the solve above also shows saturation at every larger alpha,
     2*pi^2 included.  A window or confirmation failure raises
     BracketViolation.
@@ -109,7 +103,6 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     if not 1e-4 <= tol <= hi - lo:
         raise ValueError(f"tol must lie in [1e-4, {hi - lo!r}] (the search window), got {tol!r}")
     sat = saturation_reference(opts.n, q)
-    band = _NOISE_FACTOR * _LAMBDA_TOL
     up = threshold_ascent(opts.n, q, sat)
     alpha_q = up.alpha
     if not lo <= alpha_q <= hi:
@@ -121,12 +114,12 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     half = 0.5 * tol - math.ulp(alpha_q)
     below, above = alpha_q - half, alpha_q + half
     u = up.maximizer
-    if not is_constant_sign(u.values) or rayleigh_quotient(u, ProblemParams(below, q)) >= sat - band:
+    if not is_constant_sign(u.values) or rayleigh_quotient(u, ProblemParams(below, q)) >= sat - SATURATION_BAND:
         raise BracketViolation(
             f"bracket violation: no unsaturated constant-sign minimizer at alpha = {below:.6f} (q = {q})"
         )
     res_above = minimize(ProblemParams(above, q), opts, start=u)
-    if res_above.lam < sat - band:
+    if res_above.lam < sat - SATURATION_BAND:
         raise BracketViolation(
             f"bracket violation: eigenvalue not saturated at alpha = {above:.6f} (q = {q})"
         )

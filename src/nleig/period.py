@@ -267,7 +267,7 @@ def _round_nodes(first: int, depth: int, split: int) -> tuple[np.ndarray, ...]:
     return nodes
 
 
-def _tail_bound(c0: float, f0: float, c1: float, f1: float) -> float:
+def tail_bound(c0: float, f0: float, c1: float, f1: float) -> float:
     """Integral over (0, c0) of the power c**-a through (c0, f0) and (c1, f1), c0 < c1; +inf unless a < 1."""
     if f0 == 0.0:
         return 0.0
@@ -309,7 +309,7 @@ def integrate_endpoint_singular(f: Callable, target_rel_err: float) -> QuadResul
         value += fine_sum
         coarse += coarse_sum
         diff = abs(value - coarse)
-        tail = _tail_bound(c[-1], float(terms[-1] / w[-1]), c[-2], float(terms[-2] / w[-2]))
+        tail = tail_bound(c[-1], float(terms[-1] / w[-1]), c[-2], float(terms[-2] / w[-2]))
         tol = target_rel_err * (abs(value) + tail_floor)
         deep = tail <= tol
         fine = resolved and diff <= tol
@@ -388,23 +388,14 @@ def monotonicity_gap(m: float, q: float, y: float) -> float:
     return first + second
 
 
-def log_bound_offset(m: float, q: float) -> float:
-    """Offset (m^q + m^(q-2)) log(1/m) / ((1+m^q)(m^(q-2)-1)), exceeding 1.
-
-    Bounds log y away from the zero set of the gap derivative; +inf at q = 2
-    where the denominator vanishes.
-    """
-    _check_mq_open(m, q)
-    denom = (1.0 + m**q) * (m ** (q - 2.0) - 1.0)
-    if denom == 0.0:
-        return math.inf
-    return (m**q + m ** (q - 2.0)) * math.log(1.0 / m) / denom
-
-
 def offset_positivity_margin(m: float, q: float) -> float:
     """Margin (m^q + m^(q-2)) log(1/m) - (1+m^q)(m^(q-2)-1), positive on (0,1).
 
-    Its positivity is what pushes the log bound offset above 1; it tends to 0
+    The lemma bounds log y away from the zero set of the gap derivative by
+    the offset (m^q + m^(q-2)) log(1/m) / ((1+m^q)(m^(q-2)-1)), which must
+    exceed 1.  For 1 <= q < 2 the denominator is positive, so the offset
+    exceeds 1 exactly when this margin is positive; at q = 2 the offset is
+    +inf and the margin (1+m^2) log(1/m) is positive.  The margin tends to 0
     as m -> 1.
     """
     _check_mq_open(m, q)

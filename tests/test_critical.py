@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import nleig.critical as critical
-from nleig import verify
-from nleig.branches import alpha_zero_exact
+from nleig.branches import alpha_zero_exact, q1_eigenvalue_of_coupling
 from nleig.core import GridFunction, ProblemParams, analyze, is_constant_sign, rayleigh_quotient
 from nleig.critical import (
     BracketViolation,
@@ -323,7 +322,7 @@ def test_rescale_against_closed_forms():
     expected = 0.25 * (PI2 / 4 + 4.0)
     rescaled = rescale_lambda(-2.0, 2.0, 1.0, 2.0, OPTS)
     assert abs(rescaled - expected) <= 1e-6 * expected
-    expected = 0.25 * verify._q1_branch_root(4.0)
+    expected = 0.25 * q1_eigenvalue_of_coupling(4.0)
     rescaled = rescale_lambda(-2.0, 2.0, 0.5, 1.0, OPTS)
     assert abs(rescaled - expected) <= 1e-6 * expected
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from nleig.core import ProblemParams, nodes, quotient_terms
+from nleig.core import ProblemParams, dirichlet_energy, nodes, signed_average
 from nleig import solver
 from nleig.solver import SolverOptions, _descend, _grid, minimize, quotient_and_residual, saturation_reference
 
@@ -61,8 +61,8 @@ def _dirichlet_solve(r, h):
 
 def _quotient(v, h, alpha, q):
     """The quotient of v on the unit L2 sphere and its residual alpha*|S|^(2/q-1)*sign(S)*|v|^(q-1) - Q*v."""
-    energy, s = quotient_terms(v, h, q)
-    value = (energy + alpha * abs(s) ** (2.0 / q)) / (h * float(v @ v))
+    s = signed_average(v, h, q)
+    value = (dirichlet_energy(v, h) + alpha * abs(s) ** (2.0 / q)) / (h * float(v @ v))
     p = np.abs(v) ** (q - 1.0)
     return value, alpha * abs(s) ** (2.0 / q - 1.0) * math.copysign(1.0, s) * p - value * v
 
@@ -73,7 +73,7 @@ def _reference_descent(v, h, alpha, q):
     value, r = _quotient(v, h, alpha, q)
     for _ in range(STEPS):
         d = v + _dirichlet_solve(r, h)
-        slope = 2.0 * quotient_terms(d, h, 2.0)[0]
+        slope = 2.0 * dirichlet_energy(d, h)
         step = 1.0
         while step * slope > 1e-15:
             trial = v - step * d

@@ -18,9 +18,9 @@ from nleig.period import (
     half_period,
     integrand,
     integrate_endpoint_singular,
-    log_bound_offset,
     monotonicity_gap,
     offset_positivity_margin,
+    tail_bound,
 )
 from nleig import branches, period
 
@@ -503,6 +503,28 @@ def test_unresolved_tail_raises():
         assert 0.04 < closed - info.value.best.value < 0.06
 
 
+def test_integrand_that_underflows_at_the_innermost_nodes():
+    # y^40 underflows to 0 at the deep nodes (y ~ 1e-19 at c ~ 2^-64), where
+    # the tail bound reads a zero innermost value as no tail
+    res = integrate_endpoint_singular(lambda u2, ln_y: np.exp(40.0 * ln_y), 1e-12)
+    assert abs(res.value - _half_beta(-40.0)) <= 1e-12 * _half_beta(-40.0)
+
+
+def test_non_finite_integrand_values_raise_with_a_finite_best():
+    # +inf for y < 1/e: the rule sums those nodes as 0, so no round can pass
+    with pytest.raises(QuadratureNonconvergence, match="non-finite integrand values") as info:
+        integrate_endpoint_singular(lambda u2, ln_y: np.where(ln_y < -1.0, np.inf, 1.0), 1e-10)
+    best = info.value.best
+    assert math.isfinite(best.value) and math.isfinite(best.error_estimate)
+
+
+def test_tail_bound_edge_cases():
+    assert tail_bound(1e-20, 0.0, 2e-20, 5.0) == 0.0  # no value at the innermost node: no tail
+    assert tail_bound(1e-20, 5.0, 2e-20, 0.0) == math.inf  # a jump from 0 fits no power
+    assert tail_bound(1e-20, 2e20, 2e-20, 1e20) == math.inf  # c^-1 is not integrable
+    assert tail_bound(1e-20, 4e10, 2e-20, 2e10 * math.sqrt(2.0)) == pytest.approx(8e-10)  # c^-1/2: 2*c0*f0
+
+
 # --- monotonicity study functions ----------------------------------------------
 
 def test_gap_vanishes_at_top():
@@ -528,11 +550,6 @@ def test_gap_strictly_decreasing_in_height():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_offset_exceeds_one():
-    assert log_bound_offset(0.5, 1.5) > 1.0
-    assert log_bound_offset(0.5, 2.0) == math.inf  # degenerate denominator
-
-
 def test_margin_positive_and_vanishing_at_full_depth():
     samples = [offset_positivity_margin(m, 1.5) for m in (0.5, 0.9, 0.99, 0.999)]
     assert all(v > 0.0 for v in samples)
@@ -540,8 +557,7 @@ def test_margin_positive_and_vanishing_at_full_depth():
 
 
 def test_study_functions_reject_degenerate_depth():
-    for fn in (lambda m: monotonicity_gap(m, 1.5, 0.5), lambda m: log_bound_offset(m, 1.5),
-               lambda m: offset_positivity_margin(m, 1.5)):
+    for fn in (lambda m: monotonicity_gap(m, 1.5, 0.5), lambda m: offset_positivity_margin(m, 1.5)):
         with pytest.raises(ValueError):
             fn(0.0)
         with pytest.raises(ValueError):

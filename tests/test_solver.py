@@ -14,9 +14,10 @@ from nleig.core import (
     _euler_lagrange_residual,
     analyze,
     apply_stiffness,
+    dirichlet_energy,
     q_average,
-    quotient_terms,
     rayleigh_quotient,
+    signed_average,
 )
 from nleig import solver
 from nleig.solver import (
@@ -186,7 +187,7 @@ def test_half_stiffness_is_the_unfolded_stencil(n):
     h = 2.0 / (n + 1)
     v = _unfold(w, n)
     energy = _half_energy(w, n)
-    assert energy == pytest.approx(quotient_terms(v, h, 2.0)[0], rel=1e-13)
+    assert energy == pytest.approx(dirichlet_energy(v, h), rel=1e-13)
     # D = h*v.(K v), the identity that makes the descent's slope 2*D(d)
     assert energy == pytest.approx(h * float(v @ apply_stiffness(v, h)), rel=1e-12)
 
@@ -342,7 +343,7 @@ def test_saturation_is_the_discrete_sine_eigenvalue(n):
 def test_stored_sine_has_rounding_level_average(n):
     sine = _grid(n)[1]
     for q in (1.0, 1.5, 2.0):
-        assert abs(quotient_terms(sine, 2.0 / (n + 1), q)[1]) <= _S_ROUNDING_BAND
+        assert abs(signed_average(sine, 2.0 / (n + 1), q)) <= _S_ROUNDING_BAND
 
 
 @pytest.mark.parametrize("n", [100, 4000, 4001])
@@ -759,8 +760,7 @@ def test_result_carries_the_winners_profile():
 def _threshold(v, q, sigma):
     """F_sigma(v) = (sigma*M - D)/|S|^(2/q) of the full grid vector v, from core's quotient terms."""
     h = 2.0 / (v.size + 1)
-    energy, s = quotient_terms(v, h, q)
-    return (sigma * h * float(v @ v) - energy) / abs(s) ** (2.0 / q)
+    return (sigma * h * float(v @ v) - dirichlet_energy(v, h)) / abs(signed_average(v, h, q)) ** (2.0 / q)
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
