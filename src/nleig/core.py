@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +42,9 @@ def check_q(q: float) -> None:
 
 
 def check_n(n: int) -> None:
-    """Raise ValueError unless the interior grid size n is at least 100."""
+    """Raise ValueError unless the interior grid size n is an integer of at least 100."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 100:
         raise ValueError(f"n must be at least 100, got {n}")
 
@@ -107,24 +110,19 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class MinimizerProfile:
-    """Shape measurements of a grid function: zeros, extrema, sign class, odd defect.
+    """Sign class, zeros, depth ratio and odd defect of a grid function.
 
-    Sign-changing inputs are reported in the orientation where the dominant
-    hump is positive (ties broken so the maximum comes first); ``m_bar`` is
-    |min|/max in that orientation, in [0, 1].  Constant-sign inputs keep
-    their sign and have ``m_bar`` = 0; the extremum on their zero side (a
-    positive input's minimum, a negative input's maximum) is the endpoint -1
-    with value 0, unless a roundoff-band undershoot goes past 0.
-    ``odd_defect`` is the relative L2 distance between the function and its
-    odd reflection about the midpoint.
+    ``zeros`` are the interior sign changes, empty for a constant-sign input.
+    ``m_bar`` is the depth ratio of a sign-changing input: the other hump's
+    refined extremum over the dominant hump's, in absolute value and capped
+    at 1.  The dominant hump is the one with the larger nodal extremum; when
+    the two lie within 1e-9 relative of each other, it is the first hump.  A
+    constant-sign input has ``m_bar`` = 0.  ``odd_defect`` is the relative L2
+    distance between the function and its odd reflection about the midpoint.
     """
 
     sign_class: str  # "positive" | "negative" | "sign_changing"
     zeros: tuple[float, ...]
-    max_point: float
-    max_value: float
-    min_point: float
-    min_value: float
     m_bar: float
     odd_defect: float
 
@@ -255,21 +253,15 @@ def rayleigh_quotient(u: GridFunction, params: ProblemParams) -> float:
     return (dirichlet_energy(v, u.h) + params.alpha * abs(s) ** (2.0 / params.q)) / mass
 
 
-def _refine_extremum(xp: np.ndarray, vp: np.ndarray, i: int) -> tuple[float, float]:
-    """Three-point quadratic refinement of the nodal extremum at padded index i.
-
-    An extremum on a zero pad (the far side of a constant-sign function) is
-    the endpoint itself, with value 0.
-    """
-    if i == 0 or i == vp.size - 1:
-        return float(xp[i]), 0.0
-    a, b, c = vp[i - 1 : i + 2].tolist()
-    x, step = float(xp[i]), float(xp[i + 1] - xp[i])
+def _refined_extremum(v: np.ndarray, i: int) -> float:
+    """Vertex value of the parabola through the nodal values at i - 1, i and i + 1, with 0 past either end."""
+    a = float(v[i - 1]) if i > 0 else 0.0
+    b = float(v[i])
+    c = float(v[i + 1]) if i + 1 < v.size else 0.0
     curv = a - 2.0 * b + c
     if curv == 0.0:
-        return x, b
-    offset = min(max(0.5 * step * (a - c) / curv, -step), step)
-    return x + offset, b - (c - a) ** 2 / (8.0 * curv)
+        return b
+    return b - (c - a) ** 2 / (8.0 * curv)
 
 
 def _keeps_sign(vmax: float, vmin: float) -> bool:
@@ -283,13 +275,14 @@ def is_constant_sign(v: np.ndarray) -> bool:
 
 
 def analyze(u: GridFunction) -> MinimizerProfile:
-    """Locate zeros, extrema, sign class and odd defect of a grid function.
+    """Sign class, zeros, m_bar and odd defect of a grid function.
 
-    Zeros are interior sign changes (linearly interpolated, ignoring crossings
-    inside the constant-sign roundoff band); extrema come from a 3-point
-    quadratic fit around the nodal argmax/argmin.  Outside the normal scale
-    the function is analysed as u*2^-e, and only max_value and min_value are
-    scaled back.
+    Zeros are interior sign changes, linearly interpolated, ignoring
+    crossings inside the constant-sign roundoff band.  m_bar divides the
+    refined extrema (3-point quadratic fits) at the nodal argmax and argmin,
+    the dominant hump's in the denominator; the orientation rule of
+    ``MinimizerProfile`` picks that hump.  Every field is invariant under
+    u -> 2^k*u, so outside the normal scale u is analysed as u*2^-e.
     """
     v = u.values
     i_max, i_min = int(v.argmax()), int(v.argmin())
@@ -301,59 +294,27 @@ def analyze(u: GridFunction) -> MinimizerProfile:
     if e:
         v = np.ldexp(v, -e)
         vmax, vmin, amax = math.ldexp(vmax, -e), math.ldexp(vmin, -e), math.ldexp(amax, -e)
-    constant_sign = _keeps_sign(vmax, vmin)
-
-    flip = False
-    if constant_sign:
-        sign_class = "positive" if vmax >= -vmin else "negative"
-    else:
-        sign_class = "sign_changing"
-        # dominant hump positive; on a tie the maximum comes first
-        flip = -vmin > vmax * (1.0 + 1e-9) or (-vmin >= vmax * (1.0 - 1e-9) and i_min < i_max)
-
-    xp = nodes(u.n)
-    wp = np.zeros(u.n + 2)
-    w = wp[1:-1]
-    if flip:
-        np.negative(v, out=w)
-        i_max, i_min = i_min, i_max  # argmax(-v) is argmin(v), first occurrence and all
-    else:
-        w[:] = v
-    # the padded argmax is the first node of w's maximum, or the pad 0 where
-    # that maximum is not above the pad's 0; the same for the minimum
-    ip_max = i_max + 1 if w[i_max] > 0.0 else 0
-    ip_min = i_min + 1 if w[i_min] < 0.0 else 0
-    max_point, max_value = _refine_extremum(xp, wp, ip_max)
-    min_point, min_value = _refine_extremum(xp, wp, ip_min)
-
-    zeros: list[float] = []
-    if not constant_sign:
-        band = SIGN_BAND * amax
-        signs = (w > band).view(np.int8) - (w < -band).view(np.int8)
-        idx = np.flatnonzero(signs)
-        # consecutive out-of-band nodes of opposite sign bracket one zero
-        s = signs[idx]
-        cross = np.flatnonzero(s[:-1] != s[1:])
-        k0, k1 = idx[cross], idx[cross + 1]
-        x0, x1 = xp[k0 + 1], xp[k1 + 1]
-        w0, w1 = w[k0], w[k1]
-        zeros = (x0 + (x1 - x0) * w0 / (w0 - w1)).tolist()
-        m_bar = min(max(-min_value / max_value, 0.0), 1.0) if max_value > 0 else 1.0
-    else:
-        m_bar = 0.0
-
-    odd = w + w[::-1]
+    odd = v + v[::-1]
     odd_defect = math.sqrt(float(odd @ odd)) / math.sqrt(float(v @ v))
-    if e:
-        max_value, min_value = math.ldexp(max_value, e), math.ldexp(min_value, e)
+    if _keeps_sign(vmax, vmin):
+        sign_class = "positive" if vmax >= -vmin else "negative"
+        return MinimizerProfile(sign_class, (), 0.0, odd_defect)
 
-    return MinimizerProfile(
-        sign_class=sign_class,
-        zeros=tuple(zeros),
-        max_point=max_point,
-        max_value=max_value,
-        min_point=min_point,
-        min_value=min_value,
-        m_bar=m_bar,
-        odd_defect=odd_defect,
-    )
+    band = SIGN_BAND * amax
+    signs = (v > band).view(np.int8) - (v < -band).view(np.int8)
+    idx = np.flatnonzero(signs)
+    # consecutive out-of-band nodes of opposite sign bracket one zero
+    s = signs[idx]
+    cross = np.flatnonzero(s[:-1] != s[1:])
+    k0, k1 = idx[cross], idx[cross + 1]
+    x = u.x
+    x0, x1 = x[k0], x[k1]
+    v0, v1 = v[k0], v[k1]
+    zeros = tuple((x0 + (x1 - x0) * v0 / (v0 - v1)).tolist())
+
+    # each refined extremum lies beyond its nodal one, so both heights are
+    # positive; the cap at 1 acts where the nodal and refined rankings differ
+    top, depth = _refined_extremum(v, i_max), -_refined_extremum(v, i_min)
+    if -vmin > vmax * (1.0 + 1e-9) or (-vmin >= vmax * (1.0 - 1e-9) and i_min < i_max):
+        top, depth = depth, top
+    return MinimizerProfile("sign_changing", zeros, min(depth / top, 1.0), odd_defect)

@@ -75,7 +75,8 @@ class CriticalResult:
 
 
 def lower_bound(q: float) -> float:
-    """Test-function lower bound 3*pi^2 / 2^(1+2/q) for the critical coupling."""
+    """Test-function lower bound 3*pi^2 / 2^(1+2/q) for the critical coupling; q must lie in [1, 2]."""
+    check_q(q)
     return 3.0 * _PI2 / 2.0 ** (1.0 + 2.0 / q)
 
 

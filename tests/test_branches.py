@@ -103,8 +103,8 @@ def test_profile_shape_counts():
     prof = analyze(u)
     assert prof.sign_class == "sign_changing"
     assert len(prof.zeros) == 1
-    assert abs(prof.max_value - 1.0) < 1e-6
-    assert abs(prof.min_value + 0.6) < 1e-6
+    assert abs(prof.m_bar - 0.6) < 1e-6
+    assert abs(u.values.max() - 1.0) < 1e-6
 
 
 def test_branch_constants_match_measured_first_integral():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -18,7 +19,7 @@ from nleig.core import (
     rayleigh_quotient,
 )
 from nleig.branches import reconstruct_profile
-from nleig.solver import SolverOptions, saturation_reference
+from nleig.solver import SolverOptions, minimize, saturation_reference, threshold_ascent
 
 PI = math.pi
 N = 4000
@@ -164,20 +165,34 @@ def test_q_average_rejects_bad_exponent():
 
 # --- grid size ---------------------------------------------------------------
 
-@pytest.mark.parametrize(
+_GRID_SIZE_ENTRY_POINTS = pytest.mark.parametrize(
     "make",
     [
         lambda n: SolverOptions(n=n),
         lambda n: saturation_reference(n, 1.5),
         lambda n: reconstruct_profile(0.5, 1.5, n),
+        lambda n: minimize(ProblemParams(3.0, 1.5), SolverOptions(n=n)),
+        lambda n: threshold_ascent(n, 1.5, 9.0),
     ],
-    ids=["SolverOptions", "saturation_reference", "reconstruct_profile"],
+    ids=["SolverOptions", "saturation_reference", "reconstruct_profile", "minimize", "threshold_ascent"],
 )
+
+
+@_GRID_SIZE_ENTRY_POINTS
 def test_grid_size_rule_is_shared(make):
     # every entry point that takes n applies core.check_n: 100 is the smallest grid
     make(100)
+    make(np.int64(100))
     with pytest.raises(ValueError, match="n must be at least 100, got 99"):
         make(99)
+
+
+@_GRID_SIZE_ENTRY_POINTS
+@pytest.mark.parametrize("n", [math.nan, math.inf, 400.0, 400.5])
+def test_grid_size_must_be_an_integer(make, n):
+    # before: SolverOptions took these, and the solves failed inside numpy with a TypeError
+    with pytest.raises(ValueError, match="n must be an integer"):
+        make(n)
 
 
 # --- analyze -----------------------------------------------------------------
@@ -188,9 +203,6 @@ def test_analyze_sine():
     assert prof.sign_class == "sign_changing"
     assert len(prof.zeros) == 1
     assert abs(prof.zeros[0]) <= u.h
-    # reported in the orientation where the maximum comes first
-    assert abs(prof.max_point + 0.5) < 1e-6
-    assert abs(prof.min_point - 0.5) < 1e-6
     assert abs(prof.m_bar - 1.0) <= 1e-6
     assert prof.odd_defect < 1e-6
 
@@ -199,28 +211,47 @@ def test_analyze_cosine():
     prof = analyze(grid_cos())
     assert prof.sign_class == "positive"
     assert prof.zeros == ()
-    assert abs(prof.max_point) < 1e-6
     assert prof.m_bar == 0.0
-    # the extremum on the zero side is the boundary value, not an
-    # extrapolation past the endpoint
-    assert (prof.min_point, prof.min_value) == (-1.0, 0.0)
     neg = analyze(GridFunction(-grid_cos().values))
-    assert neg.sign_class == "negative"
-    assert abs(neg.min_point) < 1e-6
-    assert (neg.max_point, neg.max_value) == (-1.0, 0.0)
+    assert neg == dataclasses.replace(prof, sign_class="negative")
+
+
+def _two_humps(n, first, second, shift=0.0):
+    """Parabolic humps of signed heights first on (-1, shift] and second on (shift, 1), vertices at shift -/+ 1/2."""
+    return GridFunction.from_callable(
+        lambda x: np.where(x <= shift, first, second) * (1.0 - 4.0 * (np.abs(x - shift) - 0.5) ** 2), n
+    )
 
 
 @pytest.mark.parametrize("n", [100, 101, 4000])
 def test_analyze_recovers_the_vertex_of_a_parabola_between_nodes(n):
-    # a parabola is its own three-point fit, so the refined extremum is the
-    # vertex itself; the nodal maximum is off by O(h) in x and O(h^2) in value
-    h = 2.0 / (n + 1)
-    vertex = 0.1 + 0.37 * h
-    u = GridFunction.from_callable(lambda x: 1.0 - 0.25 * (x - vertex) ** 2, n)
-    prof = analyze(u)
-    assert prof.sign_class == "positive"
-    assert abs(prof.max_point - vertex) <= 1e-12
-    assert abs(prof.max_value - 1.0) <= 1e-12
+    # a parabola is its own three-point fit, so each refined extremum is the
+    # vertex value itself; the nodal extrema are off by O(h^2)
+    prof = analyze(_two_humps(n, 1.0, -0.6, shift=0.37 * 2.0 / (n + 1)))
+    assert prof.sign_class == "sign_changing"
+    assert abs(prof.m_bar - 0.6) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [103, 4003])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive_first", "negative_first"])
+@pytest.mark.parametrize(
+    "first, second, m_bar",
+    [
+        (1.0, 1.0 + 1e-10, 1.0),  # a tie within 1e-9: the first hump is dominant
+        (1.0 + 1e-10, 1.0, 1.0 / (1.0 + 1e-10)),
+        (1.0 + 1e-8, 1.0, 1.0 / (1.0 + 1e-8)),
+        (1.0, 1.0 + 1e-8, 1.0 / (1.0 + 1e-8)),
+        (1.0, 0.6, 0.6),
+    ],
+)
+def test_analyze_orientation_rule(n, sign, first, second, m_bar):
+    # vertices on the nodes -1/2 and 1/2, so nodal and refined extrema agree
+    prof = analyze(_two_humps(n, sign * first, -sign * second))
+    assert prof.sign_class == "sign_changing"
+    if m_bar == 1.0:
+        assert prof.m_bar == 1.0
+    else:
+        assert prof.m_bar == pytest.approx(m_bar, rel=1e-13, abs=0.0)
 
 
 def test_analyze_interior_zero_of_mixed_profile():
@@ -351,15 +382,13 @@ def _scaled_inputs():
 def test_analyze_at_an_extreme_scale_matches_the_unit_scale(name, shape, k):
     # before: ZeroDivisionError in odd_defect (1e-300, 1e-310) and
     # OverflowError in the extremum fit (1e160, 1e300); the power-of-two
-    # rescale is exact, so every field keeps the unit-scale bits
+    # rescale is exact and every field is scale-invariant, so the profile
+    # keeps the unit-scale bits
     v = np.ldexp(shape, k)
     ref = analyze(GridFunction(np.ldexp(shape, 3)))
     prof = analyze(GridFunction(v))
     if np.array_equal(np.ldexp(v, -k), shape):  # no subnormal lost a digit
-        assert prof.max_value == math.ldexp(ref.max_value, k - 3)
-        assert prof.min_value == math.ldexp(ref.min_value, k - 3)
-        for field in ("sign_class", "zeros", "max_point", "min_point", "m_bar", "odd_defect"):
-            assert getattr(prof, field) == getattr(ref, field), field
+        assert prof == ref
     else:
         assert prof.sign_class == ref.sign_class
         assert len(prof.zeros) == len(ref.zeros)

@@ -130,6 +130,13 @@ def test_bracket_violation(monkeypatch, ascent, message):
     assert starts == ([BUMP] if message.startswith("not saturated") else [])
 
 
+@pytest.mark.parametrize("q", [math.nan, 3.0])
+def test_lower_bound_checks_q(q):
+    # before: nan and 9.33
+    with pytest.raises(ValueError, match="q must lie in"):
+        lower_bound(q)
+
+
 @pytest.mark.parametrize("alpha", [lower_bound(1.5) - 0.1 - 1e-9, 2 * PI2 + 1e-9, -math.inf, math.nan])
 def test_ascent_outside_the_window_is_a_bracket_violation(monkeypatch, alpha):
     def no_minimize(params, opts, start=None):

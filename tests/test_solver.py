@@ -365,6 +365,15 @@ def test_saturated_lambda_does_not_drift_with_alpha(alpha, q, n):
     assert (res.iterations, res.evaluations) == (top[2], top[3] + 1)
 
 
+@pytest.mark.parametrize("q", [1.0, 1.02, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3, 1.35, 1.4])
+def test_bump_descent_above_the_critical_coupling_at_small_q_is_bounded(q):
+    # above alpha_q the bump descent crosses S = 0 and can creep along the
+    # kink; with the one descent at min(alpha, 2*pi^2) the most measured on
+    # this grid is 329 steps, at (2*pi^2, 1.2), and (15, 1.2) takes 56
+    for alpha in (6.0, 8.0, 10.0, 12.0, 15.0, 17.0, 2.0 * PI2):
+        assert minimize(ProblemParams(alpha, q), SolverOptions()).iterations <= 1000
+
+
 @pytest.mark.parametrize("n", [100, 101])
 @pytest.mark.parametrize("alpha", [-5.0, 3.0, 2.0 * PI2, 50.0, 1e6])
 def test_minimize_descends_once(alpha, n, monkeypatch):
