@@ -21,7 +21,6 @@ from .core import (
     rayleigh_quotient,
 )
 from .period import (
-    FirstIntegralCoeffs,
     QuadResult,
     QuadratureNonconvergence,
     first_integral_coeffs,
@@ -60,7 +59,6 @@ __all__ = [
     "QuadResult",
     "QuadratureNonconvergence",
     "integrate_endpoint_singular",
-    "FirstIntegralCoeffs",
     "first_integral_coeffs",
     "half_period",
     "SolverNonconvergence",

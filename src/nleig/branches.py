@@ -80,14 +80,9 @@ _PTS_U2, _PTS_LN_Y, _HALF, _PARTIALS, _Y_ALL, _C_LAST = _graded_geometry()
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """Sign-changing branch data at depth m: eigenvalue and first-integral constants.
-
-    ``gamma_alpha`` stores the coupling-free product gamma*alpha =
-    (q*lam/2)*z(m, q); ``c`` is the first-integral constant (lam/2)*t(m, q).
-    """
+    """Sign-changing branch data at depth m: the eigenvalue and the first-integral constant c = (lam/2)*t(m, q)."""
 
     lam: float
-    gamma_alpha: float
     c: float
 
 
@@ -98,15 +93,15 @@ def _check_depth(m: float) -> None:
 
 
 def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> BranchPoint:
-    """Assemble the branch data: eigenvalue half_period(m, q)^2, gamma*alpha, first-integral constant."""
+    """Assemble the branch data: eigenvalue half_period(m, q)^2 and first-integral constant."""
     _check_depth(m)
     value = half_period(m, q, target_rel_err).value
     try:
         lam = value**2
     except OverflowError:  # at q = 2, about (1.11/m)^2, for m below about 8.3e-155
         raise ValueError(f"the eigenvalue half_period^2 overflows float64 at (m, q) = ({m!r}, {q!r})") from None
-    co = first_integral_coeffs(m, q)
-    return BranchPoint(lam=lam, gamma_alpha=0.5 * q * lam * co.z, c=0.5 * lam * co.t)
+    t = first_integral_coeffs(m, q)[1]
+    return BranchPoint(lam=lam, c=0.5 * lam * t)
 
 
 def _arc_cumulative(density: np.ndarray) -> np.ndarray:

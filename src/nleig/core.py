@@ -41,12 +41,12 @@ def check_q(q: float) -> None:
         raise ValueError(f"q must lie in [1, 2], got {q!r}")
 
 
-def check_n(n: int) -> None:
-    """Raise ValueError unless the interior grid size n is an integer of at least 100."""
+def check_n(n: int, least: int = 100) -> None:
+    """Raise ValueError unless the interior grid size n is an integer of at least ``least``."""
     if not isinstance(n, numbers.Integral):
         raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 100:
-        raise ValueError(f"n must be at least 100, got {n}")
+    if n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
 
 
 # bounded, since analyze, the solver and the profile rebuild each meet a few grid sizes
@@ -105,6 +105,8 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f: Callable, n: int) -> "GridFunction":
+        """f sampled at the n interior nodes; n must be an integer of at least 3."""
+        check_n(n, 3)
         return cls(np.asarray(f(nodes(n)[1:-1]), dtype=float))
 
 
@@ -113,11 +115,9 @@ class MinimizerProfile:
     """Sign class, zeros, depth ratio and odd defect of a grid function.
 
     ``zeros`` are the interior sign changes, empty for a constant-sign input.
-    ``m_bar`` is the depth ratio of a sign-changing input: the other hump's
-    refined extremum over the dominant hump's, in absolute value and capped
-    at 1.  The dominant hump is the one with the larger nodal extremum; when
-    the two lie within 1e-9 relative of each other, it is the first hump.  A
-    constant-sign input has ``m_bar`` = 0.  ``odd_defect`` is the relative L2
+    ``m_bar`` is the depth ratio of a sign-changing input: the smaller of its
+    two refined hump heights over the larger.  A constant-sign input has
+    ``m_bar`` = 0.  ``odd_defect`` is the relative L2
     distance between the function and its odd reflection about the midpoint.
     """
 
@@ -145,8 +145,8 @@ class EigenResult:
     has a rounding floor of about 2.2e-16*(n + 1)^2, the stencil's terms
     4/h^2 times the unit roundoff, so only its leading digits are
     determined: a saturated sine or an alpha = 0 solve sits at that floor.  A
-    sign-changing minimizer's first-integral constant is
-    0.5*lam*first_integral_coeffs(profile.m_bar, q).t, the formula behind
+    sign-changing minimizer's first-integral constant is 0.5*lam*t with
+    (z, t) = first_integral_coeffs(profile.m_bar, q), the formula behind
     ``branches.branch_point(...).c``.
     Equality and hashing are by identity, as for the minimizer.
     """
@@ -258,7 +258,7 @@ def _refined_extremum(v: np.ndarray, i: int) -> float:
     a = float(v[i - 1]) if i > 0 else 0.0
     b = float(v[i])
     c = float(v[i + 1]) if i + 1 < v.size else 0.0
-    curv = a - 2.0 * b + c
+    curv = (a - b) + (c - b)  # symmetric in a and c: a reversed input gives the same bits
     if curv == 0.0:
         return b
     return b - (c - a) ** 2 / (8.0 * curv)
@@ -278,11 +278,11 @@ def analyze(u: GridFunction) -> MinimizerProfile:
     """Sign class, zeros, m_bar and odd defect of a grid function.
 
     Zeros are interior sign changes, linearly interpolated, ignoring
-    crossings inside the constant-sign roundoff band.  m_bar divides the
-    refined extrema (3-point quadratic fits) at the nodal argmax and argmin,
-    the dominant hump's in the denominator; the orientation rule of
-    ``MinimizerProfile`` picks that hump.  Every field is invariant under
-    u -> 2^k*u, so outside the normal scale u is analysed as u*2^-e.
+    crossings inside the constant-sign roundoff band.  m_bar is
+    min(top, depth)/max(top, depth) of the two hump heights, the refined
+    extrema (3-point quadratic fits) at the nodal argmax and argmin; it keeps
+    its bits under u -> -u and under reversal.  Every field is invariant
+    under u -> 2^k*u, so outside the normal scale u is analysed as u*2^-e.
     """
     v = u.values
     i_max, i_min = int(v.argmax()), int(v.argmin())
@@ -313,8 +313,9 @@ def analyze(u: GridFunction) -> MinimizerProfile:
     zeros = tuple((x0 + (x1 - x0) * v0 / (v0 - v1)).tolist())
 
     # each refined extremum lies beyond its nodal one, so both heights are
-    # positive; the cap at 1 acts where the nodal and refined rankings differ
-    top, depth = _refined_extremum(v, i_max), -_refined_extremum(v, i_min)
-    if -vmin > vmax * (1.0 + 1e-9) or (-vmin >= vmax * (1.0 - 1e-9) and i_min < i_max):
-        top, depth = depth, top
-    return MinimizerProfile("sign_changing", zeros, min(depth / top, 1.0), odd_defect)
+    # positive; a nodal extremum held at several nodes is refined at its first
+    # and its last, and the farther vertex counts, whichever way v is read
+    last_max, last_min = v.size - 1 - int(v[::-1].argmax()), v.size - 1 - int(v[::-1].argmin())
+    top = max(_refined_extremum(v, i_max), _refined_extremum(v, last_max))
+    depth = -min(_refined_extremum(v, i_min), _refined_extremum(v, last_min))
+    return MinimizerProfile("sign_changing", zeros, min(top, depth) / max(top, depth), odd_defect)

@@ -68,25 +68,17 @@ DEFAULT_TARGET_REL_ERR = 1e-10
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class FirstIntegralCoeffs:
-    """Coefficients z = (1-m^2)/(1+m^q) and t = 1-z = (m^q+m^2)/(1+m^q) of the first integral."""
-
-    z: float
-    t: float
-
-
 def _check_mq(m: float, q: float) -> None:
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"m must lie in [0, 1], got {m!r}")
     check_q(q)
 
 
-def first_integral_coeffs(m: float, q: float) -> FirstIntegralCoeffs:
-    """Evaluate z(m, q) and its complement t, formed without cancellation as m -> 0."""
+def first_integral_coeffs(m: float, q: float) -> tuple[float, float]:
+    """The pair (z, t): z = (1-m^2)/(1+m^q) and its complement t = (m^q+m^2)/(1+m^q), formed without cancellation as m -> 0."""
     _check_mq(m, q)
     mq = m**q
-    return FirstIntegralCoeffs(z=(1.0 - m * m) / (1.0 + mq), t=(mq + m * m) / (1.0 + mq))
+    return (1.0 - m * m) / (1.0 + mq), (mq + m * m) / (1.0 + mq)
 
 
 def arc_variables(u, c) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +121,7 @@ def arc_densities(u2: np.ndarray, ln_y: np.ndarray, m: float, q: float) -> tuple
     quotient entering by a subtraction, so they keep their bits; q*ln y is
     formed once for both arcs.
     """
-    co = first_integral_coeffs(m, q)
+    z, t = first_integral_coeffs(m, q)
     q_ln_y = np.multiply(q, ln_y)
     # the expm1 quotients are kept negated, expm1(a*ln y)/u^2, and subtracted:
     # a - b is a + (-b) in float64, so each radicand keeps its bits
@@ -137,7 +129,7 @@ def arc_densities(u2: np.ndarray, ln_y: np.ndarray, m: float, q: float) -> tuple
     np.expm1(pos, out=pos)
     pos /= u2
     one_y = np.subtract(2.0, u2)  # 1 + y
-    if co.t < _TINY:
+    if t < _TINY:
         # ln t = q*ln m + log1p(m^(2-q)) - log1p(m^q); ln 0 = -inf at m = 0 and for the quotient at q = 2
         with np.errstate(divide="ignore", over="ignore"):
             ln_t = q * np.log(m) + math.log1p(m ** (2.0 - q)) - math.log1p(m**q)
@@ -152,16 +144,16 @@ def arc_densities(u2: np.ndarray, ln_y: np.ndarray, m: float, q: float) -> tuple
             pos *= 2.0
     else:
         term = np.exp(q_ln_y)
-        term *= co.z
+        term *= z
         pos *= term
-        np.multiply(co.t, one_y, out=term)
+        np.multiply(t, one_y, out=term)
         np.subtract(term, pos, out=pos)
         np.sqrt(pos, out=pos)
         np.divide(2.0, pos, out=pos)
     p = m ** (2.0 - q)
     neg = np.expm1(q_ln_y, out=q_ln_y)
     neg /= u2
-    neg *= co.z
+    neg *= z
     one_y *= p
     np.subtract(one_y, neg, out=neg)
     np.sqrt(neg, out=neg)
@@ -368,13 +360,31 @@ def _check_mq_open(m: float, q: float) -> None:
     check_q(q)
 
 
+def _finite(f: Callable) -> Callable:
+    """f with a ValueError, in place of an OverflowError or a non-finite value, where f leaves float64."""
+
+    @functools.wraps(f)
+    def checked(*args, **kwargs):
+        try:
+            value = f(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{f.__name__} is not finite in float64 at {args}{kwargs or ''}")
+        return value
+
+    return checked
+
+
+@_finite
 def monotonicity_gap(m: float, q: float, y: float) -> float:
     """Positivity gap certifying that the integrand strictly increases in q.
 
         [ -(1-y^q) m^q log m - y^q (1+m^q) log y ]
       + [ (y^q - 1) log m + (1+m^q) y^q log y ] * m^(q-2)
 
-    Vanishes at y = 1 and is positive for 0 < y < 1, 0 < m < 1.
+    Vanishes at y = 1 and is positive for 0 < y < 1, 0 < m < 1.  Raises
+    ValueError where the value leaves float64 (m below about 1e-306 at q = 1).
     """
     _check_mq_open(m, q)
     if not 0.0 < y <= 1.0:
@@ -388,6 +398,7 @@ def monotonicity_gap(m: float, q: float, y: float) -> float:
     return first + second
 
 
+@_finite
 def offset_positivity_margin(m: float, q: float) -> float:
     """Margin (m^q + m^(q-2)) log(1/m) - (1+m^q)(m^(q-2)-1), positive on (0,1).
 
@@ -396,7 +407,7 @@ def offset_positivity_margin(m: float, q: float) -> float:
     exceed 1.  For 1 <= q < 2 the denominator is positive, so the offset
     exceeds 1 exactly when this margin is positive; at q = 2 the offset is
     +inf and the margin (1+m^2) log(1/m) is positive.  The margin tends to 0
-    as m -> 1.
+    as m -> 1.  Raises ValueError where the value leaves float64.
     """
     _check_mq_open(m, q)
     return (m**q + m ** (q - 2.0)) * math.log(1.0 / m) - (1.0 + m**q) * (

@@ -200,6 +200,8 @@ def threshold_and_residual(w: np.ndarray, n: int, sigma: float, q: float) -> tup
     return value, p, 1.0 / weight
 
 
+# an overflow or a NaN in a step would end the backtracking as a converged start
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int, bool]:
     """Armijo-backtracked preconditioned descent of an objective on the unit L2 sphere of even functions.
 
@@ -218,7 +220,8 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
     reaches a step whose first-order decrease step*slope is at most
     _LAMBDA_TOL: such a step could only end the descent, so it is not tried.
     A start at the minimum costs one evaluation.  At most _MAX_ITERATIONS
-    steps are taken.
+    steps are taken.  An overflow, an invalid value or a division by zero
+    in numpy raises FloatingPointError.
 
     On a constant-sign iterate the unit step converges linearly with one
     dominant error mode, which a depth-1 Anderson (secant) extrapolation
@@ -323,7 +326,9 @@ def minimize(
     result's gamma, profile and residual are computed on first read.  The
     winner's values are read-only.  Raises SolverNonconvergence (carrying
     the result) if the winning descent hit the iteration cap, and warns
-    (RuntimeWarning) if a losing one did.
+    (RuntimeWarning) if a losing one did.  Raises ValueError where the
+    descent leaves float64: at n = 100 from about alpha = -1e155, and from
+    about -1e17 at q = 2, where a trial step cancels to zero.
     """
     n = opts.n
     h = 2.0 / (n + 1)
@@ -335,9 +340,12 @@ def minimize(
         if not bump.any():
             raise ValueError("start must be nonzero on its left half")
     alpha, q = params.alpha, params.q
-    w, lam, iterations, evaluations, converged = _descend(
-        bump, n, functools.partial(quotient_and_residual, n=n, alpha=min(alpha, ALPHA_TOP), q=q)
-    )
+    try:
+        w, lam, iterations, evaluations, converged = _descend(
+            bump, n, functools.partial(quotient_and_residual, n=n, alpha=min(alpha, ALPHA_TOP), q=q)
+        )
+    except FloatingPointError as err:
+        raise ValueError(f"the descent leaves float64 at (alpha={alpha!r}, q={q!r}, n={n}): {err}") from None
     evaluations += 1  # the sine's, evaluated rather than descended
     degenerate = bool(abs(lam - saturation) < SATURATION_BAND) and is_constant_sign(w)
     # a capped descent that ties the sine to rounding level is no winner
@@ -395,15 +403,20 @@ def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
     stopping tolerance _LAMBDA_TOL on the rise of F_sigma and the cap
     _MAX_ITERATIONS; at the cap it raises SolverNonconvergence, carrying the
     ascent.  At the maximizer u, the quotient Q_u(alpha) equals sigma: u is
-    a constant-sign minimizer at the returned alpha.  sigma must be finite.
+    a constant-sign minimizer at the returned alpha.  sigma must be finite;
+    where the ascent leaves float64 it raises ValueError: at n = 100 from
+    about |sigma| = 1e156, and from about 1e17 at q = 2.
     """
     check_n(n)
     check_q(q)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
-    w, value, iterations, _, converged = _descend(
-        _grid(n)[0], n, functools.partial(threshold_and_residual, n=n, sigma=sigma, q=q)
-    )
+    try:
+        w, value, iterations, _, converged = _descend(
+            _grid(n)[0], n, functools.partial(threshold_and_residual, n=n, sigma=sigma, q=q)
+        )
+    except FloatingPointError as err:
+        raise ValueError(f"the ascent leaves float64 at (sigma={sigma!r}, q={q!r}, n={n}): {err}") from None
     v = _unfold(w, n)
     v.flags.writeable = False
     ascent = ThresholdAscent(-value, GridFunction(v), iterations)

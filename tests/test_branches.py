@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from nleig import branches
 from nleig.branches import (
+    BranchPoint,
     branch_point,
     q1_coupling_of_eigenvalue,
     q1_eigenvalue_of_coupling,
@@ -24,6 +26,11 @@ PI2 = math.pi**2
 
 def test_unit_depth_gives_pi_squared():
     assert abs(branch_point(1.0, 1.5).lam - PI2) <= 1e-8
+
+
+def test_branch_point_holds_the_eigenvalue_and_the_constant():
+    # kappa = (q/2)*lam*z is derived, and formed where it is needed
+    assert [f.name for f in dataclasses.fields(BranchPoint)] == ["lam", "c"]
 
 
 def test_half_depth_q2_matches_closed_form():
@@ -90,7 +97,7 @@ def test_profile_satisfies_first_integral():
     m, q = 0.6, 1.5
     u = reconstruct_profile(m, q, 4000)
     lam = branch_point(m, q).lam
-    z = first_integral_coeffs(m, q).z
+    z, _ = first_integral_coeffs(m, q)
     v = np.concatenate(([0.0], u.values, [0.0]))
     slope = (v[2:] - v[:-2]) / (2.0 * u.h)
     w = u.values
@@ -114,12 +121,14 @@ def test_branch_constants_match_measured_first_integral():
     v = np.concatenate(([0.0], u.values, [0.0]))
     slope = (v[2:] - v[:-2]) / (2.0 * u.h)
     w = u.values
-    measured = 0.5 * slope**2 + 0.5 * bp.lam * w * w - (bp.gamma_alpha / q) * np.sign(w) * np.abs(w) ** q
+    z, t = first_integral_coeffs(m, q)
+    kappa = 0.5 * q * bp.lam * z
+    measured = 0.5 * slope**2 + 0.5 * bp.lam * w * w - (kappa / q) * np.sign(w) * np.abs(w) ** q
     c_measured = float(np.mean(measured))
     assert abs(c_measured - bp.c) <= 1e-3 * abs(bp.c)
-    # the stored pair is consistent by construction with the coefficients
-    co = first_integral_coeffs(m, q)
-    assert bp.c == pytest.approx(0.5 * bp.lam * (1.0 - co.z), rel=1e-15)
+    # c is formed from the complement t, which equals 1 - z to rounding
+    assert bp.c == 0.5 * bp.lam * t
+    assert bp.c == pytest.approx(0.5 * bp.lam * (1.0 - z), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +186,7 @@ def test_profile_edge_cases(m, q, n):
     u = reconstruct_profile(m, q, n)
     v, h = u.values, u.h
     lam = half_period(m, q, 1e-13).value ** 2
-    z = first_integral_coeffs(m, q).z
+    z, _ = first_integral_coeffs(m, q)
     assert np.all(np.isfinite(v))
     # interpolation never leaves the tables, whose extremes are 1 and -m
     assert -m <= v.min() and v.max() <= 1.0

@@ -18,7 +18,7 @@ from nleig.core import (
     q_average,
     rayleigh_quotient,
 )
-from nleig.branches import reconstruct_profile
+from nleig.branches import q1_flat_family, q1_positive_profile, reconstruct_profile
 from nleig.solver import SolverOptions, minimize, saturation_reference, threshold_ascent
 
 PI = math.pi
@@ -195,6 +195,26 @@ def test_grid_size_must_be_an_integer(make, n):
         make(n)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: q1_flat_family(0.5, n),
+        lambda n: q1_positive_profile(5.0, n),
+        lambda n: GridFunction.from_callable(np.sin, n),
+    ],
+    ids=["q1_flat_family", "q1_positive_profile", "from_callable"],
+)
+def test_sampled_grid_functions_need_an_integral_size(make):
+    # before: each failed inside numpy with "TypeError: 'float' object cannot
+    # be interpreted as an integer"; a grid function needs only 3 nodes
+    assert make(3).n == 3
+    for n in (100.5, 100.0, math.nan):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            make(n)
+    with pytest.raises(ValueError, match="n must be at least 3, got 2"):
+        make(2)
+
+
 # --- analyze -----------------------------------------------------------------
 
 def test_analyze_sine():
@@ -237,7 +257,7 @@ def test_analyze_recovers_the_vertex_of_a_parabola_between_nodes(n):
 @pytest.mark.parametrize(
     "first, second, m_bar",
     [
-        (1.0, 1.0 + 1e-10, 1.0),  # a tie within 1e-9: the first hump is dominant
+        (1.0, 1.0 + 1e-10, 1.0 / (1.0 + 1e-10)),  # the smaller hump over the larger, however close
         (1.0 + 1e-10, 1.0, 1.0 / (1.0 + 1e-10)),
         (1.0 + 1e-8, 1.0, 1.0 / (1.0 + 1e-8)),
         (1.0, 1.0 + 1e-8, 1.0 / (1.0 + 1e-8)),
@@ -248,10 +268,61 @@ def test_analyze_orientation_rule(n, sign, first, second, m_bar):
     # vertices on the nodes -1/2 and 1/2, so nodal and refined extrema agree
     prof = analyze(_two_humps(n, sign * first, -sign * second))
     assert prof.sign_class == "sign_changing"
-    if m_bar == 1.0:
-        assert prof.m_bar == 1.0
-    else:
-        assert prof.m_bar == pytest.approx(m_bar, rel=1e-13, abs=0.0)
+    assert prof.m_bar == pytest.approx(m_bar, rel=1e-13, abs=0.0)
+
+
+def _offset_humps(n, top, depth, left, right):
+    """A hump of height top, vertex at -1/2 + left*h, on x <= 0 and one of height -depth, vertex at 1/2 + right*h, past it."""
+    h = 2.0 / (n + 1)
+
+    def f(x):
+        pos = top * np.maximum(0.0, 1.0 - 4.0 * (x + 0.5 - left * h) ** 2)
+        neg = depth * np.maximum(0.0, 1.0 - 4.0 * (x - 0.5 - right * h) ** 2)
+        return np.where(x <= 0.0, pos, -neg)
+
+    return GridFunction.from_callable(f, n).values
+
+
+def _m_bars(v):
+    return {analyze(GridFunction(w)).m_bar.hex() for w in (v, -v, v[::-1], -v[::-1])}
+
+
+@pytest.mark.parametrize("first_off, second_off", [(0.0, 0.5), (0.5, 0.0)])
+def test_analyze_reads_the_refined_ratio_where_the_nodal_ranking_differs(first_off, second_off):
+    # the hump of height 1 + 2e-5 has its vertex half a step off the nodes,
+    # so its nodal extremum is the smaller one: a nodal ranking read m_bar = 1
+    first, second = (1.0, 1.0 + 2e-5) if first_off == 0.0 else (1.0 + 2e-5, 1.0)
+    v = _offset_humps(103, first, second, first_off, second_off)
+    assert (abs(v.max()) < abs(v.min())) == (first_off > 0.0)
+    (m_bar,) = _m_bars(v)
+    assert abs(float.fromhex(m_bar) - 1.0 / (1.0 + 2e-5)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [100, 101, 4000, 4001])
+def test_analyze_reads_one_for_an_exactly_odd_input(n):
+    # the fit is symmetric in its two neighbours, so both humps of an odd
+    # input refine to the same height
+    v = np.sin(PI * nodes(n)[1:-1])
+    v = np.concatenate((v[: n // 2], np.zeros(n % 2), -v[: n // 2][::-1]))
+    assert analyze(GridFunction(v)).m_bar == 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(100, 4001),
+    top=st.floats(0.1, 1.0),
+    ratio=st.one_of(st.floats(1.0 - 2e-9, 1.0 + 2e-9), st.floats(0.05, 20.0)),
+    left=st.floats(-1.0, 1.0),
+    right=st.floats(-1.0, 1.0),
+    k=st.integers(-1000, 1000),
+)
+def test_analyze_m_bar_is_the_same_for_every_orientation_and_scale(n, top, ratio, left, right, k):
+    # m_bar is the smaller refined hump over the larger: sign, order and a
+    # power-of-two scale, which are exact, leave its bits alone, also for
+    # humps within 1e-9 of each other
+    v = _offset_humps(n, top, top * ratio, left, right)
+    (m_bar,) = _m_bars(v) | _m_bars(np.ldexp(v, k))
+    assert 0.0 < float.fromhex(m_bar) <= 1.0
 
 
 def test_analyze_interior_zero_of_mixed_profile():

@@ -11,6 +11,7 @@ LAYERS = [
     "critical.alpha_critical",
     "period.half_period",
     "branches.reconstruct_profile",
+    "branches.branch_point",
 ]
 
 

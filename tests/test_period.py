@@ -32,31 +32,29 @@ YS = [k / 20 for k in range(1, 20)]
 # --- first integral coefficients ----------------------------------------------
 
 def test_coeffs_at_unit_depth():
-    co = first_integral_coeffs(1.0, 1.7)
-    assert co.z == 0.0
-    assert co.t == 1.0
+    assert first_integral_coeffs(1.0, 1.7) == (0.0, 1.0)
 
 
 def test_coeffs_at_zero_depth():
-    co = first_integral_coeffs(0.0, 1.3)
-    assert co.z == 1.0
-    assert co.t == 0.0
+    z, t = first_integral_coeffs(0.0, 1.3)
+    assert z == 1.0
+    assert t == 0.0
 
 
 def test_coeffs_half_depth_q2():
-    co = first_integral_coeffs(0.5, 2.0)
-    assert abs(co.z - 0.6) < 1e-15
-    assert abs(co.t - 0.4) < 1e-15
+    z, t = first_integral_coeffs(0.5, 2.0)
+    assert abs(z - 0.6) < 1e-15
+    assert abs(t - 0.4) < 1e-15
 
 
 @settings(max_examples=50, deadline=None)
 @given(m=st.floats(0.0, 1.0), q=st.floats(1.0, 2.0))
 def test_coeffs_partition_of_unity(m, q):
-    co = first_integral_coeffs(m, q)
+    z, t = first_integral_coeffs(m, q)
     # complements, each formed without cancellation: the sum is 1 to one unit in the last place
-    assert abs(co.z + co.t - 1.0) <= math.ulp(1.0)
-    assert 0.0 <= co.z <= 1.0
-    assert (co.z == 0.0) == (m == 1.0)
+    assert abs(z + t - 1.0) <= math.ulp(1.0)
+    assert 0.0 <= z <= 1.0
+    assert (z == 0.0) == (m == 1.0)
 
 
 @pytest.mark.parametrize("m,q", [(1e-6, 2.0), (1e-3, 2.0), (1e-3, 1.5)])
@@ -67,9 +65,9 @@ def test_coeffs_small_depth_t_is_accurate(m, q):
         mq = Fraction(Decimal(m) ** Decimal(q))
     m_exact = Fraction(m)
     t_exact = (mq + m_exact**2) / (1 + mq)
-    co = first_integral_coeffs(m, q)
-    assert abs(Fraction(co.t) - t_exact) <= Fraction(1, 10**15) * t_exact
-    assert abs(Fraction(co.z) - (1 - t_exact)) <= Fraction(1, 10**15) * (1 - t_exact)
+    z, t = first_integral_coeffs(m, q)
+    assert abs(Fraction(t) - t_exact) <= Fraction(1, 10**15) * t_exact
+    assert abs(Fraction(z) - (1 - t_exact)) <= Fraction(1, 10**15) * (1 - t_exact)
 
 
 def test_coeffs_range_validation():
@@ -89,7 +87,7 @@ def test_integrand_at_unit_depth_is_circular():
 
 def test_integrand_at_zero_height():
     m, q = 0.5, 2.0
-    z = first_integral_coeffs(m, q).z
+    z, _ = first_integral_coeffs(m, q)
     expected = (1 + m) / math.sqrt(1 - z)
     assert abs(integrand(m, q, 0.0) - expected) < 1e-14
     assert abs(expected - 2.3717082451262845) < 1e-12
@@ -252,29 +250,29 @@ def test_arc_densities_match_the_radicals():
     u = np.array([0.2, 0.6, 0.9])
     for m in (0.3, 0.7):
         for q in (1.0, 1.3, 1.8, 2.0):
-            co = first_integral_coeffs(m, q)
+            z, t = first_integral_coeffs(m, q)
             pos, neg = arc_densities(*arc_variables(u, 1.0 - u), m, q)
             for k, uk in enumerate(u):
                 y = 1.0 - uk * uk
-                pos_radical = math.sqrt(co.t + co.z * y**q - y * y)
-                neg_radical = math.sqrt(co.t - co.z * m**q * y**q - (m * y) ** 2)
+                pos_radical = math.sqrt(t + z * y**q - y * y)
+                neg_radical = math.sqrt(t - z * m**q * y**q - (m * y) ** 2)
                 assert abs(pos[k] - 2 * uk / pos_radical) <= 1e-12 * pos[k]
                 assert abs(neg[k] - 2 * m * uk / neg_radical) <= 1e-12 * neg[k]
 
 
 def _arc_densities_reference(u2, ln_y, m, q):
     """arc_densities written as expressions, one temporary per operation: the bit-level reference for the in-place form."""
-    co = first_integral_coeffs(m, q)
+    z, t = first_integral_coeffs(m, q)
     pos_quot = -np.expm1((2.0 - q) * ln_y) / u2
     one_y = 2.0 - u2
-    if co.t < np.finfo(float).tiny:
+    if t < np.finfo(float).tiny:
         with np.errstate(divide="ignore", over="ignore"):
             ln_t = q * np.log(m) + math.log1p(m ** (2.0 - q)) - math.log1p(m**q)
             pos = 2.0 * np.exp(-0.5 * np.logaddexp(ln_t + np.log(one_y), q * ln_y + np.log(pos_quot)))
     else:
-        pos = 2.0 / np.sqrt(co.t * one_y + co.z * np.exp(q * ln_y) * pos_quot)
+        pos = 2.0 / np.sqrt(t * one_y + z * np.exp(q * ln_y) * pos_quot)
     p = m ** (2.0 - q)
-    neg = 2.0 * math.sqrt(p) / np.sqrt(p * one_y + co.z * (-np.expm1(q * ln_y) / u2))
+    neg = 2.0 * math.sqrt(p) / np.sqrt(p * one_y + z * (-np.expm1(q * ln_y) / u2))
     return pos, neg
 
 
@@ -554,6 +552,18 @@ def test_margin_positive_and_vanishing_at_full_depth():
     samples = [offset_positivity_margin(m, 1.5) for m in (0.5, 0.9, 0.99, 0.999)]
     assert all(v > 0.0 for v in samples)
     assert all(b < a for a, b in zip(samples, samples[1:]))
+
+
+@pytest.mark.parametrize("m", [5e-324, 1e-306])
+def test_study_functions_refuse_a_value_beyond_float64(m):
+    # before: OverflowError from m^(q-2) at 5e-324, and +inf at 1e-306 (q = 1)
+    with pytest.raises(ValueError, match="not finite in float64"):
+        monotonicity_gap(m, 1.0, 0.5)
+    with pytest.raises(ValueError, match="not finite in float64"):
+        offset_positivity_margin(m, 1.0)
+    # the same depths at q = 1.5 stay inside float64
+    assert math.isfinite(monotonicity_gap(1e-306, 1.5, 0.5))
+    assert math.isfinite(offset_positivity_margin(1e-306, 1.5))
 
 
 def test_study_functions_reject_degenerate_depth():

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 import warnings
 
@@ -20,6 +21,7 @@ from nleig.core import (
     signed_average,
 )
 from nleig import solver
+from nleig.critical import rescale_lambda
 from nleig.solver import (
     SolverNonconvergence,
     SolverOptions,
@@ -83,6 +85,37 @@ def test_negative_coupling_stays_constant_sign():
     res = minimize(ProblemParams(-5.0, 1.5), OPTS)
     assert res.lam < PI2 / 4
     assert analyze(res.minimizer).sign_class != "sign_changing"
+
+
+@pytest.mark.parametrize("alpha,q", [(-1e200, 1.5), (-1e155, 1.0), (-1e18, 2.0)])
+def test_descent_that_leaves_float64_is_refused(alpha, q):
+    # before: the overflowing slope ended the backtracking as a converged
+    # start (lambda -1.1532e200 at -1e200, about 8 % off the trend), and at
+    # q = 2 a zero trial was normalized 0/0, each behind RuntimeWarnings only
+    n = 100
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}, q={q!r}, n={n}")):
+            minimize(ProblemParams(alpha, q), SolverOptions(n=n))
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}, q={q!r}, n={n}")):
+            rescale_lambda(-1.0, 1.0, alpha, q, SolverOptions(n=n))
+    assert record == []
+
+
+@pytest.mark.parametrize("alpha,q,steps", [(-1e150, 1.5, 3067), (-1e16, 2.0, 1)])
+def test_strongly_negative_couplings_inside_float64_still_converge(alpha, q, steps):
+    res = minimize(ProblemParams(alpha, q), SolverOptions(n=100))
+    assert res.converged and res.iterations == steps
+    assert 0.99 < res.lam / alpha < 1.3
+
+
+@pytest.mark.parametrize("sigma", [1e170, -1e170])
+def test_ascent_that_leaves_float64_is_refused(sigma):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=re.escape(f"sigma={sigma!r}, q=1.5, n=100")):
+            threshold_ascent(100, 1.5, sigma)
+    assert record == []
 
 
 def test_minimizer_is_normalized_with_nonnegative_average():

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from nleig.branches import reconstruct_profile
+from nleig.branches import branch_point, reconstruct_profile
 from nleig.core import GridFunction, ProblemParams, analyze
 from nleig.critical import alpha_critical
 from nleig.period import half_period
@@ -28,6 +28,7 @@ NS = (100, 101)
 ALPHAS = (-5.0, 0.0, 3.0, 6.0, 12.0, 2.0 * math.pi**2, 50.0)
 QS = (1.0, 1.25, 1.5, 2.0)
 DEPTHS = (0.1, 0.5, 0.9)
+BRANCH_TARGETS = (1e-10, 1e-13)
 CRITICAL_N, CRITICAL_QS, CRITICAL_TOL = 400, (1.0, 1.5, 2.0), 0.04
 
 
@@ -55,7 +56,7 @@ class _Layer:
 
 
 def _analyze_inputs(n: int) -> list[np.ndarray]:
-    """Sines, cosines, two humps within and past the 1e-9 tie band, and copies at extreme scales."""
+    """Sines, cosines, two humps of heights 1 and 1 +- 1e-10, 1 + 1e-8 or 0.6, and copies at extreme scales."""
     x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
     shapes = [np.sin(k * np.pi * x) for k in (1, 2, 3)]
     shapes += [np.cos(0.5 * np.pi * x), -np.cos(0.5 * np.pi * x)]
@@ -70,7 +71,7 @@ def _analyze_inputs(n: int) -> list[np.ndarray]:
 def main() -> None:
     layers = {name: _Layer(name) for name in (
         "core.analyze", "solver.minimize", "critical.alpha_critical", "period.half_period",
-        "branches.reconstruct_profile",
+        "branches.reconstruct_profile", "branches.branch_point",
     )}
 
     def analyzed(values: np.ndarray) -> None:
@@ -96,6 +97,9 @@ def main() -> None:
         for m in DEPTHS:
             h = half_period(m, q)
             layers["period.half_period"].add(h.value, h.error_estimate, h.evaluations)
+            for target in BRANCH_TARGETS:
+                b = branch_point(m, q, target)
+                layers["branches.branch_point"].add(b.lam, b.c)
     for layer in layers.values():
         print(layer.line())
 
