@@ -258,9 +258,10 @@ def _refined_extremum(v: np.ndarray, i: int) -> float:
     a = float(v[i - 1]) if i > 0 else 0.0
     b = float(v[i])
     c = float(v[i + 1]) if i + 1 < v.size else 0.0
-    curv = (a - b) + (c - b)  # symmetric in a and c: a reversed input gives the same bits
-    if curv == 0.0:
-        return b
+    # symmetric in a and c: a reversed input gives the same bits.  Never 0:
+    # analyze calls this at a first or last argmax of a sign-changing v, where a
+    # or c is below b (a zero end value too, as max v > 0), or the mirrored argmin
+    curv = (a - b) + (c - b)
     return b - (c - a) ** 2 / (8.0 * curv)
 
 

@@ -200,6 +200,19 @@ def threshold_and_residual(w: np.ndarray, n: int, sigma: float, q: float) -> tup
     return value, p, 1.0 / weight
 
 
+# the kernel output of a trial that cancels to zero: rejected like an objective of +inf
+_REJECTED = (math.inf, None, 1.0)
+
+
+def _normalize(trial: np.ndarray, h: float, odd: int) -> bool:
+    """Scale the half of a trial to unit L2 norm in place; False, leaving it as it is, if it is zero."""
+    mass = h * _fold(trial, trial, odd)
+    if mass == 0.0:
+        return False
+    trial /= math.sqrt(mass)
+    return True
+
+
 # an overflow or a NaN in a step would end the backtracking as a converged start
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int, bool]:
@@ -212,7 +225,9 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
     is that gradient preconditioned by K^-1/(2c), and its first-order
     decrease, the slope, is 2c*h*d.(K d) = 2c*D(d).  The unit step, to
     -K^-1 r, is inverse iteration on the local problem, which crushes
-    high-frequency error modes.  A trial of objective +inf is rejected.
+    high-frequency error modes.  A trial of objective +inf is rejected, and
+    so is a trial that cancels to zero (u - d = 0 to rounding, as at q = 2
+    with alpha or sigma beyond about 1e17), which counts as an evaluation.
     Returns the half of the iterate, its objective, the steps taken, the
     kernel evaluations made and whether the descent converged.  The kernel
     runs once per trial point.  The descent converges when an accepted step
@@ -255,15 +270,13 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
             # G_k - G_{k-1} = (u_k - u_{k-1}) - (d_k - d_{k-1})
             trial = u - d
             trial -= gamma * ((u - prev[0]) - dd)
-            trial /= math.sqrt(h * _fold(trial, trial, odd))
-            q_trial, r_trial, rate_trial = kernel(trial)
+            q_trial, r_trial, rate_trial = kernel(trial) if _normalize(trial, h, odd) else _REJECTED
             evaluations += 1
             accepted = q_trial <= q_val - _ARMIJO * slope
         if not accepted:
             while step * slope > _LAMBDA_TOL:
                 trial = u - step * d
-                trial /= math.sqrt(h * _fold(trial, trial, odd))
-                q_trial, r_trial, rate_trial = kernel(trial)
+                q_trial, r_trial, rate_trial = kernel(trial) if _normalize(trial, h, odd) else _REJECTED
                 evaluations += 1
                 if q_trial <= q_val - _ARMIJO * step * slope:
                     break
@@ -327,8 +340,7 @@ def minimize(
     winner's values are read-only.  Raises SolverNonconvergence (carrying
     the result) if the winning descent hit the iteration cap, and warns
     (RuntimeWarning) if a losing one did.  Raises ValueError where the
-    descent leaves float64: at n = 100 from about alpha = -1e155, and from
-    about -1e17 at q = 2, where a trial step cancels to zero.
+    descent leaves float64: at n = 100 from about alpha = -1e155.
     """
     n = opts.n
     h = 2.0 / (n + 1)
@@ -405,7 +417,7 @@ def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
     ascent.  At the maximizer u, the quotient Q_u(alpha) equals sigma: u is
     a constant-sign minimizer at the returned alpha.  sigma must be finite;
     where the ascent leaves float64 it raises ValueError: at n = 100 from
-    about |sigma| = 1e156, and from about 1e17 at q = 2.
+    about |sigma| = 1e156.
     """
     check_n(n)
     check_q(q)

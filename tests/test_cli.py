@@ -400,6 +400,19 @@ def test_verify_subset(capsys):
     assert "2/2 criteria passed" in out
 
 
+@pytest.mark.parametrize("only, message", [
+    ("0,2", "unknown criterion ids [0]: valid ids are 1-12"),
+    ("13", "unknown criterion ids [13]: valid ids are 1-12"),
+    ("x", "invalid literal for int()"),
+])
+def test_verify_refuses_an_unknown_id(capsys, only, message):
+    # before: 0,2 ran criterion 2 alone and passed, 13 failed on max() of an empty list
+    code, out, err = run(capsys, ["verify", "--only", only])
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 # --- import path ----------------------------------------------------------------------
 
 def _modules_loaded_by_import(package):

@@ -8,7 +8,9 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERS = [
     "core.analyze",
     "solver.minimize",
+    "solver.threshold_ascent",
     "critical.alpha_critical",
+    "critical.alpha_zero",
     "period.half_period",
     "branches.reconstruct_profile",
     "branches.branch_point",

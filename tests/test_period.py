@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -564,6 +565,12 @@ def test_study_functions_refuse_a_value_beyond_float64(m):
     # the same depths at q = 1.5 stay inside float64
     assert math.isfinite(monotonicity_gap(1e-306, 1.5, 0.5))
     assert math.isfinite(offset_positivity_margin(1e-306, 1.5))
+
+
+@pytest.mark.parametrize("y", [0.0, -0.5, 1.5, math.nan])
+def test_gap_rejects_a_height_outside_the_unit_interval(y):
+    with pytest.raises(ValueError, match=re.escape(f"y must lie in (0, 1], got {y!r}")):
+        monotonicity_gap(0.5, 1.5, y)
 
 
 def test_study_functions_reject_degenerate_depth():

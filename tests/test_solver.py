@@ -87,11 +87,11 @@ def test_negative_coupling_stays_constant_sign():
     assert analyze(res.minimizer).sign_class != "sign_changing"
 
 
-@pytest.mark.parametrize("alpha,q", [(-1e200, 1.5), (-1e155, 1.0), (-1e18, 2.0)])
+@pytest.mark.parametrize("alpha,q", [(-1e200, 1.5), (-1e155, 1.0)])
 def test_descent_that_leaves_float64_is_refused(alpha, q):
     # before: the overflowing slope ended the backtracking as a converged
-    # start (lambda -1.1532e200 at -1e200, about 8 % off the trend), and at
-    # q = 2 a zero trial was normalized 0/0, each behind RuntimeWarnings only
+    # start (lambda -1.1532e200 at -1e200, about 8 % off the trend), behind
+    # RuntimeWarnings only
     n = 100
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
@@ -102,11 +102,24 @@ def test_descent_that_leaves_float64_is_refused(alpha, q):
     assert record == []
 
 
-@pytest.mark.parametrize("alpha,q,steps", [(-1e150, 1.5, 3067), (-1e16, 2.0, 1)])
+@pytest.mark.parametrize("alpha,q,steps", [(-1e150, 1.5, 3067), (-1e16, 2.0, 1), (-1e18, 2.0, 1)])
 def test_strongly_negative_couplings_inside_float64_still_converge(alpha, q, steps):
+    # before: at -1e18 the unit-step trial cancelled to zero and was normalized
+    # 0/0, which raised ValueError; a zero trial is now rejected
     res = minimize(ProblemParams(alpha, q), SolverOptions(n=100))
     assert res.converged and res.iterations == steps
     assert 0.99 < res.lam / alpha < 1.3
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_a_trial_that_cancels_to_zero_is_rejected(n):
+    # at q = 2 and |alpha| or |sigma| beyond about 1e17 the unit step u - d is
+    # exactly 0; before, it was normalized 0/0 and the call raised ValueError
+    for alpha in (-1e17, -1e100, -1.7e308):
+        res = minimize(ProblemParams(alpha, 2.0), SolverOptions(n=n))
+        assert (res.lam, res.iterations, res.evaluations) == (alpha, 1, 4)
+    for sigma in (1e17, -1e17, 1e19, 1.7e308):
+        assert abs(threshold_ascent(n, 2.0, sigma).alpha - sigma) <= math.ulp(sigma)
 
 
 @pytest.mark.parametrize("sigma", [1e170, -1e170])

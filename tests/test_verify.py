@@ -1,0 +1,194 @@
+"""Every verify criterion is seen to fail.
+
+Each fault below perturbs one input of a criterion by a multiple of the
+tolerance of the check it reaches (or flips the sign of a quantity that
+must be positive); every criterion has one, criterion 8 one per check kind.  Twice the tolerance turns the criterion FAIL, with that
+check's label in the detail, and ``nleig verify --only k`` exits 3; half of
+it leaves the criterion passing.  The solves come from verify's own caches.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import nleig.cli as cli
+from nleig import verify
+from nleig.branches import alpha_zero_exact, q1_eigenvalue_of_coupling
+from nleig.core import GridFunction
+from nleig.critical import DualityMismatch
+
+PI2 = math.pi**2
+
+
+def _patch(monkeypatch, name, at, change, field=None):
+    """Make verify's ``name`` return change(value) where at(*args) holds; ``field`` names the changed attribute."""
+    original = getattr(verify, name)
+
+    def patched(*args):
+        value = original(*args)
+        if not at(*args):
+            return value
+        if field is None:
+            return change(value)
+        return dataclasses.replace(value, **{field: change(getattr(value, field))})
+
+    monkeypatch.setattr(verify, name, patched)
+
+
+def _above_alpha_q(alpha, q):
+    return alpha > verify._crit(q).alpha_q
+
+
+def _with_bump(u, size):
+    """u plus a bump of L2 norm size."""
+    bump = np.cos(0.5 * np.pi * u.x)
+    return GridFunction(u.values + size * bump / math.sqrt(u.h * float(bump @ bump)))
+
+
+def _fault_c1(mp, k):
+    _patch(mp, "_solve", lambda a, q: (a, q) == (0.0, 1.5), lambda lam: lam + k * 1e-4 * PI2 / 4, "lam")
+
+
+def _fault_c2(mp, k):
+    _patch(mp, "half_period", lambda m, q: (m, q) == (0.5, 1.0), lambda v: v + k * 1e-9 * math.pi, "value")
+
+
+def _fault_c3(mp, k):
+    _patch(mp, "offset_positivity_margin", lambda m, q: (m, q) == (0.5, 1.5), lambda v: -v)
+
+
+def _fault_c4(mp, k):
+    _patch(mp, "_crit", lambda q: q == 1.0, lambda aq: aq + k * 1e-5 * PI2 / 2, "alpha_q")
+
+
+def _fault_c5(mp, k):
+    _patch(mp, "_solve", lambda a, q: q == 2.0 and _above_alpha_q(a, q), lambda s: s + k * 1e-6, "q_average")
+
+
+def _fault_c6(mp, k):
+    _patch(mp, "_solve", lambda a, q: (a, q) == (4.0, 2.0), lambda lam: lam + k * 1e-4 * (PI2 / 4 + 4), "lam")
+
+
+def _fault_c7(mp, k):
+    root = q1_eigenvalue_of_coupling(2.5)
+    _patch(mp, "_solve", lambda a, q: (a, q) == (2.5, 1.0), lambda lam: lam + k * 1e-3 * root, "lam")
+
+
+def _fault_c8(mp, k):
+    # lambda(6, 1) and lambda(9, 1) are both the saturated odd sine's value
+    _patch(mp, "_solve", lambda a, q: (a, q) == (9.0, 1.0), lambda lam: lam - k * 1e-6, "lam")
+
+
+def _fault_c8_lipschitz(mp, k):
+    # slope 2 at q = 1: lambda(9) may exceed lambda(6) by at most 2*3 + 1e-6
+    base = verify._solve(6.0, 1.0).lam
+    _patch(mp, "_solve", lambda a, q: (a, q) == (9.0, 1.0), lambda lam: base + 6.0 + k * 1e-6, "lam")
+
+
+def _fault_c9(mp, k):
+    _patch(mp, "lower_bound", lambda q: q == 1.5, lambda b: verify._crit(1.5).alpha_q + k * verify._CRIT_TOL)
+
+
+def _fault_c10(mp, k):
+    _patch(mp, "alpha_zero", lambda q, opts: q == 1.5, lambda root: root + k * 1e-6 * abs(alpha_zero_exact(1.5)))
+
+
+def _fault_c11(mp, k):
+    _patch(mp, "rescale_lambda", lambda a, b, alpha, q, opts: q == 1.0, lambda lam: lam * (1.0 + k * 1e-6))
+
+
+def _fault_c12(mp, k):
+    _patch(mp, "_solve", lambda a, q: q == 1.5 and _above_alpha_q(a, q), lambda u: _with_bump(u, k * 1e-3), "minimizer")
+
+
+# (criterion, fault, label of the faulted check, whether the check has a tolerance)
+FAULTS = [
+    (1, _fault_c1, "lambda(0,1.5) rel dev from pi^2/4", True),
+    (2, _fault_c2, "half_period(0.5,1) rel dev from pi", True),
+    (3, _fault_c3, "offset margin(0.5,1.5) positive", False),
+    (4, _fault_c4, "alpha_critical(1.0) rel dev", True),
+    (5, _fault_c5, "q=2.0: q_average at alpha_q+0.5", True),
+    (6, _fault_c6, "lambda(4.0,2) rel dev from pi^2/4+alpha", True),
+    (7, _fault_c7, "lambda(2.5,1) rel dev from the branch root", True),
+    (8, _fault_c8, "q=1.0: lambda(6.0) - 1e-6 vs lambda(9.0)", True),
+    (8, _fault_c8_lipschitz, "q=1.0: increment over (6.0,9.0) vs Lipschitz bound + 1e-6", True),
+    (9, _fault_c9, "q=1.5: lower bound - tol vs alpha_q", True),
+    (10, _fault_c10, "alpha_zero(1.5) rel dev from closed form", True),
+    (11, _fault_c11, "q=1.0: rescaled (-2,2) lambda rel dev from closed form", True),
+    (12, _fault_c12, "q=1.5: L2 distance of the rebuild from the minimizer", True),
+]
+
+
+def _params(rows):
+    return [pytest.param(cid, fault, label, id=fault.__name__[len("_fault_"):]) for cid, fault, label, _ in rows]
+
+
+def test_every_criterion_has_a_fault():
+    assert sorted({cid for cid, _, _, _ in FAULTS}) == [num for num, _, _ in verify.CRITERIA]
+
+
+@pytest.mark.parametrize("cid, fault, label", _params(FAULTS))
+def test_a_fault_at_twice_the_tolerance_fails_its_criterion(monkeypatch, capsys, cid, fault, label):
+    fault(monkeypatch, 2.0)
+    result = verify.run_criterion(cid)
+    assert not result.passed
+    assert result.detail.startswith("1 of ")
+    assert f"{label}: " in result.detail
+    assert cli.main(["verify", "--only", str(cid)]) == 3
+    assert "0/1 criteria passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cid, fault, label", _params(row for row in FAULTS if row[3]))
+def test_a_fault_at_half_the_tolerance_passes(monkeypatch, cid, fault, label):
+    fault(monkeypatch, 0.5)
+    assert verify.run_criterion(cid).passed
+
+
+def test_a_nan_fails_its_check(monkeypatch):
+    _patch(monkeypatch, "_solve", lambda a, q: (a, q) == (0.0, 1.5), lambda lam: math.nan, "lam")
+    result = verify.run_criterion(1)
+    assert not result.passed
+    assert "lambda(0,1.5) rel dev from pi^2/4: nan > 0.0001" in result.detail
+
+
+def test_a_strict_check_fails_at_equality(monkeypatch):
+    # criterion 5 needs lambda < pi^2 below alpha_q: pi^2 itself fails, the float below it passes
+    for lam, passed in ((PI2, False), (math.nextafter(PI2, 0.0), True)):
+        _patch(monkeypatch, "_solve", lambda a, q: not _above_alpha_q(a, q), lambda _: lam, "lam")
+        assert verify.run_criterion(5).passed is passed
+        monkeypatch.undo()
+
+
+def test_a_duality_mismatch_is_a_failing_check(monkeypatch):
+    def mismatch(q, opts):
+        raise DualityMismatch(f"duality mismatch at q = {q}: injected")
+
+    monkeypatch.setattr(verify, "alpha_zero", mismatch)
+    result = verify.run_criterion(10)
+    assert not result.passed
+    assert result.detail.startswith("3 of 3 checks fail")
+    shown = "alpha_zero(1.0) rel dev from closed form (duality mismatch at q = 1.0: injected): inf > 1e-06"
+    assert shown in result.detail
+
+
+def test_check_counts_per_criterion():
+    # the parent's 377 comparisons, with criterion 3's two chains (the
+    # integrand over q, the gap over y) split into one check per pair or value
+    counts = {num: len(list(fn())) for num, _, fn in verify.CRITERIA}
+    assert counts == {1: 3, 2: 22, 3: 1444, 4: 4, 5: 12, 6: 5, 7: 7, 8: 30, 9: 4, 10: 3, 11: 2, 12: 2}
+
+
+def test_a_pass_detail_names_the_check_nearest_its_bound():
+    result = verify.run_criterion(1)
+    assert result.passed
+    assert result.detail.startswith("3 checks hold, nearest its bound lambda(0,")
+    assert "<= 0.0001" in result.detail
+
+
+def test_unknown_ids_are_refused():
+    with pytest.raises(ValueError, match="unknown criterion id 13"):
+        verify.run_criterion(13)
+    with pytest.raises(ValueError, match=r"unknown criterion ids \[0, 13\]: valid ids are 1-12"):
+        verify.run_all({0, 2, 13})

@@ -20,9 +20,9 @@ import numpy as np
 
 from nleig.branches import branch_point, reconstruct_profile
 from nleig.core import GridFunction, ProblemParams, analyze
-from nleig.critical import alpha_critical
+from nleig.critical import alpha_critical, alpha_zero
 from nleig.period import half_period
-from nleig.solver import SolverOptions, minimize
+from nleig.solver import SolverOptions, minimize, saturation_reference, threshold_ascent
 
 NS = (100, 101)
 ALPHAS = (-5.0, 0.0, 3.0, 6.0, 12.0, 2.0 * math.pi**2, 50.0)
@@ -70,8 +70,8 @@ def _analyze_inputs(n: int) -> list[np.ndarray]:
 
 def main() -> None:
     layers = {name: _Layer(name) for name in (
-        "core.analyze", "solver.minimize", "critical.alpha_critical", "period.half_period",
-        "branches.reconstruct_profile", "branches.branch_point",
+        "core.analyze", "solver.minimize", "solver.threshold_ascent", "critical.alpha_critical",
+        "critical.alpha_zero", "period.half_period", "branches.reconstruct_profile", "branches.branch_point",
     )}
 
     def analyzed(values: np.ndarray) -> None:
@@ -86,6 +86,10 @@ def main() -> None:
                 r = minimize(ProblemParams(alpha, q), SolverOptions(n=n))
                 layers["solver.minimize"].add(r.lam, r.q_average, r.iterations, r.evaluations, r.degenerate)
                 analyzed(r.minimizer.values)
+            # the ascents of alpha_zero (sigma = 0) and of alpha_critical (the saturation value)
+            for sigma in (0.0, saturation_reference(n, q)):
+                a = threshold_ascent(n, q, sigma)
+                layers["solver.threshold_ascent"].add(a.alpha, a.iterations, a.maximizer.values)
             for m in DEPTHS:
                 u = reconstruct_profile(m, q, n)
                 layers["branches.reconstruct_profile"].add(u.values)
@@ -93,6 +97,7 @@ def main() -> None:
     for q in CRITICAL_QS:
         c = alpha_critical(q, CRITICAL_TOL, SolverOptions(n=CRITICAL_N))
         layers["critical.alpha_critical"].add(c.alpha_q, c.bracket, c.iterations)
+        layers["critical.alpha_zero"].add(alpha_zero(q, SolverOptions(n=CRITICAL_N)))
     for q in QS:
         for m in DEPTHS:
             h = half_period(m, q)
