@@ -40,7 +40,6 @@ from .branches import (
 from .critical import (
     BracketViolation,
     CriticalResult,
-    DualityMismatch,
     alpha_critical,
     alpha_zero,
     rescale_lambda,
@@ -74,7 +73,6 @@ __all__ = [
     "reconstruct_profile",
     "BracketViolation",
     "CriticalResult",
-    "DualityMismatch",
     "alpha_critical",
     "alpha_zero",
     "rescale_lambda",

@@ -1,4 +1,4 @@
-"""Critical coupling location, zero-eigenvalue duality, interval rescaling.
+"""Critical coupling location, zero crossing, interval rescaling.
 
 The paper's dichotomy puts the critical coupling alpha_q where the
 constant-sign branch lambda_c(alpha) reaches the saturated value: below
@@ -24,8 +24,9 @@ discretization bias that would otherwise shift the threshold.
 
 At the zero crossing alpha_0 the quotient's numerator vanishes at the
 minimizer, so -alpha_0 is the dual constant min int|w'|^2 / (int|w|^q)^(2/q).
-That constant has a closed form (``branches.alpha_zero_exact``), which checks
-the ascent's value up to the grid's O(h^2) bias.
+``alpha_zero`` returns the ascent's value and judges nothing: verify
+criterion 10 compares it with that constant's closed form
+(``branches.alpha_zero_exact``), within the grid's O(h^2) bias.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .branches import alpha_zero_exact
 from .core import ProblemParams, check_q, is_constant_sign, rayleigh_quotient
 from .solver import ALPHA_TOP, SATURATION_BAND, SolverOptions, minimize, saturation_reference, threshold_ascent
 
@@ -48,10 +48,6 @@ _BRACKET_MARGIN = 0.1
 
 class BracketViolation(RuntimeError):
     """The dichotomy failed at a bracket or confirmation point (solver or grid fault)."""
-
-
-class DualityMismatch(RuntimeError):
-    """The zero-crossing coupling is off minus the closed-form dual quotient minimum."""
 
 
 @dataclass(frozen=True)
@@ -133,26 +129,16 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
 
 
 def alpha_zero(q: float, opts: SolverOptions = SolverOptions()) -> float:
-    """Coupling at which the eigenvalue crosses zero, cross-checked by duality.
+    """Coupling at which the eigenvalue crosses zero: the ascent's value.
 
     The ascent of F_0 = -D/|S|^(2/q) from the positive bump (module
     docstring) returns alpha_0 = -min_u D/|S|^(2/q), a certified lower bound
     of the discrete zero crossing; it must converge (SolverNonconvergence
-    otherwise).  Then -alpha_0 must equal the dual quotient minimum tau =
-    -``branches.alpha_zero_exact(q)`` to within h^2*tau, h = 2/(n + 1), which
-    covers the discretization bias of the discrete minimum (measured below
-    0.26*h^2*tau).  Raises DualityMismatch on disagreement.
+    otherwise).  Verify criterion 10 compares it with the closed form
+    ``branches.alpha_zero_exact(q)`` within h^2 relative, h = 2/(n + 1).
     """
     check_q(q)
-    root = threshold_ascent(opts.n, q, 0.0).alpha
-    tau = -alpha_zero_exact(q)
-    h = 2.0 / (opts.n + 1)
-    if abs(tau + root) > h * h * tau:
-        raise DualityMismatch(
-            f"duality mismatch at q = {q}: zero crossing at alpha = {root:.8f} "
-            f"but dual quotient minimum is {tau:.8f}"
-        )
-    return root
+    return threshold_ascent(opts.n, q, 0.0).alpha
 
 
 def rescale_lambda(

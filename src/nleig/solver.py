@@ -370,7 +370,7 @@ def minimize(
     else:
         if not converged:
             warnings.warn(
-                f"losing restart positive_bump hit the iteration cap {_MAX_ITERATIONS} at "
+                f"the losing descent hit the iteration cap {_MAX_ITERATIONS} at "
                 f"(alpha={alpha}, q={q}, n={n})",
                 RuntimeWarning,
                 stacklevel=2,

@@ -10,7 +10,6 @@ from nleig.branches import alpha_zero_exact, q1_eigenvalue_of_coupling
 from nleig.core import GridFunction, ProblemParams, analyze, is_constant_sign, rayleigh_quotient
 from nleig.critical import (
     BracketViolation,
-    DualityMismatch,
     alpha_critical,
     alpha_zero,
     lower_bound,
@@ -21,6 +20,31 @@ from nleig.solver import SolverNonconvergence, SolverOptions, ThresholdAscent, m
 
 PI2 = math.pi**2
 OPTS = SolverOptions()
+GRID_NS = (100, 101, 400, 4000, 4001)
+
+
+def _grid_h(n):
+    return 2.0 / (n + 1)
+
+
+# grid-exact forms.  q = 2: the constant-sign quotient is D/M + alpha, so the
+# zero crossing is minus the bump's discrete Dirichlet eigenvalue and alpha_2
+# is the sine's minus it.  q = 1: the dual minimizer is K^-1 1 = (1 - x^2)/2
+# at the nodes (the stencil is exact on quadratics), whose trapezoid sum is
+# 2/3 - h^2/6.
+def _grid_alpha_zero_q2(n):
+    h = _grid_h(n)
+    return -(4.0 / h**2) * math.sin(math.pi * h / 4.0) ** 2
+
+
+def _grid_alpha_zero_q1(n):
+    return -6.0 / (4.0 - _grid_h(n) ** 2)
+
+
+def _grid_alpha_critical_q2(n):
+    h = _grid_h(n)
+    return (4.0 / h**2) * (math.sin(math.pi * h / 2.0) ** 2 - math.sin(math.pi * h / 4.0) ** 2)
+
 
 # constant-sign and sign-changing maximizers for fake ascents: the bump, and
 # the bump with its last node negated, which changes sign far outside the
@@ -154,6 +178,9 @@ def test_critical_coupling_q1_closed_form_tight(crit):
 
 def test_critical_coupling_q2_closed_form_tight(crit):
     assert abs(crit(2.0).alpha_q - 0.75 * PI2) <= 1e-5
+    for n in GRID_NS:
+        exact = _grid_alpha_critical_q2(n)
+        assert abs(alpha_critical(2.0, 0.04, SolverOptions(n=n)).alpha_q - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("q", [1.25, 1.5])
@@ -212,7 +239,7 @@ def test_search_mechanics(monkeypatch, q):
 
 
 @pytest.mark.parametrize("n", [100, 101, 4000, 4001])
-def test_continuation_keeps_the_cold_search(monkeypatch, n):
+def test_warm_confirming_solve_matches_the_cold_one(monkeypatch, n):
     # the confirming solve starts from the ascent's maximizer; its lambda is a
     # cold one, and the maximizer's quotient bounds the cold lambda at the lower end
     opts = SolverOptions(n=n)
@@ -252,15 +279,22 @@ def test_ascent_step_cap(monkeypatch):
 
 def test_zero_crossing_q2_matches_poincare_shift():
     # on the q = 2 constant-sign branch lambda = pi^2/4 + alpha, so the zero
-    # crossing sits at -pi^2/4
+    # crossing sits at -pi^2/4, and on the grid at minus the discrete eigenvalue
     a0 = alpha_zero(2.0, OPTS)
     assert abs(a0 + PI2 / 4) <= 1e-3 * PI2 / 4
+    for n in GRID_NS:
+        exact = _grid_alpha_zero_q2(n)
+        assert abs(alpha_zero(2.0, SolverOptions(n=n)) - exact) <= 1e-12 * abs(exact)
 
 
 def test_zero_crossing_q1_matches_parabola_oracle():
-    # the dual quotient at q = 1 is minimized by 1 - x^2, giving exactly 3/2
+    # the dual quotient at q = 1 is minimized by 1 - x^2, giving exactly 3/2,
+    # and on the grid -6/(4 - h^2)
     a0 = alpha_zero(1.0, OPTS)
     assert abs(a0 + 1.5) <= 1e-3 * 1.5
+    for n in GRID_NS:
+        exact = _grid_alpha_zero_q1(n)
+        assert abs(alpha_zero(1.0, SolverOptions(n=n)) - exact) <= 1e-12 * abs(exact)
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5])
@@ -287,28 +321,12 @@ def test_zero_crossing_matches_closed_form(q):
 @pytest.mark.parametrize("n", [100, 101])
 @pytest.mark.parametrize("q", [1.0, 1.1, 1.5, 2.0])
 def test_zero_crossing_band_covers_the_coarse_grid_bias(q, n):
-    # at n = 100 the discrete root sits up to 9.8e-5 (relative, q = 1) off the
-    # closed form, a quarter of the band h^2 = 3.9e-4
-    assert alpha_zero(q, SolverOptions(n=n)) < 0.0
-
-
-@pytest.mark.parametrize("shift", [-2.0, 2.0])
-@pytest.mark.parametrize("q", [1.0, 1.1, 1.5, 2.0])
-def test_zero_crossing_two_band_widths_off_is_a_mismatch(monkeypatch, q, shift):
-    # the band h^2*tau is tight: a closed form moved by 2*h^2 relative, twice
-    # the band and eight times the bias, lies outside it
-    n = 100
-    h = 2.0 / (n + 1)
+    # the band h^2 of verify criterion 10 holds on coarse grids too: at n = 100
+    # the discrete root sits up to 9.8e-5 (relative, q = 1) off the closed
+    # form, a quarter of h^2 = 3.9e-4
     exact = alpha_zero_exact(q)
-    monkeypatch.setattr(critical, "alpha_zero_exact", lambda q: (1.0 + shift * h * h) * exact)
-    with pytest.raises(DualityMismatch, match=f"duality mismatch at q = {q}"):
-        alpha_zero(q, SolverOptions(n=n))
-
-
-def test_zero_crossing_off_the_closed_form_is_a_mismatch(monkeypatch):
-    monkeypatch.setattr(critical, "alpha_zero_exact", lambda q: 1.01 * alpha_zero_exact(q))
-    with pytest.raises(DualityMismatch, match="duality mismatch at q = 1.5"):
-        alpha_zero(1.5, SolverOptions(n=100))
+    h = _grid_h(n)
+    assert abs(alpha_zero(q, SolverOptions(n=n)) - exact) <= h * h * abs(exact)
 
 
 # --- rescaling -------------------------------------------------------------------

@@ -357,7 +357,7 @@ def test_odd_sine_start_above_threshold_is_already_converged(alpha, q):
 @pytest.mark.parametrize("n", [100, 4000])
 @pytest.mark.parametrize("alpha", [-50.0, 0.0, 9.0, 2.0 * PI2, 1e6])
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
-def test_odd_restart_is_the_descent_it_replaces(q, alpha, n):
+def test_stored_sine_stands_in_for_its_descent(q, alpha, n):
     # a descent from the stored sine stops at its first evaluation, the full
     # quotient with the sine's rounding residue S; the stored value takes
     # S = 0, so the two differ by that residue's term alone
@@ -439,13 +439,13 @@ def test_minimize_descends_once(alpha, n, monkeypatch):
         assert seen == [min(alpha, solver.ALPHA_TOP)]
 
 
-def test_capped_losing_restart_is_reported(monkeypatch):
-    # at q = 1.5, n = 100 the bump restart loses to the odd sine after 7 steps
+def test_capped_losing_descent_is_reported(monkeypatch):
+    # at q = 1.5, n = 100 the bump descent loses to the odd sine after 7 steps
     # at alpha = 15 and 8 steps at 2*pi^2, where alpha = 50 descends; at a
     # cap of 5 it loses capped, and must say so, naming the alpha asked for
     monkeypatch.setattr(solver, "_MAX_ITERATIONS", 5)
     for alpha in (15.0, 50.0):
-        with pytest.warns(RuntimeWarning, match=rf"restart positive_bump .* \(alpha={alpha}, q=1.5, n=100\)"):
+        with pytest.warns(RuntimeWarning, match=rf"the losing descent hit the iteration cap .* \(alpha={alpha}, q=1.5, n=100\)"):
             res = minimize(ProblemParams(alpha, 1.5), SolverOptions(n=100))
         assert res.converged
         assert res.iterations == 5
@@ -467,7 +467,7 @@ def test_capped_descent_that_ties_the_sine_loses(monkeypatch):
                 minimize(ProblemParams(50.0, 1.5), SolverOptions(n=n))
             assert info.value.result.lam == sat - gap
         else:
-            with pytest.warns(RuntimeWarning, match="losing restart positive_bump") as record:
+            with pytest.warns(RuntimeWarning, match="the losing descent hit the iteration cap") as record:
                 res = minimize(ProblemParams(50.0, 1.5), SolverOptions(n=n))
             assert len(record) == 1
             assert (res.lam, res.converged, res.degenerate, res.q_average) == (sat, True, False, 0.0)
@@ -508,7 +508,7 @@ def test_extrapolation_shortens_constant_sign_descents(alpha, q, most):
 
 
 def test_sign_changing_descent_does_not_extrapolate():
-    # the bump restart crosses S = 0 here; secant steps across the kink sent
+    # the bump descent crosses S = 0 here; secant steps across the kink sent
     # it to the iteration cap, against 18 steps without them
     iterations, _, converged, _ = _counted_descent(_grid(1200)[0], 1000.0, 1.65, n=1200)
     assert converged
@@ -517,14 +517,14 @@ def test_sign_changing_descent_does_not_extrapolate():
 
 @pytest.mark.parametrize(
     "alpha,q,start",
-    [(2.0, 1.5, "winner"), (-5.0, 1.2, "winner"), (2.0 * PI2, 2.0, "restart")],
+    [(2.0, 1.5, "winner"), (-5.0, 1.2, "winner"), (2.0 * PI2, 2.0, "loser")],
 )
 def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, start):
     n = OPTS.n
     if start == "winner":
         w0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values[: (n + 1) // 2]
     else:
-        # the end point of the bump restart, which loses to the odd sine here
+        # the end point of the bump descent, which loses to the odd sine here
         w0 = _quotient_descent(_grid(n)[0], alpha, q, n)[0]
     _, evaluations, converged, _ = _counted_descent(w0, alpha, q)
     assert converged
@@ -621,7 +621,7 @@ def test_minimizer_values_are_read_only():
 
 
 @pytest.mark.parametrize("alpha,q", [(3.0, 1.5), (9.0, 1.5)])
-def test_evaluations_sum_the_restarts(alpha, q):
+def test_evaluations_count_the_descent_and_the_sine(alpha, q):
     n = OPTS.n
     res = minimize(ProblemParams(alpha, q), OPTS)
     iterations, evaluations, _, _ = _counted_descent(_grid(n)[0], alpha, q, n)
@@ -639,9 +639,10 @@ def test_constant_sign_minimizer_is_even(n):
     assert res.q_average == pytest.approx(q_average(res.minimizer, 1.5), rel=1e-13)
 
 
-def test_losing_odd_restart_below_threshold_stops_at_once():
+def test_losing_odd_sine_below_threshold_is_not_descended():
     # at (-50, 1.75) the odd sine, with S = 0, is a critical point of the
-    # quotient that loses to the bump: it must cost no descent steps
+    # quotient that loses to the bump: it is evaluated, not descended, so the
+    # steps are the bump descent's alone (6 here)
     assert minimize(ProblemParams(-50.0, 1.75), OPTS).iterations <= 50
 
 
