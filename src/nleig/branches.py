@@ -31,51 +31,71 @@ from .period import (
 _PI2 = math.pi**2
 
 # Graded mesh of the arclength accumulation on the square-root variable u in
-# [0, 1] of each arc: panels of width c0 = 1/512 in the complement c = 1 - u
-# down to c = c0, then geometric panels [c0*2^-(k+1), c0*2^-k] for k < 60, which
-# resolve the y^(-q/2) end of the positive arc at u -> 1 as m -> 0.  Nodes and
-# half-widths come from ``period.gauss_panels``, the helper of the graded
-# Gauss-Legendre rule behind ``half_period``, so both place 8 nodes per panel
-# by their complements in one code path.  The table is finer than that rule's
-# geometric panels alone: the rebuild interpolates between its points.  The
-# geometry is fixed, so it is built once; the arrays are read-only because
-# every rebuild shares them.  The table stops at c = c0*2^-60 ~ 1.7e-21:
+# [0, 1] of each arc, in two blocks.  The coarse block is 63 panels of width
+# 1/64 in the complement c = 1 - u, down to c = 1/64; the fine block is 7
+# panels of width c0 = 1/512 down to c = c0, then geometric panels
+# [c0*2^-(k+1), c0*2^-k] for k < 60, which resolve the y^(-q/2) end of the
+# positive arc at u -> 1 as m -> 0.  Nodes and half-widths come from
+# ``period.gauss_panels``, the helper of the graded Gauss-Legendre rule behind
+# ``half_period``, so both place 8 nodes per panel by their complements in one
+# code path; 8 nodes integrate a 1/64 panel's densities to rounding.  The
+# rebuild interpolates between the points at which the cumulative is read:
+# each coarse panel at 56 evenly spaced points, its right edge last, 2.8e-4
+# apart in c, below the 3.6e-4 between the middle Gauss nodes of a 1/512
+# panel; each fine panel at its 8 nodes and its right edge.  The geometry is
+# fixed, so it is built once; the arrays are read-only because every rebuild
+# shares them.  The table stops at c = c0*2^-60 ~ 1.7e-21:
 # ``reconstruct_profile`` refuses a depth whose positive arc has a tail below
 # it above _TAIL_LIMIT of the period.
+_C_COARSE = 1.0 / 64
+_COARSE_PANELS = int(1.0 / _C_COARSE) - 1  # down to c = _C_COARSE
+_COARSE_READS = 56
 _C0 = 1.0 / 512
 _GEOMETRIC_PANELS = 60
 _TAIL_LIMIT = 1e-8
 
 
 def _graded_geometry() -> tuple[np.ndarray, ...]:
-    """u^2 and ln y at the Gauss nodes, half-widths, partial-integral matrix, y at all points, c of the last panel.
+    """u^2 and ln y at the Gauss nodes, the two blocks' partial-integral matrices, fine half-widths, y at all points, c of the last panel.
 
     Nodes are placed by their complements c, taken from the panel edges, so
-    that c keeps full relative accuracy at u -> 1.  "All points" are the panel
-    edges and Gauss nodes in order of increasing u: edge, its 8 nodes, next
-    edge, ..., last edge.  Row j of the (8, 9) partial-integral matrix maps
-    the value at node j to its share of the integrals of the degree-7
-    interpolant over [-1, xi_0], [-1, xi_1], ..., [-1, xi_7], [-1, 1] of the
-    reference panel; its last column holds the Gauss weights.  The
-    half-widths are repeated over those 9 columns.  The complements c of the
-    last panel's nodes descend, so the last is the innermost node's.
+    that c keeps full relative accuracy at u -> 1; the node arrays hold the
+    coarse panels' rows, then the fine panels'.  Row j of a partial-integral
+    matrix maps the value at node j to its share of the integrals of the
+    degree-7 interpolant over [-1, xi] of the reference panel, one column
+    per read-out point xi, ascending to xi = 1, where the column holds the
+    Gauss weights.  The coarse block reads xi = -1 + 2k/56, k = 1..56, and
+    its (8, 56) matrix carries the coarse half-width 1/128; the fine block
+    reads its 8 nodes and 1 through an (8, 9) matrix, with its half-widths
+    repeated over the 9 columns.  "All points" are u = 0 and the read-out
+    points in order of increasing u.  The complements c of the last panel's
+    nodes descend, so the last is the innermost node's.
     """
     legendre = np.polynomial.legendre
-    c_edges = np.concatenate((np.arange(1.0, 0.0, -_C0), _C0 * 0.5 ** np.arange(1, _GEOMETRIC_PANELS + 1)))
-    pts_c, half = gauss_panels(c_edges)
+    coarse_edges = 1.0 - _C_COARSE * np.arange(_COARSE_PANELS + 1)
+    fine_edges = np.concatenate((np.arange(_C_COARSE, 0.0, -_C0), _C0 * 0.5 ** np.arange(1, _GEOMETRIC_PANELS + 1)))
+    coarse_c, coarse_half = gauss_panels(coarse_edges)
+    fine_c, fine_half = gauss_panels(fine_edges)
+    pts_c = np.concatenate((coarse_c, fine_c))
     u2, ln_y = arc_variables(1.0 - pts_c, pts_c)
     lagrange = np.linalg.inv(legendre.legvander(GAUSS_NODES, GAUSS_NODES.size - 1))  # column j: basis l_j
     primitive = legendre.legint(lagrange, lbnd=-1.0)
-    partials = legendre.legval(np.append(GAUSS_NODES, 1.0), primitive)
-    c_all = np.append(np.column_stack((c_edges[:-1], pts_c)).ravel(), c_edges[-1])
-    half = np.repeat(half, partials.shape[1], axis=1)
-    geometry = (u2, ln_y, half, partials, c_all * (2.0 - c_all), pts_c[-1])  # y = 1 - u^2 = c*(2 - c)
+    reads = np.arange(1, _COARSE_READS + 1) / (0.5 * _COARSE_READS) - 1.0
+    coarse = legendre.legval(reads, primitive) * coarse_half[0, 0]  # a power of two: exact
+    fine = legendre.legval(np.append(GAUSS_NODES, 1.0), primitive)
+    c_all = np.concatenate((
+        [1.0],
+        (coarse_edges[:-1, None] - coarse_half * (reads + 1.0)).ravel(),
+        np.column_stack((fine_c, fine_edges[1:])).ravel(),
+    ))
+    fine_half = np.repeat(fine_half, fine.shape[1], axis=1)
+    geometry = (u2, ln_y, coarse, fine, fine_half, c_all * (2.0 - c_all), pts_c[-1])  # y = 1 - u^2 = c*(2 - c)
     for a in geometry:
         a.setflags(write=False)
     return geometry
 
 
-_PTS_U2, _PTS_LN_Y, _HALF, _PARTIALS, _Y_ALL, _C_LAST = _graded_geometry()
+_PTS_U2, _PTS_LN_Y, _COARSE_PARTIALS, _FINE_PARTIALS, _FINE_HALF, _Y_ALL, _C_LAST = _graded_geometry()
 
 
 @dataclass(frozen=True)
@@ -107,19 +127,24 @@ def branch_point(m: float, q: float, target_rel_err: float = DEFAULT_TARGET_REL_
 def _arc_cumulative(density: np.ndarray) -> np.ndarray:
     """Cumulative integral of one arclength density sampled at the Gauss nodes of the graded panels.
 
-    ``density`` has shape (panels, 8).  The returned table has one entry per
-    edge and node of the panels, in order of increasing u, starting at 0 and
-    ending at the integral over (0, 1).  One product, written into the table,
-    gives the integrals from each panel's left edge; only the panel totals
-    are then accumulated, as offsets.
+    ``density`` has shape (panels, 8), the coarse panels' rows first.  The
+    returned table has one entry per point of ``_Y_ALL``, in order of
+    increasing u, starting at 0 and ending at the integral over (0, 1).  One
+    product per block, written into the table, gives the integrals from each
+    panel's left edge to its read-out points; only the panel totals, the
+    last column of each block, are then accumulated, as offsets.
     """
-    out = np.empty(density.shape[0] * _PARTIALS.shape[1] + 1)
+    split = _COARSE_PANELS * _COARSE_READS + 1
+    out = np.empty(split + _FINE_HALF.size)
     out[0] = 0.0
-    within = out[1:].reshape(density.shape[0], -1)
-    np.matmul(density, _PARTIALS, out=within)
-    within *= _HALF
-    ends = np.add.accumulate(within[:-1, -1])
-    within[1:] += ends[:, None]
+    coarse = out[1:split].reshape(_COARSE_PANELS, -1)
+    fine = out[split:].reshape(_FINE_HALF.shape)
+    np.matmul(density[:_COARSE_PANELS], _COARSE_PARTIALS, out=coarse)
+    np.matmul(density[_COARSE_PANELS:], _FINE_PARTIALS, out=fine)
+    fine *= _FINE_HALF
+    ends = np.add.accumulate(np.concatenate((coarse[:, -1], fine[:-1, -1])))
+    coarse[1:] += ends[: _COARSE_PANELS - 1, None]
+    fine += ends[_COARSE_PANELS - 1 :, None]
     return out
 
 
@@ -131,8 +156,10 @@ def reconstruct_profile(m: float, q: float, n: int) -> GridFunction:
     (negative arc), where the densities (``period.arc_densities``) are
     smooth.  A node x is then placed by its distance |x - x_ext|*half_period
     from the extremum x_ext of its arc and inverted by piecewise-linear
-    interpolation on the ascending tables of the edges and Gauss nodes of
-    the graded panels.  The positive arc is anchored first: the profile
+    interpolation on the ascending tables of the read-out points: 56 evenly
+    spaced points per coarse panel, the Gauss nodes and right edge of each
+    fine panel.  The densities are sampled only at the Gauss nodes, 1 040
+    per arc.  The positive arc is anchored first: the profile
     rises from 0 at x = -1 to its maximum 1, crosses zero once, and dips to
     -m before x = 1.  Raises ValueError where the tables stop short of the
     positive arc's y^(-q/2) end: when ``period.tail_bound`` puts its part

@@ -15,7 +15,15 @@ from nleig.branches import (
     reconstruct_profile,
 )
 from nleig.core import ProblemParams, analyze, q_average, rayleigh_quotient
-from nleig.period import arc_densities, first_integral_coeffs, half_period, integrate_endpoint_singular
+from nleig.period import (
+    GAUSS_NODES,
+    arc_densities,
+    arc_variables,
+    first_integral_coeffs,
+    gauss_panels,
+    half_period,
+    integrate_endpoint_singular,
+)
 from nleig.solver import SolverOptions, minimize
 
 PI = math.pi
@@ -162,13 +170,69 @@ def test_q2_profile_matches_closed_form(m):
 @pytest.mark.parametrize("m, q", [(1e-9, 1.05), (1e-3, 1.9), (0.3, 1.5), (0.9, 1.95), (1.0, 2.0)])
 def test_arc_cumulative_matches_the_running_sum(m, q):
     # the panel-offset accumulation against one running sum of the
-    # sub-interval increments over all edges and nodes
-    increments = np.diff(branches._PARTIALS, axis=1, prepend=0.0)
+    # sub-interval increments over all read-out points of both blocks
+    coarse_increments = np.diff(branches._COARSE_PARTIALS, axis=1, prepend=0.0)
+    fine_increments = np.diff(branches._FINE_PARTIALS, axis=1, prepend=0.0)
+    panels = branches._COARSE_PANELS
     for density in arc_densities(branches._PTS_U2, branches._PTS_LN_Y, m, q):
-        running = np.concatenate(([0.0], np.cumsum((density @ increments) * branches._HALF[:, :1])))
+        steps = np.concatenate((
+            (density[:panels] @ coarse_increments).ravel(),
+            ((density[panels:] @ fine_increments) * branches._FINE_HALF).ravel(),
+        ))
+        running = np.concatenate(([0.0], np.cumsum(steps)))
         cumulative = branches._arc_cumulative(density)
+        assert cumulative.shape == branches._Y_ALL.shape
         assert np.all(np.diff(cumulative) >= 0.0)
         assert np.abs(cumulative - running).max() <= 1e-14 * running[-1]
+
+
+def _reference_profile(m, q, n):
+    """The rebuild on a table 16x finer: 1/512 panels, then 60 geometric ones, each cut into 16 panels read at their 8 nodes and right edge."""
+    legendre = np.polynomial.legendre
+    edges = np.concatenate((np.arange(512, 0, -1) / 512, 0.5 ** np.arange(10, 70)))
+    cut = np.append((edges[:-1, None] + np.diff(edges)[:, None] * np.arange(16) / 16).ravel(), edges[-1])
+    pts_c, half = gauss_panels(cut)
+    lagrange = np.linalg.inv(legendre.legvander(GAUSS_NODES, GAUSS_NODES.size - 1))
+    partials = legendre.legval(np.append(GAUSS_NODES, 1.0), legendre.legint(lagrange, lbnd=-1.0))
+    c_all = np.append(1.0, np.column_stack((pts_c, cut[1:])).ravel())
+    y_all = c_all * (2.0 - c_all)
+    pos_cum, neg_cum = (
+        np.concatenate(([0.0], np.cumsum(np.diff((d @ partials) * half, axis=1, prepend=0.0))))
+        for d in arc_densities(*arc_variables(1.0 - pts_c, pts_c), m, q)
+    )
+    period = pos_cum[-1] + neg_cum[-1]
+    max_point = -1.0 + pos_cum[-1] / period
+    zero = -1.0 + 2.0 * pos_cum[-1] / period
+    min_point = 1.0 - neg_cum[-1] / period
+    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    return np.where(
+        x <= zero,
+        np.interp(np.abs(x - max_point) * period, pos_cum, y_all),
+        -m * np.interp(np.abs(x - min_point) * period, neg_cum, y_all),
+    )
+
+
+# max-abs error at n = 4000 of the rebuild on 571 panels of 1/512 and
+# geometric width, read at their 8 Gauss nodes and right edges (4 568 density
+# nodes), against _reference_profile; one column per q of _TABLE_QS
+_TABLE_QS = (1.0, 1.2, 1.5, 1.95, 2.0)
+_GAUSS_TABLE_ERRORS = {
+    1e-6: (5.3949e-06, 6.4754e-06, 7.9564e-06, 9.7087e-06, 3.2061e-08),
+    1e-3: (4.6034e-06, 5.7684e-06, 7.3651e-06, 7.8094e-06, 3.2066e-08),
+    0.05: (5.0867e-07, 4.2787e-07, 3.4276e-07, 7.5847e-08, 3.2045e-08),
+    0.3: (6.7272e-08, 4.2969e-08, 3.2084e-08, 3.1748e-08, 3.2033e-08),
+    0.9: (3.2066e-08, 3.1924e-08, 3.1849e-08, 3.2085e-08, 3.2061e-08),
+}
+
+
+@pytest.mark.parametrize("q", _TABLE_QS)
+@pytest.mark.parametrize("m", sorted(_GAUSS_TABLE_ERRORS))
+def test_profile_is_no_coarser_than_the_gauss_node_table(m, q):
+    # reading each coarse panel at 28 points instead of 56 fails 17 of these 25
+    # (up to 2.5x the error); away from the positive arc's zero end for small
+    # m, the 56 points make the error about 0.61x
+    error = np.abs(reconstruct_profile(m, q, 4000).values - _reference_profile(m, q, 4000)).max()
+    assert error <= 1.1 * _GAUSS_TABLE_ERRORS[m][_TABLE_QS.index(q)]
 
 
 def _negative_arc_width(m, q):
@@ -262,7 +326,7 @@ def test_profile_matches_the_four_piece_assembly(m, q, n):
 
 
 def test_profile_geometry_is_read_only():
-    for name in ("_PTS_U2", "_PTS_LN_Y", "_Y_ALL", "_HALF", "_PARTIALS", "_C_LAST"):
+    for name in ("_PTS_U2", "_PTS_LN_Y", "_COARSE_PARTIALS", "_FINE_PARTIALS", "_FINE_HALF", "_Y_ALL", "_C_LAST"):
         with pytest.raises(ValueError):
             getattr(branches, name)[0] = 0.0
 

@@ -100,7 +100,8 @@ def _fault_c11(mp, k):
 
 
 def _fault_c12(mp, k):
-    _patch(mp, "_solve", lambda a, q: q == 1.5 and _above_alpha_q(a, q), lambda u: _with_bump(u, k * 1e-3), "minimizer")
+    h = 2.0 / (verify._N + 1)
+    _patch(mp, "_solve", lambda a, q: q == 1.5 and _above_alpha_q(a, q), lambda u: _with_bump(u, k * h * h), "minimizer")
 
 
 # (criterion, fault, label of the faulted check, whether the check has a tolerance)
