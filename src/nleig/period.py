@@ -161,22 +161,6 @@ def arc_densities(u2: np.ndarray, ln_y: np.ndarray, m: float, q: float) -> tuple
     return pos, neg
 
 
-def integrand(m: float, q: float, y: float) -> float:
-    """The half-period integrand of the module docstring: (pos + neg)/(2u) from ``arc_densities``, u = sqrt(1 - y).
-
-    +inf where the positive radicand vanishes: at y = 1, and when m = 0 also
-    at y = 0 and, for q = 2, everywhere.  Elsewhere y = 0 is taken as the
-    smallest positive float, which keeps (2 - q)*ln y finite at q = 2.
-    """
-    _check_mq(m, q)
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"y must lie in [0, 1], got {y!r}")
-    if y == 1.0 or (m == 0.0 and (y == 0.0 or q == 2.0)):
-        return math.inf
-    pos, neg = arc_densities(np.array([1.0 - y]), np.array([math.log(max(y, math.ulp(0.0)))]), m, q)
-    return float(pos[0] + neg[0]) / (2.0 * math.sqrt(1.0 - y))
-
-
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 _DEPTH = 64

@@ -17,16 +17,26 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .branches import alpha_zero_exact, q1_eigenvalue_of_coupling, q1_flat_family, reconstruct_profile
 from .core import EigenResult, ProblemParams, rayleigh_quotient
 from .critical import alpha_critical, alpha_zero, lower_bound, rescale_lambda
-from .period import half_period, integrand, monotonicity_gap, offset_positivity_margin
+from .period import arc_densities, half_period, monotonicity_gap, offset_positivity_margin
 from .solver import SolverOptions, minimize
 
 _PI = math.pi
 _PI2 = math.pi**2
 _N = 4000
+_H = 2.0 / (_N + 1)
 _CRIT_TOL = 0.04
+
+# At alpha = 0, and at q = 2 below alpha_2 plus alpha, the discrete lambda is
+# the grid's first Dirichlet eigenvalue (4/h^2)sin^2(pi*h/4).  Its band is the
+# descent's stopping tolerance 1e-11 (solver._LAMBDA_TOL), taken relative;
+# measured: at most 2.6e-16, the sine taking no step.
+_GRID_LAMBDA = (4.0 / _H**2) * math.sin(0.25 * _PI * _H) ** 2
+_GRID_BAND = 1e-11
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,9 @@ def _below(b: float) -> float:
 
 def _c1_poincare_baseline():
     for q in (1.0, 1.5, 2.0):
-        yield f"lambda(0,{q}) rel dev from pi^2/4", abs(_solve(0.0, q).lam - _PI2 / 4.0) / (_PI2 / 4.0), 1e-4
+        yield f"lambda(0,{q}) rel dev from the grid's eigenvalue", abs(_solve(0.0, q).lam - _GRID_LAMBDA) / _GRID_LAMBDA, _GRID_BAND
+    # the band h^2 covers the grid's bias pi^2*h^2/48 from the continuum, measured 5.14e-8
+    yield "lambda(0,1.5) rel dev from pi^2/4", abs(_solve(0.0, 1.5).lam - _PI2 / 4.0) / (_PI2 / 4.0), _H * _H
 
 
 def _c2_closed_forms():
@@ -75,11 +87,14 @@ def _c3_monotonicity_positivity():
     ms = [k / 10.0 for k in range(1, 10)]
     ys = [k / 20.0 for k in range(1, 20)]
     qs = (1.0, 1.25, 1.5, 1.75, 2.0)
+    u2, ln_y = 1.0 - np.array(ys), np.log(ys)
+    two_u = 2.0 * np.sqrt(u2)
     for m in ms:
-        for y in ys:
-            vals = [integrand(m, q, y) for q in qs]
-            for q0, q1, a, b in zip(qs, qs[1:], vals, vals[1:]):
-                yield f"integrand(m={m}, y={y}) at q={q0} below q={q1}", a, _below(b)
+        # the half-period integrand (pos + neg)/(2u) at every height, one row per q
+        rows = [(np.add(*arc_densities(u2, ln_y, m, q)) / two_u).tolist() for q in qs]
+        for j, y in enumerate(ys):
+            for q0, q1, a, b in zip(qs, qs[1:], rows, rows[1:]):
+                yield f"integrand(m={m}, y={y}) at q={q0} below q={q1}", a[j], _below(b[j])
     for m in ms:
         for q in qs[1:]:
             hv = half_period(m, q)
@@ -103,7 +118,6 @@ def _c4_critical_constants():
 
 
 def _c5_threshold_transition():
-    h = 2.0 / (_N + 1)
     for q in (1.5, 2.0):
         aq = _crit(q).alpha_q
         above = _solve(aq + 0.5, q)
@@ -112,7 +126,7 @@ def _c5_threshold_transition():
         yield f"q={q}: q_average at alpha_q+0.5", above.q_average, _below(1e-6)
         yield f"q={q}: odd defect at alpha_q+0.5", prof.odd_defect, _below(1e-3)
         # one crossing within 2h of the midpoint; any other number of zeros reads +inf
-        yield f"q={q}: |zero| at alpha_q+0.5", abs(prof.zeros[0]) if len(prof.zeros) == 1 else math.inf, 2.0 * h
+        yield f"q={q}: |zero| at alpha_q+0.5", abs(prof.zeros[0]) if len(prof.zeros) == 1 else math.inf, 2.0 * _H
         below = _solve(aq - 0.5, q)
         yield f"q={q}: sign change at alpha_q-0.5 (1 if so)", float(below.profile.sign_class == "sign_changing"), 0.0
         yield f"q={q}: lambda at alpha_q-0.5 below pi^2", below.lam, _below(_PI2)
@@ -120,8 +134,11 @@ def _c5_threshold_transition():
 
 def _c6_q2_linear_branch():
     for alpha in (0.0, 1.0, 2.0, 4.0, 7.0):
-        target = _PI2 / 4.0 + alpha
-        yield f"lambda({alpha},2) rel dev from pi^2/4+alpha", abs(_solve(alpha, 2.0).lam - target) / target, 1e-4
+        target = _GRID_LAMBDA + alpha
+        yield f"lambda({alpha},2) rel dev from the grid's eigenvalue+alpha", abs(_solve(alpha, 2.0).lam - target) / target, _GRID_BAND
+    # the band h^2 covers the grid's bias from the continuum, measured 1.96e-8
+    target = _PI2 / 4.0 + 4.0
+    yield "lambda(4.0,2) rel dev from pi^2/4+alpha", abs(_solve(4.0, 2.0).lam - target) / target, _H * _H
 
 
 def _c7_q1_branch_oracle():
@@ -150,10 +167,9 @@ def _c9_lower_bound():
 
 def _c10_duality():
     # the band h^2 covers the grid's bias: measured -0.25*h^2 at q = 1, at most +0.21*h^2 for q in (1, 2]
-    h = 2.0 / (_N + 1)
     for q in (1.0, 1.5, 2.0):
         exact = alpha_zero_exact(q)
-        yield f"alpha_zero({q}) rel dev from closed form", abs(alpha_zero(q, SolverOptions(n=_N)) - exact) / abs(exact), h * h
+        yield f"alpha_zero({q}) rel dev from closed form", abs(alpha_zero(q, SolverOptions(n=_N)) - exact) / abs(exact), _H * _H
 
 
 def _c11_rescaling():
@@ -165,14 +181,13 @@ def _c11_rescaling():
 
 def _c12_profile_oracle():
     # the band h^2 covers the rebuild's interpolation error, measured 6.6e-9 at both q
-    h = 2.0 / (_N + 1)
     for q in (1.5, 2.0):
         u = _solve(_crit(q).alpha_q + 0.5, q).minimizer.values
         rp = reconstruct_profile(1.0, q, _N).values
-        rp = rp / math.sqrt(h * float(rp @ rp))
-        if h * float(rp @ u) < 0.0:
+        rp = rp / math.sqrt(_H * float(rp @ rp))
+        if _H * float(rp @ u) < 0.0:
             rp = -rp
-        yield f"q={q}: L2 distance of the rebuild from the minimizer", math.sqrt(h * float((rp - u) @ (rp - u))), h * h
+        yield f"q={q}: L2 distance of the rebuild from the minimizer", math.sqrt(_H * float((rp - u) @ (rp - u))), _H * _H
 
 
 CRITERIA = (

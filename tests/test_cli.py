@@ -433,6 +433,21 @@ def test_module_entry_point_prints_what_main_prints(capsys):
     assert json.loads(out.stdout) == json.loads(expected)
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["lambda", "--alpha", "3", "--q", "1.5", "--n", "100"], 0),
+    (["lambda", "--alpha", "0", "--q", "3"], 1),
+])
+def test_entry_exits_with_the_status_main_returns(monkeypatch, capsys, argv, status):
+    # the nleig script and python -m nleig both run entry(), with the command line in sys.argv
+    monkeypatch.setattr(sys, "argv", ["nleig", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    out = capsys.readouterr().out
+    code, expected, _ = run(capsys, argv)
+    assert info.value.code == code == status
+    assert out == expected
+
+
 def test_import_loads_exactly_the_package_modules():
     # every module imported adds to the start-up time; a new one must show up here
     expected = ["nleig", "nleig.branches", "nleig.cli", "nleig.core", "nleig.critical", "nleig.period", "nleig.solver", "nleig.verify"]

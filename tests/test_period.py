@@ -17,7 +17,6 @@ from nleig.period import (
     arc_variables,
     first_integral_coeffs,
     half_period,
-    integrand,
     integrate_endpoint_singular,
     monotonicity_gap,
     offset_positivity_margin,
@@ -78,32 +77,33 @@ def test_coeffs_range_validation():
         first_integral_coeffs(0.5, 2.3)
 
 
-# --- integrand ----------------------------------------------------------------
+# --- the half-period integrand (pos + neg)/(2u), u^2 = 1 - y -----------------
+
+def _integrand(m, q, u2, ln_y):
+    pos, neg = arc_densities(np.array([u2]), np.array([ln_y]), m, q)
+    return float(pos[0] + neg[0]) / (2.0 * math.sqrt(u2))
+
+
+# y = 0 enters as the smallest subnormal, which keeps (2 - q)*ln y finite at q = 2
+_LN_ZERO_HEIGHT = math.log(5e-324)
+
 
 def test_integrand_at_unit_depth_is_circular():
     # collapses to 2/sqrt(1-y^2), independent of q
     for q in (1.0, 1.4, 2.0):
-        assert abs(integrand(1.0, q, 0.6) - 2.5) < 1e-14
+        assert abs(_integrand(1.0, q, 1.0 - 0.6, math.log(0.6)) - 2.5) < 1e-14
 
 
 def test_integrand_at_zero_height():
     m, q = 0.5, 2.0
     z, _ = first_integral_coeffs(m, q)
     expected = (1 + m) / math.sqrt(1 - z)
-    assert abs(integrand(m, q, 0.0) - expected) < 1e-14
+    assert abs(_integrand(m, q, 1.0, _LN_ZERO_HEIGHT) - expected) < 1e-14
     assert abs(expected - 2.3717082451262845) < 1e-12
 
 
 def test_integrand_increases_with_exponent_at_origin():
-    assert integrand(0.5, 2.0, 0.0) > integrand(0.5, 1.0, 0.0)
-
-
-def test_integrand_strictly_increasing_in_q_on_grid():
-    qs = (1.0, 1.25, 1.5, 1.75, 2.0)
-    for m in MS:
-        for y in YS:
-            vals = [integrand(m, q, y) for q in qs]
-            assert all(b > a for a, b in zip(vals, vals[1:])), (m, y)
+    assert _integrand(0.5, 2.0, 1.0, _LN_ZERO_HEIGHT) > _integrand(0.5, 1.0, 1.0, _LN_ZERO_HEIGHT)
 
 
 def test_arc_radical_bounds_on_grid():
@@ -116,17 +116,6 @@ def test_arc_radical_bounds_on_grid():
             pos, neg = arc_densities(*arc_variables(u, 1.0 - u), m, q)
             assert np.all(pos >= circ * (1 - 1e-15))
             assert np.all(neg <= circ * (1 + 1e-15))
-
-
-def test_integrand_is_infinite_where_the_positive_radicand_vanishes():
-    assert integrand(0.5, 1.5, 1.0) == math.inf
-    assert integrand(0.0, 1.5, 0.0) == math.inf
-    assert integrand(0.0, 2.0, 0.5) == math.inf  # (m, q) = (0, 2): at every height
-
-
-def test_integrand_rejects_height_out_of_range():
-    with pytest.raises(ValueError):
-        integrand(0.5, 1.5, -0.2)
 
 
 # --- half period ---------------------------------------------------------------
@@ -186,15 +175,15 @@ def test_half_period_q2_closed_form_as_depth_vanishes(m, tol):
 @pytest.mark.parametrize("m", [1e-308, 7e-309, 6.5e-309, 6.2e-309, 5e-324])
 def test_half_period_q2_rejects_a_depth_whose_value_overflows(m):
     # the half period is about 1.11/m: below m = 2e-308 the rule's sums would
-    # overflow, so the depth is refused before the rule runs, and the
-    # integrand returns its value or +inf without a warning
+    # overflow, so the depth is refused before the rule runs, and on the
+    # rule's nodes the densities return their value or +inf without a warning
+    u2, ln_y, _, _ = period._round_nodes(0, 64, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows float64"):
             half_period(m, 2.0)
-        for y in (0.0, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0):
-            value = integrand(m, 2.0, y)
-            assert value > 1e307 or value == math.inf
+        pos, neg = arc_densities(u2, ln_y, m, 2.0)
+    assert np.all(pos > 1e307) and np.all(np.isfinite(neg))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-4])
@@ -277,27 +266,18 @@ def _arc_densities_reference(u2, ln_y, m, q):
     return pos, neg
 
 
-def _integrand_reference(m, q, y):
-    """integrand on scalars through the expression form, kept as a bit-level reference."""
-    if y == 1.0 or (m == 0.0 and (y == 0.0 or q == 2.0)):
-        return math.inf
-    pos, neg = _arc_densities_reference(1.0 - y, math.log(max(y, math.ulp(0.0))), m, q)
-    return float(pos + neg) / (2.0 * math.sqrt(1.0 - y))
-
-
 _REFERENCE_MS = (0.0, 1e-300, 1e-160, 1e-9, 0.05, 0.5, 1.0)
 _REFERENCE_QS = (1.0, 1.5, 1.99, 2.0)
 
 
 def _node_tables():
     u2, ln_y, _, _ = period._round_nodes(0, 64, 1)
-    return {"rebuild": (branches._PTS_U2, branches._PTS_LN_Y), "rule": (u2, ln_y)}
+    # the integrand's heights y, down to 1e-300 and to 0 entered as the smallest subnormal
+    y = np.array([5e-324, 1e-300, 0.3, 0.999999])
+    return {"rebuild": (branches._PTS_U2, branches._PTS_LN_Y), "rule": (u2, ln_y), "heights": (1.0 - y, np.log(y))}
 
 
-@pytest.mark.parametrize("table", ["rebuild", "rule"])
-@pytest.mark.parametrize("q", _REFERENCE_QS)
-@pytest.mark.parametrize("m", _REFERENCE_MS)
-def test_arc_densities_in_place_match_the_expression_form(m, q, table):
+def _check_in_place_form(m, q, table):
     # m <= 1e-160 takes the log path (t below the smallest normal float);
     # (0, 2) gives pos = +inf and neg = 0 at every node
     u2, ln_y = _node_tables()[table]
@@ -311,11 +291,36 @@ def test_arc_densities_in_place_match_the_expression_form(m, q, table):
         assert g.tobytes() == w.tobytes(), (m, q, table)
 
 
+@pytest.mark.parametrize("table", ["rebuild", "rule"])
+@pytest.mark.parametrize("q", _REFERENCE_QS)
+@pytest.mark.parametrize("m", _REFERENCE_MS)
+def test_arc_densities_in_place_match_the_expression_form(m, q, table):
+    _check_in_place_form(m, q, table)
+
+
 @pytest.mark.parametrize("q", _REFERENCE_QS)
 @pytest.mark.parametrize("m", _REFERENCE_MS)
 def test_integrand_matches_the_expression_form(m, q):
-    for y in (0.0, 1e-300, 0.3, 0.999999):
-        assert integrand(m, q, y).hex() == _integrand_reference(m, q, y).hex(), (m, q, y)
+    _check_in_place_form(m, q, "heights")
+
+
+_EDGE_MS = (0.0, 5e-324, 1e-300, 1e-160, 1.0)
+_EDGE_QS = (math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.floats(0.0, 1.0) | st.sampled_from(_EDGE_MS), q=st.floats(1.0, 2.0) | st.sampled_from(_EDGE_QS))
+def test_arc_densities_hold_their_contract_on_every_node_table(m, q):
+    # the rule's first table, the rebuild's table and the rule's largest, down to c = 2**-1000;
+    # not the heights table, whose y = 5e-324 takes pos beyond float64 at m = 0 below q = 2
+    tables = _node_tables()
+    for u2, ln_y in (tables["rule"], tables["rebuild"], period._round_nodes(0, 1000, 8)[:2]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos, neg = arc_densities(u2, ln_y, m, q)
+        assert np.all(np.isfinite(neg)) and np.all(neg >= 0.0)
+        assert np.all(pos > 0.0)  # and so no NaN
+        assert q == 2.0 or np.all(np.isfinite(pos))
 
 
 def test_cached_arc_variables_are_read_only():

@@ -2,13 +2,15 @@
 
 Each fault below perturbs one input of a criterion by a multiple of the
 tolerance of the check it reaches (or flips the sign of a quantity that
-must be positive); every criterion has one, criterion 8 one per check kind.  Twice the tolerance turns the criterion FAIL, with that
-check's label in the detail, and ``nleig verify --only k`` exits 3; half of
+must be positive); every criterion has one, criteria 3 and 8 one per check
+kind.  Twice the tolerance turns the criterion FAIL, with that check's label
+in the detail, and ``nleig verify --only k`` exits 3; half of
 it leaves the criterion passing.  The solves come from verify's own caches.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import nleig.cli as cli
 from nleig import verify
 from nleig.branches import alpha_zero_exact, q1_eigenvalue_of_coupling
 from nleig.core import GridFunction
+from nleig.period import first_integral_coeffs
 
 PI2 = math.pi**2
 
@@ -47,7 +50,8 @@ def _with_bump(u, size):
 
 
 def _fault_c1(mp, k):
-    _patch(mp, "_solve", lambda a, q: (a, q) == (0.0, 1.5), lambda lam: lam + k * 1e-4 * PI2 / 4, "lam")
+    shift = k * verify._GRID_BAND * verify._GRID_LAMBDA
+    _patch(mp, "_solve", lambda a, q: (a, q) == (0.0, 1.5), lambda lam: lam + shift, "lam")
 
 
 def _fault_c2(mp, k):
@@ -56,6 +60,28 @@ def _fault_c2(mp, k):
 
 def _fault_c3(mp, k):
     _patch(mp, "offset_positivity_margin", lambda m, q: (m, q) == (0.5, 1.5), lambda v: -v)
+
+
+def _fault_c3_order(mp, k):
+    # at y = 0.5, the tenth height, the q = 1.25 density sum rises by k times its gap to the q = 1.5 sum
+    original = verify.arc_densities
+
+    def patched(u2, ln_y, m, q):
+        pos, neg = original(u2, ln_y, m, q)
+        if (m, q) == (0.5, 1.25):
+            gap = np.add(*original(u2, ln_y, m, 1.5)) - (pos + neg)
+            pos[9] += k * gap[9]
+        return pos, neg
+
+    mp.setattr(verify, "arc_densities", patched)
+
+
+def _fault_c3_margin(mp, k):
+    # the value's margin over pi + 10*error shrinks by k times itself
+    def change(hv):
+        return dataclasses.replace(hv, value=hv.value - k * (hv.value - math.pi - 10.0 * hv.error_estimate))
+
+    _patch(mp, "half_period", lambda m, q: (m, q) == (0.5, 1.5), change)
 
 
 def _fault_c4(mp, k):
@@ -67,7 +93,8 @@ def _fault_c5(mp, k):
 
 
 def _fault_c6(mp, k):
-    _patch(mp, "_solve", lambda a, q: (a, q) == (4.0, 2.0), lambda lam: lam + k * 1e-4 * (PI2 / 4 + 4), "lam")
+    shift = k * verify._GRID_BAND * (verify._GRID_LAMBDA + 4.0)
+    _patch(mp, "_solve", lambda a, q: (a, q) == (4.0, 2.0), lambda lam: lam + shift, "lam")
 
 
 def _fault_c7(mp, k):
@@ -91,8 +118,7 @@ def _fault_c9(mp, k):
 
 
 def _fault_c10(mp, k):
-    h = 2.0 / (verify._N + 1)
-    _patch(mp, "alpha_zero", lambda q, opts: q == 1.5, lambda root: root + k * h * h * abs(alpha_zero_exact(1.5)))
+    _patch(mp, "alpha_zero", lambda q, opts: q == 1.5, lambda root: root + k * verify._H**2 * abs(alpha_zero_exact(1.5)))
 
 
 def _fault_c11(mp, k):
@@ -100,18 +126,19 @@ def _fault_c11(mp, k):
 
 
 def _fault_c12(mp, k):
-    h = 2.0 / (verify._N + 1)
-    _patch(mp, "_solve", lambda a, q: q == 1.5 and _above_alpha_q(a, q), lambda u: _with_bump(u, k * h * h), "minimizer")
+    _patch(mp, "_solve", lambda a, q: q == 1.5 and _above_alpha_q(a, q), lambda u: _with_bump(u, k * verify._H**2), "minimizer")
 
 
 # (criterion, fault, label of the faulted check, whether the check has a tolerance)
 FAULTS = [
-    (1, _fault_c1, "lambda(0,1.5) rel dev from pi^2/4", True),
+    (1, _fault_c1, "lambda(0,1.5) rel dev from the grid's eigenvalue", True),
     (2, _fault_c2, "half_period(0.5,1) rel dev from pi", True),
     (3, _fault_c3, "offset margin(0.5,1.5) positive", False),
+    (3, _fault_c3_order, "integrand(m=0.5, y=0.5) at q=1.25 below q=1.5", False),
+    (3, _fault_c3_margin, "half_period(0.5,1.5): 10*error below value - pi", True),
     (4, _fault_c4, "alpha_critical(1.0) rel dev", True),
     (5, _fault_c5, "q=2.0: q_average at alpha_q+0.5", True),
-    (6, _fault_c6, "lambda(4.0,2) rel dev from pi^2/4+alpha", True),
+    (6, _fault_c6, "lambda(4.0,2) rel dev from the grid's eigenvalue+alpha", True),
     (7, _fault_c7, "lambda(2.5,1) rel dev from the branch root", True),
     (8, _fault_c8, "q=1.0: lambda(6.0) - 1e-6 vs lambda(9.0)", True),
     (8, _fault_c8_lipschitz, "q=1.0: increment over (6.0,9.0) vs Lipschitz bound + 1e-6", True),
@@ -151,7 +178,9 @@ def test_a_nan_fails_its_check(monkeypatch):
     _patch(monkeypatch, "_solve", lambda a, q: (a, q) == (0.0, 1.5), lambda lam: math.nan, "lam")
     result = verify.run_criterion(1)
     assert not result.passed
-    assert "lambda(0,1.5) rel dev from pi^2/4: nan > 0.0001" in result.detail
+    assert result.detail.startswith("2 of 4 checks fail: ")
+    assert "lambda(0,1.5) rel dev from the grid's eigenvalue: nan > 1e-11" in result.detail
+    assert "lambda(0,1.5) rel dev from pi^2/4: nan > 2.4987505e-07" in result.detail
 
 
 def test_a_strict_check_fails_at_equality(monkeypatch):
@@ -166,14 +195,36 @@ def test_check_counts_per_criterion():
     # the parent's 377 comparisons, with criterion 3's two chains (the
     # integrand over q, the gap over y) split into one check per pair or value
     counts = {num: len(list(fn())) for num, _, fn in verify.CRITERIA}
-    assert counts == {1: 3, 2: 22, 3: 1444, 4: 4, 5: 12, 6: 5, 7: 7, 8: 30, 9: 4, 10: 3, 11: 2, 12: 2}
+    assert counts == {1: 4, 2: 22, 3: 1444, 4: 4, 5: 12, 6: 6, 7: 7, 8: 30, 9: 4, 10: 3, 11: 2, 12: 2}
 
 
 def test_a_pass_detail_names_the_check_nearest_its_bound():
+    # the continuum row: 5.14e-8 of h^2, against at most 2.6e-16 of 1e-11 for the grid's eigenvalue
     result = verify.run_criterion(1)
     assert result.passed
-    assert result.detail.startswith("3 checks hold, nearest its bound lambda(0,")
-    assert "<= 0.0001" in result.detail
+    assert result.detail.startswith("4 checks hold, nearest its bound lambda(0,1.5) rel dev from pi^2/4: ")
+    assert result.detail.endswith(" <= 2.4987505e-07")
+
+
+def test_criterion_3_reads_the_integrand_in_one_call_per_depth_and_exponent(monkeypatch):
+    # 9 depths by 5 exponents, each call on all 19 heights
+    calls = []
+    original = verify.arc_densities
+    monkeypatch.setattr(verify, "arc_densities", lambda u2, ln_y, m, q: calls.append(u2.size) or original(u2, ln_y, m, q))
+    assert verify.run_criterion(3).passed
+    assert calls == [19] * 45
+
+
+def test_criterion_3_orders_the_y_form_integrand():
+    # the order checks hold under any positive factor per height, so the
+    # values are checked too: against 1/sqrt(t + z*y^q - y^2) + m/sqrt(t - z*m^q*y^q - m^2*y^2)
+    rows = [c for c in verify._c3_monotonicity_positivity() if c[0].startswith("integrand(")]
+    assert len(rows) == 684
+    for label, lhs, _ in rows:
+        m, y, q = map(float, re.fullmatch(r"integrand\(m=(.*), y=(.*)\) at q=(.*) below q=.*", label).groups())
+        z, t = first_integral_coeffs(m, q)
+        direct = 1.0 / math.sqrt(t + z * y**q - y * y) + m / math.sqrt(t - z * m**q * y**q - (m * y) ** 2)
+        assert abs(lhs - direct) <= 1e-12 * direct, label
 
 
 def test_every_criterion_line_ends_with_its_checks_bound(capsys):

@@ -5,9 +5,8 @@ Runs pytest in this process under a line tracer (``sys.settrace``, and
 frames of ``src/nleig``, and prints ``module:line source`` for every
 executable line of a package module that never ran.  Docstrings do not
 count.  A module the run never imports in this process is not listed:
-``python -m nleig`` runs ``__main__`` and ``cli.entry`` only in a
-subprocess.  The arguments are pytest's test paths, by default the tier-1
-set:
+``python -m nleig`` runs ``__main__`` only in a subprocess.  The arguments
+are pytest's test paths, by default the tier-1 set:
 
     PYTHONPATH=src python tools/uncovered.py [tests perfbench]
 
