@@ -136,7 +136,9 @@ class EigenResult:
     solve.  ``iterations`` counts the steps of the one descent of
     ``solver.minimize``, at min(alpha, 2*pi^2), and ``evaluations`` its
     quotient evaluations plus 1 for the odd sine, whose value is evaluated,
-    not descended.
+    not descended.  When the sine wins, the descent's steps are those taken
+    until it could no longer come within the saturation band of the sine,
+    which may be fewer than a run to the stopping tolerance would take.
 
     ``gamma`` (S^(2/q-1), or 0 for a zero-average minimizer: S at most
     _GAMMA_ZERO_TOL), ``profile`` (``analyze(minimizer)``) and ``residual``

@@ -44,8 +44,14 @@ Work that cannot lower the quotient by the stopping tolerance is skipped.
 The sampled odd sine is the discrete odd minimizer and its S is 0 by
 symmetry, so it takes its value D/M, the same for every alpha, and no step.
 Backtracking stops before a step whose predicted decrease is at most the
-tolerance.  A descent that reaches the iteration cap and loses to the sine
-is reported by a RuntimeWarning.  Every solve is one descent, at
+tolerance.  Work that cannot change the winner is skipped too: the
+constant-sign descent wins only if it ends within SATURATION_BAND of the
+sine's value or below it, so after a full step whose decrease D leaves it
+further above that floor than the steps left under the cap could close at
+D each, it stops, converged, and the sine wins with the same bits.  A
+winning descent sits below the floor and is never stopped so; the ascent
+has no floor.  A descent that reaches the iteration cap and loses to the
+sine is reported by a RuntimeWarning.  Every solve is one descent, at
 min(alpha, 2*pi^2) (ALPHA_TOP).  2*pi^2 lies above alpha_q for every q, so
 by the dichotomy the sine wins there (tests/test_dichotomy.py checks that
 no even descent comes near it), and every quotient is nondecreasing in
@@ -215,7 +221,7 @@ def _normalize(trial: np.ndarray, h: float, odd: int) -> bool:
 
 # an overflow or a NaN in a step would end the backtracking as a converged start
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int, bool]:
+def _descend(w: np.ndarray, n: int, kernel, floor: float = math.inf) -> tuple[np.ndarray, float, int, int, bool]:
     """Armijo-backtracked preconditioned descent of an objective on the unit L2 sphere of even functions.
 
     ``w`` is the half of the start.  ``kernel(u)`` returns the objective at
@@ -234,6 +240,10 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
     lowers the objective by less than _LAMBDA_TOL, or when backtracking
     reaches a step whose first-order decrease step*slope is at most
     _LAMBDA_TOL: such a step could only end the descent, so it is not tried.
+    It also stops, converged, after a full (unit or extrapolated) step k of
+    decrease D once objective - ``floor`` > (_MAX_ITERATIONS - k)*D: even if
+    every step left under the cap lowered it by D, it would end above
+    ``floor``.  The default floor, +inf, never stops it.
     A start at the minimum costs one evaluation.  At most _MAX_ITERATIONS
     steps are taken.  An overflow, an invalid value or a division by zero
     in numpy raises FloatingPointError.
@@ -289,7 +299,11 @@ def _descend(w: np.ndarray, n: int, kernel) -> tuple[np.ndarray, float, int, int
         decrease = q_val - q_trial
         u, q_val, r, rate = trial, q_trial, r_trial, rate_trial
         iterations += 1
-        if decrease < _LAMBDA_TOL:
+        left = _MAX_ITERATIONS - iterations
+        # below the tolerance, or so far above the floor that the steps left
+        # under the cap, each lowering it by this full step's decrease, could
+        # not bring it down there
+        if decrease < _LAMBDA_TOL or (prev is not None and left and q_val - floor > left * decrease):
             converged = True
             break
     return u, q_val, iterations, evaluations, converged
@@ -316,6 +330,18 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return bump, sine, saturation
 
 
+def _start_half(start: GridFunction | None, bump: np.ndarray, n: int) -> np.ndarray:
+    """The left half of ``start``, or ``bump`` if it is None; ValueError unless start has n nodes, nonzero there."""
+    if start is None:
+        return bump
+    if start.n != n:
+        raise ValueError(f"start must have n = {n} nodes, got {start.n}")
+    half = start.values[: (n + 1) // 2]
+    if not half.any():
+        raise ValueError("start must be nonzero on its left half")
+    return half
+
+
 def minimize(
     params: ProblemParams, opts: SolverOptions = SolverOptions(), start: GridFunction | None = None
 ) -> EigenResult:
@@ -332,29 +358,29 @@ def minimize(
     when it is constant-sign and within SATURATION_BAND of the sine, with the
     ``degenerate`` flag set, and when its quotient is at most the sine's,
     unless it hit the iteration cap within 10*_LAMBDA_TOL*max(1, |lambda|)
-    of the sine; otherwise the sine wins.  Above ALPHA_TOP the sine wins at
-    ALPHA_TOP, beyond alpha_q (module docstring), and lambda is
-    nondecreasing in alpha, so the result is the sine with ``params``
-    (alpha, q) and the steps taken at ALPHA_TOP.  Nothing is analysed: the
-    result's gamma, profile and residual are computed on first read.  The
-    winner's values are read-only.  Raises SolverNonconvergence (carrying
-    the result) if the winning descent hit the iteration cap, and warns
-    (RuntimeWarning) if a losing one did.  Raises ValueError where the
+    of the sine; otherwise the sine wins.  So the descent's floor is the
+    sine's value plus SATURATION_BAND: a descent that cannot come down to it
+    at its last full step's rate within the cap stops there (``_descend``)
+    and loses, converged, and the steps reported are those it took.  Above
+    ALPHA_TOP the sine wins at ALPHA_TOP, beyond alpha_q (module docstring),
+    and lambda is nondecreasing in alpha, so the result is the sine with
+    ``params`` (alpha, q) and the steps taken at ALPHA_TOP.  Nothing is
+    analysed: the result's gamma, profile and residual are computed on first
+    read.  The winner's values are read-only.  Raises SolverNonconvergence
+    (carrying the result) if the winning descent hit the iteration cap, and
+    warns (RuntimeWarning) if a losing one did.  Raises ValueError where the
     descent leaves float64: at n = 100 from about alpha = -1e155.
     """
     n = opts.n
     h = 2.0 / (n + 1)
     bump, sine, saturation = _grid(n)
-    if start is not None:
-        if start.n != n:
-            raise ValueError(f"start must have n = {n} nodes, got {start.n}")
-        bump = start.values[: (n + 1) // 2]
-        if not bump.any():
-            raise ValueError("start must be nonzero on its left half")
     alpha, q = params.alpha, params.q
     try:
         w, lam, iterations, evaluations, converged = _descend(
-            bump, n, functools.partial(quotient_and_residual, n=n, alpha=min(alpha, ALPHA_TOP), q=q)
+            _start_half(start, bump, n),
+            n,
+            functools.partial(quotient_and_residual, n=n, alpha=min(alpha, ALPHA_TOP), q=q),
+            saturation + SATURATION_BAND,
         )
     except FloatingPointError as err:
         raise ValueError(f"the descent leaves float64 at (alpha={alpha!r}, q={q!r}, n={n}): {err}") from None
@@ -405,27 +431,34 @@ class ThresholdAscent(NamedTuple):
     iterations: int
 
 
-def threshold_ascent(n: int, q: float, sigma: float) -> ThresholdAscent:
+def threshold_ascent(n: int, q: float, sigma: float, start: GridFunction | None = None) -> ThresholdAscent:
     """Maximize F_sigma(u) = (sigma*M - D)/|S|^(2/q) over even positive u on the n-node grid.
 
     lambda_c(alpha) >= sigma holds exactly when alpha >= F_sigma(u) for every
     u, so the maximum is the smallest alpha at which the constant-sign branch
     reaches sigma, and F_sigma of any iterate is a lower bound of it.  The
-    ascent is ``_descend`` on -F_sigma from the positive bump, with the
-    stopping tolerance _LAMBDA_TOL on the rise of F_sigma and the cap
-    _MAX_ITERATIONS; at the cap it raises SolverNonconvergence, carrying the
-    ascent.  At the maximizer u, the quotient Q_u(alpha) equals sigma: u is
-    a constant-sign minimizer at the returned alpha.  sigma must be finite;
-    where the ascent leaves float64 it raises ValueError: at n = 100 from
-    about |sigma| = 1e156.
+    ascent is ``_descend`` on -F_sigma, with no floor, from the positive bump
+    or from ``start``, with the stopping tolerance _LAMBDA_TOL on the rise of
+    F_sigma and the cap _MAX_ITERATIONS; at the cap it raises
+    SolverNonconvergence, carrying the ascent.  ``start`` is read as
+    ``minimize`` reads it, through its left half, and F_sigma is even, so it
+    must also keep one sign there (ValueError otherwise).  At the maximizer
+    u, the quotient Q_u(alpha) equals sigma: u is a constant-sign minimizer
+    at the returned alpha.  sigma must be finite; where the ascent leaves
+    float64 it raises ValueError: at n = 100 from about |sigma| = 1e156.
     """
     check_n(n)
     check_q(q)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
+    half = _start_half(start, _grid(n)[0], n)
+    if start is not None:
+        if not is_constant_sign(half):
+            raise ValueError("start must keep one sign on its left half")
+        half = np.abs(half)  # F_sigma is even in v: a negative start is the same direction
     try:
         w, value, iterations, _, converged = _descend(
-            _grid(n)[0], n, functools.partial(threshold_and_residual, n=n, sigma=sigma, q=q)
+            half, n, functools.partial(threshold_and_residual, n=n, sigma=sigma, q=q)
         )
     except FloatingPointError as err:
         raise ValueError(f"the ascent leaves float64 at (sigma={sigma!r}, q={q!r}, n={n}): {err}") from None

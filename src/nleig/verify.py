@@ -110,7 +110,7 @@ def _c3_monotonicity_positivity():
 
 
 def _c4_critical_constants():
-    # measured: rel dev 2.1e-7 at q = 1 and 2.6e-7 at q = 2; at most 13 iterations, at q = 1, on q in [1, 2]
+    # measured: rel dev 2.1e-7 at q = 1 and 2.6e-7 at q = 2; at most 7 iterations on q in [1, 2], 2 at q = 1
     for q, exact in ((1.0, 0.5 * _PI2), (2.0, 0.75 * _PI2)):
         res = _crit(q)
         yield f"alpha_critical({q}) rel dev", abs(res.alpha_q - exact) / exact, 1e-5
@@ -141,10 +141,42 @@ def _c6_q2_linear_branch():
     yield "lambda(4.0,2) rel dev from pi^2/4+alpha", abs(_solve(4.0, 2.0).lam - target) / target, _H * _H
 
 
+def _q1_grid_lambda(alpha: float, n: int = _N) -> float:
+    """The discrete lambda(alpha, 1): the smallest eigenvalue of K + alpha*h*11^T, K the Dirichlet stencil.
+
+    At q = 1 the quotient of every v is (v.Kv + alpha*h*(1.v)^2)/(v.v).  K's
+    eigenvalues are mu_k = (4/h^2)sin^2(k*pi*h/4), and the constant 1 meets
+    only the even eigenvectors, odd k, with squared unit projection
+    h*cot^2(k*pi*h/4).  The smallest eigenvalue is the odd mu_2, the sine's
+    value, or the root of the secular equation 1 + alpha*h^2*sum_k
+    cot^2(k*pi*h/4)/(mu_k - lam) = 0, found to the last bit by bisection:
+    in (mu_1, mu_3) for alpha > 0, and in (mu_1 + 2*alpha, mu_1) for alpha < 0,
+    since the update lowers no eigenvalue by more than |alpha|*h*n < 2|alpha|.
+    """
+    h = 2.0 / (n + 1)
+    theta = np.arange(1, n + 1, 2) * (0.25 * _PI * h)
+    mu = (4.0 / h**2) * np.sin(theta) ** 2
+    weight = alpha * h * h / np.tan(theta) ** 2
+    # the secular function rises with lam for alpha > 0 and falls for alpha < 0
+    lo, hi = (mu[0], mu[1]) if alpha > 0.0 else (mu[0] + 2.0 * alpha, mu[0])
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if (1.0 + float(np.sum(weight / (mu - mid))) < 0.0) == (alpha > 0.0):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return min(float(mid), (4.0 / h**2) * math.sin(0.5 * _PI * h) ** 2)
+
+
 def _c7_q1_branch_oracle():
-    for alpha in (1.0, 2.5, 4.0):
-        root = q1_eigenvalue_of_coupling(alpha)
-        yield f"lambda({alpha},1) rel dev from the branch root", abs(_solve(alpha, 1.0).lam - root) / root, 1e-3
+    # the grid's own eigenvalue, at _GRID_BAND; measured: at most 3.6e-13, at alpha = -5
+    for alpha in (-5.0, 1.0, 2.5, 4.0):
+        exact = _q1_grid_lambda(alpha)
+        yield f"lambda({alpha},1) rel dev from the grid's secular root", abs(_solve(alpha, 1.0).lam - exact) / abs(exact), _GRID_BAND
+    # the band h^2 covers the grid's bias from the continuum branch, measured 7.2e-8
+    root = q1_eigenvalue_of_coupling(2.5)
+    yield "lambda(2.5,1) rel dev from the branch root", abs(_solve(2.5, 1.0).lam - root) / root, _H * _H
     for avg in (0.0, 0.25, 0.5, 1.0):
         quot = rayleigh_quotient(q1_flat_family(avg, _N), ProblemParams(0.5 * _PI2, 1.0))
         yield f"flat family avg={avg}: quotient rel dev from pi^2", abs(quot - _PI2) / _PI2, 1e-6

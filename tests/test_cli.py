@@ -334,11 +334,11 @@ GOLDEN = {
         '"n": 400, "q": 1.5, "q_average": 1.10576392257, "residual": 1.09e-06, "sign_class": "positive"}\n'
     ),
     ("lambda", "--alpha", "12", "--q", "1.7", "--n", "400"): (
-        '{"alpha": 12.0, "converged": true, "gamma": 0.0, "iterations": 5, "lambda": 9.86940247802, '
+        '{"alpha": 12.0, "converged": true, "gamma": 0.0, "iterations": 3, "lambda": 9.86940247802, '
         '"n": 400, "q": 1.7, "q_average": 0.0, "residual": 1.65e-11, "sign_class": "sign_changing"}\n'
     ),
     ("alpha-crit", "--q", "1.5", "--n", "400"): (
-        '{"alpha_q": 6.48021362535, "bracket": [6.47521362535, 6.48521362535], "iterations": 7, "q": 1.5, '
+        '{"alpha_q": 6.48021362535, "bracket": [6.47521362535, 6.48521362535], "iterations": 6, "q": 1.5, '
         '"saturation_value": 9.86940247802, "solver_calls": 1, "tolerance": 0.01}\n'
     ),
     ("hfun", "--m", "0.3", "--q", "1.7"): (
@@ -348,16 +348,16 @@ GOLDEN = {
         "alpha,q,lambda,sign_class,q_average,m_bar,odd_defect,residual,iterations\n"
         "0,1.2,2.46735087034,positive,1.20140942388,0,2,1.38e-12,0\n"
         "5,1.2,9.05359791505,positive,1.15322623296,0,2,1.92e-06,6\n"
-        "10,1.2,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,12\n"
-        "15,1.2,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,20\n"
+        "10,1.2,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,5\n"
+        "15,1.2,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,9\n"
         "0,1.5,2.46735087034,positive,1.11283479787,0,2,1.38e-12,0\n"
         "5,1.5,8.19229673719,positive,1.10033989721,0,2,8.93e-07,5\n"
-        "10,1.5,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,6\n"
-        "15,1.5,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,7\n"
+        "10,1.5,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,3\n"
+        "15,1.5,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,4\n"
         "0,1.8,2.46735087034,positive,1.04097057035,0,2,1.38e-12,0\n"
         "5,1.8,7.6912917618,positive,1.03944697967,0,2,3.73e-07,4\n"
-        "10,1.8,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,4\n"
-        "15,1.8,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,4\n"
+        "10,1.8,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,3\n"
+        "15,1.8,9.86880074179,sign_changing,0,1,4.71863315218e-16,4.35e-12,3\n"
     ),
 }
 

@@ -120,7 +120,7 @@ def test_alpha_critical_rejects_loose_inputs():
 
 
 def _fake_ascent(alpha, maximizer=BUMP):
-    return lambda n, q, sigma: ThresholdAscent(alpha, maximizer, 3)
+    return lambda n, q, sigma, start=None: ThresholdAscent(alpha, maximizer, 3)
 
 
 @pytest.mark.parametrize(
@@ -200,9 +200,9 @@ def _recorded_search(monkeypatch, q, n, tol=0.04):
         calls.append((params.alpha, opts, start, res))
         return res
 
-    def recording_ascent(n, q, sigma):
-        up = threshold_ascent(n, q, sigma)
-        ascents.append((sigma, up))
+    def recording_ascent(n, q, sigma, start=None):
+        up = threshold_ascent(n, q, sigma, start)
+        ascents.append((sigma, start, up))
         return up
 
     monkeypatch.setattr(critical, "minimize", recording_minimize)
@@ -218,16 +218,18 @@ def test_search_mechanics(monkeypatch, q):
     for n in (100, 101, 4000, 4001):
         res, ascents, calls = _recorded_search(monkeypatch, q, n, tol)
         sat = saturation_reference(n, q)
-        # one ascent at the saturation value (converged, or it raises), whose value is alpha_q
-        [(sigma, up)] = ascents
+        # one ascent at the saturation value (converged, or it raises) from
+        # cos(pi*x/2)^(2/q), whose value is alpha_q
+        [(sigma, start, up)] = ascents
         assert sigma == sat
+        assert np.array_equal(start.values, np.cos(0.5 * math.pi * start.x) ** (2.0 / q))
         assert res.alpha_q == up.alpha
         # one full confirming solve, at alpha_q + tol/2 rounded inward, from the maximizer
         assert res.solver_calls == len(calls) == 1
         lo, hi = res.bracket
-        [(a, opts, start, above)] = calls
+        [(a, opts, confirm_start, above)] = calls
         assert (a, opts) == (hi, SolverOptions(n=n))
-        assert start is up.maximizer
+        assert confirm_start is up.maximizer
         assert hi - lo <= tol
         assert lo < res.alpha_q < hi
         assert abs((hi - lo) - tol) <= 4 * math.ulp(res.alpha_q)
@@ -244,7 +246,7 @@ def test_warm_confirming_solve_matches_the_cold_one(monkeypatch, n):
     # cold one, and the maximizer's quotient bounds the cold lambda at the lower end
     opts = SolverOptions(n=n)
     for q in (1.0, 1.05, 1.2, 1.35, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0):
-        res, [(_, up)], [(alpha, _, _, above)] = _recorded_search(monkeypatch, q, n)
+        res, [(_, _, up)], [(alpha, _, _, above)] = _recorded_search(monkeypatch, q, n)
         lam = above.lam
         assert abs(lam - minimize(ProblemParams(alpha, q), opts).lam) <= 1e-11 * max(1.0, abs(lam))
         lo = res.bracket[0]
@@ -253,10 +255,22 @@ def test_warm_confirming_solve_matches_the_cold_one(monkeypatch, n):
 
 
 def test_search_iterations_are_pinned(monkeypatch):
-    # 5 ascent steps, then 3 steps in the confirming solve
-    res, [(_, up)], calls = _recorded_search(monkeypatch, 1.5, 4000)
-    assert (up.iterations, [r.iterations for *_, r in calls]) == (5, [3])
-    assert res.iterations == 8
+    # 5 ascent steps, then 2 steps in the confirming solve, whose losing
+    # descent the stop rule ends (3 steps when run to its tolerance)
+    res, [(_, _, up)], calls = _recorded_search(monkeypatch, 1.5, 4000)
+    assert (up.iterations, [r.iterations for *_, r in calls]) == (5, [2])
+    assert res.iterations == 7
+
+
+@pytest.mark.parametrize("n", [100, 101, 4000])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_search_starts_the_ascent_at_its_maximizer_at_both_ends(monkeypatch, q, n):
+    # cos(pi*x/2)^(2/q) is the discrete maximizer of F_sat at q = 2, the
+    # sampled cosine, and at q = 1, the flat-family member (1 + cos(pi*x))/2:
+    # the search's ascent takes no step
+    res, [(_, _, up)], [(*_, above)] = _recorded_search(monkeypatch, q, n)
+    assert up.iterations == 0
+    assert res.iterations == above.iterations
 
 
 def test_ascent_step_cap(monkeypatch):

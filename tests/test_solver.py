@@ -21,8 +21,9 @@ from nleig.core import (
     signed_average,
 )
 from nleig import solver
-from nleig.critical import rescale_lambda
+from nleig.critical import alpha_critical, rescale_lambda
 from nleig.solver import (
+    SATURATION_BAND,
     SolverNonconvergence,
     SolverOptions,
     _descend,
@@ -327,14 +328,20 @@ def test_average_of_1e_11_keeps_the_nonlocal_gradient():
 
 # --- descent work -----------------------------------------------------------------
 
-def _quotient_descent(w0, alpha, q, n=4000):
-    """_descend of the quotient from the half w0: (half, value, iterations, evaluations, converged)."""
-    return _descend(w0, n, functools.partial(quotient_and_residual, n=n, alpha=alpha, q=q))
+def _quotient_descent(w0, alpha, q, n=4000, floor=None):
+    """_descend of the quotient from the half w0: (half, value, iterations, evaluations, converged).
+
+    The floor is minimize's, the sine's value plus the saturation band,
+    unless given; math.inf runs the descent to its tolerance.
+    """
+    if floor is None:
+        floor = saturation_reference(n, q) + SATURATION_BAND
+    return _descend(w0, n, functools.partial(quotient_and_residual, n=n, alpha=alpha, q=q), floor)
 
 
-def _counted_descent(w0, alpha, q, n=4000):
+def _counted_descent(w0, alpha, q, n=4000, floor=None):
     """Run _descend from the half w0; returns (iterations, evaluations, converged, value)."""
-    _, value, iterations, evaluations, converged = _quotient_descent(w0, alpha, q, n)
+    _, value, iterations, evaluations, converged = _quotient_descent(w0, alpha, q, n, floor)
     return iterations, evaluations, converged, value
 
 
@@ -424,32 +431,54 @@ def test_bump_descent_above_the_critical_coupling_at_small_q_is_bounded(q):
 @pytest.mark.parametrize("alpha", [-5.0, 3.0, 2.0 * PI2, 50.0, 1e6])
 def test_minimize_descends_once(alpha, n, monkeypatch):
     # every solve is one descent, at min(alpha, 2*pi^2), from the bump or
-    # from a start, whichever branch wins
+    # from a start, whichever branch wins, with the floor sine + band
     seen = []
 
-    def counted(w, n, kernel):
-        seen.append(kernel.keywords["alpha"])
-        return _descend(w, n, kernel)
+    def counted(w, n, kernel, floor):
+        seen.append((kernel.keywords["alpha"], floor))
+        return _descend(w, n, kernel, floor)
 
     monkeypatch.setattr(solver, "_descend", counted)
     mixed = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) + 0.3 * np.cos(1.5 * math.pi * x), n)
     for start in (None, mixed):
         seen.clear()
         minimize(ProblemParams(alpha, 1.5), SolverOptions(n), start=start)
-        assert seen == [min(alpha, solver.ALPHA_TOP)]
+        assert seen == [(min(alpha, solver.ALPHA_TOP), saturation_reference(n, 1.5) + SATURATION_BAND)]
 
 
 def test_capped_losing_descent_is_reported(monkeypatch):
-    # at q = 1.5, n = 100 the bump descent loses to the odd sine after 7 steps
-    # at alpha = 15 and 8 steps at 2*pi^2, where alpha = 50 descends; at a
-    # cap of 5 it loses capped, and must say so, naming the alpha asked for
-    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 5)
-    for alpha in (15.0, 50.0):
-        with pytest.warns(RuntimeWarning, match=rf"the losing descent hit the iteration cap .* \(alpha={alpha}, q=1.5, n=100\)"):
-            res = minimize(ProblemParams(alpha, 1.5), SolverOptions(n=100))
+    # a loser that reaches the cap must say so, naming the alpha asked for.
+    # At a cap of 1 no step is left for the stop rule to judge, at alpha = 15
+    # and at alpha = 50, which descends at 2*pi^2.  At 1e-6 above alpha_q the
+    # bump descent closes on its value, 1.13e-6 above the sine, fast enough
+    # that the rule never stops it before a cap of 4
+    n, q = 100, 1.5
+    sat = saturation_reference(n, q)
+    near = threshold_ascent(n, q, sat).alpha + 1e-6
+    for alpha, cap in ((15.0, 1), (50.0, 1), (near, 4)):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", cap)
+        with pytest.warns(RuntimeWarning, match=re.escape(f"the losing descent hit the iteration cap {cap} at (alpha={alpha}, q=1.5, n=100)")):
+            res = minimize(ProblemParams(alpha, q), SolverOptions(n=n))
         assert res.converged
-        assert res.iterations == 5
-        assert res.lam == saturation_reference(100, 1.5)
+        assert res.iterations == cap
+        assert res.lam == sat
+
+
+def test_losing_descent_stopped_by_the_rule_is_converged(monkeypatch):
+    # at (15, 1.5, 100) the bump descent ends 9.45 above the sine after 7
+    # steps; the rule stops it after 4, once 49 996 more steps of its last
+    # decrease could not bring it down to the floor.  At a cap of 5 it stops
+    # after 1, with 4 steps left.  Either way it loses converged, with no warning
+    n, q = 100, 1.5
+    sat = saturation_reference(n, q)
+    full = _counted_descent(_grid(n)[0], 15.0, q, n, floor=math.inf)
+    assert full[0] == 7 and full[2] and full[3] > sat + 9.0
+    for cap, steps in ((solver._MAX_ITERATIONS, 4), (5, 1)):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize(ProblemParams(15.0, q), SolverOptions(n=n))
+        assert (res.lam, res.converged, res.degenerate, res.iterations) == (sat, True, False, steps)
 
 
 def test_capped_descent_that_ties_the_sine_loses(monkeypatch):
@@ -461,7 +490,7 @@ def test_capped_descent_that_ties_the_sine_loses(monkeypatch):
     bump = _grid(n)[0]
     changing = bump - 0.5 * bump.max()
     for gap, wins in ((1e-12, False), (1e-6, True)):
-        monkeypatch.setattr(solver, "_descend", lambda w, n, kernel: (changing, sat - gap, 100, 150, False))
+        monkeypatch.setattr(solver, "_descend", lambda w, n, kernel, floor: (changing, sat - gap, 100, 150, False))
         if wins:
             with pytest.raises(SolverNonconvergence) as info:
                 minimize(ProblemParams(50.0, 1.5), SolverOptions(n=n))
@@ -473,20 +502,48 @@ def test_capped_descent_that_ties_the_sine_loses(monkeypatch):
             assert (res.lam, res.converged, res.degenerate, res.q_average) == (sat, True, False, 0.0)
 
 
+def _decision(res):
+    """What a solve decides: lambda, S, the flags and the winner's bytes."""
+    return res.lam, res.q_average, res.degenerate, res.converged, res.minimizer.values.tobytes()
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_the_stop_rule_keeps_every_decision(n, monkeypatch):
+    # minimize against the same descent run to its tolerance, with no floor:
+    # near alpha_q, where a loser ends a hair above the floor, and at random
+    # inputs.  A rule that guessed the rest of the descent from the ratio of
+    # its last two decreases failed here, at alpha_q - 1e-9 and at alpha_q
+    opts = SolverOptions(n=n)
+    inputs = []
+    for q in (1.0, 1.02, 1.3, 1.5, 1.8, 2.0):
+        aq = alpha_critical(q, 0.04, opts).alpha_q
+        inputs += [(aq + d, q) for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3, 1.0)]
+    rng = np.random.default_rng(n)
+    inputs += [(float(a), float(q)) for a, q in zip(rng.uniform(-30.0, 25.0, 40), rng.uniform(1.0, 2.0, 40))]
+    stopped = [minimize(ProblemParams(a, q), opts) for a, q in inputs]
+    monkeypatch.setattr(solver, "_descend", lambda w, n, kernel, floor: _descend(w, n, kernel))
+    full = [minimize(ProblemParams(a, q), opts) for a, q in inputs]
+    for a_q, res, ref in zip(inputs, stopped, full):
+        assert _decision(res) == _decision(ref), a_q
+        assert res.iterations <= ref.iterations, a_q
+    assert sum(r.iterations for r in stopped) < sum(r.iterations for r in full)
+
+
 @pytest.mark.parametrize(
     "alpha,q,n,counts",
     [
         (3.0, 1.5, 4000, (4, 6)),
         (-5.0, 1.2, 4000, (4, 6)),
         (7.16, 1.947, 4001, (3, 5)),
-        (9.0, 1.5, 101, (6, 8)),
+        (9.0, 1.5, 101, (3, 5)),
         (4.99139, 1.0251, 4000, (7, 9)),
         (-20.0, 1.25, 4000, (9, 11)),
     ],
 )
 def test_exact_step_and_evaluation_counts(alpha, q, n, counts):
     # (iterations, evaluations) of minimize, the odd sine counting (0, 1);
-    # a change to the line search or the extrapolation moves them.  At
+    # a change to the line search, the extrapolation or the stop rule of a
+    # losing descent moves them.  At
     # (-20, 1.25) an Armijo constant of 0.3 instead of 1e-4 gives (10, 20).
     for res in (
         minimize(ProblemParams(alpha, q), SolverOptions(n=n)),
@@ -510,7 +567,7 @@ def test_extrapolation_shortens_constant_sign_descents(alpha, q, most):
 def test_sign_changing_descent_does_not_extrapolate():
     # the bump descent crosses S = 0 here; secant steps across the kink sent
     # it to the iteration cap, against 18 steps without them
-    iterations, _, converged, _ = _counted_descent(_grid(1200)[0], 1000.0, 1.65, n=1200)
+    iterations, _, converged, _ = _counted_descent(_grid(1200)[0], 1000.0, 1.65, n=1200, floor=math.inf)
     assert converged
     assert iterations <= 50
 
@@ -524,9 +581,9 @@ def test_descent_started_at_its_minimum_makes_at_most_two_evaluations(alpha, q, 
     if start == "winner":
         w0 = minimize(ProblemParams(alpha, q), OPTS).minimizer.values[: (n + 1) // 2]
     else:
-        # the end point of the bump descent, which loses to the odd sine here
-        w0 = _quotient_descent(_grid(n)[0], alpha, q, n)[0]
-    _, evaluations, converged, _ = _counted_descent(w0, alpha, q)
+        # the end point of the bump descent run to its tolerance, which loses to the odd sine here
+        w0 = _quotient_descent(_grid(n)[0], alpha, q, n, floor=math.inf)[0]
+    _, evaluations, converged, _ = _counted_descent(w0, alpha, q, floor=math.inf)
     assert converged
     assert evaluations <= 2
 
@@ -859,6 +916,44 @@ def test_threshold_ascent_at_q2_is_the_cosine_in_zero_steps(n):
     assert abs(up.alpha - (sat - base)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [100, 101, 4000])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_saturation_ascent_from_the_closed_form_maximizer_takes_no_step(q, n):
+    # cos(pi*x/2)^(2/q) is the sampled cosine at q = 2 and the flat-family
+    # member (1 + cos(pi*x))/2 at q = 1, the discrete maximizers of F_sat;
+    # from the bump the q = 1 ascent takes 7 steps to within 1.2e-12 of it
+    sat = saturation_reference(n, q)
+    start = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) ** (2.0 / q), n)
+    up = threshold_ascent(n, q, sat, start=start)
+    assert up.iterations == 0
+    bump = threshold_ascent(n, q, sat)
+    assert bump.iterations == (7 if q == 1.0 else 0)
+    assert abs(up.alpha - bump.alpha) <= 2e-12
+
+
+def test_ascent_start_is_read_as_minimize_reads_it():
+    # the left half, as the even function it determines, of either sign; no
+    # start means the bump
+    n, q = 1200, 1.5
+    sat = saturation_reference(n, q)
+    bump = threshold_ascent(n, q, sat)
+    left = _unfold(_grid(n)[0], n)
+    left[n // 2 :] = 7.0
+    for start in (left, -left):
+        up = threshold_ascent(n, q, sat, start=GridFunction(start))
+        assert (up.alpha, up.iterations) == (bump.alpha, bump.iterations)
+    with pytest.raises(ValueError, match="n = 1200 nodes, got 1201"):
+        threshold_ascent(n, q, sat, start=GridFunction(np.ones(1201)))
+    right = np.zeros(n)
+    right[600:] = 1.0
+    for start in (np.zeros(n), right):
+        with pytest.raises(ValueError, match="nonzero on its left half"):
+            threshold_ascent(n, q, sat, start=GridFunction(start))
+    # F_sigma is defined on one sign: a start that changes sign has no value
+    with pytest.raises(ValueError, match="keep one sign on its left half"):
+        threshold_ascent(n, q, sat, start=GridFunction(left - 0.5 * left[: n // 2].max()))
+
+
 @pytest.mark.parametrize(
     "n, q, sigma, match",
     [
@@ -911,7 +1006,7 @@ def test_tie_is_degenerate_at_the_ascent_value_only(n):
     assert abs(at.lam - sat) <= 1e-10
     delta = 1e-7 / abs(q_average(up.maximizer, q)) ** (2.0 / q)
     params = ProblemParams(up.alpha + delta, q)
-    branch = _counted_descent(_grid(n)[0], params.alpha, q, n)[3]
+    branch = _counted_descent(_grid(n)[0], params.alpha, q, n, floor=math.inf)[3]
     assert 5e-8 <= branch - sat <= 2e-7
     above = minimize(params, SolverOptions(n=n))
     assert not above.degenerate

@@ -17,7 +17,7 @@ import pytest
 
 import nleig.cli as cli
 from nleig import verify
-from nleig.branches import alpha_zero_exact, q1_eigenvalue_of_coupling
+from nleig.branches import alpha_zero_exact
 from nleig.core import GridFunction
 from nleig.period import first_integral_coeffs
 
@@ -98,8 +98,8 @@ def _fault_c6(mp, k):
 
 
 def _fault_c7(mp, k):
-    root = q1_eigenvalue_of_coupling(2.5)
-    _patch(mp, "_solve", lambda a, q: (a, q) == (2.5, 1.0), lambda lam: lam + k * 1e-3 * root, "lam")
+    shift = k * verify._GRID_BAND * verify._q1_grid_lambda(2.5)
+    _patch(mp, "_solve", lambda a, q: (a, q) == (2.5, 1.0), lambda lam: lam + shift, "lam")
 
 
 def _fault_c8(mp, k):
@@ -139,7 +139,7 @@ FAULTS = [
     (4, _fault_c4, "alpha_critical(1.0) rel dev", True),
     (5, _fault_c5, "q=2.0: q_average at alpha_q+0.5", True),
     (6, _fault_c6, "lambda(4.0,2) rel dev from the grid's eigenvalue+alpha", True),
-    (7, _fault_c7, "lambda(2.5,1) rel dev from the branch root", True),
+    (7, _fault_c7, "lambda(2.5,1) rel dev from the grid's secular root", True),
     (8, _fault_c8, "q=1.0: lambda(6.0) - 1e-6 vs lambda(9.0)", True),
     (8, _fault_c8_lipschitz, "q=1.0: increment over (6.0,9.0) vs Lipschitz bound + 1e-6", True),
     (9, _fault_c9, "q=1.5: lower bound - tol vs alpha_q", True),
@@ -195,7 +195,21 @@ def test_check_counts_per_criterion():
     # the parent's 377 comparisons, with criterion 3's two chains (the
     # integrand over q, the gap over y) split into one check per pair or value
     counts = {num: len(list(fn())) for num, _, fn in verify.CRITERIA}
-    assert counts == {1: 4, 2: 22, 3: 1444, 4: 4, 5: 12, 6: 6, 7: 7, 8: 30, 9: 4, 10: 3, 11: 2, 12: 2}
+    assert counts == {1: 4, 2: 22, 3: 1444, 4: 4, 5: 12, 6: 6, 7: 9, 8: 30, 9: 4, 10: 3, 11: 2, 12: 2}
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_q1_grid_lambda_is_the_smallest_eigenvalue_of_the_rank_one_update(n):
+    # K + alpha*h*11^T, dense, from below zero through alpha_1 (about 4.93) to
+    # the sine's value above it; the dense solver's own error is about
+    # eps*|A|, measured at most 1.7 eps*|A|
+    h = 2.0 / (n + 1)
+    stiffness = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+    for alpha in (-20.0, -5.0, -1.0, 0.0, 1.0, 2.5, 4.0, 4.9, 6.0, 8.0):
+        matrix = stiffness + alpha * h * np.ones((n, n))
+        dense = np.linalg.eigvalsh(matrix)[0]
+        bound = 4.0 * np.finfo(float).eps * np.linalg.norm(matrix, 2)
+        assert abs(verify._q1_grid_lambda(alpha, n) - dense) <= bound, alpha
 
 
 def test_a_pass_detail_names_the_check_nearest_its_bound():
