@@ -11,12 +11,12 @@ couplings here are maxima of one quotient, found by one ascent
 crossing alpha_0 = max_u F_0(u).  The ascent's value is a certified lower
 bound: F_sigma(u) <= alpha_sigma for every u.
 
-The saturation ascent starts at cos(pi*x/2)^(2/q), the paper's maximizer at
-both ends of its range: the cosine at q = 2 and the flat-family member
-(1 + cos(pi*x))/2 at q = 1, where the discrete ascent takes no step; in
-between it takes fewer steps than from the bump at most q.  The
-zero-crossing ascent keeps the bump cos(pi*x/2), from which it takes fewer
-steps than from that power.
+The saturation ascent starts at cos(pi*x/2)^(2/q), the solver's bump raised
+to ``power=2/q``, the paper's maximizer at both ends of its range: the
+cosine at q = 2 and the flat-family member (1 + cos(pi*x))/2 at q = 1, where
+the discrete ascent takes no step; in between it takes fewer steps than from
+the bump at most q.  The zero-crossing ascent keeps the bump cos(pi*x/2),
+the default power 1, from which it takes fewer steps than from that power.
 
 The ascent's maximizer u certifies the lower end of the dichotomy without a
 solve: Q_u(alpha_q) = sat, so below alpha_q the constant-sign u gives
@@ -38,13 +38,10 @@ criterion 10 compares it with that constant's closed form
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import GridFunction, ProblemParams, check_q, is_constant_sign, rayleigh_quotient
+from .core import ProblemParams, check_q, is_constant_sign, rayleigh_quotient
 from .solver import ALPHA_TOP, SATURATION_BAND, SolverOptions, minimize, saturation_reference, threshold_ascent
 
 _PI2 = math.pi**2
@@ -71,9 +68,9 @@ class CriticalResult:
     quotient below saturation, at its upper end a full solve found a
     saturated eigenvalue.  ``solver_calls`` counts the ``minimize`` calls of
     the search, the one confirming solve; ``iterations`` sums the ascent's
-    steps, from cos(pi*x/2)^(2/q), and that solve's, so it holds the
-    ascent's work too.  The sine wins the confirming solve, whose descent
-    stops once it cannot come within the saturation band of the sine
+    steps, from the bump cos(pi*x/2) raised to 2/q, and that solve's, so it
+    holds the ascent's work too.  The sine wins the confirming solve, whose
+    descent stops once it cannot come within the saturation band of the sine
     (``solver.minimize``).
     """
 
@@ -81,15 +78,6 @@ class CriticalResult:
     bracket: tuple[float, float]
     solver_calls: int
     iterations: int
-
-
-# bounded, like solver's per-grid constants
-@functools.lru_cache(maxsize=8)
-def _cosine(n: int) -> np.ndarray:
-    """cos(pi*x/2) at the n interior nodes, read-only."""
-    values = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x), n).values
-    values.flags.writeable = False
-    return values
 
 
 def lower_bound(q: float) -> float:
@@ -101,7 +89,8 @@ def lower_bound(q: float) -> float:
 def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) -> CriticalResult:
     """Locate the smallest coupling at which the eigenvalue saturates.
 
-    The ascent of F_sat from cos(pi*x/2)^(2/q) (module docstring) returns its
+    The ascent of F_sat from the solver's bump cos(pi*x/2) raised to 2/q
+    (``threshold_ascent(..., power=2/q)``, module docstring) returns its
     value alpha_q, a certified lower bound of the discrete critical coupling,
     and the constant-sign minimizer there.  alpha_q must lie in the search
     window [lower_bound(q) - 0.1, ALPHA_TOP = 2*pi^2], and the ascent must converge
@@ -122,7 +111,7 @@ def alpha_critical(q: float, tol: float, opts: SolverOptions = SolverOptions()) 
     if not 1e-4 <= tol <= hi - lo:
         raise ValueError(f"tol must lie in [1e-4, {hi - lo!r}] (the search window), got {tol!r}")
     sat = saturation_reference(opts.n, q)
-    up = threshold_ascent(opts.n, q, sat, start=GridFunction(_cosine(opts.n) ** (2.0 / q)))
+    up = threshold_ascent(opts.n, q, sat, power=2.0 / q)
     alpha_q = up.alpha
     if not lo <= alpha_q <= hi:
         raise BracketViolation(

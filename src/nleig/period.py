@@ -116,10 +116,11 @@ def arc_densities(u2: np.ndarray, ln_y: np.ndarray, m: float, q: float) -> tuple
     formed in logs, from ln t and q*ln y, since t and y^q would lose their
     digits or underflow to a zero radicand; a pos beyond float64 (q = 2) is +inf.
 
-    The densities are formed in place, in four buffers the size of ``u2``,
-    with the operations of the formulas above in their order, each negated
-    quotient entering by a subtraction, so they keep their bits; q*ln y is
-    formed once for both arcs.
+    Where t is normal, the densities are formed in place, in four buffers the
+    size of ``u2``, with the operations of the formulas above in their order,
+    each negated quotient entering by a subtraction, so they keep their bits;
+    q*ln y is formed once for both arcs.  The log form, reached only below
+    about m = 1e-154, is one expression.
     """
     z, t = first_integral_coeffs(m, q)
     q_ln_y = np.multiply(q, ln_y)
@@ -133,15 +134,7 @@ def arc_densities(u2: np.ndarray, ln_y: np.ndarray, m: float, q: float) -> tuple
         # ln t = q*ln m + log1p(m^(2-q)) - log1p(m^q); ln 0 = -inf at m = 0 and for the quotient at q = 2
         with np.errstate(divide="ignore", over="ignore"):
             ln_t = q * np.log(m) + math.log1p(m ** (2.0 - q)) - math.log1p(m**q)
-            np.negative(pos, out=pos)
-            np.log(pos, out=pos)
-            pos += q_ln_y
-            term = np.log(one_y)
-            term += ln_t
-            np.logaddexp(term, pos, out=pos)
-            pos *= -0.5
-            np.exp(pos, out=pos)
-            pos *= 2.0
+            pos = 2.0 * np.exp(-0.5 * np.logaddexp(ln_t + np.log(one_y), q_ln_y + np.log(-pos)))
     else:
         term = np.exp(q_ln_y)
         term *= z

@@ -38,7 +38,10 @@ Q_u(alpha) >= sigma exactly when alpha >= F_sigma(u): the smallest alpha at
 which lambda_c reaches sigma is max_u F_sigma(u), and every u certifies a
 lower bound of it.  The ascent's step is the descent's with (alpha, Q)
 replaced by (F_sigma(u), sigma), so its unit step is the same inverse
-iteration; trials that leave the constant-sign functions are rejected.
+iteration; trials that leave the constant-sign functions are rejected.  It
+starts from the stored half bump raised to a power, which keeps it positive
+and even: the power 2/q starts the saturation ascent at the paper's
+maximizer at q = 1 and q = 2 (``critical``).
 
 Work that cannot lower the quotient by the stopping tolerance is skipped.
 The sampled odd sine is the discrete odd minimizer and its S is 0 by
@@ -330,18 +333,6 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return bump, sine, saturation
 
 
-def _start_half(start: GridFunction | None, bump: np.ndarray, n: int) -> np.ndarray:
-    """The left half of ``start``, or ``bump`` if it is None; ValueError unless start has n nodes, nonzero there."""
-    if start is None:
-        return bump
-    if start.n != n:
-        raise ValueError(f"start must have n = {n} nodes, got {start.n}")
-    half = start.values[: (n + 1) // 2]
-    if not half.any():
-        raise ValueError("start must be nonzero on its left half")
-    return half
-
-
 def minimize(
     params: ProblemParams, opts: SolverOptions = SolverOptions(), start: GridFunction | None = None
 ) -> EigenResult:
@@ -373,11 +364,17 @@ def minimize(
     """
     n = opts.n
     h = 2.0 / (n + 1)
-    bump, sine, saturation = _grid(n)
+    half, sine, saturation = _grid(n)
+    if start is not None:
+        if start.n != n:
+            raise ValueError(f"start must have n = {n} nodes, got {start.n}")
+        half = start.values[: (n + 1) // 2]
+        if not half.any():
+            raise ValueError("start must be nonzero on its left half")
     alpha, q = params.alpha, params.q
     try:
         w, lam, iterations, evaluations, converged = _descend(
-            _start_half(start, bump, n),
+            half,
             n,
             functools.partial(quotient_and_residual, n=n, alpha=min(alpha, ALPHA_TOP), q=q),
             saturation + SATURATION_BAND,
@@ -431,34 +428,30 @@ class ThresholdAscent(NamedTuple):
     iterations: int
 
 
-def threshold_ascent(n: int, q: float, sigma: float, start: GridFunction | None = None) -> ThresholdAscent:
+def threshold_ascent(n: int, q: float, sigma: float, power: float = 1.0) -> ThresholdAscent:
     """Maximize F_sigma(u) = (sigma*M - D)/|S|^(2/q) over even positive u on the n-node grid.
 
     lambda_c(alpha) >= sigma holds exactly when alpha >= F_sigma(u) for every
     u, so the maximum is the smallest alpha at which the constant-sign branch
     reaches sigma, and F_sigma of any iterate is a lower bound of it.  The
     ascent is ``_descend`` on -F_sigma, with no floor, from the positive bump
-    or from ``start``, with the stopping tolerance _LAMBDA_TOL on the rise of
-    F_sigma and the cap _MAX_ITERATIONS; at the cap it raises
-    SolverNonconvergence, carrying the ascent.  ``start`` is read as
-    ``minimize`` reads it, through its left half, and F_sigma is even, so it
-    must also keep one sign there (ValueError otherwise).  At the maximizer
-    u, the quotient Q_u(alpha) equals sigma: u is a constant-sign minimizer
-    at the returned alpha.  sigma must be finite; where the ascent leaves
-    float64 it raises ValueError: at n = 100 from about |sigma| = 1e156.
+    cos(pi*x/2) raised to ``power``, with the stopping tolerance _LAMBDA_TOL
+    on the rise of F_sigma and the cap _MAX_ITERATIONS; at the cap it raises
+    SolverNonconvergence, carrying the ascent.  At the maximizer u, the
+    quotient Q_u(alpha) equals sigma: u is a constant-sign minimizer at the
+    returned alpha.  sigma must be finite and power finite and positive
+    (ValueError otherwise); where the ascent leaves float64 it raises
+    ValueError: at n = 100 from about |sigma| = 1e156.
     """
     check_n(n)
     check_q(q)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
-    half = _start_half(start, _grid(n)[0], n)
-    if start is not None:
-        if not is_constant_sign(half):
-            raise ValueError("start must keep one sign on its left half")
-        half = np.abs(half)  # F_sigma is even in v: a negative start is the same direction
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"power must be finite and positive, got {power!r}")
     try:
         w, value, iterations, _, converged = _descend(
-            half, n, functools.partial(threshold_and_residual, n=n, sigma=sigma, q=q)
+            _grid(n)[0] ** power, n, functools.partial(threshold_and_residual, n=n, sigma=sigma, q=q)
         )
     except FloatingPointError as err:
         raise ValueError(f"the ascent leaves float64 at (sigma={sigma!r}, q={q!r}, n={n}): {err}") from None

@@ -110,19 +110,29 @@ def _c3_monotonicity_positivity():
 
 
 def _c4_critical_constants():
-    # measured: rel dev 2.1e-7 at q = 1 and 2.6e-7 at q = 2; at most 7 iterations on q in [1, 2], 2 at q = 1
+    # the grid's alpha_q, where the constant-sign branch reaches the sine's
+    # mu_2: at q = 1 the secular equation of _q1_grid_lambda solved for alpha
+    # at lam = mu_2, at q = 2 mu_2 - mu_1 (lambda = mu_1 + alpha); measured:
+    # at most 3.6e-16 at q = 1 and 2.4e-16 at q = 2
+    mu, tan2, sine = _grid_spectrum()
+    grid = {1.0: -1.0 / (_H * _H * float(np.sum(1.0 / (tan2 * (mu - sine))))), 2.0: sine - float(mu[0])}
     for q, exact in ((1.0, 0.5 * _PI2), (2.0, 0.75 * _PI2)):
         res = _crit(q)
-        yield f"alpha_critical({q}) rel dev", abs(res.alpha_q - exact) / exact, 1e-5
+        yield f"alpha_critical({q}) rel dev from the grid's closed form", abs(res.alpha_q - grid[q]) / grid[q], _GRID_BAND
+        # the band 2h^2 covers the grid's bias from the continuum: 0.82 h^2 at q = 1, 1.03 h^2 at q = 2
+        yield f"alpha_critical({q}) rel dev from the continuum", abs(res.alpha_q - exact) / exact, 2.0 * _H * _H
+        # measured: at most 7 iterations on q in [1, 2], 2 at q = 1
         yield f"alpha_critical({q}) iterations", res.iterations, 50
 
 
 def _c5_threshold_transition():
+    sine = _grid_spectrum()[2]
     for q in (1.5, 2.0):
         aq = _crit(q).alpha_q
         above = _solve(aq + 0.5, q)
         prof = above.profile
-        yield f"q={q}: |lambda - pi^2| at alpha_q+0.5", abs(above.lam - _PI2), 1e-4 * _PI2
+        # measured: 1.8e-16, the stored sine's value
+        yield f"q={q}: lambda at alpha_q+0.5 rel dev from the sine's value", abs(above.lam - sine) / sine, _GRID_BAND
         yield f"q={q}: q_average at alpha_q+0.5", above.q_average, _below(1e-6)
         yield f"q={q}: odd defect at alpha_q+0.5", prof.odd_defect, _below(1e-3)
         # one crossing within 2h of the midpoint; any other number of zeros reads +inf
@@ -130,6 +140,9 @@ def _c5_threshold_transition():
         below = _solve(aq - 0.5, q)
         yield f"q={q}: sign change at alpha_q-0.5 (1 if so)", float(below.profile.sign_class == "sign_changing"), 0.0
         yield f"q={q}: lambda at alpha_q-0.5 below pi^2", below.lam, _below(_PI2)
+    # the band h^2 covers the grid's bias pi^2*h^2/12 = 0.82 h^2 from the continuum
+    lam = _solve(_crit(2.0).alpha_q + 0.5, 2.0).lam
+    yield "q=2.0: lambda at alpha_q+0.5 rel dev from pi^2", abs(lam - _PI2) / _PI2, _H * _H
 
 
 def _c6_q2_linear_branch():
@@ -141,11 +154,22 @@ def _c6_q2_linear_branch():
     yield "lambda(4.0,2) rel dev from pi^2/4+alpha", abs(_solve(4.0, 2.0).lam - target) / target, _H * _H
 
 
+def _grid_spectrum(n: int = _N) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Dirichlet stencil K's eigenvalues mu_k = (4/h^2)sin^2(k*pi*h/4) on the n-node grid.
+
+    Returns mu_k and tan^2(k*pi*h/4) for odd k, whose eigenvectors are the
+    even ones, and mu_2, the value D/M of the sampled odd sine.
+    """
+    h = 2.0 / (n + 1)
+    theta = np.arange(1, n + 1, 2) * (0.25 * _PI * h)
+    return (4.0 / h**2) * np.sin(theta) ** 2, np.tan(theta) ** 2, (4.0 / h**2) * math.sin(0.5 * _PI * h) ** 2
+
+
 def _q1_grid_lambda(alpha: float, n: int = _N) -> float:
     """The discrete lambda(alpha, 1): the smallest eigenvalue of K + alpha*h*11^T, K the Dirichlet stencil.
 
     At q = 1 the quotient of every v is (v.Kv + alpha*h*(1.v)^2)/(v.v).  K's
-    eigenvalues are mu_k = (4/h^2)sin^2(k*pi*h/4), and the constant 1 meets
+    eigenvalues are mu_k (``_grid_spectrum``), and the constant 1 meets
     only the even eigenvectors, odd k, with squared unit projection
     h*cot^2(k*pi*h/4).  The smallest eigenvalue is the odd mu_2, the sine's
     value, or the root of the secular equation 1 + alpha*h^2*sum_k
@@ -154,9 +178,8 @@ def _q1_grid_lambda(alpha: float, n: int = _N) -> float:
     since the update lowers no eigenvalue by more than |alpha|*h*n < 2|alpha|.
     """
     h = 2.0 / (n + 1)
-    theta = np.arange(1, n + 1, 2) * (0.25 * _PI * h)
-    mu = (4.0 / h**2) * np.sin(theta) ** 2
-    weight = alpha * h * h / np.tan(theta) ** 2
+    mu, tan2, sine = _grid_spectrum(n)
+    weight = alpha * h * h / tan2
     # the secular function rises with lam for alpha > 0 and falls for alpha < 0
     lo, hi = (mu[0], mu[1]) if alpha > 0.0 else (mu[0] + 2.0 * alpha, mu[0])
     mid = 0.5 * (lo + hi)
@@ -166,7 +189,7 @@ def _q1_grid_lambda(alpha: float, n: int = _N) -> float:
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return min(float(mid), (4.0 / h**2) * math.sin(0.5 * _PI * h) ** 2)
+    return min(float(mid), sine)
 
 
 def _c7_q1_branch_oracle():

@@ -31,7 +31,9 @@ def _grid_h(n):
 # zero crossing is minus the bump's discrete Dirichlet eigenvalue and alpha_2
 # is the sine's minus it.  q = 1: the dual minimizer is K^-1 1 = (1 - x^2)/2
 # at the nodes (the stencil is exact on quadratics), whose trapezoid sum is
-# 2/3 - h^2/6.
+# 2/3 - h^2/6; lambda(alpha, 1) is the smallest eigenvalue of K +
+# alpha*h*11^T, so alpha_1 solves its secular equation at the sine's value
+# mu_2: 1 + alpha*h^2*sum_{k odd} cot^2(k*pi*h/4)/(mu_k - mu_2) = 0.
 def _grid_alpha_zero_q2(n):
     h = _grid_h(n)
     return -(4.0 / h**2) * math.sin(math.pi * h / 4.0) ** 2
@@ -39,6 +41,14 @@ def _grid_alpha_zero_q2(n):
 
 def _grid_alpha_zero_q1(n):
     return -6.0 / (4.0 - _grid_h(n) ** 2)
+
+
+def _grid_alpha_critical_q1(n):
+    h = _grid_h(n)
+    theta = np.arange(1, n + 1, 2) * (math.pi * h / 4.0)
+    mu = (4.0 / h**2) * np.sin(theta) ** 2
+    mu2 = (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
+    return -1.0 / (h**2 * float(np.sum(1.0 / (np.tan(theta) ** 2 * (mu - mu2)))))
 
 
 def _grid_alpha_critical_q2(n):
@@ -120,7 +130,7 @@ def test_alpha_critical_rejects_loose_inputs():
 
 
 def _fake_ascent(alpha, maximizer=BUMP):
-    return lambda n, q, sigma, start=None: ThresholdAscent(alpha, maximizer, 3)
+    return lambda n, q, sigma, power=1.0: ThresholdAscent(alpha, maximizer, 3)
 
 
 @pytest.mark.parametrize(
@@ -174,6 +184,9 @@ def test_ascent_outside_the_window_is_a_bracket_violation(monkeypatch, alpha):
 
 def test_critical_coupling_q1_closed_form_tight(crit):
     assert abs(crit(1.0).alpha_q - PI2 / 2) <= 1e-5
+    for n in GRID_NS:
+        exact = _grid_alpha_critical_q1(n)
+        assert abs(alpha_critical(1.0, 0.04, SolverOptions(n=n)).alpha_q - exact) <= 1e-12 * exact
 
 
 def test_critical_coupling_q2_closed_form_tight(crit):
@@ -200,9 +213,9 @@ def _recorded_search(monkeypatch, q, n, tol=0.04):
         calls.append((params.alpha, opts, start, res))
         return res
 
-    def recording_ascent(n, q, sigma, start=None):
-        up = threshold_ascent(n, q, sigma, start)
-        ascents.append((sigma, start, up))
+    def recording_ascent(n, q, sigma, power=1.0):
+        up = threshold_ascent(n, q, sigma, power)
+        ascents.append((sigma, power, up))
         return up
 
     monkeypatch.setattr(critical, "minimize", recording_minimize)
@@ -219,10 +232,9 @@ def test_search_mechanics(monkeypatch, q):
         res, ascents, calls = _recorded_search(monkeypatch, q, n, tol)
         sat = saturation_reference(n, q)
         # one ascent at the saturation value (converged, or it raises) from
-        # cos(pi*x/2)^(2/q), whose value is alpha_q
-        [(sigma, start, up)] = ascents
-        assert sigma == sat
-        assert np.array_equal(start.values, np.cos(0.5 * math.pi * start.x) ** (2.0 / q))
+        # the bump raised to 2/q, whose value is alpha_q
+        [(sigma, power, up)] = ascents
+        assert (sigma, power) == (sat, 2.0 / q)
         assert res.alpha_q == up.alpha
         # one full confirming solve, at alpha_q + tol/2 rounded inward, from the maximizer
         assert res.solver_calls == len(calls) == 1

@@ -919,39 +919,25 @@ def test_threshold_ascent_at_q2_is_the_cosine_in_zero_steps(n):
 @pytest.mark.parametrize("n", [100, 101, 4000])
 @pytest.mark.parametrize("q", [1.0, 2.0])
 def test_saturation_ascent_from_the_closed_form_maximizer_takes_no_step(q, n):
-    # cos(pi*x/2)^(2/q) is the sampled cosine at q = 2 and the flat-family
-    # member (1 + cos(pi*x))/2 at q = 1, the discrete maximizers of F_sat;
-    # from the bump the q = 1 ascent takes 7 steps to within 1.2e-12 of it
+    # the bump raised to 2/q is the sampled cosine at q = 2 and the
+    # flat-family member (1 + cos(pi*x))/2 at q = 1, the discrete maximizers
+    # of F_sat; from the bump the q = 1 ascent takes 7 steps to within
+    # 1.2e-12 of it
     sat = saturation_reference(n, q)
-    start = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) ** (2.0 / q), n)
-    up = threshold_ascent(n, q, sat, start=start)
+    up = threshold_ascent(n, q, sat, power=2.0 / q)
     assert up.iterations == 0
+    closed = GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) ** (2.0 / q), n)
+    unit = closed.values / math.sqrt(closed.h * float(closed.values @ closed.values))
+    assert np.allclose(up.maximizer.values, unit, rtol=0.0, atol=1e-14)
     bump = threshold_ascent(n, q, sat)
     assert bump.iterations == (7 if q == 1.0 else 0)
     assert abs(up.alpha - bump.alpha) <= 2e-12
 
 
-def test_ascent_start_is_read_as_minimize_reads_it():
-    # the left half, as the even function it determines, of either sign; no
-    # start means the bump
-    n, q = 1200, 1.5
-    sat = saturation_reference(n, q)
-    bump = threshold_ascent(n, q, sat)
-    left = _unfold(_grid(n)[0], n)
-    left[n // 2 :] = 7.0
-    for start in (left, -left):
-        up = threshold_ascent(n, q, sat, start=GridFunction(start))
-        assert (up.alpha, up.iterations) == (bump.alpha, bump.iterations)
-    with pytest.raises(ValueError, match="n = 1200 nodes, got 1201"):
-        threshold_ascent(n, q, sat, start=GridFunction(np.ones(1201)))
-    right = np.zeros(n)
-    right[600:] = 1.0
-    for start in (np.zeros(n), right):
-        with pytest.raises(ValueError, match="nonzero on its left half"):
-            threshold_ascent(n, q, sat, start=GridFunction(start))
-    # F_sigma is defined on one sign: a start that changes sign has no value
-    with pytest.raises(ValueError, match="keep one sign on its left half"):
-        threshold_ascent(n, q, sat, start=GridFunction(left - 0.5 * left[: n // 2].max()))
+@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_threshold_ascent_power_must_be_finite_and_positive(power):
+    with pytest.raises(ValueError, match="power must be finite and positive"):
+        threshold_ascent(100, 1.5, 9.0, power=power)
 
 
 @pytest.mark.parametrize(

@@ -85,11 +85,12 @@ def _fault_c3_margin(mp, k):
 
 
 def _fault_c4(mp, k):
-    _patch(mp, "_crit", lambda q: q == 1.0, lambda aq: aq + k * 1e-5 * PI2 / 2, "alpha_q")
+    _patch(mp, "_crit", lambda q: q == 1.0, lambda aq: aq + k * verify._GRID_BAND * aq, "alpha_q")
 
 
 def _fault_c5(mp, k):
-    _patch(mp, "_solve", lambda a, q: q == 2.0 and _above_alpha_q(a, q), lambda s: s + k * 1e-6, "q_average")
+    shift = k * verify._GRID_BAND * verify._grid_spectrum()[2]
+    _patch(mp, "_solve", lambda a, q: q == 2.0 and _above_alpha_q(a, q), lambda lam: lam + shift, "lam")
 
 
 def _fault_c6(mp, k):
@@ -136,8 +137,8 @@ FAULTS = [
     (3, _fault_c3, "offset margin(0.5,1.5) positive", False),
     (3, _fault_c3_order, "integrand(m=0.5, y=0.5) at q=1.25 below q=1.5", False),
     (3, _fault_c3_margin, "half_period(0.5,1.5): 10*error below value - pi", True),
-    (4, _fault_c4, "alpha_critical(1.0) rel dev", True),
-    (5, _fault_c5, "q=2.0: q_average at alpha_q+0.5", True),
+    (4, _fault_c4, "alpha_critical(1.0) rel dev from the grid's closed form", True),
+    (5, _fault_c5, "q=2.0: lambda at alpha_q+0.5 rel dev from the sine's value", True),
     (6, _fault_c6, "lambda(4.0,2) rel dev from the grid's eigenvalue+alpha", True),
     (7, _fault_c7, "lambda(2.5,1) rel dev from the grid's secular root", True),
     (8, _fault_c8, "q=1.0: lambda(6.0) - 1e-6 vs lambda(9.0)", True),
@@ -192,10 +193,11 @@ def test_a_strict_check_fails_at_equality(monkeypatch):
 
 
 def test_check_counts_per_criterion():
-    # the parent's 377 comparisons, with criterion 3's two chains (the
-    # integrand over q, the gap over y) split into one check per pair or value
+    # criterion 3's two chains (the integrand over q, the gap over y) split
+    # into one check per pair or value; criterion 4 with a grid-exact and a
+    # continuum row per q, criterion 5 with one continuum row
     counts = {num: len(list(fn())) for num, _, fn in verify.CRITERIA}
-    assert counts == {1: 4, 2: 22, 3: 1444, 4: 4, 5: 12, 6: 6, 7: 9, 8: 30, 9: 4, 10: 3, 11: 2, 12: 2}
+    assert counts == {1: 4, 2: 22, 3: 1444, 4: 6, 5: 13, 6: 6, 7: 9, 8: 30, 9: 4, 10: 3, 11: 2, 12: 2}
 
 
 @pytest.mark.parametrize("n", [100, 101])
