@@ -217,18 +217,20 @@ def q1_eigenvalue_of_coupling(alpha: float) -> float:
     """Eigenvalue of the q = 1 constant-sign branch at coupling alpha, the inverse of ``q1_coupling_of_eigenvalue``.
 
     Valid for 0 < alpha < pi^2/2.  The coupling map is strictly increasing
-    on (pi^2/4, pi^2), so bisection brackets the eigenvalue to 1e-12.
+    on (pi^2/4, pi^2), so bisection between the floats next inside its ends
+    brackets the eigenvalue to the last bit.
     """
     if not 0.0 < alpha < 0.5 * _PI2:
         raise ValueError(f"alpha must lie strictly inside (0, pi^2/2), got {alpha!r}")
-    lo, hi = _PI2 / 4.0 + 1e-9, _PI2 - 1e-9
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
+    lo, hi = math.nextafter(_PI2 / 4.0, math.inf), math.nextafter(_PI2, 0.0)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if q1_coupling_of_eigenvalue(mid) < alpha:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def q1_positive_profile(lam: float, n: int) -> GridFunction:

@@ -105,9 +105,12 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f: Callable, n: int) -> "GridFunction":
-        """f sampled at the n interior nodes; n must be an integer of at least 3."""
+        """f sampled at the n interior nodes; n must be an integer of at least 3, and f return one value per node."""
         check_n(n, 3)
-        return cls(np.asarray(f(nodes(n)[1:-1]), dtype=float))
+        values = np.asarray(f(nodes(n)[1:-1]), dtype=float)
+        if values.shape != (n,):
+            raise ValueError(f"f must return one value per node, shape ({n},), got shape {values.shape}")
+        return cls(values)
 
 
 @dataclass(frozen=True)

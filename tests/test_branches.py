@@ -389,6 +389,18 @@ def test_q1_eigenvalue_inverts_the_coupling():
             q1_eigenvalue_of_coupling(alpha)
 
 
+@pytest.mark.parametrize("alpha", [1e-12, 0.5, 2.5, PI2 / 2 - 1e-12])
+def test_q1_eigenvalue_is_bisected_to_the_last_bit(alpha):
+    # the coupling map crosses alpha within 4 floats of the eigenvalue on
+    # either side; ends fixed 1e-9 inside (pi^2/4, pi^2) missed it by 4.0e-10
+    # relative at alpha = 1e-12 and by 1.0e-10 at pi^2/2 - 1e-12
+    lam = q1_eigenvalue_of_coupling(alpha)
+    below, above = lam, lam
+    for _ in range(4):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+    assert q1_coupling_of_eigenvalue(below) < alpha < q1_coupling_of_eigenvalue(above)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 4.0, 4.8])
 def test_q1_profile_matches_the_solver_minimizer(alpha):
     # measured 2.0e-8 to 9.4e-8 at n = 4000; the gap is O(h^2), 5.2e-6 at

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -213,6 +214,18 @@ def test_sampled_grid_functions_need_an_integral_size(make):
             make(n)
     with pytest.raises(ValueError, match="n must be at least 3, got 2"):
         make(2)
+
+
+@pytest.mark.parametrize(
+    "f,shape",
+    [(lambda x: np.ones(5), "(5,)"), (lambda x: 1.0, "()"), (lambda x: np.ones((2, 100)), "(2, 100)")],
+    ids=["short", "scalar", "two_rows"],
+)
+def test_from_callable_needs_one_value_per_node(f, shape):
+    # before: a 5-vector came back as a grid function of n = 5, and a scalar
+    # was refused for needing "at least 3 interior nodes"
+    with pytest.raises(ValueError, match=re.escape(f"f must return one value per node, shape (100,), got shape {shape}")):
+        GridFunction.from_callable(f, 100)
 
 
 # --- analyze -----------------------------------------------------------------

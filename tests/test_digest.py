@@ -8,10 +8,14 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERS = [
     "core.analyze",
     "solver.minimize",
+    "solver.minimize.counts",
     "solver.threshold_ascent",
+    "solver.threshold_ascent.counts",
     "critical.alpha_critical",
+    "critical.alpha_critical.counts",
     "critical.alpha_zero",
     "period.half_period",
+    "period.half_period.counts",
     "branches.reconstruct_profile",
     "branches.branch_point",
 ]

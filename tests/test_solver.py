@@ -152,11 +152,11 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
 @pytest.mark.parametrize("q", [1.4, 1.5, 1.6, 1.7])
 def test_top_of_bracket_converges_quickly_to_the_odd_sine_branch(q):
     # alpha = 2*pi^2 is the upper end of the critical search; here the bump
-    # descent settles within a few dozen steps and loses to the odd sine
+    # descent stops within 7 steps and loses to the odd sine
     params = ProblemParams(2.0 * PI2, q)
     res = minimize(params, OPTS)
     assert res.converged
-    assert res.iterations <= 100
+    assert res.iterations <= 10
     assert res.lam == saturation_reference(OPTS.n, q)
 
 
@@ -405,7 +405,7 @@ def test_stored_sine_has_rounding_level_average(n):
 def test_saturated_lambda_does_not_drift_with_alpha(alpha, q, n):
     # a bump descent at alpha itself creeps along the kink S = 0: for 31 000
     # to 37 000 steps at (1e2, 1.5), to the 50 000-step cap (3 to 6 s) at
-    # (1e6, 1); every alpha here descends at 2*pi^2 instead, in at most 60
+    # (1e6, 1); every alpha here descends at 2*pi^2 instead, in at most 20
     # steps, and loses to the sine
     start = time.perf_counter()
     with warnings.catch_warnings():
@@ -422,9 +422,22 @@ def test_saturated_lambda_does_not_drift_with_alpha(alpha, q, n):
 def test_bump_descent_above_the_critical_coupling_at_small_q_is_bounded(q):
     # above alpha_q the bump descent crosses S = 0 and can creep along the
     # kink; with the one descent at min(alpha, 2*pi^2) the most measured on
-    # this grid is 329 steps, at (2*pi^2, 1.2), and (15, 1.2) takes 56
+    # this grid is 37 steps, at (15, 1.25).  A stop rule that judged only
+    # full steps took 329, at (2*pi^2, 1.2)
     for alpha in (6.0, 8.0, 10.0, 12.0, 15.0, 17.0, 2.0 * PI2):
-        assert minimize(ProblemParams(alpha, q), SolverOptions()).iterations <= 1000
+        assert minimize(ProblemParams(alpha, q), SolverOptions()).iterations <= 60
+
+
+@pytest.mark.parametrize("q", [1.0, 1.2])
+@pytest.mark.parametrize("alpha", [2.0 * PI2, 50.0])
+def test_losing_descent_is_stopped_after_a_partial_step(alpha, q):
+    # at 2*pi^2 the line search of these losing descents accepts a quarter
+    # step at almost every step after the first one or two; a stop rule that
+    # judged only full steps let them run to the tolerance, 60 steps at q = 1
+    # and 329 at q = 1.2
+    res = minimize(ProblemParams(alpha, q), OPTS)
+    assert (res.lam, res.converged, res.degenerate) == (saturation_reference(OPTS.n, q), True, False)
+    assert res.iterations <= 20
 
 
 @pytest.mark.parametrize("n", [100, 101])
@@ -510,22 +523,29 @@ def _decision(res):
 @pytest.mark.parametrize("n", [100, 101])
 def test_the_stop_rule_keeps_every_decision(n, monkeypatch):
     # minimize against the same descent run to its tolerance, with no floor:
-    # near alpha_q, where a loser ends a hair above the floor, and at random
-    # inputs.  A rule that guessed the rest of the descent from the ratio of
-    # its last two decreases failed here, at alpha_q - 1e-9 and at alpha_q
+    # near alpha_q, where a loser ends a hair above the floor, from the bump
+    # and from two starts near the kink S = 0; above alpha_q at small q,
+    # where losers take partial steps; and at random inputs.  A rule that
+    # guessed the rest of the descent from the ratio of its last two
+    # decreases failed here, at alpha_q - 1e-9 and at alpha_q
     opts = SolverOptions(n=n)
+    kinked = [
+        GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) - 0.6, n),
+        GridFunction.from_callable(lambda x: np.cos(0.5 * math.pi * x) + 2.9 * np.cos(1.5 * math.pi * x), n),
+    ]
     inputs = []
     for q in (1.0, 1.02, 1.3, 1.5, 1.8, 2.0):
         aq = alpha_critical(q, 0.04, opts).alpha_q
-        inputs += [(aq + d, q) for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3, 1.0)]
+        inputs += [(aq + d, q, start) for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3, 1.0) for start in [None] + kinked]
+    inputs += [(a, q, None) for a in (15.0, 17.0, 2.0 * PI2, 50.0) for q in (1.0, 1.05, 1.2, 1.25)]
     rng = np.random.default_rng(n)
-    inputs += [(float(a), float(q)) for a, q in zip(rng.uniform(-30.0, 25.0, 40), rng.uniform(1.0, 2.0, 40))]
-    stopped = [minimize(ProblemParams(a, q), opts) for a, q in inputs]
+    inputs += [(float(a), float(q), None) for a, q in zip(rng.uniform(-30.0, 25.0, 40), rng.uniform(1.0, 2.0, 40))]
+    stopped = [minimize(ProblemParams(a, q), opts, start) for a, q, start in inputs]
     monkeypatch.setattr(solver, "_descend", lambda w, n, kernel, floor: _descend(w, n, kernel))
-    full = [minimize(ProblemParams(a, q), opts) for a, q in inputs]
-    for a_q, res, ref in zip(inputs, stopped, full):
-        assert _decision(res) == _decision(ref), a_q
-        assert res.iterations <= ref.iterations, a_q
+    full = [minimize(ProblemParams(a, q), opts, start) for a, q, start in inputs]
+    for (a, q, start), res, ref in zip(inputs, stopped, full):
+        assert _decision(res) == _decision(ref), (a, q, start is None)
+        assert res.iterations <= ref.iterations, (a, q, start is None)
     assert sum(r.iterations for r in stopped) < sum(r.iterations for r in full)
 
 

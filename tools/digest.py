@@ -2,9 +2,12 @@
 
 Prints one line per layer, ``layer records sha256``: the number of records
 and the sha256 over the float.hex of the values each layer returns on a small
-fixed grid of inputs (the raw float64 bytes for a rebuilt profile).  Two
-checkouts that print the same lines return the same bits at every layer, so
-a change meant to keep its values is checked by running this on both:
+fixed grid of inputs (the raw float64 bytes for a rebuilt profile or a
+minimizer).  A layer that reports its work (steps or evaluations) prints it
+apart, on a ``layer.counts`` line.  Two checkouts that print the same lines
+return the same bits at every layer, and a change meant to keep the values
+but not the work moves only ``.counts`` lines; either is checked by running
+this on both:
 
     PYTHONPATH=src python tools/digest.py
 
@@ -70,8 +73,10 @@ def _analyze_inputs(n: int) -> list[np.ndarray]:
 
 def main() -> None:
     layers = {name: _Layer(name) for name in (
-        "core.analyze", "solver.minimize", "solver.threshold_ascent", "critical.alpha_critical",
-        "critical.alpha_zero", "period.half_period", "branches.reconstruct_profile", "branches.branch_point",
+        "core.analyze", "solver.minimize", "solver.minimize.counts", "solver.threshold_ascent",
+        "solver.threshold_ascent.counts", "critical.alpha_critical", "critical.alpha_critical.counts",
+        "critical.alpha_zero", "period.half_period", "period.half_period.counts", "branches.reconstruct_profile",
+        "branches.branch_point",
     )}
 
     def analyzed(values: np.ndarray) -> None:
@@ -84,24 +89,28 @@ def main() -> None:
         for q in QS:
             for alpha in ALPHAS:
                 r = minimize(ProblemParams(alpha, q), SolverOptions(n=n))
-                layers["solver.minimize"].add(r.lam, r.q_average, r.iterations, r.evaluations, r.degenerate)
+                layers["solver.minimize"].add(r.lam, r.q_average, r.degenerate, r.minimizer.values)
+                layers["solver.minimize.counts"].add(r.iterations, r.evaluations)
                 analyzed(r.minimizer.values)
             # the ascents of alpha_zero (sigma = 0) and of alpha_critical (the saturation value)
             for sigma in (0.0, saturation_reference(n, q)):
                 a = threshold_ascent(n, q, sigma)
-                layers["solver.threshold_ascent"].add(a.alpha, a.iterations, a.maximizer.values)
+                layers["solver.threshold_ascent"].add(a.alpha, a.maximizer.values)
+                layers["solver.threshold_ascent.counts"].add(a.iterations)
             for m in DEPTHS:
                 u = reconstruct_profile(m, q, n)
                 layers["branches.reconstruct_profile"].add(u.values)
                 analyzed(u.values)
     for q in CRITICAL_QS:
         c = alpha_critical(q, CRITICAL_TOL, SolverOptions(n=CRITICAL_N))
-        layers["critical.alpha_critical"].add(c.alpha_q, c.bracket, c.iterations)
+        layers["critical.alpha_critical"].add(c.alpha_q, c.bracket)
+        layers["critical.alpha_critical.counts"].add(c.iterations)
         layers["critical.alpha_zero"].add(alpha_zero(q, SolverOptions(n=CRITICAL_N)))
     for q in QS:
         for m in DEPTHS:
             h = half_period(m, q)
-            layers["period.half_period"].add(h.value, h.error_estimate, h.evaluations)
+            layers["period.half_period"].add(h.value, h.error_estimate)
+            layers["period.half_period.counts"].add(h.evaluations)
             for target in BRANCH_TARGETS:
                 b = branch_point(m, q, target)
                 layers["branches.branch_point"].add(b.lam, b.c)
